@@ -120,7 +120,6 @@ def cmd_verify(config: RunConfig, args) -> int:
             for c in report.checks
         ],
         "overall": report.overall,
-        "runtime_ms": report.runtime_ms,
     }
     if config.mode == "real_line" and config.interaction.kind == "cot":
         seeds = [row["epsilon"] for row in spectrum_rows(config)]
@@ -131,6 +130,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     for check in report.checks:
         log.info("%-24s measured=%.3e threshold=%.3e %s",
                  check.name, check.measured, check.threshold, "ok" if check.passed else "FAILED")
+    log.info("verify took %d ms", report.runtime_ms)
     return EXIT_OK if report.overall else EXIT_FAILED
 
 

@@ -2,10 +2,11 @@
 
 The numeric route for decoupled eigenvalues is family dependent: the Morse
 and linear families go through the real (Hermitian-equivalent) potential and
-the full tridiagonal eigensolver; the cot family is solved on the shifted
-segment where its potential becomes the real singular cosec^2 well (contour
-mode).  The real-line complex matrix is probed by inverse iteration and
-reported without gating, since its boundary conditions are a modeling choice.
+lowest-level Sturm bisection of its tridiagonal matrix; the cot family is
+solved on the shifted segment where its potential becomes the real singular
+cosec^2 well (contour mode).  The real-line complex matrix is probed by
+inverse iteration and reported without gating, since its boundary conditions
+are a modeling choice.
 """
 
 from __future__ import annotations
@@ -82,8 +83,7 @@ def numeric_epsilons(
     v = sample.v_minus.real
     h = solve_grid.spacing
     k = consts.hbar**2 / (h * h)
-    eigenvalues = symtridiag_eigenvalues(2.0 * k + v, np.full(solve_grid.n_points - 1, -k))
-    return eigenvalues[:count]
+    return symtridiag_eigenvalues(2.0 * k + v, np.full(solve_grid.n_points - 1, -k), count=count)
 
 
 def real_line_probe(

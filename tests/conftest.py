@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from gdo import Grid, OperatorMatrix, inverse_iteration, symtridiag_eigenvalues
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jit kernels once so timed assertions measure the solve only
-    symtridiag_eigenvalues([2.0, 2.0, 2.0], [-1.0, -1.0])
-    tiny = OperatorMatrix.tridiagonal([0.1, 0.1], [1.0, 2.0, 3.0], [0.1, 0.1])
-    inverse_iteration(tiny, 0.9, tol=1e-8)
+from gdo import Grid
 
 
 @pytest.fixture

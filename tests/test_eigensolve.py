@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdo import (
     ConvergenceError,
     DimensionError,
+    DomainError,
     Grid,
     OperatorMatrix,
     assemble_schrodinger,
@@ -13,6 +16,15 @@ from gdo import (
     rayleigh_quotient,
     symtridiag_eigenvalues,
 )
+
+
+def _dense_eigenvalues(d, e):
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def _norm_bound(d, e):
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    return float(np.max(np.abs(d) + radius))
 
 
 class TestSymtridiag:
@@ -29,8 +41,8 @@ class TestSymtridiag:
         x = grid.points
         op = assemble_schrodinger((x * x).astype(complex), grid)
         sub, diag, sup = op.bands
-        values = symtridiag_eigenvalues(diag.real, sup.real)
-        np.testing.assert_allclose(values[:4], [1.0, 3.0, 5.0, 7.0], rtol=1e-4)
+        values = symtridiag_eigenvalues(diag.real, sup.real, count=4)
+        np.testing.assert_allclose(values, [1.0, 3.0, 5.0, 7.0], rtol=1e-4)
 
     def test_matches_lapack_on_random_matrices(self):
         rng = np.random.default_rng(42)
@@ -39,8 +51,74 @@ class TestSymtridiag:
             d = rng.normal(size=n)
             e = rng.normal(size=n - 1)
             mine = symtridiag_eigenvalues(d, e)
-            lapack = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+            lapack = _dense_eigenvalues(d, e)
             np.testing.assert_allclose(mine, lapack, atol=1e-11 * max(1, np.max(np.abs(d))))
+
+    def test_lowest_levels_match_lapack_on_random_matrices(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(2, 200))
+            count = int(rng.integers(1, min(n, 8) + 1))
+            d = rng.normal(size=n)
+            e = rng.normal(size=n - 1)
+            mine = symtridiag_eigenvalues(d, e, count=count)
+            lapack = _dense_eigenvalues(d, e)[:count]
+            np.testing.assert_allclose(mine, lapack, rtol=0, atol=1e-13 * _norm_bound(d, e))
+
+    def test_split_matrices_match_lapack(self):
+        # zero off-diagonals split the matrix into blocks that share eigenvalues
+        rng = np.random.default_rng(11)
+        block = np.array([1.0, 2.0, 1.0])
+        block_off = np.array([0.5, 0.5])
+        d = np.concatenate([block, block, [3.0, 3.0], block])
+        e = np.concatenate([block_off, [0.0], block_off, [0.0, 0.0, 0.0], block_off])
+        lapack = _dense_eigenvalues(d, e)
+        for count in (None, 1, 3, 6, d.size):
+            mine = symtridiag_eigenvalues(d, e, count=count)
+            np.testing.assert_allclose(mine, lapack[: mine.size], rtol=0, atol=1e-14 * _norm_bound(d, e))
+        diagonal = rng.integers(-3, 4, size=40).astype(float)
+        np.testing.assert_allclose(
+            symtridiag_eigenvalues(diagonal, np.zeros(39), count=10), np.sort(diagonal)[:10], atol=1e-14
+        )
+
+    def test_zero_pivot_at_a_split_point(self):
+        # the first bisection pass puts a shift exactly on the zero diagonal,
+        # so the leading pivot vanishes and the tiny-pivot guard must act
+        values = symtridiag_eigenvalues(np.zeros(3), np.ones(2))
+        np.testing.assert_allclose(values, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-15)
+
+    def test_morse_like_matrix_matches_lapack(self):
+        # hbar^2/h^2 about 1.5e3: the stiff second-difference scale of the
+        # sweep configurations, far above the well depth
+        grid = Grid(-6.0, 20.0, 1001)
+        x = grid.points
+        d = 2.5**2 * (np.exp(-2 * x) - 2 * np.exp(-x))
+        k = 1.0 / grid.spacing**2
+        assert 1.4e3 < k < 1.6e3
+        diag = 2 * k + d
+        off = np.full(grid.n_points - 1, -k)
+        mine = symtridiag_eigenvalues(diag, off, count=4)
+        lapack = _dense_eigenvalues(diag, off)[:4]
+        np.testing.assert_allclose(mine, lapack, rtol=0, atol=1e-13 * _norm_bound(diag, off))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        data=st.data(),
+        log_scale=st.floats(-6.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lowest_levels_property(self, n, data, log_scale, seed):
+        count = data.draw(st.integers(0, n), label="count")
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        d = scale * rng.normal(size=n)
+        e = scale * rng.normal(size=n - 1)
+        values = symtridiag_eigenvalues(d, e, count=count)
+        assert values.shape == (count,)
+        assert np.all(np.diff(values) >= 0)
+        lapack = _dense_eigenvalues(d, e)[:count]
+        np.testing.assert_allclose(values, lapack, rtol=0, atol=1e-13 * _norm_bound(d, e))
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
@@ -49,12 +127,28 @@ class TestSymtridiag:
         first = symtridiag_eigenvalues(d, e)
         second = symtridiag_eigenvalues(d, e)
         np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(
+            symtridiag_eigenvalues(d, e, count=5), symtridiag_eigenvalues(d, e, count=5)
+        )
 
     def test_count_preserved(self):
         rng = np.random.default_rng(5)
         d = rng.normal(size=33)
         e = rng.normal(size=32)
         assert symtridiag_eigenvalues(d, e).shape == (33,)
+        assert symtridiag_eigenvalues(d, e, count=4).shape == (4,)
+        assert symtridiag_eigenvalues(d, e, count=0).shape == (0,)
+
+    @pytest.mark.parametrize("count", [-1, 4])
+    def test_count_out_of_range(self, count):
+        with pytest.raises(DimensionError):
+            symtridiag_eigenvalues([1.0, 2.0, 3.0], [0.5, 0.5], count=count)
+
+    def test_nonfinite_entry_raises(self):
+        with pytest.raises(DomainError):
+            symtridiag_eigenvalues([1.0, np.nan, 3.0], [0.5, 0.5])
+        with pytest.raises(DomainError):
+            symtridiag_eigenvalues([1.0, 2.0, 3.0], [np.inf, 0.5], count=1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -64,6 +158,7 @@ class TestSymtridiag:
         d = np.array([2.0, 2.0, 2.0])
         e = np.array([-1.0, -1.0])
         symtridiag_eigenvalues(d, e)
+        symtridiag_eigenvalues(d, e, count=1)
         np.testing.assert_array_equal(d, [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(e, [-1.0, -1.0])
 
@@ -79,7 +174,7 @@ class TestInverseIteration:
         weights = np.abs(result.eigenvector)
         assert weights[1] == pytest.approx(1.0, abs=1e-8)
 
-    def test_cross_oracle_with_ql(self):
+    def test_cross_oracle_with_bisection(self):
         rng = np.random.default_rng(9)
         d = rng.normal(size=40)
         e = rng.normal(size=39)

@@ -173,8 +173,8 @@ class TestSchrodinger:
         grid = Grid(0.0, math.pi, 2001)
         op = assemble_schrodinger(np.zeros(grid.n_points), grid)
         sub, diag, sup = op.bands
-        levels = symtridiag_eigenvalues(diag.real, sup.real)
-        np.testing.assert_allclose(levels[:3], [1.0, 4.0, 9.0], rtol=2e-3)
+        levels = symtridiag_eigenvalues(diag.real, sup.real, count=3)
+        np.testing.assert_allclose(levels, [1.0, 4.0, 9.0], rtol=2e-3)
 
     def test_constant_shift(self):
         grid = Grid(0.0, math.pi, 501)
