@@ -26,6 +26,8 @@ log = logging.getLogger("gdo")
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
+# 17 significant digits round-trip every float64 bit for bit
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _setup_logging():
@@ -43,10 +45,6 @@ def _emit(text: str, out_path):
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def cmd_check(config: RunConfig, args) -> int:
@@ -89,21 +87,15 @@ def cmd_wavefunction(config: RunConfig, args) -> int:
     sample = analytic_spinor(
         config.interaction, args.level, config.grid, config.constants, model=layout
     )
-    lines = ["x,re_psi1,im_psi1,re_psi2,im_psi2"]
-    x = config.grid.points
-    for j in range(config.grid.n_points):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(x[j]),
-                    _fmt(sample.psi1[j].real),
-                    _fmt(sample.psi1[j].imag),
-                    _fmt(sample.psi2[j].real),
-                    _fmt(sample.psi2[j].imag),
-                )
-            )
-        )
-    _emit("\n".join(lines) + "\n", args.out)
+    columns = (
+        config.grid.points.tolist(),
+        sample.psi1.real.tolist(),
+        sample.psi1.imag.tolist(),
+        sample.psi2.real.tolist(),
+        sample.psi2.imag.tolist(),
+    )
+    rows = [_CSV_ROW % row for row in zip(*columns)]
+    _emit("x,re_psi1,im_psi1,re_psi2,im_psi2\n" + "".join(rows), args.out)
     return EXIT_OK
 
 
@@ -186,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--mode",
                 choices=("contour", "real_line"),
                 default=None,
-                help="override the configured numeric route for the cot family",
+                help="real_line adds inverse-iteration probes of the complex real-line "
+                "matrix to the report of a cot config; contour adds none",
             )
     return parser
 

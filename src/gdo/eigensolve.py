@@ -21,6 +21,7 @@ _SAFMIN = float(np.finfo(np.float64).tiny)
 # depends on the number of cuts, and 256 was as fast as any value tried from
 # 64 to 1024 for four levels at n=1001 and n=4000
 SHIFTS_PER_PASS = 256
+TINY_PIVOT = 1e-300
 
 
 def _sturm_counts(d, e2, pivmin, shifts):
@@ -43,26 +44,54 @@ def _sturm_counts(d, e2, pivmin, shifts):
     return below
 
 
-def _thomas_solve(sub, diag, sup, rhs, x, work_c, work_y, cutoff):
-    """Unpivoted tridiagonal elimination; returns the index of a tiny pivot or -1."""
+def _cyclic_reduction_factor(sub, diag, sup):
+    """Odd-even cyclic reduction of a tridiagonal matrix; None if a pivot is tiny.
+
+    The system is padded with identity rows to 2^k - 1 rows, so every level
+    has an odd size: its even rows are eliminated and its odd rows form the
+    next level (Hockney, J. ACM 12 (1965) 95; Buzbee, Golub & Nielson, SIAM
+    J. Numer. Anal. 7 (1970) 627).  Each level keeps its reciprocal pivots,
+    its back-substitution weights and the multipliers that reduce a
+    right-hand side.  Unpivoted: a pivot that is non-finite or below
+    TINY_PIVOT in magnitude stops the factorization.
+    """
     n = diag.shape[0]
-    piv = diag[0]
-    if abs(piv) < cutoff:
-        return 0
-    work_y[0] = rhs[0] / piv
-    if n > 1:
-        work_c[0] = sup[0] / piv
-    for i in range(1, n):
-        piv = diag[i] - sub[i - 1] * work_c[i - 1]
-        if abs(piv) < cutoff:
-            return i
-        if i < n - 1:
-            work_c[i] = sup[i] / piv
-        work_y[i] = (rhs[i] - sub[i - 1] * work_y[i - 1]) / piv
-    x[n - 1] = work_y[n - 1]
-    for i in range(n - 2, -1, -1):
-        x[i] = work_y[i] - work_c[i] * x[i + 1]
-    return -1
+    size = (1 << n.bit_length()) - 1
+    a = np.zeros(size, dtype=complex)
+    b = np.ones(size, dtype=complex)
+    c = np.zeros(size, dtype=complex)
+    a[1:n], b[:n], c[: n - 1] = sub, diag, sup
+    levels = []
+    while b.size:
+        pivots = b[::2]
+        if not (np.all(np.isfinite(pivots)) and np.all(np.abs(pivots) >= TINY_PIVOT)):
+            return None
+        inv = 1.0 / pivots
+        alpha = -a[1::2] * inv[:-1]
+        gamma = -c[1::2] * inv[1:]
+        levels.append((inv, a[::2] * inv, c[::2] * inv, alpha, gamma))
+        a, b, c = alpha * a[:-1:2], b[1::2] + alpha * c[:-1:2] + gamma * a[2::2], gamma * c[2::2]
+    return levels
+
+
+def _cyclic_reduction_solve(levels, rhs):
+    """Solve with a factorization from _cyclic_reduction_factor."""
+    f = np.zeros(2 * levels[0][0].size - 1, dtype=complex)
+    f[: rhs.size] = rhs
+    reduced = []
+    for _, _, _, alpha, gamma in levels:
+        reduced.append(f)
+        f = f[1::2] + alpha * f[:-1:2] + gamma * f[2::2]
+    x = f
+    for (inv, left, right, _, _), f in zip(reversed(levels), reversed(reduced)):
+        # padded[1 : m + 1] is this level's solution: the coarser level fills
+        # its odd rows, and the zero ends stand for the missing neighbours
+        m = f.size
+        padded = np.zeros(m + 2, dtype=complex)
+        padded[2:m:2] = x
+        padded[1 : m + 1 : 2] = inv * f[::2] - left * padded[:m:2] - right * padded[2::2]
+        x = padded[1 : m + 1]
+    return x[: rhs.size]
 
 
 @dataclass(frozen=True)
@@ -167,50 +196,46 @@ def inverse_iteration(
 
     Fixed-shift iteration with a Rayleigh-quotient eigenvalue readout;
     convergence means the absolute residual ||M v - lambda v|| (unit v) drops
-    below tol.  A shift landing on an eigenvalue makes the elimination break
-    down; the shift is then nudged by a 1e-12-scale perturbation, growing
-    tenfold over at most three retries.
+    below tol.  The shifted matrix is factored once by odd-even cyclic
+    reduction and every iteration reuses the factorization.  A shift landing
+    on an eigenvalue makes a pivot vanish or an iterate overflow; the shift is
+    then nudged by a 1e-12-scale perturbation, growing tenfold over at most
+    three retries.
 
-    The linear solves are unpivoted, which is accurate for the diagonally
-    dominant Schrodinger-style matrices this package builds; matrices whose
-    shifted diagonal wanders through zero mid-elimination can stall at a
-    solve-accuracy floor and end in ConvergenceError instead.
+    The reduction is unpivoted, like plain tridiagonal elimination, which is
+    accurate for the diagonally dominant Schrodinger-style matrices this
+    package builds; matrices whose shifted diagonal wanders through zero can
+    stall at a solve-accuracy floor and end in ConvergenceError instead.
     """
     if matrix.bandwidth != 1:
         raise UnsupportedError("inverse iteration expects a tridiagonal matrix")
     sub, diag, sup = matrix.bands
     n = matrix.dim
     scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))
-    cutoff = 1e-300
-
-    x = np.empty(n, dtype=complex)
-    work_c = np.empty(max(n - 1, 1), dtype=complex)
-    work_y = np.empty(n, dtype=complex)
 
     for attempt in range(4):
         sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
-        shifted = diag - sigma
+        levels = _cyclic_reduction_factor(sub, diag - sigma, sup)
+        if levels is None:
+            continue
         v = _start_vector(n)
         eigenvalue = complex(shift)
         residual = math.inf
-        broke = False
         for iteration in range(1, max_iter + 1):
-            status = _thomas_solve(sub, shifted, sup, v, x, work_c, work_y, cutoff)
-            if status >= 0 or not np.all(np.isfinite(x)):
-                broke = True
+            x = _cyclic_reduction_solve(levels, v)
+            if not np.all(np.isfinite(x)):
                 break
             v = x / np.linalg.norm(x)
             mv = matrix.matvec(v)
             eigenvalue = complex(np.vdot(v, mv))
             residual = float(np.linalg.norm(mv - eigenvalue * v))
             if residual <= tol:
-                return EigenResult(eigenvalue, v.copy(), residual, iteration, True)
-        if broke:
-            continue
-        raise ConvergenceError(
-            f"inverse iteration at shift {shift} stalled: residual {residual:.3e} "
-            f"after {max_iter} iterations (tol {tol:.1e})"
-        )
+                return EigenResult(eigenvalue, v, residual, iteration, True)
+        else:
+            raise ConvergenceError(
+                f"inverse iteration at shift {shift} stalled: residual {residual:.3e} "
+                f"after {max_iter} iterations (tol {tol:.1e})"
+            )
     raise SingularPivotError(
         f"tridiagonal elimination kept breaking down near shift {shift} after 3 retries"
     )

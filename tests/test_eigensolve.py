@@ -16,10 +16,15 @@ from gdo import (
     rayleigh_quotient,
     symtridiag_eigenvalues,
 )
+from gdo.eigensolve import _cyclic_reduction_factor, _cyclic_reduction_solve
 
 
 def _dense_eigenvalues(d, e):
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+def _complex_normal(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
 
 
 def _norm_bound(d, e):
@@ -161,6 +166,61 @@ class TestSymtridiag:
         symtridiag_eigenvalues(d, e, count=1)
         np.testing.assert_array_equal(d, [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(e, [-1.0, -1.0])
+
+
+class TestCyclicReduction:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 1001])
+    @pytest.mark.parametrize("dominant", [True, False])
+    def test_matches_dense_solve(self, n, dominant):
+        # sizes just below, at and above 2^k - 1 give levels of both parities
+        rng = np.random.default_rng(n)
+        sub = _complex_normal(rng, n - 1)
+        sup = _complex_normal(rng, n - 1)
+        diag = _complex_normal(rng, n)
+        if dominant:
+            diag += np.where(rng.random(n) < 0.5, -6.0, 6.0)
+        rhs = _complex_normal(rng, n)
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        expected = np.linalg.solve(dense, rhs)
+        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag, sup), rhs)
+        assert x.shape == (n,)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        shift_re=st.floats(-4.0, 4.0),
+        shift_im=st.floats(0.05, 4.0),
+        flip=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_residual_property(self, n, shift_re, shift_im, flip, seed):
+        # a real symmetric matrix minus a shift off the real axis keeps every
+        # Schur complement's imaginary part of one sign, so no pivot can vanish
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=n)
+        e = rng.normal(size=n - 1)
+        m = OperatorMatrix.tridiagonal(e.astype(complex), d.astype(complex), e.astype(complex))
+        sigma = complex(shift_re, -shift_im if flip else shift_im)
+        rhs = _complex_normal(rng, n)
+        sub, diag, sup = m.bands
+        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag - sigma, sup), rhs)
+        residual = np.linalg.norm(m.matvec(x) - sigma * x - rhs)
+        bound = _norm_bound(d - shift_re, e) + shift_im
+        assert residual <= 1e-14 * (bound * np.linalg.norm(x) + np.linalg.norm(rhs))
+
+    def test_zero_pivot_on_a_deeper_level(self):
+        # every pivot of the first two levels is +-1 and the single pivot of
+        # the third is exactly 0: the shift 0 is an eigenvalue
+        d = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0], dtype=complex)
+        e = np.ones(6, dtype=complex)
+        assert _cyclic_reduction_factor(e, d, e) is None
+        assert len(_cyclic_reduction_factor(e, d - 1e-12, e)) == 3
+        m = OperatorMatrix.tridiagonal(e, d, e)
+        assert abs(np.linalg.det(m.to_dense())) < 1e-12
+        result = inverse_iteration(m, 0.0, tol=1e-10)
+        assert result.converged
+        assert abs(result.eigenvalue) <= 1e-10
 
 
 class TestInverseIteration:
