@@ -17,30 +17,65 @@ from .operators import OperatorMatrix
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
 # each pass cuts the distinct unconverged brackets into this many equal parts
-# in total; a pass costs one Python loop over the rows whose time barely
-# depends on the number of cuts, and 256 was as fast as any value tried from
-# 64 to 1024 for four levels at n=1001 and n=4000
+# in total; a pass makes three numpy calls per row, each over all the cuts, so
+# fewer cuts take more passes and more cuts make every call longer.  For four
+# Morse levels on a 2-vCPU Xeon, 64, 128, 256, 512 and 1024 cuts took 41, 36,
+# 35, 40 and 56 ms at n=1001 and 159, 136, 121, 143 and 201 ms at n=4000
 SHIFTS_PER_PASS = 256
+# rows per block of the unguarded pivot recurrence in _sturm_counts
+STURM_BLOCK = 128
 TINY_PIVOT = 1e-300
 
 
-def _sturm_counts(d, e2, pivmin, shifts):
-    """Eigenvalues <= each shift: the negative pivots of T - x I = L D L^T.
+def _guarded_counts(d, e2, pivmin, shifts, q, below):
+    """Add the negative pivots of rows d to below, starting from pivots q.
 
-    Pivots in (-pivmin, pivmin] are counted negative and replaced by -pivmin,
-    the guard of LAPACK stebz, so no division overflows.
+    The recurrence of LAPACK stebz: pivot q_i = d_i - (e2_i / q_{i-1} + x).
+    A pivot in (-pivmin, pivmin] counts as negative and becomes -pivmin, so
+    no division overflows.  q and below are updated in place.
     """
-    q = d[0] - shifts
-    neg = q <= pivmin
-    below = neg.astype(np.int64)
-    np.minimum(q, -pivmin, out=q, where=neg)
-    for d_i, e2_i in zip(d[1:].tolist(), e2.tolist()):
+    neg = np.empty(shifts.size, dtype=bool)
+    for d_i, e2_i in zip(d.tolist(), e2.tolist()):
         np.divide(e2_i, q, out=q)
         q += shifts
         np.subtract(d_i, q, out=q)
         np.less_equal(q, pivmin, out=neg)
         below += neg
         np.minimum(q, -pivmin, out=q, where=neg)
+
+
+def _sturm_counts(d, e2, pivmin, shifts):
+    """Eigenvalues <= each shift: the negative pivots of T - x I = L D L^T.
+
+    e2[i] is the squared coupling of row i to row i - 1, with e2[0] = 0, so
+    the infinite pivot before row 0 makes its pivot d[0] - x.  Rows run in
+    blocks without the stebz guard, as in LAPACK dlaneg (Marques, Riedy &
+    Vomel, SIAM J. Sci. Comput. 28 (2006) 1613).  A block whose pivots all
+    exceed pivmin in magnitude is one the guard would not have changed, so
+    its signs are counted as they stand; any other block, one with a tiny,
+    zero or NaN pivot, is redone from its incoming pivots by _guarded_counts.
+    The counts are those of the guarded recurrence, bit for bit.
+    """
+    below = np.zeros(shifts.size, dtype=np.int64)
+    q = np.full(shifts.size, np.inf)
+    block = np.empty((min(STURM_BLOCK, d.size), shifts.size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, d.size, STURM_BLOCK):
+            d_rows = d[start : start + STURM_BLOCK]
+            e2_rows = e2[start : start + STURM_BLOCK]
+            rows = block[: d_rows.size]
+            pivot = q
+            for row, d_i, e2_i in zip(rows, d_rows.tolist(), e2_rows.tolist()):
+                np.divide(e2_i, pivot, out=row)
+                row += shifts
+                np.subtract(d_i, row, out=row)
+                pivot = row
+            # NaN fails the comparison and sends the block to the guarded loop
+            if np.abs(rows).min() > pivmin:
+                below += np.count_nonzero(rows < 0, axis=0)
+                q[:] = pivot
+            else:
+                _guarded_counts(d_rows, e2_rows, pivmin, shifts, q, below)
     return below
 
 
@@ -133,8 +168,8 @@ def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise DomainError("tridiagonal matrix has non-finite entries")
 
-    e2 = e * e
-    pivmin = _SAFMIN * max(1.0, float(np.max(e2, initial=0.0)))
+    e2 = np.append(0.0, e * e)
+    pivmin = _SAFMIN * max(1.0, float(np.max(e2)))
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
     gl = float(np.min(d - radius))
     gu = float(np.max(d + radius))

@@ -34,18 +34,18 @@ from .reports import CheckResult, VerificationReport
 
 
 class OperatorMatrix:
-    """Complex square matrix with dense, tridiagonal, or 2x2-block storage.
+    """Complex square matrix with tridiagonal or 2x2-block storage.
 
     Tridiagonal payloads keep (sub, diag, sup); block payloads keep four
     tridiagonal OperatorMatrix instances for the stacked two-component
-    ordering.  Dense conversion is meant for modest dimensions (tests,
-    identity checks), matvec works at any size.
+    ordering.  Dense conversion is meant for modest dimensions (tests),
+    matvec works at any size.
     """
 
-    __slots__ = ("dim", "label", "_kind", "_sub", "_diag", "_sup", "_dense", "_blocks")
+    __slots__ = ("dim", "label", "_kind", "_sub", "_diag", "_sup", "_blocks")
 
     def __init__(self):
-        raise TypeError("use OperatorMatrix.tridiagonal / .dense / .two_component")
+        raise TypeError("use OperatorMatrix.tridiagonal / .two_component")
 
     @classmethod
     def _blank(cls):
@@ -63,21 +63,6 @@ class OperatorMatrix:
         self.label = label
         self._kind = "tridiagonal"
         self._sub, self._diag, self._sup = lo, d, hi
-        self._dense = None
-        self._blocks = None
-        return self
-
-    @classmethod
-    def dense(cls, entries, label: str = "") -> "OperatorMatrix":
-        self = cls._blank()
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"dense storage needs a square matrix, got {a.shape}")
-        self.dim = a.shape[0]
-        self.label = label
-        self._kind = "dense"
-        self._dense = a
-        self._sub = self._diag = self._sup = None
         self._blocks = None
         return self
 
@@ -94,13 +79,12 @@ class OperatorMatrix:
         self._kind = "block"
         self._blocks = ((b11, b12), (b21, b22))
         self._sub = self._diag = self._sup = None
-        self._dense = None
         return self
 
     @property
     def bandwidth(self):
-        """1 for tridiagonal storage, the literal strings otherwise."""
-        return {"tridiagonal": 1, "dense": "dense", "block": "block"}[self._kind]
+        """1 for tridiagonal storage, the literal string "block" otherwise."""
+        return {"tridiagonal": 1, "block": "block"}[self._kind]
 
     @property
     def bands(self):
@@ -119,8 +103,6 @@ class OperatorMatrix:
             return OperatorMatrix.tridiagonal(
                 factor * self._sub, factor * self._diag, factor * self._sup, self.label
             )
-        if self._kind == "dense":
-            return OperatorMatrix.dense(factor * self._dense, self.label)
         (b11, b12), (b21, b22) = self._blocks
         return OperatorMatrix.two_component(
             ((b11.scaled(factor), b12.scaled(factor)), (b21.scaled(factor), b22.scaled(factor))),
@@ -131,8 +113,6 @@ class OperatorMatrix:
         w = np.asarray(v, dtype=complex)
         if w.shape != (self.dim,):
             raise DimensionError(f"vector length {w.shape} does not match dim {self.dim}")
-        if self._kind == "dense":
-            return self._dense @ w
         if self._kind == "tridiagonal":
             out = self._diag * w
             out[:-1] += self._sup * w[1:]
@@ -144,8 +124,6 @@ class OperatorMatrix:
         return np.concatenate([b11.matvec(v1) + b12.matvec(v2), b21.matvec(v1) + b22.matvec(v2)])
 
     def to_dense(self) -> np.ndarray:
-        if self._kind == "dense":
-            return self._dense.copy()
         if self._kind == "tridiagonal":
             out = np.diag(self._diag)
             out += np.diag(self._sup, 1)
@@ -184,19 +162,16 @@ class OperatorMatrix:
                 float(np.max(np.abs(self._sub - np.conj(self._sup)))),
                 float(np.max(np.abs(self._diag - np.conj(self._diag)))),
             )
-        if self._kind == "block":
-            (b11, b12), (b21, b22) = self._blocks
-            defect = max(b11.hermiticity_defect(), b22.hermiticity_defect())
-            sub12, diag12, sup12 = b12.bands
-            sub21, diag21, sup21 = b21.bands
-            cross = max(
-                float(np.max(np.abs(diag12 - np.conj(diag21)))),
-                float(np.max(np.abs(sub12 - np.conj(sup21)))),
-                float(np.max(np.abs(sup12 - np.conj(sub21)))),
-            )
-            return max(defect, cross)
-        m = self._dense
-        return float(np.max(np.abs(m - m.conj().T)))
+        (b11, b12), (b21, b22) = self._blocks
+        defect = max(b11.hermiticity_defect(), b22.hermiticity_defect())
+        sub12, diag12, sup12 = b12.bands
+        sub21, diag21, sup21 = b21.bands
+        cross = max(
+            float(np.max(np.abs(diag12 - np.conj(diag21)))),
+            float(np.max(np.abs(sub12 - np.conj(sup21)))),
+            float(np.max(np.abs(sup12 - np.conj(sub21)))),
+        )
+        return max(defect, cross)
 
 
 @dataclass(frozen=True)
@@ -323,26 +298,54 @@ def assemble_hermitian_equivalent(
     return h
 
 
+def _band_product(x, y):
+    """Five bands of the product of tridiagonal (sub, diag, sup) triples.
+
+    Returned as (sub2, sub1, diag, sup1, sup2); each entry sums its terms in
+    the order of the inner index, as the dense product does.
+    """
+    xs, xd, xu = x
+    ys, yd, yu = y
+    diag = xd * yd
+    diag[1:] += xs * yu
+    diag[:-1] += xu * ys
+    return (
+        xs[1:] * ys[:-1],
+        xs * yd[:-1] + xd[1:] * ys,
+        diag,
+        xd[:-1] * yu + xu * yd[1:],
+        xu[:-1] * yu[1:],
+    )
+
+
 def factorization_check(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> VerificationReport:
     """Verify the ladder-product identity and the discrete commutator order.
 
-    Two checks: (i) A#A equals p^2 + f^2 + i[f, p] as assembled matrices
-    (exact algebra, densified, so keep the grid modest); (ii) applying
-    i[f, p]/(-hbar) to a smooth test vector reproduces f' with an error that
-    drops fourfold when the spacing is halved.
+    Two checks: (i) A#A equals p^2 + f^2 + i[f, p] as assembled matrices,
+    compared band by band on the five bands of the tridiagonal products
+    (exact algebra up to roundoff, which grows like hbar^2/h^2, so keep the
+    grid modest); (ii) applying i[f, p]/(-hbar) to a smooth test vector
+    reproduces f' with an error that drops fourfold when the spacing is
+    halved.
     """
     t0 = perf_counter()
     lower, raise_ = assemble_ladder(spec, grid, consts)
-    p = momentum_operator(grid, consts)
+    p = momentum_operator(grid, consts).bands
     f = eval_f(spec, grid.points.astype(complex), consts)
+    fd = (np.zeros_like(p[0]), f, np.zeros_like(p[2]))
 
-    pd = p.to_dense()
-    fd = np.diag(f)
-    product = raise_.to_dense() @ lower.to_dense()
-    expanded = pd @ pd + fd @ fd + 1j * (fd @ pd - pd @ fd)
-    algebra_residual = float(np.max(np.abs(product - expanded)))
+    product = _band_product(raise_.bands, lower.bands)
+    expanded = [
+        pp + ff + 1j * (fp - pf)
+        for pp, ff, fp, pf in zip(
+            _band_product(p, p), _band_product(fd, fd), _band_product(fd, p), _band_product(p, fd)
+        )
+    ]
+    algebra_residual = max(
+        float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(product, expanded)
+    )
 
     def commutator_error(g: Grid):
         x = g.points

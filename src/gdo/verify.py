@@ -152,8 +152,8 @@ def _scaled_deviation(analytic: float, numeric: float) -> float:
 
 
 def _algebra_grid(spec: InteractionSpec) -> Grid:
-    # modest point count keeps the densified ladder-product residual at the
-    # 1e-12 scale; rounding grows like hbar^2/h^2
+    # modest point count keeps the ladder-product residual at the 1e-12
+    # scale; rounding grows like hbar^2/h^2
     base = default_condition_grid(spec)
     return Grid(base.x_min, base.x_max, 201)
 

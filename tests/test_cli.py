@@ -5,17 +5,19 @@ from pathlib import Path
 import pytest
 
 from gdo import analytic_spinor, load_config, spectrum_rows
-from gdo.cli import EXIT_OK, main
+from gdo.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def test_verify_artifact_bytes_repeat(tmp_path, caplog):
+# cot.json has a constant potential, so its Sturm counts take the guarded path
+@pytest.mark.parametrize("name", ["morse.json", "cot.json"])
+def test_verify_artifact_bytes_repeat(tmp_path, caplog, name):
     caplog.set_level(logging.INFO, logger="gdo")
     outputs = []
     for run in range(2):
         out = tmp_path / f"verify_{run}.json"
-        assert main(["verify", "--config", str(CONFIGS / "morse.json"), "--out", str(out)]) == EXIT_OK
+        assert main(["verify", "--config", str(CONFIGS / name), "--out", str(out)]) == EXIT_OK
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     payload = json.loads(outputs[0])
@@ -24,6 +26,33 @@ def test_verify_artifact_bytes_repeat(tmp_path, caplog):
     assert len(payload["checks"]) == 9
     # the wall time goes to the log, not into the artifact
     assert sum("verify took" in r.getMessage() for r in caplog.records) == 2
+
+
+def _edited_config(tmp_path, name, edit):
+    data = json.loads((CONFIGS / name).read_text())
+    edit(data)
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_verify_failing_check_exits_1(tmp_path):
+    # at 1000 points the cot eigenvalue deviation is 3.6e-3, above eigen_rel 1e-3
+    config = _edited_config(tmp_path, "cot.json", lambda d: d["grid"].update(n_points=1000))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_FAILED
+    payload = json.loads(out.read_bytes())
+    assert payload["overall"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["eigenvalues_numeric"]
+    assert failed[0]["measured"] == pytest.approx(3.63e-3, rel=0.01)
+
+
+def test_verify_config_without_grid_exits_2(tmp_path):
+    config = _edited_config(tmp_path, "morse.json", lambda d: d.pop("grid"))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert not out.exists()
 
 
 def test_verify_real_line_probes_repeat(tmp_path):

@@ -16,7 +16,13 @@ from gdo import (
     rayleigh_quotient,
     symtridiag_eigenvalues,
 )
-from gdo.eigensolve import _cyclic_reduction_factor, _cyclic_reduction_solve
+from gdo import eigensolve
+from gdo.eigensolve import (
+    _cyclic_reduction_factor,
+    _cyclic_reduction_solve,
+    _guarded_counts,
+    _sturm_counts,
+)
 
 
 def _dense_eigenvalues(d, e):
@@ -30,6 +36,97 @@ def _complex_normal(rng, size):
 def _norm_bound(d, e):
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
     return float(np.max(np.abs(d) + radius))
+
+
+def _blocked_and_guarded_counts(d, e, shifts):
+    d = np.asarray(d, dtype=float)
+    e2 = np.append(0.0, np.asarray(e, dtype=float) ** 2)
+    shifts = np.asarray(shifts, dtype=float)
+    pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(e2)))
+    reference = np.zeros(shifts.size, dtype=np.int64)
+    _guarded_counts(d, e2, pivmin, shifts, np.full(shifts.size, np.inf), reference)
+    return _sturm_counts(d, e2, pivmin, shifts), reference
+
+
+@pytest.fixture
+def guarded_blocks(monkeypatch):
+    """Counts the blocks that _sturm_counts hands to the guarded loop."""
+    calls = []
+
+    def counting(d, *args):
+        calls.append(d.size)
+        return _guarded_counts(d, *args)
+
+    monkeypatch.setattr(eigensolve, "_guarded_counts", counting)
+    return calls
+
+
+class TestSturmCounts:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    def test_blocked_matches_guarded(self, n):
+        rng = np.random.default_rng(n)
+        d = rng.normal(size=n)
+        e = rng.normal(size=n - 1)
+        bound = _norm_bound(d, e)
+        shifts = np.concatenate([np.linspace(-bound, bound, 200), d[:56]])
+        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
+        np.testing.assert_array_equal(blocked, reference)
+        assert reference[0] == 0 and reference[199] == n
+
+    @pytest.mark.parametrize("n", [2, 129, 300])
+    def test_split_matrix_nan_pivot(self, n, guarded_blocks):
+        # a shift equal to d[i] with e[i] = 0 makes the pivot of row i zero
+        # and the unguarded recurrence divide 0 by 0 at row i + 1
+        rng = np.random.default_rng(7 + n)
+        d = rng.integers(-3, 4, size=n).astype(float)
+        e = rng.normal(size=n - 1)
+        e[::3] = 0.0
+        shifts = np.unique(np.concatenate([d, d + 0.5]))
+        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
+        np.testing.assert_array_equal(blocked, reference)
+        assert guarded_blocks
+
+    def test_tiny_positive_pivot_counts_negative(self, guarded_blocks):
+        # pivots in (0, pivmin] count as negative in the guarded recurrence,
+        # so a block holding one must not be counted by sign
+        d = np.array([1e-310, 5e-311, 1.0])
+        blocked, reference = _blocked_and_guarded_counts(d, np.zeros(2), [0.0, 0.5])
+        np.testing.assert_array_equal(reference, [2, 2])
+        np.testing.assert_array_equal(blocked, reference)
+        assert guarded_blocks == [3]
+
+    def test_laplacian_zero_pivots_mid_block(self, guarded_blocks):
+        # constant diagonal: the shifts 1 and 3 of the first bisection pass
+        # over the Gershgorin interval [0, 4] give exact zero pivots every
+        # third row, inside the blocks
+        n = 300
+        d = np.full(n, 2.0)
+        e = np.full(n - 1, -1.0)
+        shifts = 4.0 * np.arange(1, 256) / 256
+        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
+        np.testing.assert_array_equal(blocked, reference)
+        assert len(guarded_blocks) >= 3
+        values = symtridiag_eigenvalues(d, e, count=5)
+        np.testing.assert_allclose(values, _dense_eigenvalues(d, e)[:5], rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        log_scale=st.floats(-6.0, 6.0),
+        split=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_matches_guarded_property(self, n, log_scale, split, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        d = scale * rng.integers(-4, 5, size=n) / 4
+        e = scale * rng.normal(size=n - 1)
+        if split:
+            e[rng.random(n - 1) < 0.3] = 0.0
+        bound = _norm_bound(d, e)
+        shifts = np.concatenate([rng.uniform(-bound, bound, 100), rng.choice(d, 28)])
+        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
+        np.testing.assert_array_equal(blocked, reference)
 
 
 class TestSymtridiag:
@@ -280,17 +377,22 @@ class TestInverseIteration:
 
 
 class TestRayleighQuotient:
+    @staticmethod
+    def _diagonal(values):
+        zeros = np.zeros(len(values) - 1)
+        return OperatorMatrix.tridiagonal(zeros, values, zeros)
+
     def test_identity(self):
-        m = OperatorMatrix.dense(np.eye(4))
+        m = self._diagonal(np.ones(4))
         rng = np.random.default_rng(2)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         assert rayleigh_quotient(m, v) == pytest.approx(1.0)
 
     def test_basis_vector_picks_diagonal(self):
-        m = OperatorMatrix.dense(np.diag([1.0, 2.0]))
+        m = self._diagonal([1.0, 2.0])
         assert rayleigh_quotient(m, np.array([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_dimension_check(self):
-        m = OperatorMatrix.dense(np.eye(3))
+        m = self._diagonal(np.ones(3))
         with pytest.raises(DimensionError):
             rayleigh_quotient(m, np.ones(4))

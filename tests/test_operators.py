@@ -217,22 +217,37 @@ class TestHermitianEquivalentAssembly:
             assemble_hermitian_equivalent(ZERO_COUPLING, Grid(-1.0, 1.0, 11))
 
 
+FACTORIZATION_CASES = [
+    (MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=1.0), Grid(-2.0, 2.0, 201)),
+    (LinearInteraction(omega=1.0), Grid(-3.0, 3.0, 201)),
+    (CotInteraction(A=1.0, alpha=1.0, a=0.0, b=0.3), Grid(0.3, 2.8, 201)),
+]
+CONSTANT_COUPLING = CustomInteraction(f=lambda z: 3.0, f_prime=lambda z: 0.0, theta_claim=0.0)
+
+
 class TestFactorization:
-    @pytest.mark.parametrize(
-        "spec, grid",
-        [
-            (MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=1.0), Grid(-2.0, 2.0, 201)),
-            (LinearInteraction(omega=1.0), Grid(-3.0, 3.0, 201)),
-            (CotInteraction(A=1.0, alpha=1.0, a=0.0, b=0.3), Grid(0.3, 2.8, 201)),
-        ],
-    )
+    @pytest.mark.parametrize("spec, grid", FACTORIZATION_CASES)
     def test_identity_and_convergence(self, spec, grid):
         report = factorization_check(spec, grid)
         assert report.overall
         assert report.by_name("ladder_product_identity").measured <= 1e-12
 
+    @pytest.mark.parametrize(
+        "spec, grid", FACTORIZATION_CASES + [(CONSTANT_COUPLING, Grid(-1.0, 1.0, 101))]
+    )
+    def test_band_residual_matches_dense(self, spec, grid):
+        # the dense products the band form replaces, as the reference
+        lower, raise_ = assemble_ladder(spec, grid)
+        p = momentum_operator(grid).to_dense()
+        f = np.diag(eval_f_vec(spec, grid))
+        product = raise_.to_dense() @ lower.to_dense()
+        expanded = p @ p + f @ f + 1j * (f @ p - p @ f)
+        dense_residual = float(np.max(np.abs(product - expanded)))
+        measured = factorization_check(spec, grid).by_name("ladder_product_identity").measured
+        assert abs(measured - dense_residual) <= 1e-13
+
     def test_constant_coupling_commutes(self):
-        spec = CustomInteraction(f=lambda z: 3.0, f_prime=lambda z: 0.0, theta_claim=0.0)
+        spec = CONSTANT_COUPLING
         grid = Grid(-1.0, 1.0, 101)
         p = momentum_operator(grid)
         f = np.full(grid.n_points, 3.0, dtype=complex)
