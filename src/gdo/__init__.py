@@ -23,7 +23,6 @@ from .errors import (
 from .interactions import (
     ConditionReport,
     CotInteraction,
-    CustomInteraction,
     DEFAULT_CONSTANTS,
     Grid,
     InteractionSpec,
@@ -42,12 +41,10 @@ from .operators import (
     EffectivePotentialSample,
     OperatorMatrix,
     assemble_dirac,
-    assemble_hermitian_equivalent,
     assemble_ladder,
     assemble_schrodinger,
     closed_form_potentials,
     effective_potentials,
-    factorization_check,
     momentum_operator,
 )
 from .polynomials import jacobi, jacobi_series, laguerre, laguerre_series
@@ -75,11 +72,20 @@ from .models import (
     ModelSpec,
     assemble_model,
     ground_state_structure,
+    oscillator_models,
     oscillator_preset,
     spin_flip,
 )
-from .reports import CheckResult, VerificationReport
 from .config import RunConfig, Tolerances, dumps_canonical, load_config
-from .verify import contour_grid, numeric_epsilons, real_line_probe, spectrum_rows, verify_all
+from .verify import (
+    CheckResult,
+    VerificationReport,
+    contour_grid,
+    factorization_check,
+    numeric_epsilons,
+    real_line_probe,
+    spectrum_rows,
+    verify_all,
+)
 
 __version__ = "0.1.0"

@@ -13,13 +13,14 @@ import dataclasses
 import logging
 import os
 import sys
+from time import perf_counter
 
-from .config import dumps_canonical, load_config
+from .config import RunConfig, dumps_canonical, load_config
 from .errors import ConfigError, GdoError, LevelOutOfRangeError
-from .interactions import check_pseudo_hermiticity_condition, default_condition_grid, metric_theta
-from .models import ModelSpec, ground_state_structure, oscillator_preset, spin_flip
-from .spectra import analytic_spinor, dirac_spectrum
-from .verify import real_line_probe, spectrum_rows, verify_all
+from .interactions import check_pseudo_hermiticity_condition, default_condition_grid
+from .models import ground_state_structure, oscillator_models, spin_flip
+from .spectra import analytic_spinor
+from .verify import real_line_probe, scaled_deviation, spectrum_rows, verify_all
 
 log = logging.getLogger("gdo")
 
@@ -48,12 +49,9 @@ def _emit(text: str, out_path):
 
 
 def cmd_check(config: RunConfig, args) -> int:
-    theta = config.theta_override
-    if theta is None:
-        theta = metric_theta(config.interaction, config.constants)
     report = check_pseudo_hermiticity_condition(
         config.interaction,
-        theta,
+        config.condition_theta(),
         default_condition_grid(config.interaction),
         config.constants,
         tol=config.tolerances.condition,
@@ -73,9 +71,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     rows = spectrum_rows(config, numeric=args.numeric)
     _emit(dumps_canonical(rows) + "\n", args.out)
     if args.numeric:
-        worst = max(
-            row["deviation"] / max(1.0, abs(row["epsilon"])) for row in rows
-        )
+        worst = max(scaled_deviation(row["epsilon"], row["epsilon_numeric"]) for row in rows)
         if worst > config.tolerances.eigen_rel:
             log.warning("numeric spectrum deviates by %.3e (relative)", worst)
             return EXIT_FAILED
@@ -100,7 +96,9 @@ def cmd_wavefunction(config: RunConfig, args) -> int:
 
 
 def cmd_verify(config: RunConfig, args) -> int:
+    t0 = perf_counter()
     report = verify_all(config)
+    runtime = perf_counter() - t0
     payload = {
         "checks": [
             {
@@ -122,16 +120,14 @@ def cmd_verify(config: RunConfig, args) -> int:
     for check in report.checks:
         log.info("%-24s measured=%.3e threshold=%.3e %s",
                  check.name, check.measured, check.threshold, "ok" if check.passed else "FAILED")
-    log.info("verify took %d ms", report.runtime_ms)
+    log.info("verify took %d ms", int(runtime * 1000))
     return EXIT_OK if report.overall else EXIT_FAILED
 
 
 def cmd_models(config: RunConfig, args) -> int:
-    preset = oscillator_preset(config.interaction, config.constants)
-    gjc = ModelSpec("gjc", preset.omega_coupling, preset.delta, config.interaction)
     payload = {"models": []}
     ok = True
-    for ms in (preset, gjc):
+    for ms in oscillator_models(config.interaction, config.constants):
         report = ground_state_structure(ms, config.grid, config.constants)
         flip = spin_flip(ms)
         payload["models"].append(

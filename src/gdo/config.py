@@ -1,9 +1,9 @@
 """Run configuration: JSON schema, loading, and byte-stable serialization.
 
-Reports and configs are emitted through one canonical writer: keys keep their
-insertion order and every float is printed with 17 significant digits, so a
-value survives a round trip bit-for-bit and two identical runs produce
-identical bytes.
+Reports are emitted through one canonical writer: keys keep their insertion
+order and every float is printed with 17 significant digits, so a value
+survives a round trip bit-for-bit and two identical runs produce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .interactions import (
     LinearInteraction,
     MorseInteraction,
     PhysicalConstants,
+    metric_theta,
 )
 
 
@@ -38,7 +39,7 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI run needs; JSON round-trips losslessly."""
+    """Everything a CLI run needs."""
 
     interaction: InteractionSpec
     grid: Grid
@@ -53,6 +54,12 @@ class RunConfig:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
         if self.mode not in ("contour", "real_line"):
             raise ConfigError(f"mode must be 'contour' or 'real_line', got {self.mode!r}")
+
+    def condition_theta(self) -> float:
+        """Shift parameter of the condition check: the override, else the family's own."""
+        if self.theta_override is None:
+            return metric_theta(self.interaction, self.constants)
+        return self.theta_override
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -86,16 +93,6 @@ def _interaction_from_dict(data: dict) -> InteractionSpec:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind!r} interaction parameters: {exc}") from exc
     raise ConfigError(f"unknown interaction kind {kind!r} (expected linear, morse, or cot)")
-
-
-def _interaction_to_dict(spec: InteractionSpec) -> dict:
-    if isinstance(spec, LinearInteraction):
-        return {"kind": "linear", "omega": spec.omega, "sign": spec.sign}
-    if isinstance(spec, MorseInteraction):
-        return {"kind": "morse", "D": spec.D, "A": spec.A, "B": spec.B, "alpha": spec.alpha}
-    if isinstance(spec, CotInteraction):
-        return {"kind": "cot", "A": spec.A, "alpha": spec.alpha, "a": spec.a, "b": spec.b}
-    raise ConfigError("custom interactions cannot be written to JSON")
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -135,32 +132,6 @@ def config_from_dict(data: dict) -> RunConfig:
         raise
     except (TypeError, ValueError, GdoError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    out = {
-        "constants": {
-            "hbar": config.constants.hbar,
-            "c": config.constants.c,
-            "mass": config.constants.mass,
-        },
-        "interaction": _interaction_to_dict(config.interaction),
-        "grid": {
-            "x_min": config.grid.x_min,
-            "x_max": config.grid.x_max,
-            "n_points": config.grid.n_points,
-        },
-        "tolerances": {
-            "condition": config.tolerances.condition,
-            "eigen_rel": config.tolerances.eigen_rel,
-            "residual": config.tolerances.residual,
-        },
-        "levels": config.levels,
-        "mode": config.mode,
-    }
-    if config.theta_override is not None:
-        out["theta_override"] = config.theta_override
-    return out
 
 
 def load_config(path: str) -> RunConfig:

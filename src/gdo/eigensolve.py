@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError, SingularPivotError, UnsupportedError
+from .errors import ConvergenceError, DimensionError, DomainError, SingularPivotError
 from .operators import OperatorMatrix
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -242,8 +242,6 @@ def inverse_iteration(
     package builds; matrices whose shifted diagonal wanders through zero can
     stall at a solve-accuracy floor and end in ConvergenceError instead.
     """
-    if matrix.bandwidth != 1:
-        raise UnsupportedError("inverse iteration expects a tridiagonal matrix")
     sub, diag, sup = matrix.bands
     n = matrix.dim
     scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -127,17 +127,7 @@ class CotInteraction:
             raise ParameterError(f"cot coupling needs alpha > 0, got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class CustomInteraction:
-    """User-supplied coupling with an explicit derivative and a claimed shift parameter."""
-
-    f: Callable
-    f_prime: Callable
-    theta_claim: float = 0.0
-    kind: ClassVar[str] = "custom"
-
-
-InteractionSpec = Union[LinearInteraction, MorseInteraction, CotInteraction, CustomInteraction]
+InteractionSpec = Union[LinearInteraction, MorseInteraction, CotInteraction]
 
 
 @dataclass(frozen=True)
@@ -182,8 +172,6 @@ def eval_f(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTAN
     elif isinstance(spec, CotInteraction):
         w, s = _cot_argument(spec, zz)
         out = -spec.A * np.cos(w) / s
-    elif isinstance(spec, CustomInteraction):
-        out = np.broadcast_to(np.asarray(spec.f(zz), dtype=complex), zz.shape).copy()
     else:
         raise UnsupportedError(f"unknown interaction {spec!r}")
     return _maybe_scalar(out, z)
@@ -199,8 +187,6 @@ def eval_f_prime(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_C
     elif isinstance(spec, CotInteraction):
         _, s = _cot_argument(spec, zz)
         out = spec.A * spec.alpha / (s * s)
-    elif isinstance(spec, CustomInteraction):
-        out = np.broadcast_to(np.asarray(spec.f_prime(zz), dtype=complex), zz.shape).copy()
     else:
         raise UnsupportedError(f"unknown interaction {spec!r}")
     return _maybe_scalar(out, z)
@@ -220,8 +206,6 @@ def metric_theta(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONS
         return 2.0 / (consts.hbar * spec.alpha) * math.atan2(spec.B, spec.A)
     if isinstance(spec, CotInteraction):
         return 2.0 * spec.b / (consts.hbar * spec.alpha)
-    if isinstance(spec, CustomInteraction):
-        return float(spec.theta_claim)
     raise UnsupportedError(f"unknown interaction {spec!r}")
 
 
@@ -276,7 +260,7 @@ def hermitian_equivalent_interaction(
         return dataclasses.replace(spec, b=0.0)
     if isinstance(spec, LinearInteraction):
         return spec
-    raise UnsupportedError("no Hermitian-equivalent form for custom couplings")
+    raise UnsupportedError(f"unknown interaction {spec!r}")
 
 
 def negated(spec: InteractionSpec) -> InteractionSpec:
@@ -287,11 +271,4 @@ def negated(spec: InteractionSpec) -> InteractionSpec:
         return dataclasses.replace(spec, D=-spec.D, A=-spec.A, B=-spec.B)
     if isinstance(spec, CotInteraction):
         return dataclasses.replace(spec, A=-spec.A)
-    if isinstance(spec, CustomInteraction):
-        f, fp = spec.f, spec.f_prime
-        return CustomInteraction(
-            f=lambda z: -np.asarray(f(z), dtype=complex),
-            f_prime=lambda z: -np.asarray(fp(z), dtype=complex),
-            theta_claim=spec.theta_claim,
-        )
     raise UnsupportedError(f"unknown interaction {spec!r}")

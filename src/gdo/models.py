@@ -9,7 +9,9 @@ the ladder operators and maps one layout onto the other.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -74,6 +76,14 @@ def oscillator_preset(interaction: InteractionSpec, consts: PhysicalConstants = 
         delta=consts.mass * consts.c**2,
         interaction=interaction,
     )
+
+
+def oscillator_models(
+    interaction: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS
+) -> Tuple[ModelSpec, ModelSpec]:
+    """The GAJC oscillator preset and its GJC partner of equal strength and detuning."""
+    preset = oscillator_preset(interaction, consts)
+    return preset, dataclasses.replace(preset, kind="gjc")
 
 
 def assemble_model(

@@ -13,13 +13,13 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, UnsupportedError
+from .errors import DimensionError, PoleError, UnsupportedError
 from .interactions import (
     DEFAULT_CONSTANTS,
+    SIN_POLE_CUTOFF,
     Grid,
     InteractionSpec,
     LinearInteraction,
@@ -28,15 +28,13 @@ from .interactions import (
     PhysicalConstants,
     eval_f,
     eval_f_prime,
-    hermitian_equivalent_interaction,
 )
-from .reports import CheckResult, VerificationReport
 
 
 class OperatorMatrix:
-    """Complex square matrix with tridiagonal or 2x2-block storage.
+    """Complex square matrix in one of two storage kinds: tridiagonal or block.
 
-    Tridiagonal payloads keep (sub, diag, sup); block payloads keep four
+    Tridiagonal storage keeps (sub, diag, sup); block storage keeps four
     tridiagonal OperatorMatrix instances for the stacked two-component
     ordering.  Dense conversion is meant for modest dimensions (tests),
     matvec works at any size.
@@ -82,21 +80,10 @@ class OperatorMatrix:
         return self
 
     @property
-    def bandwidth(self):
-        """1 for tridiagonal storage, the literal string "block" otherwise."""
-        return {"tridiagonal": 1, "block": "block"}[self._kind]
-
-    @property
     def bands(self):
         if self._kind != "tridiagonal":
             raise UnsupportedError(f"{self.label or 'matrix'} is not tridiagonal")
         return self._sub, self._diag, self._sup
-
-    @property
-    def blocks(self):
-        if self._kind != "block":
-            raise UnsupportedError(f"{self.label or 'matrix'} is not two-component")
-        return self._blocks
 
     def scaled(self, factor) -> "OperatorMatrix":
         if self._kind == "tridiagonal":
@@ -134,44 +121,21 @@ class OperatorMatrix:
             [[b11.to_dense(), b12.to_dense()], [b21.to_dense(), b22.to_dense()]]
         )
 
-    def adjoint_dense(self) -> np.ndarray:
-        return self.to_dense().conj().T
-
     def max_abs_diff(self, other: "OperatorMatrix") -> float:
         """Max-norm of the difference, structure-aware so 2N x 2N never densifies."""
-        if self.dim != other.dim:
-            raise DimensionError("matrices differ in dimension")
-        if self._kind == "tridiagonal" and other._kind == "tridiagonal":
+        if self.dim != other.dim or self._kind != other._kind:
+            raise DimensionError("matrices differ in dimension or storage kind")
+        if self._kind == "tridiagonal":
             return max(
                 float(np.max(np.abs(self._sub - other._sub), initial=0.0)),
                 float(np.max(np.abs(self._diag - other._diag))),
                 float(np.max(np.abs(self._sup - other._sup), initial=0.0)),
             )
-        if self._kind == "block" and other._kind == "block":
-            return max(
-                a.max_abs_diff(b)
-                for row_a, row_b in zip(self._blocks, other._blocks)
-                for a, b in zip(row_a, row_b)
-            )
-        return float(np.max(np.abs(self.to_dense() - other.to_dense())))
-
-    def hermiticity_defect(self) -> float:
-        """Max-norm of (M - M^dagger), computed block-wise for two-component storage."""
-        if self._kind == "tridiagonal":
-            return max(
-                float(np.max(np.abs(self._sub - np.conj(self._sup)))),
-                float(np.max(np.abs(self._diag - np.conj(self._diag)))),
-            )
-        (b11, b12), (b21, b22) = self._blocks
-        defect = max(b11.hermiticity_defect(), b22.hermiticity_defect())
-        sub12, diag12, sup12 = b12.bands
-        sub21, diag21, sup21 = b21.bands
-        cross = max(
-            float(np.max(np.abs(diag12 - np.conj(diag21)))),
-            float(np.max(np.abs(sub12 - np.conj(sup21)))),
-            float(np.max(np.abs(sup12 - np.conj(sub21)))),
+        return max(
+            a.max_abs_diff(b)
+            for row_a, row_b in zip(self._blocks, other._blocks)
+            for a, b in zip(row_a, row_b)
         )
-        return max(defect, cross)
 
 
 @dataclass(frozen=True)
@@ -223,8 +187,8 @@ def closed_form_potentials(
         vp = base - (2.0 * spec.D - hb * spec.alpha) * w * e1
     elif isinstance(spec, CotInteraction):
         s = np.sin(spec.alpha * x - spec.a - 1j * spec.b)
-        if np.any(np.abs(s) < 1e-12):
-            raise ParameterError("closed-form cot potential evaluated at a pole")
+        if np.any(np.abs(s) < SIN_POLE_CUTOFF):
+            raise PoleError("closed-form cot potential evaluated at a pole")
         cosec2 = 1.0 / (s * s)
         vm = spec.A * (spec.A - hb * spec.alpha) * cosec2 - spec.A**2
         vp = spec.A * (spec.A + hb * spec.alpha) * cosec2 - spec.A**2
@@ -234,7 +198,7 @@ def closed_form_potentials(
         vm = sq - hb * mw * spec.sign
         vp = sq + hb * mw * spec.sign
     else:
-        raise UnsupportedError("no closed-form potentials for custom couplings")
+        raise UnsupportedError(f"unknown interaction {spec!r}")
     return EffectivePotentialSample(grid, np.asarray(vm, complex), np.asarray(vp, complex))
 
 
@@ -287,89 +251,3 @@ def assemble_schrodinger(
     k = consts.hbar**2 / (h * h)
     off = np.full(grid.n_points - 1, -k, dtype=complex)
     return OperatorMatrix.tridiagonal(off, 2.0 * k + vv, off.copy(), label="schrodinger")
-
-
-def assemble_hermitian_equivalent(
-    spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> OperatorMatrix:
-    """Two-component Hamiltonian of the metric-rotated real coupling; Hermitian matrix."""
-    h = assemble_dirac(hermitian_equivalent_interaction(spec, consts), grid, consts)
-    h.label = "h"
-    return h
-
-
-def _band_product(x, y):
-    """Five bands of the product of tridiagonal (sub, diag, sup) triples.
-
-    Returned as (sub2, sub1, diag, sup1, sup2); each entry sums its terms in
-    the order of the inner index, as the dense product does.
-    """
-    xs, xd, xu = x
-    ys, yd, yu = y
-    diag = xd * yd
-    diag[1:] += xs * yu
-    diag[:-1] += xu * ys
-    return (
-        xs[1:] * ys[:-1],
-        xs * yd[:-1] + xd[1:] * ys,
-        diag,
-        xd[:-1] * yu + xu * yd[1:],
-        xu[:-1] * yu[1:],
-    )
-
-
-def factorization_check(
-    spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> VerificationReport:
-    """Verify the ladder-product identity and the discrete commutator order.
-
-    Two checks: (i) A#A equals p^2 + f^2 + i[f, p] as assembled matrices,
-    compared band by band on the five bands of the tridiagonal products
-    (exact algebra up to roundoff, which grows like hbar^2/h^2, so keep the
-    grid modest); (ii) applying i[f, p]/(-hbar) to a smooth test vector
-    reproduces f' with an error that drops fourfold when the spacing is
-    halved.
-    """
-    t0 = perf_counter()
-    lower, raise_ = assemble_ladder(spec, grid, consts)
-    p = momentum_operator(grid, consts).bands
-    f = eval_f(spec, grid.points.astype(complex), consts)
-    fd = (np.zeros_like(p[0]), f, np.zeros_like(p[2]))
-
-    product = _band_product(raise_.bands, lower.bands)
-    expanded = [
-        pp + ff + 1j * (fp - pf)
-        for pp, ff, fp, pf in zip(
-            _band_product(p, p), _band_product(fd, fd), _band_product(fd, p), _band_product(p, fd)
-        )
-    ]
-    algebra_residual = max(
-        float(np.max(np.abs(a - b), initial=0.0)) for a, b in zip(product, expanded)
-    )
-
-    def commutator_error(g: Grid):
-        x = g.points
-        psi = np.sin(np.pi * (x - g.x_min) / (g.x_max - g.x_min)).astype(complex)
-        fg = eval_f(spec, x.astype(complex), consts)
-        pg = momentum_operator(g, consts)
-        lhs = 1j * (fg * pg.matvec(psi) - pg.matvec(fg * psi)) / (-consts.hbar)
-        target = eval_f_prime(spec, x.astype(complex), consts) * psi
-        # roundoff floor of the two matvec paths; below it the error carries
-        # no discretization signal (constant couplings land here)
-        floor = 1e-13 * float(1.0 + np.max(np.abs(fg)) / g.spacing)
-        return float(np.max(np.abs(lhs - target)[1:-1])), floor
-
-    err_coarse, floor_coarse = commutator_error(grid)
-    err_fine, floor_fine = commutator_error(grid.refined())
-    if err_coarse <= floor_coarse and err_fine <= floor_fine:
-        ratio = 4.0
-    else:
-        ratio = err_coarse / err_fine if err_fine > 0 else 4.0
-
-    checks = (
-        CheckResult("ladder_product_identity", algebra_residual, 1e-12, algebra_residual <= 1e-12),
-        # ratio in [3.5, 4.5] recorded as distance from the ideal factor 4
-        CheckResult("commutator_second_order", abs(ratio - 4.0), 0.5, abs(ratio - 4.0) <= 0.5),
-    )
-    runtime_ms = int((perf_counter() - t0) * 1000)
-    return VerificationReport(checks=checks, overall=all(c.passed for c in checks), runtime_ms=runtime_ms)

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .interactions import (
     DEFAULT_CONSTANTS,
+    SIN_POLE_CUTOFF,
     CotInteraction,
     Grid,
     InteractionSpec,
@@ -105,7 +106,7 @@ def bound_state_count(
         return max(0, math.floor(s) - (0 if branch == "minus" else 1))
     if isinstance(spec, (CotInteraction, LinearInteraction)):
         return UNBOUNDED
-    raise UnsupportedError("bound-state counting is not defined for custom couplings")
+    raise UnsupportedError(f"unknown interaction {spec!r}")
 
 
 def _check_level(spec, branch, n, consts):
@@ -130,7 +131,7 @@ def epsilon_minus(
         return (spec.A + n * hb * spec.alpha) ** 2 - spec.A**2
     if isinstance(spec, LinearInteraction):
         return 2.0 * n * hb * consts.mass * spec.omega
-    raise UnsupportedError("no closed-form levels for custom couplings")
+    raise UnsupportedError(f"unknown interaction {spec!r}")
 
 
 def epsilon_plus(
@@ -145,7 +146,7 @@ def epsilon_plus(
         return (spec.A + (n + 1) * hb * spec.alpha) ** 2 - spec.A**2
     if isinstance(spec, LinearInteraction):
         return 2.0 * (n + 1) * hb * consts.mass * spec.omega
-    raise UnsupportedError("no closed-form levels for custom couplings")
+    raise UnsupportedError(f"unknown interaction {spec!r}")
 
 
 def dirac_spectrum(
@@ -206,7 +207,7 @@ def _phi_raw_cot(spec: CotInteraction, branch: str, n: int, x, consts) -> np.nda
     s = spec.A / (consts.hbar * spec.alpha)
     w = spec.alpha * x - spec.a - 1j * spec.b
     sw = np.sin(w)
-    if np.any(np.abs(sw) < 1e-12):
+    if np.any(np.abs(sw) < SIN_POLE_CUTOFF):
         raise PoleError("cot eigenfunction sampled at a pole")
     y = 1j * np.cos(w) / sw
     # (sin w)^(s+n) stays on one branch while Re(sin w) > 0, i.e. inside one period

@@ -55,6 +55,33 @@ def test_verify_config_without_grid_exits_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["morse.json", "cot.json"])
+@pytest.mark.parametrize("command", [["check"], ["spectrum", "--numeric"], ["models"]])
+def test_artifact_bytes_repeat(tmp_path, name, command):
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"{command[0]}_{run}.json"
+        assert main(command + ["--config", str(CONFIGS / name), "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    json.loads(outputs[0])
+
+
+def test_spectrum_numeric_level_without_real_energy(tmp_path):
+    # with mass 0.01 the numeric singlet level is about -3e-4, below -m^2 c^2,
+    # so it has no real energy; the deviation is still within tolerance
+    def light(data):
+        data["constants"]["mass"] = 0.01
+        data["grid"]["n_points"] = 1001
+
+    config = _edited_config(tmp_path, "morse.json", light)
+    out = tmp_path / "spectrum.json"
+    assert main(["spectrum", "--numeric", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    singlet = json.loads(out.read_bytes())[0]
+    assert singlet["epsilon_numeric"] < -0.01**2
+    assert singlet["energy_numeric"] is None
+
+
 def test_verify_real_line_probes_repeat(tmp_path):
     config = CONFIGS / "cot.json"
     outputs = []

@@ -11,6 +11,8 @@ from gdo import (
     DomainError,
     Grid,
     OperatorMatrix,
+    UnsupportedError,
+    assemble_dirac,
     assemble_schrodinger,
     inverse_iteration,
     rayleigh_quotient,
@@ -321,6 +323,10 @@ class TestCyclicReduction:
 
 
 class TestInverseIteration:
+    def test_two_component_matrix_rejected(self, morse_spec):
+        with pytest.raises(UnsupportedError):
+            inverse_iteration(assemble_dirac(morse_spec, Grid(-2.0, 2.0, 21)), 1.0)
+
     def test_diagonal_complex_matrix(self):
         m = OperatorMatrix.tridiagonal(
             np.zeros(2, complex), np.array([1 + 1j, 2.0, 3.0]), np.zeros(2, complex)

@@ -6,7 +6,6 @@ import pytest
 
 from gdo import (
     CotInteraction,
-    CustomInteraction,
     DomainError,
     Grid,
     LinearInteraction,
@@ -110,10 +109,6 @@ class TestMetricTheta:
         with pytest.raises(ParameterError):
             metric_theta(spec)
 
-    def test_custom_returns_claim(self):
-        spec = CustomInteraction(f=lambda z: z, f_prime=lambda z: 1.0, theta_claim=0.25)
-        assert metric_theta(spec) == 0.25
-
 
 class TestConditionCheck:
     @pytest.mark.parametrize(
@@ -203,12 +198,6 @@ class TestNegation:
         for spec, x in ((morse_spec, 0.7), (cot_spec, 1.1), (LinearInteraction(omega=2.0), 0.4)):
             assert eval_f(negated(spec), x) == pytest.approx(-eval_f(spec, x))
             assert eval_f_prime(negated(spec), x) == pytest.approx(-eval_f_prime(spec, x))
-
-    def test_custom_negation_wraps(self):
-        spec = CustomInteraction(f=lambda z: z**2, f_prime=lambda z: 2 * z, theta_claim=0.1)
-        flipped = negated(spec)
-        assert eval_f(flipped, 3.0) == pytest.approx(-9.0)
-        assert flipped.theta_claim == 0.1
 
 
 class TestValidation:
