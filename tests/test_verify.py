@@ -1,9 +1,28 @@
 import dataclasses
+import logging
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gdo import assemble_schrodinger, effective_potentials, load_config, real_line_probe, spectrum_rows
+import gdo.verify
+from gdo import (
+    ConvergenceError,
+    CotInteraction,
+    DimensionError,
+    EigenResult,
+    Grid,
+    assemble_schrodinger,
+    effective_potentials,
+    load_config,
+    numeric_epsilons,
+    real_line_probe,
+    spectrum_rows,
+)
+from gdo.eigensolve import _sturm_counts, sturm_window_counts, symtridiag_eigenvalues
+from gdo.verify import seeded_eigenvalues
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -24,3 +43,196 @@ def test_real_line_probe_matches_dense_eigenvalues():
         value = complex(probe["eigenvalue_re"], probe["eigenvalue_im"])
         nearest = dense[np.argmin(np.abs(dense - value))]
         assert abs(value - nearest) <= 1e-8 * max(1.0, abs(nearest))
+
+
+class BisectionSpy:
+    """Wraps symtridiag_eigenvalues and records each call's arguments and result."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, *args, **kwargs):
+        result = symtridiag_eigenvalues(*args, **kwargs)
+        self.calls.append((args, kwargs, result))
+        return result
+
+
+@pytest.fixture
+def bisection(monkeypatch):
+    spy = BisectionSpy()
+    monkeypatch.setattr(gdo.verify, "symtridiag_eigenvalues", spy)
+    return spy
+
+
+def _dense(d, e):
+    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    matrix_seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 10.0, 1e3]),
+    fractions=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=5),
+)
+# seeded exactly at the eigenvalue: residual 5.4e-15, 1.8 atol, and a window
+# of only atol miscounts
+@example(n=2, matrix_seed=5, scale=10.0, fractions=[0.0])
+def test_seeded_levels_match_dense_eigenvalues(n, matrix_seed, scale, fractions):
+    rng = np.random.default_rng(matrix_seed)
+    d = scale * rng.normal(size=n)
+    e = rng.normal(size=n - 1)
+    exact = _dense(d, e)
+    count = min(len(fractions), n - 1)
+    # seed k moves from level k towards its upper neighbour (down for negative
+    # fractions) by the given fraction of the gap to that neighbour
+    seeds = []
+    for k, fraction in enumerate(fractions[:count]):
+        gap = exact[k + 1] - exact[k] if fraction >= 0 or k == 0 else exact[k] - exact[k - 1]
+        seeds.append(exact[k] + fraction * gap)
+    spy = BisectionSpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gdo.verify, "symtridiag_eigenvalues", spy)
+        values = seeded_eigenvalues(d, e, seeds)
+
+    norm = float(np.max(np.abs(exact)))
+    # a certified value lies within max(residual, 4 atol) <= max(1e-8, 4 atol)
+    # of its level; dense eigvalsh itself is good to a few eps * norm
+    np.testing.assert_allclose(values, exact[:count], rtol=0, atol=1e-8 + 1e-12 * norm)
+    if spy.calls:
+        # never a mix: on fallback every level is the bisection value
+        assert np.array_equal(values, symtridiag_eigenvalues(d, e, count=count))
+    distance = np.abs(exact[None, :] - np.asarray(seeds)[:, None])
+    own = distance[np.arange(count), np.arange(count)]
+    others = np.where(np.arange(n)[None, :] == np.arange(count)[:, None], np.inf, distance)
+    if np.any(others.min(axis=1) < 0.5 * own):
+        # some seed sits clearly nearer another level: iteration finds that
+        # level and the index test must reject it
+        assert len(spy.calls) == 1
+    gaps = np.diff(exact[: count + 1])
+    nearest_gap = np.minimum(gaps, np.append(np.inf, gaps[:-1]))
+    if np.all(own <= 0.25 * nearest_gap) and gaps.min() > 1e-6 * norm:
+        assert not spy.calls
+
+
+def _morse_levels(monkeypatch, seed_levels):
+    """numeric_epsilons on configs/morse.json, seeding level k at closed-form level seed_levels[k]."""
+    config = load_config(CONFIGS / "morse.json")
+    closed_form = gdo.verify.epsilon_minus
+    monkeypatch.setattr(
+        gdo.verify,
+        "epsilon_minus",
+        lambda spec, level, consts: closed_form(spec, seed_levels[level], consts),
+    )
+    return numeric_epsilons(config.interaction, config.grid, config.constants, len(seed_levels))
+
+
+def test_shipped_morse_levels_are_certified(monkeypatch, bisection, caplog):
+    caplog.set_level(logging.INFO, logger="gdo")
+    values = _morse_levels(monkeypatch, [0, 1])
+    assert not bisection.calls
+    np.testing.assert_allclose(values, [0.0, 4.0], rtol=0, atol=1e-4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
+    assert len(lines) == 2
+    for level, line in enumerate(lines):
+        assert line.startswith(f"level {level} n=4000 seed=")
+        assert "radius=" in line and "iterations=" in line
+        assert line.endswith("route=certified")
+
+
+def test_wrong_seed_falls_back_to_bisection(monkeypatch, bisection, caplog):
+    caplog.set_level(logging.INFO, logger="gdo")
+    # level 1's closed-form value seeds level 0 as well
+    values = _morse_levels(monkeypatch, [1, 1])
+    assert len(bisection.calls) == 1
+    args, kwargs, result = bisection.calls[0]
+    assert kwargs == {"count": 2}
+    assert np.array_equal(values, result)
+    assert np.array_equal(values, symtridiag_eigenvalues(*args, count=2))
+    lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
+    assert len(lines) == 2
+    assert all("route=bisection" in line for line in lines)
+    # the log names the failing level and the index its window really held
+    assert lines[0].startswith("level 0 n=4000 seed=4 ")
+    assert lines[0].endswith("(Sturm counts 1 and 2, expected 0 and 1)")
+    assert "Sturm counts" not in lines[1]
+
+
+def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
+    # [[2, 1], [1, 2]] has the exact eigenvalues 1 and 3; a converged vector
+    # reporting residual 0 gives a zero-width window whose ends sit on the
+    # eigenvalue, where the count includes it
+    d, e = np.array([2.0, 2.0]), np.array([1.0])
+    e2 = np.array([0.0, 1.0])
+    pivmin = float(np.finfo(float).tiny)
+    assert _sturm_counts(d, e2, pivmin, np.array([1.0, 3.0])).tolist() == [1, 2]
+
+    rho, lower, upper = sturm_window_counts(d, e, [1.0, 3.0], [0.0, 0.0])
+    assert np.all(rho > 0)
+    assert lower.tolist() == [0, 1] and upper.tolist() == [1, 2]
+
+    def exact_pair(matrix, shift, tol=1e-8, max_iter=100):
+        value = 1.0 if shift.real < 2.0 else 3.0
+        vector = np.array([1.0, -1.0 if value == 1.0 else 1.0]) / np.sqrt(2.0)
+        return EigenResult(complex(value), vector.astype(complex), 0.0, 1, True)
+
+    monkeypatch.setattr(gdo.verify, "inverse_iteration", exact_pair)
+    values = seeded_eigenvalues(d, e, [1.1, 2.9])
+    assert not bisection.calls
+    assert values.tolist() == [1.0, 3.0]
+
+
+def test_weak_coupling_cot_stream_config_falls_back(bisection):
+    # a sweep-stream parameter set with s = A/(hbar alpha) = 0.87 < 1: the
+    # contour matrix has two spurious, nearly degenerate levels in the pole
+    # wells, so the seeds find the wrong indices
+    spec = CotInteraction(A=0.87574, alpha=1.00745, a=0.05072, b=0.15153)
+    consts = load_config(CONFIGS / "cot.json").constants
+    values = numeric_epsilons(spec, Grid(0.0, 1.0, 1001), consts, 4)
+    assert len(bisection.calls) == 1
+    args, kwargs, result = bisection.calls[0]
+    assert np.array_equal(values, result)
+    assert np.array_equal(values, symtridiag_eigenvalues(*args, **kwargs))
+    assert values[0] < -2000.0 and values[1] - values[0] < 1e-8
+
+
+def test_count_beyond_the_matrix_raises_before_iterating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("inverse iteration ran")
+
+    monkeypatch.setattr(gdo.verify, "inverse_iteration", never)
+    spec = CotInteraction(A=1.0, alpha=1.0, b=0.3)
+    with pytest.raises(DimensionError, match="requested 4 eigenvalues of a 3x3 matrix"):
+        numeric_epsilons(spec, Grid(0.0, 1.0, 3), load_config(CONFIGS / "cot.json").constants, 4)
+
+
+def test_inverse_iteration_error_falls_back(monkeypatch, bisection, caplog):
+    caplog.set_level(logging.INFO, logger="gdo")
+    real = gdo.verify.inverse_iteration
+    seen = []
+
+    def fails_on_level_1(matrix, shift, **kwargs):
+        seen.append(shift)
+        if len(seen) == 2:
+            raise ConvergenceError("stalled")
+        return real(matrix, shift, **kwargs)
+
+    monkeypatch.setattr(gdo.verify, "inverse_iteration", fails_on_level_1)
+    values = _morse_levels(monkeypatch, [0, 1])
+    assert len(bisection.calls) == 1
+    assert np.array_equal(values, bisection.calls[0][2])
+    lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
+    assert lines[1].endswith("route=bisection (inverse iteration failed: stalled)")
+
+
+def test_levels_beyond_the_closed_form_go_to_bisection(monkeypatch, bisection):
+    def never(*args, **kwargs):
+        raise AssertionError("inverse iteration ran")
+
+    monkeypatch.setattr(gdo.verify, "inverse_iteration", never)
+    # morse D=2.5 has two bound levels, so level 2 has no seed
+    config = load_config(CONFIGS / "morse.json")
+    grid = dataclasses.replace(config.grid, n_points=1001)
+    values = numeric_epsilons(config.interaction, grid, config.constants, 3)
+    assert len(bisection.calls) == 1
+    assert np.array_equal(values, bisection.calls[0][2])
