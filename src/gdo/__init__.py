@@ -80,7 +80,6 @@ from .config import RunConfig, Tolerances, dumps_canonical, load_config
 from .verify import (
     CheckResult,
     VerificationReport,
-    contour_grid,
     factorization_check,
     numeric_epsilons,
     real_line_probe,

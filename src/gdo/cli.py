@@ -16,11 +16,11 @@ import sys
 from time import perf_counter
 
 from .config import RunConfig, dumps_canonical, load_config
-from .errors import ConfigError, GdoError, LevelOutOfRangeError
+from .errors import ConfigError, GdoError
 from .interactions import check_pseudo_hermiticity_condition, default_condition_grid
 from .models import ground_state_structure, oscillator_models, spin_flip
 from .spectra import analytic_spinor
-from .verify import real_line_probe, scaled_deviation, spectrum_rows, verify_all
+from .verify import eigen_deviation, real_line_probe, spectrum_rows, verify_all
 
 log = logging.getLogger("gdo")
 
@@ -71,7 +71,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     rows = spectrum_rows(config, numeric=args.numeric)
     _emit(dumps_canonical(rows) + "\n", args.out)
     if args.numeric:
-        worst = max(scaled_deviation(row["epsilon"], row["epsilon_numeric"]) for row in rows)
+        worst = eigen_deviation(rows)
         if worst > config.tolerances.eigen_rel:
             log.warning("numeric spectrum deviates by %.3e (relative)", worst)
             return EXIT_FAILED
@@ -202,9 +202,6 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     try:
         return _HANDLERS[args.command](config, args)
-    except LevelOutOfRangeError as exc:
-        print(f"gdo: {exc}", file=sys.stderr)
-        return EXIT_FAILED
     except ConfigError as exc:
         print(f"gdo: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -1,15 +1,14 @@
 """Run configuration: JSON schema, loading, and byte-stable serialization.
 
 Reports are emitted through one canonical writer: keys keep their insertion
-order and every float is printed with 17 significant digits, so a value
-survives a round trip bit-for-bit and two identical runs produce identical
-bytes.
+order and every float is printed as Python's shortest round-trip repr, so a
+value survives a round trip bit-for-bit and two identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,38 +147,10 @@ def load_config(path: str) -> RunConfig:
     return config_from_dict(data)
 
 
-def _format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
-        raise ConfigError("non-finite numbers have no JSON representation")
-    text = format(value, ".17g")
-    # keep a float marker so the value parses back as float, not int
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
-
-
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Serialize nested dict/list/scalar data with 17-significant-digit floats."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [f'{inner}{json.dumps(str(key))}: {dumps_canonical(val, indent + 1)}' for key, val in obj.items()]
-        return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{inner}{dumps_canonical(val, indent + 1)}" for val in obj]
-        return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int,)):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise ConfigError(f"cannot serialize object of type {type(obj).__name__}")
+def dumps_canonical(obj) -> str:
+    """Serialize nested dict/list/scalar data as two-space-indented JSON."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        # a non-finite float or a non-JSON type; the CLI exits 2 on either
+        raise ConfigError(f"cannot serialize artifact: {exc}") from exc

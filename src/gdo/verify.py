@@ -2,14 +2,19 @@
 
 The numeric route for decoupled eigenvalues solves a real symmetric
 tridiagonal matrix built per family: the Morse and linear families use the
-real (Hermitian-equivalent) potential, and the cot family the shifted
-segment where its potential becomes the real singular cosec^2 well (contour
-mode).  Its lowest levels are found by inverse iteration seeded at the
-closed-form levels, and each one is certified by a residual bound and a
-Sturm count that does not use the seed; if any level fails, all of them come
-from Sturm bisection instead.  The real-line complex matrix is probed by
-inverse iteration and reported without gating, since its boundary conditions
-are a modeling choice.
+real (Hermitian-equivalent) potential on the config grid, and the cot family
+the real cosec^2 well its shifted potential becomes (contour mode), on the
+interior of the pole-to-pole lattice, so that the Dirichlet ghost points sit
+on the poles.  With s = A/(hbar alpha) the cot levels converge at order
+min(2, 2s - 1) for s > 1/2.  For s < 1/2 the Dirichlet lattice converges to
+the Friedrichs extension, whose levels are the closed form with s replaced by
+1 - s, so the deviation does not fall with h (Reed & Simon II, sec. X.1).
+The lowest levels are found by inverse iteration seeded at the closed-form
+levels, and each one is certified by a residual bound and a Sturm count that
+does not use the seed; if any level fails, all of them come from Sturm
+bisection instead.  The real-line complex matrix is probed by inverse
+iteration and reported without gating, since its boundary conditions are a
+modeling choice.
 """
 
 from __future__ import annotations
@@ -60,8 +65,6 @@ from .spectra import (
 
 log = logging.getLogger(__name__)
 
-CONTOUR_CLEARANCE = 1e-3
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -84,12 +87,6 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def contour_grid(spec: CotInteraction, n_points: int) -> Grid:
-    """Real segment (clearance, period - clearance) of the shifted cot problem."""
-    period = math.pi / spec.alpha
-    return Grid(CONTOUR_CLEARANCE, period - CONTOUR_CLEARANCE, n_points)
-
-
 def numeric_epsilons(
     spec: InteractionSpec,
     grid: Grid,
@@ -99,15 +96,21 @@ def numeric_epsilons(
     """Lowest decoupled eigenvalues by the assertable numeric route.
 
     Morse/linear: lower-partner potential of the metric-rotated real coupling
-    on the given grid.  Cot: real cosec^2 well on the contour segment with the
-    same point count.  The levels are those of seeded_eigenvalues, seeded at
-    the closed-form levels of that real coupling: certified inverse-iteration
-    values, or Sturm bisection for every level when one fails its
-    certificate.  A count with no closed-form level to seed from, such as
-    one beyond the bound Morse levels, goes to bisection directly.
+    on the given grid.  Cot: real cosec^2 well at the points j h, j = 1..n,
+    with h = pi/(alpha (n + 1)) and n the given grid's point count (only
+    that count is used), so that the Dirichlet ghosts j = 0 and n + 1 sit on
+    the poles.  The cosec^2 coefficient is hbar^2 alpha^2 s(s - 1) >= -1/4
+    hbar^2 alpha^2, which the discrete Hardy inequality bounds, so no pole
+    well holds a spurious level.  The levels are those of
+    seeded_eigenvalues, seeded at the closed-form levels of that real
+    coupling: certified inverse-iteration values, or Sturm bisection for
+    every level when one fails its certificate.  A count with no closed-form
+    level to seed from, such as one beyond the bound Morse levels, goes to
+    bisection directly.
     """
     if isinstance(spec, CotInteraction):
-        solve_grid = contour_grid(spec, grid.n_points)
+        h = math.pi / (spec.alpha * (grid.n_points + 1))
+        solve_grid = Grid(h, math.pi / spec.alpha - h, grid.n_points)
         real_spec = dataclasses.replace(spec, a=0.0, b=0.0)
     else:
         solve_grid = grid
@@ -246,6 +249,11 @@ def scaled_deviation(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic))
 
 
+def eigen_deviation(rows: List[dict]) -> float:
+    """Worst scaled deviation of numeric spectrum rows, the value verify and spectrum --numeric gate."""
+    return max(scaled_deviation(row["epsilon"], row["epsilon_numeric"]) for row in rows)
+
+
 def _algebra_grid(spec: InteractionSpec) -> Grid:
     # modest point count keeps the ladder-product residual at the 1e-12
     # scale; rounding grows like hbar^2/h^2
@@ -291,14 +299,7 @@ def verify_all(config: RunConfig) -> VerificationReport:
     checks.append(_shape_invariance_check(spec, consts))
 
     # 5. analytic vs numeric decoupled eigenvalues
-    count = len(dirac_spectrum(spec, consts, max_levels=config.levels))
-    numeric_vals = numeric_epsilons(spec, config.grid, consts, count)
-    analytic_vals = [0.0] + [
-        epsilon_plus(spec, n, consts) for n in range(count - 1)
-    ]
-    eig_dev = max(
-        scaled_deviation(a, float(b)) for a, b in zip(analytic_vals, numeric_vals)
-    )
+    eig_dev = eigen_deviation(spectrum_rows(config, numeric=True))
     checks.append(CheckResult("eigenvalues_numeric", eig_dev, tols.eigen_rel, eig_dev <= tols.eigen_rel))
 
     # 6. coefficient identity a^2 + b^2 = 1 along the positive branch

@@ -36,16 +36,22 @@ def _edited_config(tmp_path, name, edit):
     return path
 
 
+def _cot_below_half(data):
+    # s = A/(hbar alpha) = 0.3 < 1/2: the Dirichlet lattice converges to the
+    # Friedrichs extension, so the eigenvalue deviation stays near 0.78 at any n
+    data["interaction"]["A"] = 0.3
+    data["grid"]["n_points"] = 1000
+
+
 def test_verify_failing_check_exits_1(tmp_path):
-    # at 1000 points the cot eigenvalue deviation is 3.6e-3, above eigen_rel 1e-3
-    config = _edited_config(tmp_path, "cot.json", lambda d: d["grid"].update(n_points=1000))
+    config = _edited_config(tmp_path, "cot.json", _cot_below_half)
     out = tmp_path / "verify.json"
     assert main(["verify", "--config", str(config), "--out", str(out)]) == EXIT_FAILED
     payload = json.loads(out.read_bytes())
     assert payload["overall"] is False
     failed = [c for c in payload["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["eigenvalues_numeric"]
-    assert failed[0]["measured"] == pytest.approx(3.63e-3, rel=0.01)
+    assert failed[0]["measured"] == pytest.approx(0.781, rel=0.01)
 
 
 def test_verify_config_without_grid_exits_2(tmp_path):
@@ -94,10 +100,6 @@ def _wrong_theta(data):
     data["theta_override"] = 0.3
 
 
-def _cot_at_1000_points(data):
-    data["grid"]["n_points"] = 1000
-
-
 def _tiny_eigen_rel(data):
     # the singlet fills one component, so |quotient| - delta is only rounding
     # (3.3e-16 for delta = 0.7); exactly 0 for the shipped delta = 1
@@ -109,8 +111,8 @@ def _tiny_eigen_rel(data):
     "name, edit, command",
     [
         ("morse.json", _wrong_theta, ["check"]),
-        # the cot eigenvalue deviation at 1000 points is 3.6e-3 > eigen_rel
-        ("cot.json", _cot_at_1000_points, ["spectrum", "--numeric"]),
+        # the cot eigenvalue deviation at s = 0.3 is 0.78 > eigen_rel
+        ("cot.json", _cot_below_half, ["spectrum", "--numeric"]),
         ("morse.json", _tiny_eigen_rel, ["models"]),
     ],
     ids=["check", "spectrum", "models"],
@@ -121,7 +123,7 @@ def test_failed_check_exits_1(tmp_path, name, edit, command):
     assert main(command + ["--config", str(config), "--out", str(out)]) == EXIT_FAILED
     payload = json.loads(out.read_bytes())
     if command[0] == "spectrum":
-        assert max(row["deviation"] for row in payload) > 1e-3
+        assert max(row["deviation"] for row in payload) == pytest.approx(2.95, rel=0.01)
     else:
         assert payload["passed"] is False
 

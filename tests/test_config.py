@@ -1,10 +1,11 @@
 import json
 import struct
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdo import dumps_canonical
+from gdo import ConfigError, dumps_canonical
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # -0.0, the smallest subnormal, a mid-range subnormal and the largest finite float
@@ -36,3 +37,10 @@ def test_dumps_canonical_round_trips_floats_bit_for_bit(obj):
     assert _bits(json.loads(text)) == _bits(obj)
     # identical data, identical bytes
     assert dumps_canonical(json.loads(text)) == text
+
+
+# the CLI turns a ConfigError into exit code 2
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), {"x": [1.0, -float("inf")]}, object()])
+def test_dumps_canonical_rejects_non_json_values(value):
+    with pytest.raises(ConfigError, match="cannot serialize artifact"):
+        dumps_canonical(value)

@@ -22,7 +22,7 @@ from gdo import (
     spectrum_rows,
 )
 from gdo.eigensolve import _sturm_counts, sturm_window_counts, symtridiag_eigenvalues
-from gdo.verify import seeded_eigenvalues
+from gdo.verify import eigen_deviation, seeded_eigenvalues
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -182,18 +182,35 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
     assert values.tolist() == [1.0, 3.0]
 
 
-def test_weak_coupling_cot_stream_config_falls_back(bisection):
+def test_weak_coupling_cot_stream_config_is_certified(bisection):
     # a sweep-stream parameter set with s = A/(hbar alpha) = 0.87 < 1: the
-    # contour matrix has two spurious, nearly degenerate levels in the pole
-    # wells, so the seeds find the wrong indices
+    # cosec^2 term is attractive, but with the Dirichlet ghosts on the poles
+    # the pole wells hold no spurious level, so every seed is certified
     spec = CotInteraction(A=0.87574, alpha=1.00745, a=0.05072, b=0.15153)
     consts = load_config(CONFIGS / "cot.json").constants
     values = numeric_epsilons(spec, Grid(0.0, 1.0, 1001), consts, 4)
-    assert len(bisection.calls) == 1
-    args, kwargs, result = bisection.calls[0]
-    assert np.array_equal(values, result)
-    assert np.array_equal(values, symtridiag_eigenvalues(*args, **kwargs))
-    assert values[0] < -2000.0 and values[1] - values[0] < 1e-8
+    assert not bisection.calls
+    assert values[0] >= 0.0
+    np.testing.assert_allclose(values, [0.00114, 2.7837, 7.5977, 14.443], rtol=1e-4, atol=1e-5)
+
+
+def _cot_deviation(s: float, n_points: int) -> float:
+    """eigenvalues_numeric's deviation for cot A = s at alpha = hbar = 1."""
+    config = load_config(CONFIGS / "cot.json")
+    config = dataclasses.replace(
+        config,
+        interaction=dataclasses.replace(config.interaction, A=s),
+        grid=dataclasses.replace(config.grid, n_points=n_points),
+    )
+    return eigen_deviation(spectrum_rows(config, numeric=True))
+
+
+# n -> 2n + 1 halves the lattice spacing pi/(alpha (n + 1))
+@pytest.mark.parametrize("s, order", [(1.7, 2.0), (3.0, 2.0), (0.9, 0.8), (1.2, 1.4)])
+def test_cot_levels_converge_at_order_min_2_and_2s_minus_1(s, order):
+    deviations = [_cot_deviation(s, n) for n in (1000, 2001, 4003)]
+    observed = np.log2(np.array(deviations[:-1]) / np.array(deviations[1:]))
+    np.testing.assert_allclose(observed, order, rtol=0, atol=0.1)
 
 
 def test_count_beyond_the_matrix_raises_before_iterating(monkeypatch):
