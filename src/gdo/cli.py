@@ -2,14 +2,16 @@
 
 Exit codes: 0 every requested check passed, 1 a verification or range check
 failed, 2 the input could not be understood.  GDO_LOG in {quiet, info, debug}
-controls diagnostics on stderr; artifact bytes are deterministic for a given
-configuration.
+sets the level of the gdo logger, whose diagnostics go to stderr, on every
+call of main; unset, the logger keeps the level it has (WARNING in a fresh
+process).  Artifact bytes are deterministic for a given configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -32,12 +34,17 @@ _CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _setup_logging():
-    level_name = os.environ.get("GDO_LOG", "quiet").lower()
+    # basicConfig adds a stderr handler only while the root logger has none,
+    # so the level is set on the gdo logger, where every call can change it
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    if "GDO_LOG" not in os.environ:
+        return
+    level_name = os.environ["GDO_LOG"].lower()
     levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
     if level_name not in levels:
         print(f"gdo: ignoring unknown GDO_LOG value {level_name!r}", file=sys.stderr)
         level_name = "quiet"
-    logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(levels[level_name])
 
 
 def _emit(text: str, out_path):
@@ -180,6 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser as it found it, so one parser serves every call
+_parser = functools.cache(build_parser)
+
 _HANDLERS = {
     "check": cmd_check,
     "spectrum": cmd_spectrum,
@@ -191,8 +201,7 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         if getattr(args, "mode", None):

@@ -20,13 +20,19 @@ from .operators import OperatorMatrix
 
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
-# each pass cuts the distinct unconverged brackets into this many equal parts
-# in total; a pass makes three numpy calls per row, each over all the cuts, so
-# fewer cuts take more passes and more cuts make every call longer.  For four
-# Morse levels on a 2-vCPU Xeon, 64, 128, 256, 512 and 1024 cuts took 41, 36,
-# 35, 40 and 56 ms at n=1001 and 159, 136, 121, 143 and 201 ms at n=4000
+# each pass of symtridiag_eigenvalues cuts the distinct unconverged brackets
+# into this many equal parts in total and counts them with the blocked loop
+# of _sturm_counts, rows outside and cuts inside: three numpy calls per row,
+# each over all the cuts, so fewer cuts take more passes and more cuts make
+# every call longer.  For four Morse levels on a 2-vCPU Xeon, 64, 128, 256,
+# 512 and 1024 cuts took 41, 36, 35, 40 and 56 ms at n=1001 and 159, 136,
+# 121, 143 and 201 ms at n=4000
 SHIFTS_PER_PASS = 256
-# rows per block of the unguarded pivot recurrence in _sturm_counts
+# rows per block of the unguarded pivot recurrence in _sturm_counts; only the
+# multisection passes, hundreds of shifts wide, take that loop.  The windows
+# of sturm_window_counts, two shifts per level, take the scalar loop of
+# _guarded_counts, shifts outside and rows inside, which is cheaper below
+# about 32 shifts (16 levels; every shipped config asks for 4)
 STURM_BLOCK = 128
 TINY_PIVOT = 1e-300
 
@@ -36,16 +42,33 @@ def _guarded_counts(d, e2, pivmin, shifts, q, below):
 
     The recurrence of LAPACK stebz: pivot q_i = d_i - (e2_i / q_{i-1} + x).
     A pivot in (-pivmin, pivmin] counts as negative and becomes -pivmin, so
-    no division overflows.  q and below are updated in place.
+    no pivot is ever zero, no division overflows and Python's float division
+    never raises.  q and below are updated in place.
+
+    Plain Python floats, shifts outside and rows inside: with no numpy call
+    per row, a handful of shifts costs less than the blocked numpy loop of
+    _sturm_counts.  At n=1001 on a 2-vCPU Xeon this loop took 0.86, 1.68,
+    3.35, 6.54 and 12.3 ms for 8, 16, 32, 64 and 128 shifts, the blocked loop
+    3.4-3.7 ms at every width, so they cross at about 32 shifts.
+    sturm_window_counts, with two shifts per certified level, always uses
+    this loop; _sturm_counts uses it only to redo a block whose pivots the
+    guard would change.
     """
-    neg = np.empty(shifts.size, dtype=bool)
-    for d_i, e2_i in zip(d.tolist(), e2.tolist()):
-        np.divide(e2_i, q, out=q)
-        q += shifts
-        np.subtract(d_i, q, out=q)
-        np.less_equal(q, pivmin, out=neg)
-        below += neg
-        np.minimum(q, -pivmin, out=q, where=neg)
+    rows = list(zip(d.tolist(), e2.tolist()))
+    floor = -pivmin
+    pivots = q.tolist()
+    for j, x in enumerate(shifts.tolist()):
+        pivot = pivots[j]
+        count = 0
+        for d_i, e2_i in rows:
+            pivot = d_i - (e2_i / pivot + x)
+            if pivot <= pivmin:
+                count += 1
+                if pivot > floor:
+                    pivot = floor
+        pivots[j] = pivot
+        below[j] += count
+    q[:] = pivots
 
 
 def _sturm_counts(d, e2, pivmin, shifts):
@@ -57,8 +80,10 @@ def _sturm_counts(d, e2, pivmin, shifts):
     Vomel, SIAM J. Sci. Comput. 28 (2006) 1613).  A block whose pivots all
     exceed pivmin in magnitude is one the guard would not have changed, so
     its signs are counted as they stand; any other block, one with a tiny,
-    zero or NaN pivot, is redone from its incoming pivots by _guarded_counts.
-    The counts are those of the guarded recurrence, bit for bit.
+    zero or NaN pivot, is redone from its incoming pivots by _guarded_counts,
+    at about four times the cost of a good block (3.9 against 0.9 ms for 128
+    rows and 256 shifts on a 2-vCPU Xeon).  The counts are those of the
+    guarded recurrence, bit for bit.
     """
     below = np.zeros(shifts.size, dtype=np.int64)
     q = np.full(shifts.size, np.inf)
@@ -159,7 +184,8 @@ def sturm_window_counts(diag, offdiag, centers, radii):
     within a few atol of a window end can count on either side, and a radius
     below rounding level puts both ends there.  Seeded exactly at one
     eigenvalue of each of 3000 random matrices (n <= 40), a floor of atol
-    miscounted 31 of them, 2 atol 2 and 4 atol none.
+    miscounted 31 of them, 2 atol 2 and 4 atol none.  The few shifts are
+    counted by the scalar loop of _guarded_counts, not by _sturm_counts.
 
     Returns (rho, below_lower, below_upper), where below_lower[i] counts the
     eigenvalues <= centers[i] - rho[i] and below_upper[i] those <=
@@ -170,7 +196,9 @@ def sturm_window_counts(diag, offdiag, centers, radii):
     e2, pivmin, _, _, atol = _stebz_bounds(d, np.asarray(offdiag, dtype=np.float64))
     center = np.asarray(centers, dtype=np.float64)
     rho = np.maximum(np.asarray(radii, dtype=np.float64), 4.0 * atol)
-    below = _sturm_counts(d, e2, pivmin, np.concatenate([center - rho, center + rho]))
+    shifts = np.concatenate([center - rho, center + rho])
+    below = np.zeros(shifts.size, dtype=np.int64)
+    _guarded_counts(d, e2, pivmin, shifts, np.full(shifts.size, np.inf), below)
     return rho, below[: center.size], below[center.size :]
 
 

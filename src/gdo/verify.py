@@ -23,6 +23,7 @@ import dataclasses
 import logging
 import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import List, Tuple
 
 import numpy as np
@@ -262,19 +263,29 @@ def _algebra_grid(spec: InteractionSpec) -> Grid:
 
 
 def verify_all(config: RunConfig) -> VerificationReport:
-    """Run the nine-check suite for one configuration."""
+    """Run the nine-check suite for one configuration.
+
+    Each check's wall time goes to the log at INFO level, never into the
+    report, so the report of a configuration is the same on every run.
+    """
     spec = config.interaction
     consts = config.constants
     tols = config.tolerances
     checks: List[CheckResult] = []
+    started = perf_counter()
+
+    def add(check: CheckResult):
+        nonlocal started
+        now = perf_counter()
+        log.info("check %s took %.2f ms", check.name, 1e3 * (now - started))
+        checks.append(check)
+        started = now
 
     # 1. conjugation-shift condition on the default 401-point window
     condition = check_pseudo_hermiticity_condition(
         spec, config.condition_theta(), default_condition_grid(spec), consts, tol=tols.condition
     )
-    checks.append(
-        CheckResult("condition_shift", condition.max_deviation, tols.condition, condition.passed)
-    )
+    add(CheckResult("condition_shift", condition.max_deviation, tols.condition, condition.passed))
 
     # 2. generic vs expanded closed-form potentials, pointwise
     generic = effective_potentials(spec, config.grid, consts)
@@ -288,42 +299,42 @@ def verify_all(config: RunConfig) -> VerificationReport:
             np.max(np.abs(generic.v_plus - closed.v_plus) / scale),
         )
     )
-    checks.append(CheckResult("potential_closed_form", pot_dev, 1e-12, pot_dev <= 1e-12))
+    add(CheckResult("potential_closed_form", pot_dev, 1e-12, pot_dev <= 1e-12))
 
     # 3. ladder-product identity and commutator order
     fact = factorization_check(spec, _algebra_grid(spec), consts)
     fact_measure = float(max(c.measured / max(c.threshold, 1e-300) for c in fact.checks))
-    checks.append(CheckResult("factorization", fact_measure, 1.0, fact.overall))
+    add(CheckResult("factorization", fact_measure, 1.0, fact.overall))
 
     # 4. shape invariance: level identity plus eigenfunction ratio
-    checks.append(_shape_invariance_check(spec, consts))
+    add(_shape_invariance_check(spec, consts))
 
     # 5. analytic vs numeric decoupled eigenvalues
     eig_dev = eigen_deviation(spectrum_rows(config, numeric=True))
-    checks.append(CheckResult("eigenvalues_numeric", eig_dev, tols.eigen_rel, eig_dev <= tols.eigen_rel))
+    add(CheckResult("eigenvalues_numeric", eig_dev, tols.eigen_rel, eig_dev <= tols.eigen_rel))
 
     # 6. coefficient identity a^2 + b^2 = 1 along the positive branch
     coeff_dev = 0.0
     for line in dirac_spectrum(spec, consts, max_levels=max(config.levels, 2))[1:]:
         coeffs = spinor_coefficients(line.energy_plus, consts)
         coeff_dev = max(coeff_dev, abs(coeffs.a**2 + coeffs.b**2 - 1.0))
-    checks.append(CheckResult("spinor_coefficients", coeff_dev, 1e-12, coeff_dev <= 1e-12))
+    add(CheckResult("spinor_coefficients", coeff_dev, 1e-12, coeff_dev <= 1e-12))
 
     # 7. anti-rotating model reproduces the oscillator matrix exactly
     preset, gjc = oscillator_models(spec, consts)
     ident_dev = assemble_model(preset, config.grid, consts).max_abs_diff(
         assemble_dirac(spec, config.grid, consts)
     )
-    checks.append(CheckResult("model_identification", ident_dev, 1e-14, ident_dev <= 1e-14))
+    add(CheckResult("model_identification", ident_dev, 1e-14, ident_dev <= 1e-14))
 
     # 8. rotating/anti-rotating duality under coupling negation
     dual_dev = assemble_model(gjc, config.grid, consts).max_abs_diff(
         assemble_model(spin_flip(gjc), config.grid, consts)
     )
-    checks.append(CheckResult("model_duality", dual_dev, 1e-14, dual_dev <= 1e-14))
+    add(CheckResult("model_duality", dual_dev, 1e-14, dual_dev <= 1e-14))
 
     # 9. singlet structure: exact component zeros and |Rayleigh quotient| = delta
-    checks.append(_singlet_check(spec, preset, gjc, config.grid, consts, tols.eigen_rel))
+    add(_singlet_check(spec, preset, gjc, config.grid, consts, tols.eigen_rel))
 
     return VerificationReport(tuple(checks))
 

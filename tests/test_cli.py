@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from gdo import analytic_spinor, load_config, spectrum_rows
+from gdo import analytic_spinor, cli, load_config, spectrum_rows
 from gdo.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -183,3 +183,62 @@ def test_wavefunction_csv_matches_per_value_format(tmp_path, level):
         values = (x, psi1.real, psi1.imag, psi2.real, psi2.imag)
         lines.append(",".join(format(float(v), ".17g") for v in values))
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def _lone_call(tmp_path, argv, name):
+    # a fresh parser, as in a process that makes no other call
+    cli._parser.cache_clear()
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, first, second",
+    [
+        ("morse.json", ["spectrum", "--numeric"], ["spectrum"]),
+        ("cot.json", ["wavefunction", "--level", "2"], ["wavefunction"]),
+    ],
+)
+def test_consecutive_calls_match_lone_calls(tmp_path, name, first, second):
+    # the parser is built once per process; options of one call must not
+    # leak into the next
+    config = ["--config", str(CONFIGS / name)]
+    outputs = []
+    for run, argv in enumerate((first, second)):
+        out = tmp_path / f"consecutive_{run}"
+        assert main(argv + config + ["--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    lone = [
+        _lone_call(tmp_path, argv + config, f"lone_{run}")
+        for run, argv in enumerate((first, second))
+    ]
+    assert outputs == lone
+    assert outputs[0] != outputs[1]
+
+
+def _verify_log(tmp_path, monkeypatch, caplog, level):
+    monkeypatch.setenv("GDO_LOG", level)
+    caplog.clear()
+    out = tmp_path / f"verify_{level}.json"
+    assert main(["verify", "--config", str(CONFIGS / "morse.json"), "--out", str(out)]) == EXIT_OK
+    return out.read_bytes(), [r.getMessage() for r in caplog.records]
+
+
+def test_gdo_log_applies_to_every_call(tmp_path, monkeypatch, caplog):
+    # the handler of caplog takes every level; GDO_LOG alone decides what reaches it
+    caplog.set_level(logging.DEBUG, logger="gdo")
+    _, quiet = _verify_log(tmp_path, monkeypatch, caplog, "quiet")
+    _, info = _verify_log(tmp_path, monkeypatch, caplog, "info")
+    _, quiet_again = _verify_log(tmp_path, monkeypatch, caplog, "quiet")
+    assert not any("verify took" in line for line in quiet + quiet_again)
+    assert sum("verify took" in line for line in info) == 1
+
+
+def test_verify_logs_each_check_time(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="gdo")
+    first, lines = _verify_log(tmp_path, monkeypatch, caplog, "info")
+    second, _ = _verify_log(tmp_path, monkeypatch, caplog, "info")
+    assert first == second
+    timed = [line.split()[1] for line in lines if line.startswith("check ") and line.endswith(" ms")]
+    assert timed == [check["name"] for check in json.loads(first)["checks"]]

@@ -24,6 +24,7 @@ from gdo.eigensolve import (
     _cyclic_reduction_solve,
     _guarded_counts,
     _sturm_counts,
+    sturm_window_counts,
 )
 
 
@@ -129,6 +130,75 @@ class TestSturmCounts:
         shifts = np.concatenate([rng.uniform(-bound, bound, 100), rng.choice(d, 28)])
         blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
         np.testing.assert_array_equal(blocked, reference)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        log_scale=st.floats(-6.0, 6.0),
+        split=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guarded_matches_dense_property(self, n, log_scale, split, seed):
+        # an oracle shared with neither Sturm loop: dense eigenvalues, with
+        # every shift kept clear of them by far more than the rounding of
+        # either route, so the counts are exact
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        d = scale * rng.integers(-4, 5, size=n) / 4
+        e = scale * rng.normal(size=n - 1)
+        if split:
+            e[rng.random(n - 1) < 0.3] = 0.0
+        values = _dense_eigenvalues(d, e)
+        bound = _norm_bound(d, e)
+        clearance = 1e-8 * bound
+        candidates = np.concatenate(
+            [rng.uniform(-bound, bound, 40), 0.5 * (values[1:] + values[:-1]), [-bound, bound]]
+        )
+        gaps = np.abs(candidates[:, None] - values[None, :]).min(axis=1)
+        shifts = candidates[gaps > clearance]
+        e2 = np.append(0.0, e * e)
+        pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(e2)))
+        below = np.zeros(shifts.size, dtype=np.int64)
+        _guarded_counts(d, e2, pivmin, shifts, np.full(shifts.size, np.inf), below)
+        expected = np.searchsorted(values, shifts, side="right")
+        np.testing.assert_array_equal(below, expected)
+
+    @pytest.mark.parametrize("split", [1, 64, 150, 299])
+    def test_guarded_pivots_carry_across_calls(self, split):
+        # the zero couplings make exact zero pivots, so the guard acts on
+        # both sides of the split
+        rng = np.random.default_rng(split)
+        n = 300
+        d = rng.integers(-3, 4, size=n).astype(float)
+        e = rng.normal(size=n - 1)
+        e[::5] = 0.0
+        e2 = np.append(0.0, e * e)
+        pivmin = float(np.finfo(float).tiny) * float(np.max(e2))
+        shifts = np.concatenate([np.arange(-3.0, 4.0), rng.uniform(-6.0, 6.0, 9)])
+        runs = []
+        for pieces in ([slice(0, n)], [slice(0, split), slice(split, n)]):
+            q = np.full(shifts.size, np.inf)
+            below = np.zeros(shifts.size, dtype=np.int64)
+            for rows in pieces:
+                _guarded_counts(d[rows], e2[rows], pivmin, shifts, q, below)
+            runs.append((q, below))
+        (q_one, below_one), (q_two, below_two) = runs
+        np.testing.assert_array_equal(below_two, below_one)
+        assert q_two.tobytes() == q_one.tobytes()
+
+    def test_window_counts_skip_blocked_loop(self, monkeypatch):
+        def blocked(*args):
+            raise AssertionError("sturm_window_counts entered _sturm_counts")
+
+        monkeypatch.setattr(eigensolve, "_sturm_counts", blocked)
+        rng = np.random.default_rng(17)
+        d = rng.normal(size=200)
+        e = rng.normal(size=199)
+        values = _dense_eigenvalues(d, e)
+        rho, lower, upper = sturm_window_counts(d, e, values[:4], np.full(4, 1e-9))
+        assert np.all(rho >= 1e-9)
+        assert lower.tolist() == [0, 1, 2, 3] and upper.tolist() == [1, 2, 3, 4]
 
 
 class TestSymtridiag:
