@@ -1,10 +1,11 @@
 """Command-line front end: JSON configs in, JSON/CSV artifacts out.
 
 Exit codes: 0 every requested check passed, 1 a verification or range check
-failed, 2 the input could not be understood.  GDO_LOG in {quiet, info, debug}
-sets the level of the gdo logger, whose diagnostics go to stderr, on every
-call of main; unset, the logger keeps the level it has (WARNING in a fresh
-process).  Artifact bytes are deterministic for a given configuration.
+failed, 2 the input could not be understood or the artifact could not be
+written.  GDO_LOG in {quiet, info, debug} sets the level of the gdo logger,
+whose diagnostics go to stderr, on every call of main; unset, the logger
+keeps the level it has (WARNING in a fresh process).  Artifact bytes are
+deterministic for a given configuration.
 """
 
 from __future__ import annotations
@@ -49,8 +50,11 @@ def _setup_logging():
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write artifact {out_path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -124,9 +128,6 @@ def cmd_verify(config: RunConfig, args) -> int:
             config.interaction, config.grid, config.constants, seeds, tol=config.tolerances.residual
         )
     _emit(dumps_canonical(payload) + "\n", args.out)
-    for check in report.checks:
-        log.info("%-24s measured=%.3e threshold=%.3e %s",
-                 check.name, check.measured, check.threshold, "ok" if check.passed else "FAILED")
     log.info("verify took %d ms", int(runtime * 1000))
     return EXIT_OK if report.overall else EXIT_FAILED
 

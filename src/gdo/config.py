@@ -61,19 +61,32 @@ class RunConfig:
         return self.theta_override
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ConfigError(f"missing key {key!r} in {where}")
     return mapping[key]
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a bool or a number with a fractional part is rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _interaction_from_dict(data: dict) -> InteractionSpec:
-    kind = _require(data, "kind", "interaction")
+    kind = _require(_object(data, "interaction"), "kind", "interaction")
     try:
         if kind == "linear":
             return LinearInteraction(
                 omega=float(_require(data, "omega", "linear interaction")),
-                sign=int(data.get("sign", 1)),
+                sign=_integer(data.get("sign", 1), "sign"),
             )
         if kind == "morse":
             return MorseInteraction(
@@ -98,23 +111,22 @@ def _interaction_from_dict(data: dict) -> InteractionSpec:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be a JSON object")
+    _object(data, "configuration root")
     interaction = _interaction_from_dict(_require(data, "interaction", "configuration"))
-    grid_data = _require(data, "grid", "configuration")
+    grid_data = _object(_require(data, "grid", "configuration"), "grid")
     try:
         grid = Grid(
             x_min=float(_require(grid_data, "x_min", "grid")),
             x_max=float(_require(grid_data, "x_max", "grid")),
-            n_points=int(_require(grid_data, "n_points", "grid")),
+            n_points=_integer(_require(grid_data, "n_points", "grid"), "n_points"),
         )
-        consts_data = data.get("constants", {})
+        consts_data = _object(data.get("constants", {}), "constants")
         constants = PhysicalConstants(
             hbar=float(consts_data.get("hbar", 1.0)),
             c=float(consts_data.get("c", 1.0)),
             mass=float(consts_data.get("mass", 1.0)),
         )
-        tol_data = data.get("tolerances", {})
+        tol_data = _object(data.get("tolerances", {}), "tolerances")
         tolerances = Tolerances(
             condition=float(tol_data.get("condition", 1e-10)),
             eigen_rel=float(tol_data.get("eigen_rel", 1e-3)),
@@ -126,7 +138,7 @@ def config_from_dict(data: dict) -> RunConfig:
             grid=grid,
             constants=constants,
             tolerances=tolerances,
-            levels=int(data.get("levels", 4)),
+            levels=_integer(data.get("levels", 4), "levels"),
             mode=str(data.get("mode", "contour")),
             theta_override=None if theta_override is None else float(theta_override),
         )
@@ -142,6 +154,8 @@ def load_config(path: str) -> RunConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"configuration file {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"configuration file {path!r} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -4,8 +4,9 @@ These are deliberately self-contained so every closed-form level in the
 package can be cross-checked against an independent numerical route.  A
 symmetric tridiagonal level found some other way (an inverse-iteration
 Rayleigh value with its residual) is certified by sturm_window_counts; the
-lowest levels of a matrix with no such estimate come from the multisection
-of symtridiag_eigenvalues.
+lowest levels of a matrix with no such estimate come from the bisection of
+symtridiag_eigenvalues.  Both count eigenvalues with the one stebz loop of
+_sturm_counts.
 """
 
 from __future__ import annotations
@@ -20,45 +21,25 @@ from .operators import OperatorMatrix
 
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
-# each pass of symtridiag_eigenvalues cuts the distinct unconverged brackets
-# into this many equal parts in total and counts them with the blocked loop
-# of _sturm_counts, rows outside and cuts inside: three numpy calls per row,
-# each over all the cuts, so fewer cuts take more passes and more cuts make
-# every call longer.  For four Morse levels on a 2-vCPU Xeon, 64, 128, 256,
-# 512 and 1024 cuts took 41, 36, 35, 40 and 56 ms at n=1001 and 159, 136,
-# 121, 143 and 201 ms at n=4000
-SHIFTS_PER_PASS = 256
-# rows per block of the unguarded pivot recurrence in _sturm_counts; only the
-# multisection passes, hundreds of shifts wide, take that loop.  The windows
-# of sturm_window_counts, two shifts per level, take the scalar loop of
-# _guarded_counts, shifts outside and rows inside, which is cheaper below
-# about 32 shifts (16 levels; every shipped config asks for 4)
-STURM_BLOCK = 128
 TINY_PIVOT = 1e-300
 
 
-def _guarded_counts(d, e2, pivmin, shifts, q, below):
-    """Add the negative pivots of rows d to below, starting from pivots q.
+def _sturm_counts(d, e2, pivmin, shifts):
+    """Eigenvalues <= each shift: the negative pivots of T - x I = L D L^T.
 
-    The recurrence of LAPACK stebz: pivot q_i = d_i - (e2_i / q_{i-1} + x).
-    A pivot in (-pivmin, pivmin] counts as negative and becomes -pivmin, so
-    no pivot is ever zero, no division overflows and Python's float division
-    never raises.  q and below are updated in place.
-
-    Plain Python floats, shifts outside and rows inside: with no numpy call
-    per row, a handful of shifts costs less than the blocked numpy loop of
-    _sturm_counts.  At n=1001 on a 2-vCPU Xeon this loop took 0.86, 1.68,
-    3.35, 6.54 and 12.3 ms for 8, 16, 32, 64 and 128 shifts, the blocked loop
-    3.4-3.7 ms at every width, so they cross at about 32 shifts.
-    sturm_window_counts, with two shifts per certified level, always uses
-    this loop; _sturm_counts uses it only to redo a block whose pivots the
-    guard would change.
+    e2[i] is the squared coupling of row i to row i - 1, with e2[0] = 0, so
+    the infinite pivot before row 0 makes its pivot d[0] - x.  The recurrence
+    of LAPACK stebz: pivot q_i = d_i - (e2_i / q_{i-1} + x).  A pivot in
+    (-pivmin, pivmin] counts as negative and becomes -pivmin, so no pivot is
+    ever zero, no division overflows and Python's float division never
+    raises.  Plain Python floats, shifts outside and rows inside, so each
+    shift costs n steps with no numpy call per row.
     """
     rows = list(zip(d.tolist(), e2.tolist()))
     floor = -pivmin
-    pivots = q.tolist()
-    for j, x in enumerate(shifts.tolist()):
-        pivot = pivots[j]
+    below = []
+    for x in shifts.tolist():
+        pivot = math.inf
         count = 0
         for d_i, e2_i in rows:
             pivot = d_i - (e2_i / pivot + x)
@@ -66,46 +47,8 @@ def _guarded_counts(d, e2, pivmin, shifts, q, below):
                 count += 1
                 if pivot > floor:
                     pivot = floor
-        pivots[j] = pivot
-        below[j] += count
-    q[:] = pivots
-
-
-def _sturm_counts(d, e2, pivmin, shifts):
-    """Eigenvalues <= each shift: the negative pivots of T - x I = L D L^T.
-
-    e2[i] is the squared coupling of row i to row i - 1, with e2[0] = 0, so
-    the infinite pivot before row 0 makes its pivot d[0] - x.  Rows run in
-    blocks without the stebz guard, as in LAPACK dlaneg (Marques, Riedy &
-    Vomel, SIAM J. Sci. Comput. 28 (2006) 1613).  A block whose pivots all
-    exceed pivmin in magnitude is one the guard would not have changed, so
-    its signs are counted as they stand; any other block, one with a tiny,
-    zero or NaN pivot, is redone from its incoming pivots by _guarded_counts,
-    at about four times the cost of a good block (3.9 against 0.9 ms for 128
-    rows and 256 shifts on a 2-vCPU Xeon).  The counts are those of the
-    guarded recurrence, bit for bit.
-    """
-    below = np.zeros(shifts.size, dtype=np.int64)
-    q = np.full(shifts.size, np.inf)
-    block = np.empty((min(STURM_BLOCK, d.size), shifts.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, d.size, STURM_BLOCK):
-            d_rows = d[start : start + STURM_BLOCK]
-            e2_rows = e2[start : start + STURM_BLOCK]
-            rows = block[: d_rows.size]
-            pivot = q
-            for row, d_i, e2_i in zip(rows, d_rows.tolist(), e2_rows.tolist()):
-                np.divide(e2_i, pivot, out=row)
-                row += shifts
-                np.subtract(d_i, row, out=row)
-                pivot = row
-            # NaN fails the comparison and sends the block to the guarded loop
-            if np.abs(rows).min() > pivmin:
-                below += np.count_nonzero(rows < 0, axis=0)
-                q[:] = pivot
-            else:
-                _guarded_counts(d_rows, e2_rows, pivmin, shifts, q, below)
-    return below
+        below.append(count)
+    return np.array(below, dtype=np.int64)
 
 
 def _cyclic_reduction_factor(sub, diag, sup):
@@ -184,8 +127,7 @@ def sturm_window_counts(diag, offdiag, centers, radii):
     within a few atol of a window end can count on either side, and a radius
     below rounding level puts both ends there.  Seeded exactly at one
     eigenvalue of each of 3000 random matrices (n <= 40), a floor of atol
-    miscounted 31 of them, 2 atol 2 and 4 atol none.  The few shifts are
-    counted by the scalar loop of _guarded_counts, not by _sturm_counts.
+    miscounted 31 of them, 2 atol 2 and 4 atol none.
 
     Returns (rho, below_lower, below_upper), where below_lower[i] counts the
     eigenvalues <= centers[i] - rho[i] and below_upper[i] those <=
@@ -196,9 +138,7 @@ def sturm_window_counts(diag, offdiag, centers, radii):
     e2, pivmin, _, _, atol = _stebz_bounds(d, np.asarray(offdiag, dtype=np.float64))
     center = np.asarray(centers, dtype=np.float64)
     rho = np.maximum(np.asarray(radii, dtype=np.float64), 4.0 * atol)
-    shifts = np.concatenate([center - rho, center + rho])
-    below = np.zeros(shifts.size, dtype=np.int64)
-    _guarded_counts(d, e2, pivmin, shifts, np.full(shifts.size, np.inf), below)
+    below = _sturm_counts(d, e2, pivmin, np.concatenate([center - rho, center + rho]))
     return rho, below[: center.size], below[center.size :]
 
 
@@ -216,13 +156,16 @@ class EigenResult:
 def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
     """Lowest ``count`` eigenvalues of a real symmetric tridiagonal matrix, ascending.
 
-    All of them when count is None.  Multisection on Sturm counts (Barth,
+    All of them when count is None.  Bisection on Sturm counts (Barth,
     Martin & Wilkinson, Numer. Math. 9 (1967) 386): each level keeps a
     bracket, starting from the Gershgorin interval, and every pass counts the
-    eigenvalues below split points in all unconverged brackets at once.  A
-    level is done when its bracket is narrower than eps*||T|| or 2 eps times
-    its magnitude, the default tolerances of LAPACK stebz; the midpoint is
-    returned.  Deterministic: identical inputs give bit-identical outputs.
+    eigenvalues below the midpoint of each distinct unconverged bracket, the
+    fewest shifts in total when every shift costs the same.  A level is done
+    when its bracket is narrower than eps*||T|| or 2 eps times its magnitude,
+    the default tolerances of LAPACK stebz; the midpoint is returned.
+    Deterministic: identical inputs give bit-identical outputs.  Each shift
+    costs n scalar steps, so the full spectrum costs O(n^2) Python work,
+    about a second at n = 500; verify asks for a few levels only.
     """
     d = np.asarray(diag, dtype=np.float64)
     e = np.asarray(offdiag, dtype=np.float64)
@@ -246,17 +189,14 @@ def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
     hi = np.full(count, gu)
     levels = np.arange(count)
     while True:
-        width = hi - lo
-        active = width > np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+        active = hi - lo > np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
         if not active.any():
             # the updates below keep lo and hi non-decreasing in the level,
             # so the midpoints come out ascending
             return 0.5 * (lo + hi)
         # levels still sharing the bracket of the level below add no shifts
         fresh = active & np.append(True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))
-        parts = max(2, SHIFTS_PER_PASS // int(np.count_nonzero(fresh)))
-        fractions = np.arange(1, parts) / parts
-        shifts = (lo[fresh, None] + width[fresh, None] * fractions).ravel()
+        shifts = 0.5 * (lo[fresh] + hi[fresh])
         below = _sturm_counts(d, e2, pivmin, shifts)
         # level j lies above every shift counting <= j eigenvalues and at or
         # below every shift counting more; running extremes over the shifts

@@ -265,8 +265,9 @@ def _algebra_grid(spec: InteractionSpec) -> Grid:
 def verify_all(config: RunConfig) -> VerificationReport:
     """Run the nine-check suite for one configuration.
 
-    Each check's wall time goes to the log at INFO level, never into the
-    report, so the report of a configuration is the same on every run.
+    Each check's measured value, threshold, verdict and wall time go to the
+    log at INFO level; the time never goes into the report, so the report of
+    a configuration is the same on every run.
     """
     spec = config.interaction
     consts = config.constants
@@ -277,7 +278,11 @@ def verify_all(config: RunConfig) -> VerificationReport:
     def add(check: CheckResult):
         nonlocal started
         now = perf_counter()
-        log.info("check %s took %.2f ms", check.name, 1e3 * (now - started))
+        log.info(
+            "check %s measured=%.3e threshold=%.3e %s took %.2f ms",
+            check.name, check.measured, check.threshold,
+            "ok" if check.passed else "FAILED", 1e3 * (now - started),
+        )
         checks.append(check)
         started = now
 

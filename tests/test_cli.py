@@ -10,7 +10,7 @@ from gdo.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-# cot.json has a constant potential, so its Sturm counts take the guarded path
+# cot.json solves its numeric levels on the pole-to-pole lattice, morse.json on its grid
 @pytest.mark.parametrize("name", ["morse.json", "cot.json"])
 def test_verify_artifact_bytes_repeat(tmp_path, caplog, name):
     caplog.set_level(logging.INFO, logger="gdo")
@@ -94,6 +94,58 @@ def test_unusable_config_exits_2(tmp_path, capsys, edit, message, command):
     assert main(command + ["--config", str(config), "--out", str(out)]) == EXIT_BAD_INPUT
     assert not out.exists()
     assert capsys.readouterr().err.startswith(f"gdo: {message}")
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text if isinstance(text, bytes) else json.dumps(text).encode())
+    return path
+
+
+def _morse():
+    return json.loads((CONFIGS / "morse.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "config, out, message",
+    [
+        (dict(_morse(), interaction=5), "artifact", "interaction must be a JSON object, got int"),
+        (dict(_morse(), constants=5), "artifact", "constants must be a JSON object, got int"),
+        (dict(_morse(), tolerances=[1]), "artifact", "tolerances must be a JSON object, got list"),
+        (b'{"levels": "\xff"}', "artifact", "is not UTF-8 text"),
+        (_morse(), "missing/artifact", "cannot write artifact"),
+        (dict(_morse(), levels=2.7), "artifact", "levels must be an integer, got 2.7"),
+        (dict(_morse(), levels=True), "artifact", "levels must be an integer, got True"),
+        (
+            dict(_morse(), grid=dict(_morse()["grid"], n_points=1000.9)),
+            "artifact",
+            "n_points must be an integer, got 1000.9",
+        ),
+    ],
+    ids=["interaction_int", "constants_int", "tolerances_list", "not_utf8", "out_dir_missing",
+         "levels_fraction", "levels_bool", "n_points_fraction"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, config, out, message):
+    path = _write(tmp_path, config)
+    out = tmp_path / out
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("gdo: ") and message in err
+    assert err.count("\n") == 1
+
+
+def test_integral_float_fields_are_accepted(tmp_path):
+    def as_floats(data):
+        data["levels"] = 4.0
+        data["grid"]["n_points"] = 4000.0
+
+    outputs = []
+    for run, config in enumerate((CONFIGS / "morse.json", _edited_config(tmp_path, "morse.json", as_floats))):
+        out = tmp_path / f"spectrum_{run}.json"
+        assert main(["spectrum", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _wrong_theta(data):
@@ -242,3 +294,5 @@ def test_verify_logs_each_check_time(tmp_path, monkeypatch, caplog):
     assert first == second
     timed = [line.split()[1] for line in lines if line.startswith("check ") and line.endswith(" ms")]
     assert timed == [check["name"] for check in json.loads(first)["checks"]]
+    verdicts = [line.split()[4] for line in lines if line.startswith("check ")]
+    assert verdicts == ["ok" if check["passed"] else "FAILED" for check in json.loads(first)["checks"]]

@@ -18,14 +18,7 @@ from gdo import (
     rayleigh_quotient,
     symtridiag_eigenvalues,
 )
-from gdo import eigensolve
-from gdo.eigensolve import (
-    _cyclic_reduction_factor,
-    _cyclic_reduction_solve,
-    _guarded_counts,
-    _sturm_counts,
-    sturm_window_counts,
-)
+from gdo.eigensolve import _cyclic_reduction_factor, _cyclic_reduction_solve, _sturm_counts
 
 
 def _dense_eigenvalues(d, e):
@@ -41,96 +34,59 @@ def _norm_bound(d, e):
     return float(np.max(np.abs(d) + radius))
 
 
-def _blocked_and_guarded_counts(d, e, shifts):
+def _counts(d, e, shifts):
     d = np.asarray(d, dtype=float)
     e2 = np.append(0.0, np.asarray(e, dtype=float) ** 2)
-    shifts = np.asarray(shifts, dtype=float)
     pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(e2)))
-    reference = np.zeros(shifts.size, dtype=np.int64)
-    _guarded_counts(d, e2, pivmin, shifts, np.full(shifts.size, np.inf), reference)
-    return _sturm_counts(d, e2, pivmin, shifts), reference
+    return _sturm_counts(d, e2, pivmin, np.asarray(shifts, dtype=float))
 
 
-@pytest.fixture
-def guarded_blocks(monkeypatch):
-    """Counts the blocks that _sturm_counts hands to the guarded loop."""
-    calls = []
+def _dense_counts(d, e, shifts):
+    """Eigenvalues <= each shift, from dense eigenvalues block by block.
 
-    def counting(d, *args):
-        calls.append(d.size)
-        return _guarded_counts(d, *args)
-
-    monkeypatch.setattr(eigensolve, "_guarded_counts", counting)
-    return calls
+    A zero coupling splits the matrix, and a one-row block's eigenvalue is
+    its diagonal entry exactly, so a shift on it counts it.
+    """
+    cuts = np.flatnonzero(np.asarray(e) == 0) + 1
+    values = np.concatenate(
+        [
+            _dense_eigenvalues(block, couplings[: block.size - 1])
+            for block, couplings in zip(np.split(d, cuts), np.split(e, cuts))
+        ]
+    )
+    return np.searchsorted(np.sort(values), shifts, side="right")
 
 
 class TestSturmCounts:
-    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
-    def test_blocked_matches_guarded(self, n):
-        rng = np.random.default_rng(n)
-        d = rng.normal(size=n)
-        e = rng.normal(size=n - 1)
-        bound = _norm_bound(d, e)
-        shifts = np.concatenate([np.linspace(-bound, bound, 200), d[:56]])
-        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
-        np.testing.assert_array_equal(blocked, reference)
-        assert reference[0] == 0 and reference[199] == n
-
     @pytest.mark.parametrize("n", [2, 129, 300])
-    def test_split_matrix_nan_pivot(self, n, guarded_blocks):
-        # a shift equal to d[i] with e[i] = 0 makes the pivot of row i zero
-        # and the unguarded recurrence divide 0 by 0 at row i + 1
+    def test_split_matrix_nan_pivot(self, n):
+        # a shift equal to d[i] with e[i - 1] = 0 makes the pivot of row i
+        # exactly zero, where an unguarded recurrence would divide 0 by 0 at
+        # row i + 1.  Two-row blocks keep every eigenvalue off the shifts but
+        # those of the one-row block of row 0, which the shift d[0] must count
         rng = np.random.default_rng(7 + n)
         d = rng.integers(-3, 4, size=n).astype(float)
         e = rng.normal(size=n - 1)
-        e[::3] = 0.0
+        e[::2] = 0.0
         shifts = np.unique(np.concatenate([d, d + 0.5]))
-        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
-        np.testing.assert_array_equal(blocked, reference)
-        assert guarded_blocks
+        np.testing.assert_array_equal(_counts(d, e, shifts), _dense_counts(d, e, shifts))
 
-    def test_tiny_positive_pivot_counts_negative(self, guarded_blocks):
-        # pivots in (0, pivmin] count as negative in the guarded recurrence,
-        # so a block holding one must not be counted by sign
+    def test_tiny_positive_pivot_counts_negative(self):
+        # pivots in (0, pivmin] count as negative in the stebz recurrence,
+        # although the eigenvalues 1e-310 and 5e-311 lie above the shift 0
         d = np.array([1e-310, 5e-311, 1.0])
-        blocked, reference = _blocked_and_guarded_counts(d, np.zeros(2), [0.0, 0.5])
-        np.testing.assert_array_equal(reference, [2, 2])
-        np.testing.assert_array_equal(blocked, reference)
-        assert guarded_blocks == [3]
+        np.testing.assert_array_equal(_counts(d, np.zeros(2), [0.0, 0.5]), [2, 2])
 
-    def test_laplacian_zero_pivots_mid_block(self, guarded_blocks):
-        # constant diagonal: the shifts 1 and 3 of the first bisection pass
-        # over the Gershgorin interval [0, 4] give exact zero pivots every
-        # third row, inside the blocks
+    def test_laplacian_zero_pivots_mid_block(self):
+        # constant diagonal: the shifts 1 and 3 over the Gershgorin interval
+        # [0, 4] give exact zero pivots every third row
         n = 300
         d = np.full(n, 2.0)
         e = np.full(n - 1, -1.0)
         shifts = 4.0 * np.arange(1, 256) / 256
-        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
-        np.testing.assert_array_equal(blocked, reference)
-        assert len(guarded_blocks) >= 3
+        np.testing.assert_array_equal(_counts(d, e, shifts), _dense_counts(d, e, shifts))
         values = symtridiag_eigenvalues(d, e, count=5)
         np.testing.assert_allclose(values, _dense_eigenvalues(d, e)[:5], rtol=0, atol=1e-14)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(1, 300),
-        log_scale=st.floats(-6.0, 6.0),
-        split=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_blocked_matches_guarded_property(self, n, log_scale, split, seed):
-        rng = np.random.default_rng(seed)
-        scale = 10.0**log_scale
-        d = scale * rng.integers(-4, 5, size=n) / 4
-        e = scale * rng.normal(size=n - 1)
-        if split:
-            e[rng.random(n - 1) < 0.3] = 0.0
-        bound = _norm_bound(d, e)
-        shifts = np.concatenate([rng.uniform(-bound, bound, 100), rng.choice(d, 28)])
-        blocked, reference = _blocked_and_guarded_counts(d, e, shifts)
-        np.testing.assert_array_equal(blocked, reference)
-
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -139,10 +95,10 @@ class TestSturmCounts:
         split=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_guarded_matches_dense_property(self, n, log_scale, split, seed):
-        # an oracle shared with neither Sturm loop: dense eigenvalues, with
-        # every shift kept clear of them by far more than the rounding of
-        # either route, so the counts are exact
+    def test_counts_match_dense_property(self, n, log_scale, split, seed):
+        # an oracle that shares nothing with the Sturm loop: dense
+        # eigenvalues, with every shift kept clear of them by far more than
+        # the rounding of either route, so the counts are exact
         rng = np.random.default_rng(seed)
         scale = 10.0**log_scale
         d = scale * rng.integers(-4, 5, size=n) / 4
@@ -157,48 +113,8 @@ class TestSturmCounts:
         )
         gaps = np.abs(candidates[:, None] - values[None, :]).min(axis=1)
         shifts = candidates[gaps > clearance]
-        e2 = np.append(0.0, e * e)
-        pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(e2)))
-        below = np.zeros(shifts.size, dtype=np.int64)
-        _guarded_counts(d, e2, pivmin, shifts, np.full(shifts.size, np.inf), below)
         expected = np.searchsorted(values, shifts, side="right")
-        np.testing.assert_array_equal(below, expected)
-
-    @pytest.mark.parametrize("split", [1, 64, 150, 299])
-    def test_guarded_pivots_carry_across_calls(self, split):
-        # the zero couplings make exact zero pivots, so the guard acts on
-        # both sides of the split
-        rng = np.random.default_rng(split)
-        n = 300
-        d = rng.integers(-3, 4, size=n).astype(float)
-        e = rng.normal(size=n - 1)
-        e[::5] = 0.0
-        e2 = np.append(0.0, e * e)
-        pivmin = float(np.finfo(float).tiny) * float(np.max(e2))
-        shifts = np.concatenate([np.arange(-3.0, 4.0), rng.uniform(-6.0, 6.0, 9)])
-        runs = []
-        for pieces in ([slice(0, n)], [slice(0, split), slice(split, n)]):
-            q = np.full(shifts.size, np.inf)
-            below = np.zeros(shifts.size, dtype=np.int64)
-            for rows in pieces:
-                _guarded_counts(d[rows], e2[rows], pivmin, shifts, q, below)
-            runs.append((q, below))
-        (q_one, below_one), (q_two, below_two) = runs
-        np.testing.assert_array_equal(below_two, below_one)
-        assert q_two.tobytes() == q_one.tobytes()
-
-    def test_window_counts_skip_blocked_loop(self, monkeypatch):
-        def blocked(*args):
-            raise AssertionError("sturm_window_counts entered _sturm_counts")
-
-        monkeypatch.setattr(eigensolve, "_sturm_counts", blocked)
-        rng = np.random.default_rng(17)
-        d = rng.normal(size=200)
-        e = rng.normal(size=199)
-        values = _dense_eigenvalues(d, e)
-        rho, lower, upper = sturm_window_counts(d, e, values[:4], np.full(4, 1e-9))
-        assert np.all(rho >= 1e-9)
-        assert lower.tolist() == [0, 1, 2, 3] and upper.tolist() == [1, 2, 3, 4]
+        np.testing.assert_array_equal(_counts(d, e, shifts), expected)
 
 
 class TestSymtridiag:

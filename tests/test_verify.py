@@ -194,6 +194,22 @@ def test_weak_coupling_cot_stream_config_is_certified(bisection):
     np.testing.assert_allclose(values, [0.00114, 2.7837, 7.5977, 14.443], rtol=1e-4, atol=1e-5)
 
 
+def test_bisection_matches_dense_on_weak_coupling_cot_lattice(monkeypatch):
+    # bisection, the fallback of numeric_epsilons, on the pole lattice of the
+    # config above: stiff (hbar^2/h^2 about 1e5) with an attractive cosec^2
+    # term next to each pole
+    matrices = []
+    monkeypatch.setattr(
+        gdo.verify, "seeded_eigenvalues", lambda d, e, seeds: matrices.append((d, e)) or seeds
+    )
+    spec = CotInteraction(A=0.87574, alpha=1.00745, a=0.05072, b=0.15153)
+    numeric_epsilons(spec, Grid(0.0, 1.0, 1001), load_config(CONFIGS / "cot.json").constants, 4)
+    [(d, e)] = matrices
+    atol = np.finfo(float).eps * float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    values = symtridiag_eigenvalues(d, e, count=4)
+    np.testing.assert_allclose(values, _dense(d, e)[:4], rtol=0, atol=10 * atol)
+
+
 def _cot_deviation(s: float, n_points: int) -> float:
     """eigenvalues_numeric's deviation for cot A = s at alpha = hbar = 1."""
     config = load_config(CONFIGS / "cot.json")
