@@ -1,10 +1,11 @@
 """Command-line front end: JSON configs in, JSON/CSV artifacts out.
 
 Exit codes: 0 every requested check passed, 1 a verification or range check
-failed, 2 the input could not be understood or the artifact could not be
-written.  GDO_LOG in {quiet, info, debug} sets the level of the gdo logger,
-whose diagnostics go to stderr, on every call of main; unset, the logger
-keeps the level it has (WARNING in a fresh process).  Artifact bytes are
+failed, 2 the input could not be understood, asks for what its interaction
+family does not support (closed-form eigenfunctions of the linear family),
+or the artifact could not be written.  GDO_LOG in {quiet, info, debug} sets
+the level of the gdo logger, whose diagnostics go to stderr, on every call of
+main; unset, the logger keeps the level it has (WARNING in a fresh process).  Artifact bytes are
 deterministic for a given configuration.
 """
 
@@ -19,7 +20,7 @@ import sys
 from time import perf_counter
 
 from .config import RunConfig, dumps_canonical, load_config
-from .errors import ConfigError, GdoError
+from .errors import ConfigError, GdoError, UnsupportedError
 from .interactions import check_pseudo_hermiticity_condition, default_condition_grid
 from .models import ground_state_structure, oscillator_models, spin_flip
 from .spectra import analytic_spinor
@@ -67,14 +68,7 @@ def cmd_check(config: RunConfig, args) -> int:
         config.constants,
         tol=config.tolerances.condition,
     )
-    payload = {
-        "theta_used": report.theta_used,
-        "max_deviation": report.max_deviation,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "worst_point": report.worst_point,
-    }
-    _emit(dumps_canonical(payload) + "\n", args.out)
+    _emit(dumps_canonical(dataclasses.asdict(report)) + "\n", args.out)
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
@@ -111,15 +105,7 @@ def cmd_verify(config: RunConfig, args) -> int:
     report = verify_all(config)
     runtime = perf_counter() - t0
     payload = {
-        "checks": [
-            {
-                "name": c.name,
-                "measured": float(c.measured),
-                "threshold": float(c.threshold),
-                "passed": bool(c.passed),
-            }
-            for c in report.checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in report.checks],
         "overall": report.overall,
     }
     if config.mode == "real_line" and config.interaction.kind == "cot":
@@ -212,7 +198,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     try:
         return _HANDLERS[args.command](config, args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedError) as exc:
         print(f"gdo: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except GdoError as exc:

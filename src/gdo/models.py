@@ -26,7 +26,7 @@ from .interactions import (
     PhysicalConstants,
     negated,
 )
-from .operators import OperatorMatrix, assemble_ladder, const_diag_block
+from .operators import OperatorMatrix, assemble_ladder
 from .spectra import analytic_spinor
 
 _MODEL_KINDS = ("gajc", "gjc")
@@ -91,15 +91,10 @@ def assemble_model(
 ) -> OperatorMatrix:
     """[[delta, W A#], [W A, -delta]] for GAJC; ladder blocks swapped for GJC."""
     lower, raise_ = assemble_ladder(ms.interaction, grid, consts)
-    n = grid.n_points
-    top = const_diag_block(ms.delta, n, "+delta")
-    bottom = const_diag_block(-ms.delta, n, "-delta")
     w = ms.omega_coupling
     if ms.kind == "gajc":
-        off_upper, off_lower = raise_.scaled(w), lower.scaled(w)
-    else:
-        off_upper, off_lower = lower.scaled(w), raise_.scaled(w)
-    return OperatorMatrix.two_component(((top, off_upper), (off_lower, bottom)), label=ms.kind)
+        return OperatorMatrix.two_level(ms.delta, raise_.scaled(w), lower.scaled(w))
+    return OperatorMatrix.two_level(ms.delta, lower.scaled(w), raise_.scaled(w))
 
 
 def spin_flip(ms: ModelSpec) -> ModelSpec:

@@ -4,10 +4,13 @@ Conventions fixed here and relied on everywhere else:
 
 * momentum is the antisymmetric central first difference times -i*hbar, with
   Dirichlet truncation at both ends, so the matrix is exactly Hermitian;
+  momentum_operator owns this stencil and assemble_ladder reuses its bands;
 * the second-derivative operator is the three-point Laplacian with implicit
   zeros one step outside the grid (all grid points are active unknowns);
-* two-component matrices are stored as four tridiagonal blocks acting on the
-  stacked vector (psi1 stacked over psi2).
+  assemble_schrodinger owns this stencil;
+* two-component matrices act on the stacked vector (psi1 stacked over psi2)
+  and are stored as [[delta I, U], [L, -delta I]] with tridiagonal U and L,
+  the one shape of the oscillator Hamiltonian and of both two-level models.
 """
 
 from __future__ import annotations
@@ -32,117 +35,91 @@ from .interactions import (
 
 
 class OperatorMatrix:
-    """Complex square matrix in one of two storage kinds: tridiagonal or block.
+    """Complex square matrix in one of two storage kinds: tridiagonal or two-level.
 
-    Tridiagonal storage keeps (sub, diag, sup); block storage keeps four
-    tridiagonal OperatorMatrix instances for the stacked two-component
-    ordering.  Dense conversion is meant for modest dimensions (tests),
-    matvec works at any size.
+    Tridiagonal storage keeps the bands (sub, diag, sup).  Two-level storage
+    keeps (delta, upper, lower) for [[delta I, upper], [lower, -delta I]] on
+    the stacked two-component vector, upper and lower being tridiagonal
+    OperatorMatrix instances of equal size.  Dense conversion is meant for
+    modest dimensions (tests), matvec works at any size.
     """
 
-    __slots__ = ("dim", "label", "_kind", "_sub", "_diag", "_sup", "_blocks")
+    __slots__ = ("dim", "_bands", "_two_level")
 
     def __init__(self):
-        raise TypeError("use OperatorMatrix.tridiagonal / .two_component")
+        raise TypeError("use OperatorMatrix.tridiagonal / .two_level")
 
     @classmethod
-    def _blank(cls):
-        return object.__new__(cls)
-
-    @classmethod
-    def tridiagonal(cls, sub, diag, sup, label: str = "") -> "OperatorMatrix":
-        self = cls._blank()
+    def tridiagonal(cls, sub, diag, sup) -> "OperatorMatrix":
         d = np.asarray(diag, dtype=complex)
         lo = np.asarray(sub, dtype=complex)
         hi = np.asarray(sup, dtype=complex)
         if lo.shape != (d.size - 1,) or hi.shape != (d.size - 1,):
             raise DimensionError("off-diagonals must have length dim - 1")
+        self = object.__new__(cls)
         self.dim = d.size
-        self.label = label
-        self._kind = "tridiagonal"
-        self._sub, self._diag, self._sup = lo, d, hi
-        self._blocks = None
+        self._bands = (lo, d, hi)
+        self._two_level = None
         return self
 
     @classmethod
-    def two_component(cls, blocks, label: str = "") -> "OperatorMatrix":
-        (b11, b12), (b21, b22) = blocks
-        n = b11.dim
-        for blk in (b11, b12, b21, b22):
-            if blk._kind != "tridiagonal" or blk.dim != n:
-                raise DimensionError("two-component storage needs four tridiagonal blocks of equal size")
-        self = cls._blank()
-        self.dim = 2 * n
-        self.label = label
-        self._kind = "block"
-        self._blocks = ((b11, b12), (b21, b22))
-        self._sub = self._diag = self._sup = None
+    def two_level(cls, delta, upper, lower) -> "OperatorMatrix":
+        if upper._bands is None or lower._bands is None or upper.dim != lower.dim:
+            raise DimensionError("two-level storage needs two tridiagonal blocks of equal size")
+        self = object.__new__(cls)
+        self.dim = 2 * upper.dim
+        self._bands = None
+        self._two_level = (complex(delta), upper, lower)
         return self
 
     @property
     def bands(self):
-        if self._kind != "tridiagonal":
-            raise UnsupportedError(f"{self.label or 'matrix'} is not tridiagonal")
-        return self._sub, self._diag, self._sup
+        if self._bands is None:
+            raise UnsupportedError("a two-level matrix is not tridiagonal")
+        return self._bands
 
     def scaled(self, factor) -> "OperatorMatrix":
-        if self._kind == "tridiagonal":
-            return OperatorMatrix.tridiagonal(
-                factor * self._sub, factor * self._diag, factor * self._sup, self.label
-            )
-        (b11, b12), (b21, b22) = self._blocks
-        return OperatorMatrix.two_component(
-            ((b11.scaled(factor), b12.scaled(factor)), (b21.scaled(factor), b22.scaled(factor))),
-            self.label,
-        )
+        sub, diag, sup = self.bands
+        return OperatorMatrix.tridiagonal(factor * sub, factor * diag, factor * sup)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         w = np.asarray(v, dtype=complex)
         if w.shape != (self.dim,):
             raise DimensionError(f"vector length {w.shape} does not match dim {self.dim}")
-        if self._kind == "tridiagonal":
-            out = self._diag * w
-            out[:-1] += self._sup * w[1:]
-            out[1:] += self._sub * w[:-1]
+        if self._bands is not None:
+            sub, diag, sup = self._bands
+            out = diag * w
+            out[:-1] += sup * w[1:]
+            out[1:] += sub * w[:-1]
             return out
-        (b11, b12), (b21, b22) = self._blocks
-        n = self.dim // 2
+        delta, upper, lower = self._two_level
+        n = upper.dim
         v1, v2 = w[:n], w[n:]
-        return np.concatenate([b11.matvec(v1) + b12.matvec(v2), b21.matvec(v1) + b22.matvec(v2)])
+        return np.concatenate([delta * v1 + upper.matvec(v2), lower.matvec(v1) - delta * v2])
 
     def to_dense(self) -> np.ndarray:
-        if self._kind == "tridiagonal":
-            out = np.diag(self._diag)
-            out += np.diag(self._sup, 1)
-            out += np.diag(self._sub, -1)
-            return out
-        (b11, b12), (b21, b22) = self._blocks
-        return np.block(
-            [[b11.to_dense(), b12.to_dense()], [b21.to_dense(), b22.to_dense()]]
-        )
+        if self._bands is not None:
+            sub, diag, sup = self._bands
+            return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+        delta, upper, lower = self._two_level
+        top = np.diag(np.full(upper.dim, delta))
+        return np.block([[top, upper.to_dense()], [lower.to_dense(), -top]])
 
     def max_abs_diff(self, other: "OperatorMatrix") -> float:
         """Max-norm of the difference, structure-aware so 2N x 2N never densifies."""
-        if self.dim != other.dim or self._kind != other._kind:
+        if self.dim != other.dim or (self._bands is None) != (other._bands is None):
             raise DimensionError("matrices differ in dimension or storage kind")
-        if self._kind == "tridiagonal":
-            return max(
-                float(np.max(np.abs(self._sub - other._sub), initial=0.0)),
-                float(np.max(np.abs(self._diag - other._diag))),
-                float(np.max(np.abs(self._sup - other._sup), initial=0.0)),
-            )
-        return max(
-            a.max_abs_diff(b)
-            for row_a, row_b in zip(self._blocks, other._blocks)
-            for a, b in zip(row_a, row_b)
-        )
+        if self._bands is not None:
+            pairs = zip(self._bands, other._bands)
+            return max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in pairs)
+        (d1, u1, l1), (d2, u2, l2) = self._two_level, other._two_level
+        return max(abs(d1 - d2), u1.max_abs_diff(u2), l1.max_abs_diff(l2))
 
 
 @dataclass(frozen=True)
 class EffectivePotentialSample:
     """Both partner potentials f^2 -/+ hbar f' sampled on one grid."""
 
-    grid: Grid
     v_minus: np.ndarray
     v_plus: np.ndarray
 
@@ -155,7 +132,6 @@ def momentum_operator(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS)
         np.full(n - 1, 1j * coef),
         np.zeros(n, dtype=complex),
         np.full(n - 1, -1j * coef),
-        label="p",
     )
 
 
@@ -166,7 +142,7 @@ def effective_potentials(
     x = grid.points.astype(complex)
     f = eval_f(spec, x, consts)
     fp = eval_f_prime(spec, x, consts)
-    return EffectivePotentialSample(grid, f * f - consts.hbar * fp, f * f + consts.hbar * fp)
+    return EffectivePotentialSample(f * f - consts.hbar * fp, f * f + consts.hbar * fp)
 
 
 def closed_form_potentials(
@@ -199,7 +175,7 @@ def closed_form_potentials(
         vp = sq + hb * mw * spec.sign
     else:
         raise UnsupportedError(f"unknown interaction {spec!r}")
-    return EffectivePotentialSample(grid, np.asarray(vm, complex), np.asarray(vp, complex))
+    return EffectivePotentialSample(np.asarray(vm, complex), np.asarray(vp, complex))
 
 
 def assemble_ladder(
@@ -208,18 +184,10 @@ def assemble_ladder(
     """Lowering/raising pair (p - i f, p + i f) as tridiagonal matrices."""
     x = grid.points.astype(complex)
     f = eval_f(spec, x, consts)
-    n = grid.n_points
-    coef = consts.hbar / (2.0 * grid.spacing)
-    sub = np.full(n - 1, 1j * coef)
-    sup = np.full(n - 1, -1j * coef)
-    lower = OperatorMatrix.tridiagonal(sub, -1j * f, sup, label="A")
-    raise_ = OperatorMatrix.tridiagonal(sub.copy(), 1j * f, sup.copy(), label="A#")
+    sub, _, sup = momentum_operator(grid, consts).bands
+    lower = OperatorMatrix.tridiagonal(sub, -1j * f, sup)
+    raise_ = OperatorMatrix.tridiagonal(sub, 1j * f, sup)
     return lower, raise_
-
-
-def const_diag_block(value: complex, n: int, label: str) -> OperatorMatrix:
-    zeros = np.zeros(n - 1, dtype=complex)
-    return OperatorMatrix.tridiagonal(zeros, np.full(n, value, dtype=complex), zeros.copy(), label)
 
 
 def assemble_dirac(
@@ -227,14 +195,8 @@ def assemble_dirac(
 ) -> OperatorMatrix:
     """Two-component Hamiltonian [[mc^2, c(p + i f)], [c(p - i f), -mc^2]]."""
     lower, raise_ = assemble_ladder(spec, grid, consts)
-    mc2 = consts.mass * consts.c**2
-    n = grid.n_points
-    return OperatorMatrix.two_component(
-        (
-            (const_diag_block(mc2, n, "+mc2"), raise_.scaled(consts.c)),
-            (lower.scaled(consts.c), const_diag_block(-mc2, n, "-mc2")),
-        ),
-        label="H",
+    return OperatorMatrix.two_level(
+        consts.mass * consts.c**2, raise_.scaled(consts.c), lower.scaled(consts.c)
     )
 
 
@@ -250,4 +212,4 @@ def assemble_schrodinger(
     h = grid.spacing
     k = consts.hbar**2 / (h * h)
     off = np.full(grid.n_points - 1, -k, dtype=complex)
-    return OperatorMatrix.tridiagonal(off, 2.0 * k + vv, off.copy(), label="schrodinger")
+    return OperatorMatrix.tridiagonal(off, 2.0 * k + vv, off)

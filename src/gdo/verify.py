@@ -117,11 +117,8 @@ def numeric_epsilons(
         solve_grid = grid
         real_spec = hermitian_equivalent_interaction(spec, consts)
     sample = closed_form_potentials(real_spec, solve_grid, consts)
-    v = sample.v_minus.real
-    h = solve_grid.spacing
-    k = consts.hbar**2 / (h * h)
-    diag = 2.0 * k + v
-    off = np.full(solve_grid.n_points - 1, -k)
+    off, diag, _ = assemble_schrodinger(sample.v_minus, solve_grid, consts).bands
+    diag, off = diag.real, off.real
     try:
         seeds = [epsilon_minus(real_spec, level, consts) for level in range(count)]
     except GdoError:

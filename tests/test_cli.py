@@ -135,6 +135,35 @@ def test_malformed_input_exits_2(tmp_path, capsys, config, out, message):
     assert err.count("\n") == 1
 
 
+_LINEAR = {
+    "interaction": {"kind": "linear", "omega": 1.0},
+    "grid": {"x_min": -8, "x_max": 8, "n_points": 801},
+}
+
+
+# the linear family has a closed-form spectrum but no closed-form eigenfunctions
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["models"], ["wavefunction", "--level", "1"]],
+    ids=["verify", "models", "wavefunction"],
+)
+def test_unsupported_family_exits_2(tmp_path, capsys, command):
+    path = _write(tmp_path, _LINEAR)
+    out = tmp_path / "artifact"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("gdo: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["check"], ["spectrum", "--numeric"]], ids=["check", "spectrum"])
+def test_linear_family_checks_and_spectrum_run(tmp_path, command):
+    path = _write(tmp_path, _LINEAR)
+    out = tmp_path / "artifact.json"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == EXIT_OK
+    json.loads(out.read_bytes())
+
+
 def test_integral_float_fields_are_accepted(tmp_path):
     def as_floats(data):
         data["levels"] = 4.0

@@ -53,6 +53,12 @@ class TestAssembly:
         expected = np.diag(np.concatenate([np.full(21, 2.0), np.full(21, -2.0)]))
         np.testing.assert_array_equal(matrix, expected)
 
+    def test_detuning_difference(self, morse_spec):
+        grid = Grid(-2.0, 2.0, 41)
+        a = assemble_model(ModelSpec("gjc", 1.3, 1.0, morse_spec), grid)
+        b = assemble_model(ModelSpec("gjc", 1.3, 1.5, morse_spec), grid)
+        assert a.max_abs_diff(b) == 0.5
+
     def test_negative_coupling_rejected(self, morse_spec):
         with pytest.raises(ParameterError):
             ModelSpec("gajc", -1.0, 1.0, morse_spec)

@@ -58,6 +58,17 @@ class TestOperatorMatrix:
         v = rng.normal(size=42) + 1j * rng.normal(size=42)
         np.testing.assert_allclose(h.matvec(v), h.to_dense() @ v, atol=1e-12)
 
+    def test_two_level_needs_equal_tridiagonal_blocks(self, morse_spec):
+        p = momentum_operator(Grid(-1.0, 1.0, 10))
+        with pytest.raises(DimensionError):
+            OperatorMatrix.two_level(1.0, p, momentum_operator(Grid(-1.0, 1.0, 11)))
+        # a two-level block of the same dimension is still rejected
+        nested = assemble_dirac(morse_spec, Grid(-1.0, 1.0, 5))
+        assert nested.dim == p.dim
+        for upper, lower in ((nested, p), (p, nested)):
+            with pytest.raises(DimensionError):
+                OperatorMatrix.two_level(1.0, upper, lower)
+
     def test_dimension_mismatch(self):
         m = OperatorMatrix.tridiagonal([0.0], [1.0, 1.0], [0.0])
         with pytest.raises(DimensionError):
