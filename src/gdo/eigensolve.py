@@ -1,4 +1,4 @@
-"""In-repo eigenvalue oracles: Sturm counts and bisection, and complex inverse iteration.
+"""In-repo eigenvalue oracles: Sturm counts and bisection, and inverse iteration.
 
 These are deliberately self-contained so every closed-form level in the
 package can be cross-checked against an independent numerical route.  A
@@ -7,17 +7,26 @@ Rayleigh value with its residual) is certified by sturm_window_counts; the
 lowest levels of a matrix with no such estimate come from the bisection of
 symtridiag_eigenvalues.  Both count eigenvalues with the one stebz loop of
 _sturm_counts.
+
+Inverse iteration at several shifts runs as one solve: the blocks T - s_k I
+are stacked along the diagonal of one tridiagonal matrix with exactly zero
+couplings between them, and one cyclic-reduction factorization serves every
+shift.  The solve runs in the dtype of the bands and shifts, so a real
+symmetric T with real shifts is solved in float64.  inverse_iteration is the
+one-shift case of the same loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError, SingularPivotError
-from .operators import OperatorMatrix
+from .errors import ConvergenceError, DimensionError, DomainError, GdoError, SingularPivotError
+from .operators import OperatorMatrix, band_matvec
 
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
@@ -51,23 +60,39 @@ def _sturm_counts(d, e2, pivmin, shifts):
     return np.array(below, dtype=np.int64)
 
 
-def _cyclic_reduction_factor(sub, diag, sup):
-    """Odd-even cyclic reduction of a tridiagonal matrix; None if a pivot is tiny.
+def _cyclic_reduction_factor(sub, diag, sup, shifts):
+    """Odd-even cyclic reduction of the T - s I stacked per shift; None if a pivot is tiny.
 
-    The system is padded with identity rows to 2^k - 1 rows, so every level
-    has an odd size: its even rows are eliminated and its odd rows form the
-    next level (Hockney, J. ACM 12 (1965) 95; Buzbee, Golub & Nielson, SIAM
-    J. Numer. Anal. 7 (1970) 627).  Each level keeps its reciprocal pivots,
-    its back-substitution weights and the multipliers that reduce a
-    right-hand side.  Unpivoted: a pivot that is non-finite or below
-    TINY_PIVOT in magnitude stops the factorization.
+    T is the n-row tridiagonal (sub, diag, sup).  Block k of the stack is
+    T - shifts[k] I padded with identity rows to 2^m rows, the least power of
+    two above n, and the couplings between blocks are exactly zero.  The
+    identity row ending the last block is dropped and the stack padded with
+    identity rows to 2^k - 1 rows, so every level has an odd size: its even
+    rows are eliminated and its odd rows form the next level (Hockney, J. ACM
+    12 (1965) 95; Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
+    627).  Each block starts at a multiple of 2^m, so it meets the same
+    arithmetic on every level as it would alone, and a zero coupling stays
+    zero while the factors are finite.  A scalar shift gives T - s I padded
+    to 2^m - 1 rows.  Each level keeps its reciprocal pivots, its
+    back-substitution weights and the multipliers that reduce a right-hand
+    side.  Unpivoted: a pivot that is non-finite or below TINY_PIVOT in
+    magnitude stops the factorization.  The factors keep the dtype of the
+    bands and shifts, real or complex.
     """
     n = diag.shape[0]
-    size = (1 << n.bit_length()) - 1
-    a = np.zeros(size, dtype=complex)
-    b = np.ones(size, dtype=complex)
-    c = np.zeros(size, dtype=complex)
-    a[1:n], b[:n], c[: n - 1] = sub, diag, sup
+    shifts = np.asarray(shifts)
+    width = 1 << n.bit_length()
+    stacked = shifts.size * width
+    size = (1 << (stacked - 1).bit_length()) - 1
+    dtype = np.result_type(sub, diag, sup, shifts)
+    # one spare entry holds the dropped identity row while the blocks are filled
+    a = np.zeros(size + 1, dtype=dtype)
+    b = np.ones(size + 1, dtype=dtype)
+    c = np.zeros(size + 1, dtype=dtype)
+    a[:stacked].reshape(-1, width)[:, 1:n] = sub
+    b[:stacked].reshape(-1, width)[:, :n] = diag - shifts[..., None]
+    c[:stacked].reshape(-1, width)[:, : n - 1] = sup
+    a, b, c = a[:size], b[:size], c[:size]
     levels = []
     while b.size:
         pivots = b[::2]
@@ -82,9 +107,20 @@ def _cyclic_reduction_factor(sub, diag, sup):
 
 
 def _cyclic_reduction_solve(levels, rhs):
-    """Solve with a factorization from _cyclic_reduction_factor."""
-    f = np.zeros(2 * levels[0][0].size - 1, dtype=complex)
-    f[: rhs.size] = rhs
+    """Solve with a factorization from _cyclic_reduction_factor.
+
+    rhs holds one n-vector per shift of the factorization, as a (shifts, n)
+    array, or a single n-vector for one shift, in the factorization's dtype;
+    the solution has its shape.
+    """
+    dtype = levels[0][0].dtype
+    size = 2 * levels[0][0].size - 1
+    blocks = rhs.reshape(-1, rhs.shape[-1])
+    count, n = blocks.shape
+    width = 1 << n.bit_length()
+    f = np.zeros(size + 1, dtype=dtype)
+    f[: count * width].reshape(count, width)[:, :n] = blocks
+    f = f[:size]
     reduced = []
     for _, _, _, alpha, gamma in levels:
         reduced.append(f)
@@ -94,11 +130,13 @@ def _cyclic_reduction_solve(levels, rhs):
         # padded[1 : m + 1] is this level's solution: the coarser level fills
         # its odd rows, and the zero ends stand for the missing neighbours
         m = f.size
-        padded = np.zeros(m + 2, dtype=complex)
+        padded = np.empty(m + 2, dtype=dtype)
+        padded[0] = padded[m + 1] = 0.0
         padded[2:m:2] = x
         padded[1 : m + 1 : 2] = inv * f[::2] - left * padded[:m:2] - right * padded[2::2]
         x = padded[1 : m + 1]
-    return x[: rhs.size]
+    # the dropped identity row, if any, solves to the zero end padded[m + 1]
+    return padded[1 : 1 + count * width].reshape(count, width)[:, :n].reshape(rhs.shape)
 
 
 def _stebz_bounds(d, e):
@@ -215,7 +253,14 @@ def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
 def _start_vector(n: int) -> np.ndarray:
     # all-ones with a fixed ripple so no eigenvector is accidentally orthogonal
     v = 1.0 + 0.01 * np.sin(1.0 + np.arange(n))
-    return (v / np.linalg.norm(v)).astype(complex)
+    return v / np.linalg.norm(v)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed as np.linalg.norm sums one vector."""
+    if x.dtype.kind == "c":
+        return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+    return np.sqrt(np.vecdot(x, x))
 
 
 def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
@@ -229,6 +274,93 @@ def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
     return complex(np.vdot(w, matrix.matvec(w)) / nrm2)
 
 
+def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int, matvec):
+    """Fixed-shift inverse iteration at every shift at once; None on a breakdown.
+
+    One factorization of the stack of the T - shifts[k] I serves every
+    iteration of every shift.  The iterates form a (shifts, n) stack, or a
+    single n-vector for a 0-d shift, which keeps the arithmetic of one shift
+    that of one vector; matvec multiplies each row of such a stack by T.  A
+    block whose residual drops to tol keeps that iteration's values and gets
+    a zero right-hand side from then on.  Returns one EigenResult per shift,
+    with converged False for a shift still above tol after max_iter
+    iterations, or None when a pivot breaks down or an iterate is not
+    finite: 0 * inf at a block boundary is NaN, which can spread to the next
+    block.
+    """
+    sub, diag, sup = bands
+    levels = _cyclic_reduction_factor(sub, diag, sup, shifts)
+    if levels is None:
+        return None
+    n = diag.size
+    v = np.broadcast_to(_start_vector(n), shifts.shape + (n,))
+    live = np.ones(shifts.shape, dtype=bool)
+    pending = shifts.size
+    results: List[Optional[EigenResult]] = [None] * shifts.size
+
+    def record(blocks, iterations, converged):
+        rows, values, norms = v.reshape(-1, n), eigenvalues.reshape(-1), residuals.reshape(-1)
+        for k in np.flatnonzero(blocks).tolist():
+            results[k] = EigenResult(
+                complex(values[k]), rows[k], float(norms[k]), iterations, converged
+            )
+
+    for iteration in range(1, max_iter + 1):
+        v = _cyclic_reduction_solve(levels, v)
+        if not np.all(np.isfinite(v)):
+            return None
+        norms = _row_norms(v)
+        if pending < shifts.size:
+            # a converged block solved for zero: dividing by one keeps it zero
+            norms[~live] = 1.0
+        # a new array: dividing in the solve's buffer is slower
+        v = v / norms[..., None]
+        mv = matvec(v)
+        eigenvalues = np.vecdot(v, mv)
+        residuals = _row_norms(mv - eigenvalues[..., None] * v)
+        if pending < shifts.size:
+            # and its residual of zero must not count again
+            residuals[~live] = np.inf
+        done = residuals <= tol
+        converged = np.count_nonzero(done)
+        if converged:
+            record(done, iteration, True)
+            pending -= converged
+            if not pending:
+                return results
+            live &= ~done
+            # a new array: the recorded eigenvectors are rows of this one
+            v = np.where(done[..., None], 0.0, v)
+    record(live, max_iter, False)
+    return results
+
+
+def _stall(shift, result: EigenResult, tol: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"inverse iteration at shift {shift} stalled: residual {result.residual_norm:.3e} "
+        f"after {result.iterations} iterations (tol {tol:.1e})"
+    )
+
+
+def _nudged_inverse_iteration(bands, shift, tol: float, max_iter: int, matvec) -> EigenResult:
+    # one shift; on a breakdown the shift moves by 1e-12 ||T||, then ten and a
+    # hundred times that
+    sub, diag, _ = bands
+    scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))
+    for attempt in range(4):
+        sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
+        results = _stacked_iteration(bands, np.asarray(sigma), tol, max_iter, matvec)
+        if results is None:
+            continue
+        [result] = results
+        if not result.converged:
+            raise _stall(shift, result, tol)
+        return result
+    raise SingularPivotError(
+        f"tridiagonal elimination kept breaking down near shift {shift} after 3 retries"
+    )
+
+
 def inverse_iteration(
     matrix: OperatorMatrix,
     shift: complex,
@@ -240,43 +372,46 @@ def inverse_iteration(
     Fixed-shift iteration with a Rayleigh-quotient eigenvalue readout;
     convergence means the absolute residual ||M v - lambda v|| (unit v) drops
     below tol.  The shifted matrix is factored once by odd-even cyclic
-    reduction and every iteration reuses the factorization.  A shift landing
-    on an eigenvalue makes a pivot vanish or an iterate overflow; the shift is
-    then nudged by a 1e-12-scale perturbation, growing tenfold over at most
-    three retries.
+    reduction, padded with identity rows to 2^m - 1 rows, and every iteration
+    reuses the factorization; this is the one-shift case of
+    stacked_inverse_iteration's loop, in complex arithmetic since
+    OperatorMatrix stores complex bands.  A shift landing on an eigenvalue
+    makes a pivot vanish or an iterate overflow; the shift is then nudged by
+    a 1e-12-scale perturbation, growing tenfold over at most three retries.
 
     The reduction is unpivoted, like plain tridiagonal elimination, which is
     accurate for the diagonally dominant Schrodinger-style matrices this
     package builds; matrices whose shifted diagonal wanders through zero can
     stall at a solve-accuracy floor and end in ConvergenceError instead.
     """
-    sub, diag, sup = matrix.bands
-    n = matrix.dim
-    scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))
+    return _nudged_inverse_iteration(matrix.bands, shift, tol, max_iter, matrix.matvec)
 
-    for attempt in range(4):
-        sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
-        levels = _cyclic_reduction_factor(sub, diag - sigma, sup)
-        if levels is None:
-            continue
-        v = _start_vector(n)
-        eigenvalue = complex(shift)
-        residual = math.inf
-        for iteration in range(1, max_iter + 1):
-            x = _cyclic_reduction_solve(levels, v)
-            if not np.all(np.isfinite(x)):
-                break
-            v = x / np.linalg.norm(x)
-            mv = matrix.matvec(v)
-            eigenvalue = complex(np.vdot(v, mv))
-            residual = float(np.linalg.norm(mv - eigenvalue * v))
-            if residual <= tol:
-                return EigenResult(eigenvalue, v, residual, iteration, True)
-        else:
-            raise ConvergenceError(
-                f"inverse iteration at shift {shift} stalled: residual {residual:.3e} "
-                f"after {max_iter} iterations (tol {tol:.1e})"
-            )
-    raise SingularPivotError(
-        f"tridiagonal elimination kept breaking down near shift {shift} after 3 retries"
-    )
+
+def stacked_inverse_iteration(
+    bands, shifts, tol: float = 1e-8, max_iter: int = 100
+) -> List[Union[EigenResult, GdoError]]:
+    """inverse_iteration at every shift of one tridiagonal matrix, in one stacked solve.
+
+    bands is (sub, diag, sup); the solve runs in their dtype combined with
+    the shifts', so real bands with real shifts stay in float64 and each
+    eigenvector comes back in that dtype.  All shifts share one factorization
+    of the block-diagonal stack of the T - s_k I, and each block takes the
+    same iterations inverse_iteration would take at its shift.  If the
+    stacked factorization breaks down or an iterate is not finite, every
+    shift reruns alone with inverse_iteration's nudge-and-retry.  Returns, in
+    shift order, an EigenResult per shift or the GdoError that shift ended in.
+    """
+    shifts = np.asarray(shifts).reshape(-1)
+    if shifts.size == 0:
+        return []
+    matvec = functools.partial(band_matvec, bands)
+    results = _stacked_iteration(bands, shifts, tol, max_iter, matvec)
+    if results is not None:
+        return [r if r.converged else _stall(s, r, tol) for s, r in zip(shifts.tolist(), results)]
+    alone: List[Union[EigenResult, GdoError]] = []
+    for shift in shifts.tolist():
+        try:
+            alone.append(_nudged_inverse_iteration(bands, shift, tol, max_iter, matvec))
+        except GdoError as exc:
+            alone.append(exc)
+    return alone

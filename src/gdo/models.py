@@ -58,6 +58,8 @@ class GroundStateReport:
     ground_energy carries the stated convention (-delta for GAJC, +delta for
     GJC); rayleigh_quotient and residual record what the assembled matrix
     actually does on the sampled singlet, whose magnitude matches delta.
+    empty_component_zero says whether the sampled singlet's other component
+    is exactly zero at every grid point.
     """
 
     model_kind: str
@@ -66,6 +68,7 @@ class GroundStateReport:
     occupied_component: str
     rayleigh_quotient: complex
     residual: float
+    empty_component_zero: bool
 
 
 def oscillator_preset(interaction: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> ModelSpec:
@@ -140,9 +143,11 @@ def ground_state_structure(
     if ms.kind == "gajc":
         reported = -ms.delta
         spin, component = "up", "upper"
+        empty = sample.psi2
     else:
         reported = ms.delta
         spin, component = "down", "lower"
+        empty = sample.psi1
     return GroundStateReport(
         model_kind=ms.kind,
         ground_energy=reported,
@@ -150,4 +155,5 @@ def ground_state_structure(
         occupied_component=component,
         rayleigh_quotient=quotient,
         residual=residual,
+        empty_component_zero=float(np.max(np.abs(empty))) == 0.0,
     )

@@ -34,6 +34,19 @@ from .interactions import (
 )
 
 
+def band_matvec(bands, w: np.ndarray) -> np.ndarray:
+    """Tridiagonal (sub, diag, sup) times w, or times each row of a stack of vectors.
+
+    The product keeps the dtype the bands and w give it, so real bands on a
+    real w stay real.
+    """
+    sub, diag, sup = bands
+    out = diag * w
+    out[..., :-1] += sup * w[..., 1:]
+    out[..., 1:] += sub * w[..., :-1]
+    return out
+
+
 class OperatorMatrix:
     """Complex square matrix in one of two storage kinds: tridiagonal or two-level.
 
@@ -87,11 +100,7 @@ class OperatorMatrix:
         if w.shape != (self.dim,):
             raise DimensionError(f"vector length {w.shape} does not match dim {self.dim}")
         if self._bands is not None:
-            sub, diag, sup = self._bands
-            out = diag * w
-            out[:-1] += sup * w[1:]
-            out[1:] += sub * w[:-1]
-            return out
+            return band_matvec(self._bands, w)
         delta, upper, lower = self._two_level
         n = upper.dim
         v1, v2 = w[:n], w[n:]

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gdo.eigensolve
 from gdo import (
     ConvergenceError,
     DimensionError,
     DomainError,
     Grid,
+    SingularPivotError,
     OperatorMatrix,
     UnsupportedError,
     assemble_dirac,
@@ -18,7 +20,12 @@ from gdo import (
     rayleigh_quotient,
     symtridiag_eigenvalues,
 )
-from gdo.eigensolve import _cyclic_reduction_factor, _cyclic_reduction_solve, _sturm_counts
+from gdo.eigensolve import (
+    _cyclic_reduction_factor,
+    _cyclic_reduction_solve,
+    _sturm_counts,
+    stacked_inverse_iteration,
+)
 
 
 def _dense_eigenvalues(d, e):
@@ -267,7 +274,7 @@ class TestCyclicReduction:
         rhs = _complex_normal(rng, n)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         expected = np.linalg.solve(dense, rhs)
-        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag, sup), rhs)
+        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag, sup, 0.0), rhs)
         assert x.shape == (n,)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -289,7 +296,7 @@ class TestCyclicReduction:
         sigma = complex(shift_re, -shift_im if flip else shift_im)
         rhs = _complex_normal(rng, n)
         sub, diag, sup = m.bands
-        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag - sigma, sup), rhs)
+        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag, sup, sigma), rhs)
         residual = np.linalg.norm(m.matvec(x) - sigma * x - rhs)
         bound = _norm_bound(d - shift_re, e) + shift_im
         assert residual <= 1e-14 * (bound * np.linalg.norm(x) + np.linalg.norm(rhs))
@@ -299,8 +306,8 @@ class TestCyclicReduction:
         # the third is exactly 0: the shift 0 is an eigenvalue
         d = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0], dtype=complex)
         e = np.ones(6, dtype=complex)
-        assert _cyclic_reduction_factor(e, d, e) is None
-        assert len(_cyclic_reduction_factor(e, d - 1e-12, e)) == 3
+        assert _cyclic_reduction_factor(e, d, e, 0.0) is None
+        assert len(_cyclic_reduction_factor(e, d, e, 1e-12)) == 3
         m = OperatorMatrix.tridiagonal(e, d, e)
         assert abs(np.linalg.det(m.to_dense())) < 1e-12
         result = inverse_iteration(m, 0.0, tol=1e-10)
@@ -366,6 +373,99 @@ class TestInverseIteration:
         r2 = inverse_iteration(m, 0.5, tol=1e-10)
         assert r1.eigenvalue == r2.eigenvalue
         np.testing.assert_array_equal(r1.eigenvector, r2.eigenvector)
+
+
+class TestStackedInverseIteration:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        # sizes 2^m - 1 fill their blocks; the rest leave identity rows
+        n=st.integers(2, 40).filter(lambda n: n & (n + 1)),
+        complex_bands=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(-0.4, 0.4), min_size=0, max_size=5),
+        on_eigenvalue=st.booleans(),
+    )
+    def test_matches_one_shift_calls(self, n, complex_bands, seed, fractions, on_eigenvalue):
+        rng = np.random.default_rng(seed)
+        d = 3.0 * rng.normal(size=n)
+        e = rng.normal(size=n - 1)
+        if complex_bands:
+            d = d + 0.5j * rng.normal(size=n)
+            e = e + 0.2j * rng.normal(size=n - 1)
+        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        exact = np.linalg.eigvals(dense)
+        exact = exact[np.argsort(exact.real)]
+        # shift k moves from eigenvalue k by a fraction of its nearest gap
+        shifts = []
+        for k, fraction in enumerate(fractions[:n]):
+            gap = np.min(np.abs(np.delete(exact, k) - exact[k]))
+            shifts.append(exact[k] + fraction * gap)
+        if on_eigenvalue:
+            # with row 0 split off, d[0] is an exact eigenvalue: the shift
+            # d[0] makes a pivot exactly zero and the stacked factorization
+            # break down, next to the good shifts
+            e[0] = 0.0
+            shifts.insert(len(shifts) // 2, d[0])
+            shifts = shifts[:5]
+        shifts = np.array(shifts, dtype=complex if complex_bands else float)
+        if not complex_bands:
+            shifts = shifts.real
+
+        alone = gdo.eigensolve._nudged_inverse_iteration
+        reruns = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                gdo.eigensolve,
+                "_nudged_inverse_iteration",
+                lambda *args: reruns.append(args[1]) or alone(*args),
+            )
+            stacked = stacked_inverse_iteration((e, d, e), shifts)
+        if on_eigenvalue:
+            assert reruns == shifts.tolist()
+
+        matrix = OperatorMatrix.tridiagonal(e, d, e)
+        norm = _norm_bound(np.abs(d), np.abs(e))
+        assert len(stacked) == shifts.size
+        for shift, result in zip(shifts.tolist(), stacked):
+            try:
+                single = inverse_iteration(matrix, shift)
+            except (ConvergenceError, SingularPivotError) as exc:
+                assert type(result) is type(exc)
+                continue
+            assert result.converged
+            assert result.iterations == single.iterations
+            assert abs(result.eigenvalue - single.eigenvalue) <= 8 * np.finfo(float).eps * norm
+            v = result.eigenvector
+            assert v.dtype == shifts.dtype
+            direct = np.linalg.norm(matrix.matvec(v) - result.eigenvalue * v)
+            assert result.residual_norm <= 1e-8
+            assert direct == pytest.approx(result.residual_norm, rel=1e-6, abs=1e-14)
+
+    def test_overflowing_iterate_reruns_every_shift(self, monkeypatch):
+        # row 2 of T - 0 I keeps the pivot 1e-300, which the factorization
+        # accepts, but its back-substitution weight 1e9 / 1e-300 overflows:
+        # that block's iterate is infinite, and every shift reruns alone
+        sub, diag, sup = np.array([1.0, 1e9]), np.array([2.0, 1.0, 1e-300]), np.array([1.0, 0.0])
+        alone = gdo.eigensolve._nudged_inverse_iteration
+        reruns = []
+        monkeypatch.setattr(
+            gdo.eigensolve,
+            "_nudged_inverse_iteration",
+            lambda *args: reruns.append(args[1]) or alone(*args),
+        )
+        matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = stacked_inverse_iteration((sub, diag, sup), [0.0, 2.5])
+            assert reruns == [0.0, 2.5]
+            singles = [inverse_iteration(matrix, shift) for shift in (0.0, 2.5)]
+        for result, single in zip(stacked, singles):
+            assert result.converged
+            assert result.iterations == single.iterations
+            assert result.eigenvalue == single.eigenvalue
+
+    def test_no_shifts(self):
+        d = np.array([1.0, 2.0])
+        assert stacked_inverse_iteration((np.ones(1), d, np.ones(1)), []) == []
 
 
 class TestRayleighQuotient:

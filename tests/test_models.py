@@ -127,6 +127,7 @@ class TestGroundState:
         assert report.singlet_spin == "up"
         assert report.occupied_component == "upper"
         assert report.rayleigh_quotient == pytest.approx(1.0, abs=1e-12)
+        assert report.empty_component_zero
 
     def test_rotating_report(self, morse_spec, morse_grid):
         report = ground_state_structure(ModelSpec("gjc", 1.0, 1.0, morse_spec), morse_grid)
@@ -134,6 +135,7 @@ class TestGroundState:
         assert report.singlet_spin == "down"
         assert report.occupied_component == "lower"
         assert report.rayleigh_quotient == pytest.approx(-1.0, abs=1e-12)
+        assert report.empty_component_zero
 
     def test_quotient_magnitude_matches_detuning(self, cot_spec, cot_grid):
         report = ground_state_structure(ModelSpec("gajc", 1.0, 2.5, cot_spec), cot_grid)

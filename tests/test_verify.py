@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gdo.eigensolve
+import gdo.models
 import gdo.verify
 from gdo import (
     ConvergenceError,
@@ -20,6 +22,7 @@ from gdo import (
     numeric_epsilons,
     real_line_probe,
     spectrum_rows,
+    verify_all,
 )
 from gdo.eigensolve import _sturm_counts, sturm_window_counts, symtridiag_eigenvalues
 from gdo.verify import eigen_deviation, seeded_eigenvalues
@@ -171,12 +174,15 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
     assert np.all(rho > 0)
     assert lower.tolist() == [0, 1] and upper.tolist() == [1, 2]
 
-    def exact_pair(matrix, shift, tol=1e-8, max_iter=100):
-        value = 1.0 if shift.real < 2.0 else 3.0
-        vector = np.array([1.0, -1.0 if value == 1.0 else 1.0]) / np.sqrt(2.0)
-        return EigenResult(complex(value), vector.astype(complex), 0.0, 1, True)
+    def exact_pairs(bands, shifts, tol=1e-8, max_iter=100):
+        results = []
+        for shift in shifts:
+            value = 1.0 if shift < 2.0 else 3.0
+            vector = np.array([1.0, -1.0 if value == 1.0 else 1.0]) / np.sqrt(2.0)
+            results.append(EigenResult(complex(value), vector, 0.0, 1, True))
+        return results
 
-    monkeypatch.setattr(gdo.verify, "inverse_iteration", exact_pair)
+    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", exact_pairs)
     values = seeded_eigenvalues(d, e, [1.1, 2.9])
     assert not bisection.calls
     assert values.tolist() == [1.0, 3.0]
@@ -233,7 +239,7 @@ def test_count_beyond_the_matrix_raises_before_iterating(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("inverse iteration ran")
 
-    monkeypatch.setattr(gdo.verify, "inverse_iteration", never)
+    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", never)
     spec = CotInteraction(A=1.0, alpha=1.0, b=0.3)
     with pytest.raises(DimensionError, match="requested 4 eigenvalues of a 3x3 matrix"):
         numeric_epsilons(spec, Grid(0.0, 1.0, 3), load_config(CONFIGS / "cot.json").constants, 4)
@@ -241,16 +247,14 @@ def test_count_beyond_the_matrix_raises_before_iterating(monkeypatch):
 
 def test_inverse_iteration_error_falls_back(monkeypatch, bisection, caplog):
     caplog.set_level(logging.INFO, logger="gdo")
-    real = gdo.verify.inverse_iteration
-    seen = []
+    real = gdo.verify.stacked_inverse_iteration
 
-    def fails_on_level_1(matrix, shift, **kwargs):
-        seen.append(shift)
-        if len(seen) == 2:
-            raise ConvergenceError("stalled")
-        return real(matrix, shift, **kwargs)
+    def fails_on_level_1(bands, shifts, **kwargs):
+        results = real(bands, shifts, **kwargs)
+        results[1] = ConvergenceError("stalled")
+        return results
 
-    monkeypatch.setattr(gdo.verify, "inverse_iteration", fails_on_level_1)
+    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", fails_on_level_1)
     values = _morse_levels(monkeypatch, [0, 1])
     assert len(bisection.calls) == 1
     assert np.array_equal(values, bisection.calls[0][2])
@@ -262,10 +266,64 @@ def test_levels_beyond_the_closed_form_go_to_bisection(monkeypatch, bisection):
     def never(*args, **kwargs):
         raise AssertionError("inverse iteration ran")
 
-    monkeypatch.setattr(gdo.verify, "inverse_iteration", never)
+    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", never)
     # morse D=2.5 has two bound levels, so level 2 has no seed
     config = load_config(CONFIGS / "morse.json")
     grid = dataclasses.replace(config.grid, n_points=1001)
     values = numeric_epsilons(config.interaction, grid, config.constants, 3)
     assert len(bisection.calls) == 1
     assert np.array_equal(values, bisection.calls[0][2])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("inverse_iteration ran")
+
+
+@pytest.mark.parametrize("name", ["morse.json", "cot.json"])
+def test_numeric_levels_come_from_one_factorization(monkeypatch, bisection, name):
+    factor = gdo.eigensolve._cyclic_reduction_factor
+    shifts = []
+    monkeypatch.setattr(
+        gdo.eigensolve,
+        "_cyclic_reduction_factor",
+        lambda sub, diag, sup, s: shifts.append(np.asarray(s)) or factor(sub, diag, sup, s),
+    )
+    monkeypatch.setattr(gdo.verify, "inverse_iteration", _never)
+    rows = spectrum_rows(load_config(CONFIGS / name), numeric=True)
+    assert not bisection.calls
+    [levels] = shifts
+    assert levels.dtype == np.float64
+    assert levels.size == len(rows)
+
+
+def test_real_line_probe_calls_inverse_iteration_per_seed(monkeypatch):
+    config = load_config(CONFIGS / "cot.json")
+    grid = dataclasses.replace(config.grid, n_points=400)
+    seeds = [row["epsilon"] for row in spectrum_rows(config)]
+    assert len(seeds) == 4
+    real = gdo.verify.inverse_iteration
+    shifts = []
+    monkeypatch.setattr(
+        gdo.verify,
+        "inverse_iteration",
+        lambda matrix, shift, **kw: shifts.append(shift) or real(matrix, shift, **kw),
+    )
+    probes = real_line_probe(config.interaction, grid, config.constants, seeds)
+    assert shifts == [complex(seed) for seed in seeds]
+    assert all(probe["converged"] for probe in probes)
+
+
+def test_verify_samples_each_singlet_once(monkeypatch):
+    sampled = []
+    for module in (gdo.models, gdo.verify):
+        real = module.analytic_spinor
+        monkeypatch.setattr(
+            module,
+            "analytic_spinor",
+            lambda spec, level, *args, real=real, **kw: (
+                sampled.append(level) or real(spec, level, *args, **kw)
+            ),
+        )
+    report = verify_all(load_config(CONFIGS / "morse.json"))
+    assert sampled == [-1, -1]
+    assert {c.name: c.passed for c in report.checks}["singlet_structure"]
