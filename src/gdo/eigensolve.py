@@ -31,6 +31,9 @@ from .operators import OperatorMatrix, band_matvec
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
 TINY_PIVOT = 1e-300
+# inverse iteration's defaults, and the settings of every stacked solve
+ITERATION_TOL = 1e-8
+ITERATION_MAX = 100
 
 
 def _sturm_counts(d, e2, pivmin, shifts):
@@ -115,11 +118,14 @@ def _cyclic_reduction_solve(levels, rhs):
     """
     dtype = levels[0][0].dtype
     size = 2 * levels[0][0].size - 1
-    blocks = rhs.reshape(-1, rhs.shape[-1])
-    count, n = blocks.shape
-    width = 1 << n.bit_length()
     f = np.zeros(size + 1, dtype=dtype)
-    f[: count * width].reshape(count, width)[:, :n] = blocks
+    # a single vector heads the stack: copying it flat is the cheaper way
+    if rhs.ndim == 1:
+        f[: rhs.size] = rhs
+    else:
+        count, n = rhs.shape
+        blocks = f[: count << n.bit_length()].reshape(count, -1)
+        blocks[:, :n] = rhs
     f = f[:size]
     reduced = []
     for _, _, _, alpha, gamma in levels:
@@ -135,8 +141,10 @@ def _cyclic_reduction_solve(levels, rhs):
         padded[2:m:2] = x
         padded[1 : m + 1 : 2] = inv * f[::2] - left * padded[:m:2] - right * padded[2::2]
         x = padded[1 : m + 1]
+    if rhs.ndim == 1:
+        return x[: rhs.size]
     # the dropped identity row, if any, solves to the zero end padded[m + 1]
-    return padded[1 : 1 + count * width].reshape(count, width)[:, :n].reshape(rhs.shape)
+    return padded[1 : 1 + blocks.size].reshape(blocks.shape)[:, :n]
 
 
 def _stebz_bounds(d, e):
@@ -256,11 +264,19 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, summed as np.linalg.norm sums one vector."""
-    if x.dtype.kind == "c":
-        return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
-    return np.sqrt(np.vecdot(x, x))
+def _row_vdots(x: np.ndarray, y: np.ndarray):
+    """np.vdot(x, y) of two vectors as a number, or as a column for each row pair of two stacks."""
+    if x.ndim == 1:
+        return np.vdot(x, y).item()
+    # row times column per pair: matmul sums each row as np.dot sums a vector
+    return (x.conj()[:, None, :] @ y[:, :, None])[:, 0]
+
+
+def _row_norms(x: np.ndarray):
+    """np.linalg.norm of a vector as a float, or as a column for each row of a stack."""
+    if x.ndim == 1:
+        return float(np.linalg.norm(x))
+    return np.sqrt(_row_vdots(x, x).real)
 
 
 def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
@@ -293,13 +309,16 @@ def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int, mat
     if levels is None:
         return None
     n = diag.size
-    v = np.broadcast_to(_start_vector(n), shifts.shape + (n,))
-    live = np.ones(shifts.shape, dtype=bool)
+    v = np.tile(_start_vector(n), shifts.shape + (1,))
+    # one flag per row of the iterates: a column, like the row norms
+    live = np.ones(shifts.shape + (1,), dtype=bool)
     pending = shifts.size
     results: List[Optional[EigenResult]] = [None] * shifts.size
+    # what a shift reports if max_iter leaves it no iteration
+    eigenvalues, residuals = shifts, np.full(shifts.shape, np.inf)
 
     def record(blocks, iterations, converged):
-        rows, values, norms = v.reshape(-1, n), eigenvalues.reshape(-1), residuals.reshape(-1)
+        rows, values, norms = v.reshape(-1, n), np.ravel(eigenvalues), np.ravel(residuals)
         for k in np.flatnonzero(blocks).tolist():
             results[k] = EigenResult(
                 complex(values[k]), rows[k], float(norms[k]), iterations, converged
@@ -314,10 +333,10 @@ def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int, mat
             # a converged block solved for zero: dividing by one keeps it zero
             norms[~live] = 1.0
         # a new array: dividing in the solve's buffer is slower
-        v = v / norms[..., None]
+        v = v / norms
         mv = matvec(v)
-        eigenvalues = np.vecdot(v, mv)
-        residuals = _row_norms(mv - eigenvalues[..., None] * v)
+        eigenvalues = _row_vdots(v, mv)
+        residuals = _row_norms(mv - eigenvalues * v)
         if pending < shifts.size:
             # and its residual of zero must not count again
             residuals[~live] = np.inf
@@ -330,7 +349,7 @@ def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int, mat
                 return results
             live &= ~done
             # a new array: the recorded eigenvectors are rows of this one
-            v = np.where(done[..., None], 0.0, v)
+            v = np.where(done, 0.0, v)
     record(live, max_iter, False)
     return results
 
@@ -364,8 +383,8 @@ def _nudged_inverse_iteration(bands, shift, tol: float, max_iter: int, matvec) -
 def inverse_iteration(
     matrix: OperatorMatrix,
     shift: complex,
-    tol: float = 1e-8,
-    max_iter: int = 100,
+    tol: float = ITERATION_TOL,
+    max_iter: int = ITERATION_MAX,
 ) -> EigenResult:
     """Converge to the eigenpair of a complex tridiagonal matrix nearest the shift.
 
@@ -387,16 +406,15 @@ def inverse_iteration(
     return _nudged_inverse_iteration(matrix.bands, shift, tol, max_iter, matrix.matvec)
 
 
-def stacked_inverse_iteration(
-    bands, shifts, tol: float = 1e-8, max_iter: int = 100
-) -> List[Union[EigenResult, GdoError]]:
+def stacked_inverse_iteration(bands, shifts) -> List[Union[EigenResult, GdoError]]:
     """inverse_iteration at every shift of one tridiagonal matrix, in one stacked solve.
 
     bands is (sub, diag, sup); the solve runs in their dtype combined with
     the shifts', so real bands with real shifts stay in float64 and each
     eigenvector comes back in that dtype.  All shifts share one factorization
     of the block-diagonal stack of the T - s_k I, and each block takes the
-    same iterations inverse_iteration would take at its shift.  If the
+    same iterations inverse_iteration would take at its shift, with its
+    default tol and max_iter (ITERATION_TOL, ITERATION_MAX).  If the
     stacked factorization breaks down or an iterate is not finite, every
     shift reruns alone with inverse_iteration's nudge-and-retry.  Returns, in
     shift order, an EigenResult per shift or the GdoError that shift ended in.
@@ -405,13 +423,18 @@ def stacked_inverse_iteration(
     if shifts.size == 0:
         return []
     matvec = functools.partial(band_matvec, bands)
-    results = _stacked_iteration(bands, shifts, tol, max_iter, matvec)
+    results = _stacked_iteration(bands, shifts, ITERATION_TOL, ITERATION_MAX, matvec)
     if results is not None:
-        return [r if r.converged else _stall(s, r, tol) for s, r in zip(shifts.tolist(), results)]
+        return [
+            r if r.converged else _stall(s, r, ITERATION_TOL)
+            for s, r in zip(shifts.tolist(), results)
+        ]
     alone: List[Union[EigenResult, GdoError]] = []
     for shift in shifts.tolist():
         try:
-            alone.append(_nudged_inverse_iteration(bands, shift, tol, max_iter, matvec))
+            alone.append(
+                _nudged_inverse_iteration(bands, shift, ITERATION_TOL, ITERATION_MAX, matvec)
+            )
         except GdoError as exc:
             alone.append(exc)
     return alone

@@ -362,6 +362,11 @@ class TestInverseIteration:
         with pytest.raises(ConvergenceError):
             inverse_iteration(m, 100.0, tol=1e-30, max_iter=3)
 
+    def test_no_iterations_allowed_raises(self):
+        m = OperatorMatrix.tridiagonal(np.ones(2, complex), np.zeros(3, complex), np.ones(2, complex))
+        with pytest.raises(ConvergenceError, match="residual inf after 0 iterations"):
+            inverse_iteration(m, 0.5, max_iter=0)
+
     def test_deterministic(self):
         # shift below the diagonal range keeps the shifted elimination
         # diagonally dominant, the regime the unpivoted solver is built for

@@ -174,7 +174,7 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
     assert np.all(rho > 0)
     assert lower.tolist() == [0, 1] and upper.tolist() == [1, 2]
 
-    def exact_pairs(bands, shifts, tol=1e-8, max_iter=100):
+    def exact_pairs(bands, shifts):
         results = []
         for shift in shifts:
             value = 1.0 if shift < 2.0 else 3.0
@@ -249,8 +249,8 @@ def test_inverse_iteration_error_falls_back(monkeypatch, bisection, caplog):
     caplog.set_level(logging.INFO, logger="gdo")
     real = gdo.verify.stacked_inverse_iteration
 
-    def fails_on_level_1(bands, shifts, **kwargs):
-        results = real(bands, shifts, **kwargs)
+    def fails_on_level_1(bands, shifts):
+        results = real(bands, shifts)
         results[1] = ConvergenceError("stalled")
         return results
 
