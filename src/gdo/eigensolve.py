@@ -8,17 +8,17 @@ lowest levels of a matrix with no such estimate come from the bisection of
 symtridiag_eigenvalues.  Both count eigenvalues with the one stebz loop of
 _sturm_counts.
 
-Inverse iteration at several shifts runs as one solve: the blocks T - s_k I
-are stacked along the diagonal of one tridiagonal matrix with exactly zero
-couplings between them, and one cyclic-reduction factorization serves every
-shift.  The solve runs in the dtype of the bands and shifts, so a real
-symmetric T with real shifts is solved in float64.  inverse_iteration is the
-one-shift case of the same loop.
+Inverse iteration runs in one layout for one shift or many: the blocks
+T - s_k I, each padded with identity rows to 2^m rows, are stacked along the
+diagonal of one tridiagonal matrix with exactly zero couplings between them.
+One cyclic-reduction factorization serves every shift, and the iterate keeps
+that flat padded layout from one solve to the next.  The solve runs in the
+dtype of the bands and shifts, so a real symmetric T with real shifts is
+solved in float64.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Union
@@ -64,26 +64,24 @@ def _sturm_counts(d, e2, pivmin, shifts):
 
 
 def _cyclic_reduction_factor(sub, diag, sup, shifts):
-    """Odd-even cyclic reduction of the T - s I stacked per shift; None if a pivot is tiny.
+    """Odd-even cyclic reduction of the T - s I stacked per shift; None on a breakdown.
 
-    T is the n-row tridiagonal (sub, diag, sup).  Block k of the stack is
-    T - shifts[k] I padded with identity rows to 2^m rows, the least power of
-    two above n, and the couplings between blocks are exactly zero.  The
-    identity row ending the last block is dropped and the stack padded with
-    identity rows to 2^k - 1 rows, so every level has an odd size: its even
-    rows are eliminated and its odd rows form the next level (Hockney, J. ACM
-    12 (1965) 95; Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970)
-    627).  Each block starts at a multiple of 2^m, so it meets the same
-    arithmetic on every level as it would alone, and a zero coupling stays
-    zero while the factors are finite.  A scalar shift gives T - s I padded
-    to 2^m - 1 rows.  Each level keeps its reciprocal pivots, its
+    T is the n-row tridiagonal (sub, diag, sup) and shifts is 1-d.  Block k
+    is T - shifts[k] I padded with identity rows to 2^m rows, the least power
+    of two above n, with exactly zero couplings between blocks.  The identity
+    row ending the last block is dropped and the stack padded with identity
+    rows to 2^k - 1 rows, so every level has an odd size: its even rows are
+    eliminated and its odd rows form the next level (Hockney, J. ACM 12
+    (1965) 95; Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7 (1970) 627).
+    Each block starts at a multiple of 2^m, so it meets the same arithmetic
+    on every level as it would alone, and a zero coupling stays zero while
+    the factors are finite.  Each level keeps its reciprocal pivots, its
     back-substitution weights and the multipliers that reduce a right-hand
-    side.  Unpivoted: a pivot that is non-finite or below TINY_PIVOT in
-    magnitude stops the factorization.  The factors keep the dtype of the
-    bands and shifts, real or complex.
+    side, in the dtype of the bands and shifts.  Unpivoted: a pivot that is
+    non-finite or below TINY_PIVOT in magnitude stops the factorization, and
+    so does an overflow in any factor, caught without a floating-point warning.
     """
     n = diag.shape[0]
-    shifts = np.asarray(shifts)
     width = 1 << n.bit_length()
     stacked = shifts.size * width
     size = (1 << (stacked - 1).bit_length()) - 1
@@ -93,40 +91,39 @@ def _cyclic_reduction_factor(sub, diag, sup, shifts):
     b = np.ones(size + 1, dtype=dtype)
     c = np.zeros(size + 1, dtype=dtype)
     a[:stacked].reshape(-1, width)[:, 1:n] = sub
-    b[:stacked].reshape(-1, width)[:, :n] = diag - shifts[..., None]
+    b[:stacked].reshape(-1, width)[:, :n] = diag - shifts[:, None]
     c[:stacked].reshape(-1, width)[:, : n - 1] = sup
     a, b, c = a[:size], b[:size], c[:size]
     levels = []
-    while b.size:
-        pivots = b[::2]
-        if not (np.all(np.isfinite(pivots)) and np.all(np.abs(pivots) >= TINY_PIVOT)):
-            return None
-        inv = 1.0 / pivots
-        alpha = -a[1::2] * inv[:-1]
-        gamma = -c[1::2] * inv[1:]
-        levels.append((inv, a[::2] * inv, c[::2] * inv, alpha, gamma))
-        a, b, c = alpha * a[:-1:2], b[1::2] + alpha * c[:-1:2] + gamma * a[2::2], gamma * c[2::2]
+    try:
+        # an overflowing weight or reduced coefficient raises, and never warns
+        with np.errstate(over="raise", invalid="raise"):
+            while b.size:
+                pivots = b[::2]
+                if not (np.isfinite(pivots).all() and (np.abs(pivots) >= TINY_PIVOT).all()):
+                    return None
+                inv = 1.0 / pivots
+                alpha = -a[1::2] * inv[:-1]
+                gamma = -c[1::2] * inv[1:]
+                levels.append((inv, a[::2] * inv, c[::2] * inv, alpha, gamma))
+                b = b[1::2] + alpha * c[:-1:2] + gamma * a[2::2]
+                a, c = alpha * a[:-1:2], gamma * c[2::2]
+    except FloatingPointError:
+        return None
     return levels
 
 
-def _cyclic_reduction_solve(levels, rhs):
-    """Solve with a factorization from _cyclic_reduction_factor.
+def _cyclic_reduction_solve(levels, f):
+    """Solve with a factorization from _cyclic_reduction_factor, in its layout.
 
-    rhs holds one n-vector per shift of the factorization, as a (shifts, n)
-    array, or a single n-vector for one shift, in the factorization's dtype;
-    the solution has its shape.
+    f and the solution are flat arrays of 2^k entries, one more than the
+    stack's rows; with K shifts, f[: K 2^m].reshape(K, 2^m) views block k as
+    row k.  Pad rows and the entries past the last block are zero in f and
+    solve to zero.
     """
     dtype = levels[0][0].dtype
-    size = 2 * levels[0][0].size - 1
-    f = np.zeros(size + 1, dtype=dtype)
-    # a single vector heads the stack: copying it flat is the cheaper way
-    if rhs.ndim == 1:
-        f[: rhs.size] = rhs
-    else:
-        count, n = rhs.shape
-        blocks = f[: count << n.bit_length()].reshape(count, -1)
-        blocks[:, :n] = rhs
-    f = f[:size]
+    # the spare last entry is not a row of the stack
+    f = f[:-1]
     reduced = []
     for _, _, _, alpha, gamma in levels:
         reduced.append(f)
@@ -141,10 +138,8 @@ def _cyclic_reduction_solve(levels, rhs):
         padded[2:m:2] = x
         padded[1 : m + 1 : 2] = inv * f[::2] - left * padded[:m:2] - right * padded[2::2]
         x = padded[1 : m + 1]
-    if rhs.ndim == 1:
-        return x[: rhs.size]
-    # the dropped identity row, if any, solves to the zero end padded[m + 1]
-    return padded[1 : 1 + blocks.size].reshape(blocks.shape)[:, :n]
+    # the zero end padded[m + 1] is the spare entry again
+    return padded[1:]
 
 
 def _stebz_bounds(d, e):
@@ -264,19 +259,17 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _row_vdots(x: np.ndarray, y: np.ndarray):
-    """np.vdot(x, y) of two vectors as a number, or as a column for each row pair of two stacks."""
-    if x.ndim == 1:
-        return np.vdot(x, y).item()
+def _row_vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vdot of each row pair of two (K, w) stacks, as a column."""
     # row times column per pair: matmul sums each row as np.dot sums a vector
     return (x.conj()[:, None, :] @ y[:, :, None])[:, 0]
 
 
-def _row_norms(x: np.ndarray):
-    """np.linalg.norm of a vector as a float, or as a column for each row of a stack."""
-    if x.ndim == 1:
-        return float(np.linalg.norm(x))
-    return np.sqrt(_row_vdots(x, x).real)
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a (K, w) stack as a real column, summed as np.linalg.norm sums."""
+    if np.iscomplexobj(x):
+        return np.sqrt(_row_vdots(x.real, x.real) + _row_vdots(x.imag, x.imag))
+    return np.sqrt(_row_vdots(x, x))
 
 
 def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
@@ -290,66 +283,68 @@ def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
     return complex(np.vdot(w, matrix.matvec(w)) / nrm2)
 
 
-def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int, matvec):
+def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int):
     """Fixed-shift inverse iteration at every shift at once; None on a breakdown.
 
-    One factorization of the stack of the T - shifts[k] I serves every
-    iteration of every shift.  The iterates form a (shifts, n) stack, or a
-    single n-vector for a 0-d shift, which keeps the arithmetic of one shift
-    that of one vector; matvec multiplies each row of such a stack by T.  A
-    block whose residual drops to tol keeps that iteration's values and gets
-    a zero right-hand side from then on.  Returns one EigenResult per shift,
-    with converged False for a shift still above tol after max_iter
-    iterations, or None when a pivot breaks down or an iterate is not
-    finite: 0 * inf at a block boundary is NaN, which can spread to the next
-    block.
+    One factorization serves every iteration of every shift, and the iterate
+    stays in the solve's layout: row k of its (K, 2^m) view is shift k's
+    block.  Norms, Rayleigh values and residuals are one row-wise reduction
+    each over that view, and T multiplies it through its bands padded with
+    zeros to 2^m.  A block whose residual drops to tol keeps that
+    iteration's values and is zeroed, so it solves for zero from then on.
+    Returns one EigenResult per shift, converged False for a shift still
+    above tol after max_iter iterations, or None when the factorization
+    breaks down or a norm is not finite: the iterate or its squared norm
+    overflowed, or 0 * inf at a block boundary made a NaN.
     """
     sub, diag, sup = bands
     levels = _cyclic_reduction_factor(sub, diag, sup, shifts)
     if levels is None:
         return None
-    n = diag.size
-    v = np.tile(_start_vector(n), shifts.shape + (1,))
-    # one flag per row of the iterates: a column, like the row norms
-    live = np.ones(shifts.shape + (1,), dtype=bool)
-    pending = shifts.size
-    results: List[Optional[EigenResult]] = [None] * shifts.size
+    n, count = diag.size, shifts.size
+    width = 1 << n.bit_length()
+    dtype = np.result_type(sub, diag, sup)
+    tee = np.zeros(width - 1, dtype), np.zeros(width, dtype), np.zeros(width - 1, dtype)
+    tee[0][: n - 1], tee[1][:n], tee[2][: n - 1] = sub, diag, sup
+    # the solve's layout: 2^k entries, twice the first level's pivots
+    x = np.zeros(2 * levels[0][0].size, dtype=levels[0][0].dtype)
+    blocks = x[: count * width].reshape(count, width)
+    blocks[:, :n] = _start_vector(n)
+    live = np.ones((count, 1), dtype=bool)
+    results: List[Optional[EigenResult]] = [None] * count
     # what a shift reports if max_iter leaves it no iteration
-    eigenvalues, residuals = shifts, np.full(shifts.shape, np.inf)
+    eigenvalues, residuals = shifts[:, None], np.full((count, 1), np.inf)
 
-    def record(blocks, iterations, converged):
-        rows, values, norms = v.reshape(-1, n), np.ravel(eigenvalues), np.ravel(residuals)
-        for k in np.flatnonzero(blocks).tolist():
-            results[k] = EigenResult(
-                complex(values[k]), rows[k], float(norms[k]), iterations, converged
-            )
+    def record(rows, iterations, converged):
+        for k in np.flatnonzero(rows).tolist():
+            vector = blocks[k, :n].copy()
+            value, residual = complex(eigenvalues[k, 0]), float(residuals[k, 0])
+            results[k] = EigenResult(value, vector, residual, iterations, converged)
 
-    for iteration in range(1, max_iter + 1):
-        v = _cyclic_reduction_solve(levels, v)
-        if not np.all(np.isfinite(v)):
-            return None
-        norms = _row_norms(v)
-        if pending < shifts.size:
-            # a converged block solved for zero: dividing by one keeps it zero
+    # an overflow shows as a non-finite norm, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
+            x = _cyclic_reduction_solve(levels, x)
+            blocks = x[: count * width].reshape(count, width)
+            norms = _row_norms(blocks)
+            if not np.isfinite(norms).all():
+                return None
+            # a converged block solved for zero: scaling it by one keeps it zero
             norms[~live] = 1.0
-        # a new array: dividing in the solve's buffer is slower
-        v = v / norms
-        mv = matvec(v)
-        eigenvalues = _row_vdots(v, mv)
-        residuals = _row_norms(mv - eigenvalues * v)
-        if pending < shifts.size:
-            # and its residual of zero must not count again
-            residuals[~live] = np.inf
-        done = residuals <= tol
-        converged = np.count_nonzero(done)
-        if converged:
-            record(done, iteration, True)
-            pending -= converged
-            if not pending:
-                return results
-            live &= ~done
-            # a new array: the recorded eigenvectors are rows of this one
-            v = np.where(done, 0.0, v)
+            # times the reciprocal, on the real and imaginary parts: what
+            # numpy's complex division by a real norm computes, minus its cost
+            parts = blocks.view(norms.dtype)
+            parts *= 1.0 / norms
+            mv = band_matvec(tee, blocks)
+            eigenvalues = _row_vdots(blocks, mv)
+            residuals = _row_norms(mv - eigenvalues * blocks)
+            done = live & (residuals <= tol)
+            if done.any():
+                record(done, iteration, True)
+                live &= ~done
+                if not live.any():
+                    return results
+                blocks[done[:, 0]] = 0.0
     record(live, max_iter, False)
     return results
 
@@ -361,14 +356,14 @@ def _stall(shift, result: EigenResult, tol: float) -> ConvergenceError:
     )
 
 
-def _nudged_inverse_iteration(bands, shift, tol: float, max_iter: int, matvec) -> EigenResult:
+def _nudged_inverse_iteration(bands, shift, tol: float, max_iter: int) -> EigenResult:
     # one shift; on a breakdown the shift moves by 1e-12 ||T||, then ten and a
     # hundred times that
     sub, diag, _ = bands
     scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))
     for attempt in range(4):
         sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
-        results = _stacked_iteration(bands, np.asarray(sigma), tol, max_iter, matvec)
+        results = _stacked_iteration(bands, np.array([sigma]), tol, max_iter)
         if results is None:
             continue
         [result] = results
@@ -390,20 +385,24 @@ def inverse_iteration(
 
     Fixed-shift iteration with a Rayleigh-quotient eigenvalue readout;
     convergence means the absolute residual ||M v - lambda v|| (unit v) drops
-    below tol.  The shifted matrix is factored once by odd-even cyclic
-    reduction, padded with identity rows to 2^m - 1 rows, and every iteration
-    reuses the factorization; this is the one-shift case of
-    stacked_inverse_iteration's loop, in complex arithmetic since
-    OperatorMatrix stores complex bands.  A shift landing on an eigenvalue
-    makes a pivot vanish or an iterate overflow; the shift is then nudged by
-    a 1e-12-scale perturbation, growing tenfold over at most three retries.
+    below tol.  This is stacked_inverse_iteration's loop with one block, in
+    complex arithmetic since OperatorMatrix stores complex bands: T - s I,
+    padded with identity rows to 2^m rows, is factored once by odd-even
+    cyclic reduction and every iteration reuses the factorization.  A shift
+    landing on an eigenvalue makes a pivot vanish or a factor, an iterate or
+    its norm overflow; the shift is then nudged by a 1e-12-scale
+    perturbation, growing tenfold over at most three retries.
 
     The reduction is unpivoted, like plain tridiagonal elimination, which is
     accurate for the diagonally dominant Schrodinger-style matrices this
     package builds; matrices whose shifted diagonal wanders through zero can
     stall at a solve-accuracy floor and end in ConvergenceError instead.
     """
-    return _nudged_inverse_iteration(matrix.bands, shift, tol, max_iter, matrix.matvec)
+    result = _nudged_inverse_iteration(matrix.bands, shift, tol, max_iter)
+    # the residual certificate of the matrix the caller holds, not of its padded bands
+    v, value = result.eigenvector, result.eigenvalue
+    residual = float(np.linalg.norm(matrix.matvec(v) - value * v))
+    return EigenResult(value, v, residual, result.iterations, result.converged)
 
 
 def stacked_inverse_iteration(bands, shifts) -> List[Union[EigenResult, GdoError]]:
@@ -415,15 +414,14 @@ def stacked_inverse_iteration(bands, shifts) -> List[Union[EigenResult, GdoError
     of the block-diagonal stack of the T - s_k I, and each block takes the
     same iterations inverse_iteration would take at its shift, with its
     default tol and max_iter (ITERATION_TOL, ITERATION_MAX).  If the
-    stacked factorization breaks down or an iterate is not finite, every
-    shift reruns alone with inverse_iteration's nudge-and-retry.  Returns, in
+    stacked factorization breaks down or a norm is not finite, every shift
+    reruns alone with inverse_iteration's nudge-and-retry.  Returns, in
     shift order, an EigenResult per shift or the GdoError that shift ended in.
     """
     shifts = np.asarray(shifts).reshape(-1)
     if shifts.size == 0:
         return []
-    matvec = functools.partial(band_matvec, bands)
-    results = _stacked_iteration(bands, shifts, ITERATION_TOL, ITERATION_MAX, matvec)
+    results = _stacked_iteration(bands, shifts, ITERATION_TOL, ITERATION_MAX)
     if results is not None:
         return [
             r if r.converged else _stall(s, r, ITERATION_TOL)
@@ -432,9 +430,7 @@ def stacked_inverse_iteration(bands, shifts) -> List[Union[EigenResult, GdoError
     alone: List[Union[EigenResult, GdoError]] = []
     for shift in shifts.tolist():
         try:
-            alone.append(
-                _nudged_inverse_iteration(bands, shift, ITERATION_TOL, ITERATION_MAX, matvec)
-            )
+            alone.append(_nudged_inverse_iteration(bands, shift, ITERATION_TOL, ITERATION_MAX))
         except GdoError as exc:
             alone.append(exc)
     return alone

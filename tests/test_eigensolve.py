@@ -48,6 +48,27 @@ def _counts(d, e, shifts):
     return _sturm_counts(d, e2, pivmin, np.asarray(shifts, dtype=float))
 
 
+def _stack_solve(sub, diag, sup, shifts, rhs):
+    """Solve (T - shifts[k] I) x_k = rhs[k] for every k in the solve's flat padded layout."""
+    levels = _cyclic_reduction_factor(sub, diag, sup, np.asarray(shifts))
+    count, n = rhs.shape
+    width = 1 << n.bit_length()
+    f = np.zeros(2 * levels[0][0].size, dtype=levels[0][0].dtype)
+    f[: count * width].reshape(count, width)[:, :n] = rhs
+    x = _cyclic_reduction_solve(levels, f)
+    assert x.shape == f.shape
+    blocks = x[: count * width].reshape(count, width)
+    # pad rows and the entries past the last block solve to zero
+    assert not np.any(blocks[:, n:]) and not np.any(x[count * width :])
+    return blocks[:, :n]
+
+
+def _assert_unit_eigenvector(result):
+    assert result.converged
+    assert np.all(np.isfinite(result.eigenvector))
+    assert abs(np.linalg.norm(result.eigenvector) - 1.0) <= 1e-12
+
+
 def _dense_counts(d, e, shifts):
     """Eigenvalues <= each shift, from dense eigenvalues block by block.
 
@@ -274,8 +295,7 @@ class TestCyclicReduction:
         rhs = _complex_normal(rng, n)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         expected = np.linalg.solve(dense, rhs)
-        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag, sup, 0.0), rhs)
-        assert x.shape == (n,)
+        [x] = _stack_solve(sub, diag, sup, [0.0], rhs[None, :])
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @settings(max_examples=80, deadline=None)
@@ -296,7 +316,7 @@ class TestCyclicReduction:
         sigma = complex(shift_re, -shift_im if flip else shift_im)
         rhs = _complex_normal(rng, n)
         sub, diag, sup = m.bands
-        x = _cyclic_reduction_solve(_cyclic_reduction_factor(sub, diag, sup, sigma), rhs)
+        [x] = _stack_solve(sub, diag, sup, [sigma], rhs[None, :])
         residual = np.linalg.norm(m.matvec(x) - sigma * x - rhs)
         bound = _norm_bound(d - shift_re, e) + shift_im
         assert residual <= 1e-14 * (bound * np.linalg.norm(x) + np.linalg.norm(rhs))
@@ -306,13 +326,29 @@ class TestCyclicReduction:
         # the third is exactly 0: the shift 0 is an eigenvalue
         d = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0], dtype=complex)
         e = np.ones(6, dtype=complex)
-        assert _cyclic_reduction_factor(e, d, e, 0.0) is None
-        assert len(_cyclic_reduction_factor(e, d, e, 1e-12)) == 3
+        assert _cyclic_reduction_factor(e, d, e, np.array([0.0])) is None
+        assert len(_cyclic_reduction_factor(e, d, e, np.array([1e-12]))) == 3
         m = OperatorMatrix.tridiagonal(e, d, e)
         assert abs(np.linalg.det(m.to_dense())) < 1e-12
         result = inverse_iteration(m, 0.0, tol=1e-10)
         assert result.converged
         assert abs(result.eigenvalue) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 300])
+    def test_three_blocks_match_their_own_dense_solves(self, n):
+        # three blocks of 2^m rows fill 4 2^m - 1 rows: an identity block
+        # follows them.  Shifts in both half-planes keep every pivot of the
+        # real symmetric T - s I away from zero
+        rng = np.random.default_rng(100 + n)
+        d = rng.normal(size=n)
+        e = rng.normal(size=n - 1)
+        shifts = np.array([0.3 + 0.5j, -1.0 - 0.7j, 2.0 + 1.0j])
+        rhs = _complex_normal(rng, (3, n))
+        x = _stack_solve(e, d, e, shifts, rhs)
+        dense = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
+        for shift, block, f in zip(shifts, x, rhs):
+            expected = np.linalg.solve(dense - shift * np.eye(n), f)
+            assert np.linalg.norm(block - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestInverseIteration:
@@ -437,7 +473,8 @@ class TestStackedInverseIteration:
             except (ConvergenceError, SingularPivotError) as exc:
                 assert type(result) is type(exc)
                 continue
-            assert result.converged
+            _assert_unit_eigenvector(result)
+            _assert_unit_eigenvector(single)
             assert result.iterations == single.iterations
             assert abs(result.eigenvalue - single.eigenvalue) <= 8 * np.finfo(float).eps * norm
             v = result.eigenvector
@@ -447,10 +484,12 @@ class TestStackedInverseIteration:
             assert direct == pytest.approx(result.residual_norm, rel=1e-6, abs=1e-14)
 
     def test_overflowing_iterate_reruns_every_shift(self, monkeypatch):
-        # row 2 of T - 0 I keeps the pivot 1e-300, which the factorization
-        # accepts, but its back-substitution weight 1e9 / 1e-300 overflows:
-        # that block's iterate is infinite, and every shift reruns alone
+        # row 2 of T - 0 I keeps the pivot 1e-300, which passes the pivot
+        # check, but its back-substitution weight 1e9 / 1e-300 overflows: the
+        # factorization refuses the stack without a warning, every shift
+        # reruns alone, and shift 0 converges once nudged
         sub, diag, sup = np.array([1.0, 1e9]), np.array([2.0, 1.0, 1e-300]), np.array([1.0, 0.0])
+        assert _cyclic_reduction_factor(sub, diag, sup, np.array([0.0])) is None
         alone = gdo.eigensolve._nudged_inverse_iteration
         reruns = []
         monkeypatch.setattr(
@@ -459,14 +498,29 @@ class TestStackedInverseIteration:
             lambda *args: reruns.append(args[1]) or alone(*args),
         )
         matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stacked = stacked_inverse_iteration((sub, diag, sup), [0.0, 2.5])
-            assert reruns == [0.0, 2.5]
-            singles = [inverse_iteration(matrix, shift) for shift in (0.0, 2.5)]
+        stacked = stacked_inverse_iteration((sub, diag, sup), [0.0, 2.5])
+        assert reruns == [0.0, 2.5]
+        singles = [inverse_iteration(matrix, shift) for shift in (0.0, 2.5)]
         for result, single in zip(stacked, singles):
-            assert result.converged
+            _assert_unit_eigenvector(result)
+            _assert_unit_eigenvector(single)
             assert result.iterations == single.iterations
             assert result.eigenvalue == single.eigenvalue
+
+    def test_overflowing_norm_is_a_breakdown(self):
+        # at shift 0 the pivot 1e-300 passes and the iterate, about 1e300, is
+        # finite, but its squared norm overflows.  That counts as a
+        # breakdown: the nudged shift converges to a unit eigenvector of the
+        # eigenvalue 1e-300, not to a zero vector
+        sub, diag, sup = np.zeros(1), np.array([1e-300, 5.0]), np.zeros(1)
+        result = inverse_iteration(OperatorMatrix.tridiagonal(sub, diag, sup), 0.0)
+        _assert_unit_eigenvector(result)
+        assert abs(result.eigenvalue) <= 1e-20
+        assert abs(result.eigenvector[0]) == pytest.approx(1.0, abs=1e-10)
+        stacked = stacked_inverse_iteration((sub, diag, sup), [0.0, 5.0])
+        for result, value in zip(stacked, (0.0, 5.0)):
+            _assert_unit_eigenvector(result)
+            assert abs(result.eigenvalue - value) <= 1e-10
 
     def test_no_shifts(self):
         d = np.array([1.0, 2.0])
