@@ -14,24 +14,26 @@ diagonal of one tridiagonal matrix with exactly zero couplings between them.
 One cyclic-reduction factorization serves every shift, and the iterate keeps
 that flat padded layout from one solve to the next.  The solve runs in the
 dtype of the bands and shifts, so a real symmetric T with real shifts is
-solved in float64.
+solved in float64.  stacked_inverse_iteration reports a breakdown or a stall
+and leaves the remedy to its caller: inverse_iteration nudges its one shift
+and retries, and the seeded levels of verify fall back to bisection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError, GdoError, SingularPivotError
+from .errors import ConvergenceError, DimensionError, DomainError, SingularPivotError
 from .operators import OperatorMatrix, band_matvec
 
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
 TINY_PIVOT = 1e-300
-# inverse iteration's defaults, and the settings of every stacked solve
+# the defaults of inverse_iteration and stacked_inverse_iteration
 ITERATION_TOL = 1e-8
 ITERATION_MAX = 100
 
@@ -185,7 +187,7 @@ def sturm_window_counts(diag, offdiag, centers, radii):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """One converged eigenpair with its certificate."""
+    """An inverse-iteration eigenpair and its residual; converged says whether it reached tol."""
 
     eigenvalue: complex
     eigenvector: np.ndarray
@@ -283,20 +285,30 @@ def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
     return complex(np.vdot(w, matrix.matvec(w)) / nrm2)
 
 
-def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int):
-    """Fixed-shift inverse iteration at every shift at once; None on a breakdown.
+def stacked_inverse_iteration(
+    bands, shifts, tol: float = ITERATION_TOL, max_iter: int = ITERATION_MAX
+) -> Optional[List[EigenResult]]:
+    """Fixed-shift inverse iteration at every shift of one tridiagonal matrix, in one solve.
 
-    One factorization serves every iteration of every shift, and the iterate
-    stays in the solve's layout: row k of its (K, 2^m) view is shift k's
-    block.  Norms, Rayleigh values and residuals are one row-wise reduction
-    each over that view, and T multiplies it through its bands padded with
-    zeros to 2^m.  A block whose residual drops to tol keeps that
-    iteration's values and is zeroed, so it solves for zero from then on.
-    Returns one EigenResult per shift, converged False for a shift still
-    above tol after max_iter iterations, or None when the factorization
-    breaks down or a norm is not finite: the iterate or its squared norm
-    overflowed, or 0 * inf at a block boundary made a NaN.
+    bands is (sub, diag, sup); the solve runs in their dtype combined with
+    the shifts', so real bands with real shifts stay in float64 and each
+    eigenvector comes back in that dtype.  One factorization of the
+    block-diagonal stack of the T - s_k I serves every iteration of every
+    shift, and the iterate stays in the solve's layout: row k of its
+    (K, 2^m) view is shift k's block.  Norms, Rayleigh values and residuals
+    are one row-wise reduction each over that view, and T multiplies it
+    through its bands padded with zeros to 2^m.  A block whose residual drops
+    to tol keeps that iteration's values and is zeroed, so it solves for zero
+    from then on.  Returns, in shift order, one EigenResult per shift,
+    converged False for a shift still above tol after max_iter iterations;
+    [] for no shifts; or None when the factorization breaks down or a norm is
+    not finite: the iterate or its squared norm overflowed, or 0 * inf at a
+    block boundary made a NaN.  The caller chooses the remedy for a
+    breakdown or a stall.
     """
+    shifts = np.asarray(shifts).reshape(-1)
+    if shifts.size == 0:
+        return []
     sub, diag, sup = bands
     levels = _cyclic_reduction_factor(sub, diag, sup, shifts)
     if levels is None:
@@ -349,32 +361,6 @@ def _stacked_iteration(bands, shifts: np.ndarray, tol: float, max_iter: int):
     return results
 
 
-def _stall(shift, result: EigenResult, tol: float) -> ConvergenceError:
-    return ConvergenceError(
-        f"inverse iteration at shift {shift} stalled: residual {result.residual_norm:.3e} "
-        f"after {result.iterations} iterations (tol {tol:.1e})"
-    )
-
-
-def _nudged_inverse_iteration(bands, shift, tol: float, max_iter: int) -> EigenResult:
-    # one shift; on a breakdown the shift moves by 1e-12 ||T||, then ten and a
-    # hundred times that
-    sub, diag, _ = bands
-    scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))
-    for attempt in range(4):
-        sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
-        results = _stacked_iteration(bands, np.array([sigma]), tol, max_iter)
-        if results is None:
-            continue
-        [result] = results
-        if not result.converged:
-            raise _stall(shift, result, tol)
-        return result
-    raise SingularPivotError(
-        f"tridiagonal elimination kept breaking down near shift {shift} after 3 retries"
-    )
-
-
 def inverse_iteration(
     matrix: OperatorMatrix,
     shift: complex,
@@ -385,52 +371,40 @@ def inverse_iteration(
 
     Fixed-shift iteration with a Rayleigh-quotient eigenvalue readout;
     convergence means the absolute residual ||M v - lambda v|| (unit v) drops
-    below tol.  This is stacked_inverse_iteration's loop with one block, in
-    complex arithmetic since OperatorMatrix stores complex bands: T - s I,
-    padded with identity rows to 2^m rows, is factored once by odd-even
-    cyclic reduction and every iteration reuses the factorization.  A shift
-    landing on an eigenvalue makes a pivot vanish or a factor, an iterate or
-    its norm overflow; the shift is then nudged by a 1e-12-scale
-    perturbation, growing tenfold over at most three retries.
+    below tol.  This is stacked_inverse_iteration with one block, in complex
+    arithmetic since OperatorMatrix stores complex bands: T - s I, padded
+    with identity rows to 2^m rows, is factored once by odd-even cyclic
+    reduction and every iteration reuses the factorization.  A shift landing
+    on an eigenvalue makes a pivot vanish or a factor, an iterate or its norm
+    overflow; the shift is then nudged by 1e-12 max(|diag|, |sub|, 1),
+    growing tenfold over at most three retries, after which
+    SingularPivotError is raised.  A shift still above tol after max_iter
+    iterations raises ConvergenceError.
 
     The reduction is unpivoted, like plain tridiagonal elimination, which is
     accurate for the diagonally dominant Schrodinger-style matrices this
     package builds; matrices whose shifted diagonal wanders through zero can
     stall at a solve-accuracy floor and end in ConvergenceError instead.
     """
-    result = _nudged_inverse_iteration(matrix.bands, shift, tol, max_iter)
+    bands = matrix.bands
+    sub, diag, _ = bands
+    scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))
+    for attempt in range(4):
+        sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
+        results = stacked_inverse_iteration(bands, np.array([sigma]), tol, max_iter)
+        if results is not None:
+            break
+    else:
+        raise SingularPivotError(
+            f"tridiagonal elimination kept breaking down near shift {shift} after 3 retries"
+        )
+    [result] = results
+    if not result.converged:
+        raise ConvergenceError(
+            f"inverse iteration at shift {shift} stalled: residual {result.residual_norm:.3e} "
+            f"after {result.iterations} iterations (tol {tol:.1e})"
+        )
     # the residual certificate of the matrix the caller holds, not of its padded bands
     v, value = result.eigenvector, result.eigenvalue
     residual = float(np.linalg.norm(matrix.matvec(v) - value * v))
     return EigenResult(value, v, residual, result.iterations, result.converged)
-
-
-def stacked_inverse_iteration(bands, shifts) -> List[Union[EigenResult, GdoError]]:
-    """inverse_iteration at every shift of one tridiagonal matrix, in one stacked solve.
-
-    bands is (sub, diag, sup); the solve runs in their dtype combined with
-    the shifts', so real bands with real shifts stay in float64 and each
-    eigenvector comes back in that dtype.  All shifts share one factorization
-    of the block-diagonal stack of the T - s_k I, and each block takes the
-    same iterations inverse_iteration would take at its shift, with its
-    default tol and max_iter (ITERATION_TOL, ITERATION_MAX).  If the
-    stacked factorization breaks down or a norm is not finite, every shift
-    reruns alone with inverse_iteration's nudge-and-retry.  Returns, in
-    shift order, an EigenResult per shift or the GdoError that shift ended in.
-    """
-    shifts = np.asarray(shifts).reshape(-1)
-    if shifts.size == 0:
-        return []
-    results = _stacked_iteration(bands, shifts, ITERATION_TOL, ITERATION_MAX)
-    if results is not None:
-        return [
-            r if r.converged else _stall(s, r, ITERATION_TOL)
-            for s, r in zip(shifts.tolist(), results)
-        ]
-    alone: List[Union[EigenResult, GdoError]] = []
-    for shift in shifts.tolist():
-        try:
-            alone.append(_nudged_inverse_iteration(bands, shift, ITERATION_TOL, ITERATION_MAX))
-        except GdoError as exc:
-            alone.append(exc)
-    return alone

@@ -98,10 +98,14 @@ def _require_solvable(spec: InteractionSpec):
 def bound_state_count(
     spec: InteractionSpec, branch: str, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ):
-    """Number of bound levels on a branch: floor-limited for Morse, else UNBOUNDED."""
+    """Number of bound levels on a branch: floor-limited for Morse, else UNBOUNDED.
+
+    ParameterError outside the regime with closed-form levels: Morse needs
+    D, A > 0 and cot A > 0.
+    """
     _check_branch(branch)
+    _require_solvable(spec)
     if isinstance(spec, MorseInteraction):
-        _require_solvable(spec)
         s = _morse_s(spec, consts)
         return max(0, math.floor(s) - (0 if branch == "minus" else 1))
     if isinstance(spec, (CotInteraction, LinearInteraction)):
@@ -161,7 +165,6 @@ def dirac_spectrum(
     """
     if max_levels < 1:
         raise ParameterError(f"max_levels must be >= 1, got {max_levels}")
-    _require_solvable(spec)
     mc2 = consts.mass * consts.c**2
     lines = [SpectralLine(n=-1, epsilon=0.0, energy_plus=-mc2, energy_minus=-mc2)]
     pair_count = bound_state_count(spec, "plus", consts)

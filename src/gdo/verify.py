@@ -3,18 +3,19 @@
 The numeric route for decoupled eigenvalues solves a real symmetric
 tridiagonal matrix built per family: the Morse and linear families use the
 real (Hermitian-equivalent) potential on the config grid, and the cot family
-the real cosec^2 well its shifted potential becomes (contour mode), on the
-interior of the pole-to-pole lattice, so that the Dirichlet ghost points sit
-on the poles.  With s = A/(hbar alpha) the cot levels converge at order
-min(2, 2s - 1) for s > 1/2.  For s < 1/2 the Dirichlet lattice converges to
-the Friedrichs extension, whose levels are the closed form with s replaced by
-1 - s, so the deviation does not fall with h (Reed & Simon II, sec. X.1).
-The lowest levels are found by inverse iteration seeded at the closed-form
-levels, all of them in one stacked real solve, and each one is certified by a
-residual bound and a Sturm count that does not use the seed; if any level
-fails, all of them come from Sturm bisection instead.  The real-line complex
-matrix is probed by inverse iteration, one shift per call, and reported
-without gating, since its boundary conditions are a modeling choice.
+the real cosec^2 well its shifted potential becomes, on the interior of the
+pole-to-pole lattice, so that the Dirichlet ghost points sit on the poles.
+With s = A/(hbar alpha) the cot levels converge at order min(2, 2s - 1) for
+s > 1/2.  For s < 1/2 the Dirichlet lattice converges to the Friedrichs
+extension, whose levels are the closed form with s replaced by 1 - s, so the
+deviation does not fall with h (Reed & Simon II, sec. X.1).  The lowest
+levels are found by inverse iteration seeded at the closed-form levels, all
+of them in one stacked real solve, and each one is certified by a residual
+bound and a Sturm count that does not use the seed; if that solve breaks
+down, or any level stalls or fails its certificate, all of them come from
+Sturm bisection instead.  The real-line complex matrix is probed by inverse
+iteration, one shift per call, and reported without gating, since its
+boundary conditions are a modeling choice.
 """
 
 from __future__ import annotations
@@ -109,9 +110,9 @@ def numeric_epsilons(
     well holds a spurious level.  The levels are those of
     seeded_eigenvalues, seeded at the closed-form levels of that real
     coupling: certified inverse-iteration values, or Sturm bisection for
-    every level when one fails its certificate.  A count with no closed-form
-    level to seed from, such as one beyond the bound Morse levels, goes to
-    bisection directly.
+    every level when the seeded solve does not certify them all.  A count
+    with no closed-form level to seed from, such as one beyond the bound
+    Morse levels, goes to bisection directly.
     """
     if isinstance(spec, CotInteraction):
         h = math.pi / (spec.alpha * (grid.n_points + 1))
@@ -141,10 +142,10 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     the k-th: exactly k eigenvalues lie at or below lam_k - rho_k and k + 1
     at or below lam_k + rho_k, with rho_k = max(r_k, 4 atol) as in
     sturm_window_counts.  The certificate does not use the seeds, so a wrong
-    seed costs time, never a wrong level.  If any level fails it, or a
-    level's inverse iteration ends in a GdoError (the later levels are then
-    not used), every level comes from symtridiag_eigenvalues, so the values are
-    never a mix of the two routes.  Each level's route goes to the log at
+    seed costs time, never a wrong level.  If the stacked factorization
+    breaks down, a level stalls above the tolerance or any level fails its
+    certificate, every level comes from symtridiag_eigenvalues, so the values
+    are never a mix of the two routes.  Each level's route goes to the log at
     INFO level, with the failure that sent a level to bisection.
     """
     d = np.asarray(diag, dtype=np.float64)
@@ -152,13 +153,16 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     count = len(seeds)
     if count > d.size:
         raise DimensionError(f"requested {count} eigenvalues of a {d.size}x{d.size} matrix")
-    results, failures, radius = [], {}, []
-    stacked = stacked_inverse_iteration((e, d, e), np.asarray(seeds, dtype=np.float64))
-    for level, result in enumerate(stacked):
-        if isinstance(result, GdoError):
-            failures[level] = f"inverse iteration failed: {result}"
-            break
-        results.append(result)
+    results = stacked_inverse_iteration((e, d, e), np.asarray(seeds, dtype=np.float64))
+    radius = []
+    if results is None:
+        results, failures = [], dict.fromkeys(range(count), "stacked factorization broke down")
+    else:
+        failures = {
+            level: f"stalled: residual {r.residual_norm:.3e} after {r.iterations} iterations"
+            for level, r in enumerate(results)
+            if not r.converged
+        }
     if results and not failures:
         rho, lower, upper = sturm_window_counts(
             d, e, [r.eigenvalue.real for r in results], [r.residual_norm for r in results]

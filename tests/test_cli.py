@@ -209,6 +209,16 @@ def test_failed_check_exits_1(tmp_path, name, edit, command):
         assert payload["passed"] is False
 
 
+@pytest.mark.parametrize("command", [["wavefunction"], ["spectrum"], ["verify"]])
+def test_cot_without_closed_form_levels_exits_1(tmp_path, capsys, command):
+    # cot A <= 0 has no closed-form levels, so no command writes an artifact
+    config = _edited_config(tmp_path, "cot.json", lambda d: d["interaction"].update(A=-1.0))
+    out = tmp_path / "artifact"
+    assert main(command + ["--config", str(config), "--out", str(out)]) == EXIT_FAILED
+    assert not out.exists()
+    assert capsys.readouterr().err == "gdo: cot levels need A > 0\n"
+
+
 @pytest.mark.parametrize("name", ["morse.json", "cot.json"])
 @pytest.mark.parametrize("command", [["check"], ["spectrum", "--numeric"], ["models"]])
 def test_artifact_bytes_repeat(tmp_path, name, command):

@@ -11,8 +11,8 @@ from gdo import (
     DimensionError,
     DomainError,
     Grid,
-    SingularPivotError,
     OperatorMatrix,
+    SingularPivotError,
     UnsupportedError,
     assemble_dirac,
     assemble_schrodinger,
@@ -398,6 +398,13 @@ class TestInverseIteration:
         with pytest.raises(ConvergenceError):
             inverse_iteration(m, 100.0, tol=1e-30, max_iter=3)
 
+    def test_breakdown_at_every_nudge_raises(self):
+        # the coupling 1e300 over each nudged pivot, at most 1e-10 in
+        # magnitude, overflows a back-substitution weight on every attempt
+        m = OperatorMatrix.tridiagonal(np.array([1.0]), np.array([0.0, 1.0]), np.array([1e300]))
+        with pytest.raises(SingularPivotError, match="near shift 0.0 after 3 retries"):
+            inverse_iteration(m, 0.0)
+
     def test_no_iterations_allowed_raises(self):
         m = OperatorMatrix.tridiagonal(np.ones(2, complex), np.zeros(3, complex), np.ones(2, complex))
         with pytest.raises(ConvergenceError, match="residual inf after 0 iterations"):
@@ -452,17 +459,15 @@ class TestStackedInverseIteration:
         if not complex_bands:
             shifts = shifts.real
 
-        alone = gdo.eigensolve._nudged_inverse_iteration
-        reruns = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                gdo.eigensolve,
-                "_nudged_inverse_iteration",
-                lambda *args: reruns.append(args[1]) or alone(*args),
-            )
-            stacked = stacked_inverse_iteration((e, d, e), shifts)
+        stacked = stacked_inverse_iteration((e, d, e), shifts)
+        # each block meets the arithmetic it would meet alone, so the stack
+        # breaks down exactly when one of its shifts breaks down alone
+        alone = [stacked_inverse_iteration((e, d, e), [shift]) for shift in shifts.tolist()]
+        assert (stacked is None) == any(result is None for result in alone)
         if on_eigenvalue:
-            assert reruns == shifts.tolist()
+            assert stacked is None
+        if stacked is None:
+            return
 
         matrix = OperatorMatrix.tridiagonal(e, d, e)
         norm = _norm_bound(np.abs(d), np.abs(e))
@@ -470,8 +475,8 @@ class TestStackedInverseIteration:
         for shift, result in zip(shifts.tolist(), stacked):
             try:
                 single = inverse_iteration(matrix, shift)
-            except (ConvergenceError, SingularPivotError) as exc:
-                assert type(result) is type(exc)
+            except ConvergenceError:
+                assert not result.converged
                 continue
             _assert_unit_eigenvector(result)
             _assert_unit_eigenvector(single)
@@ -483,29 +488,22 @@ class TestStackedInverseIteration:
             assert result.residual_norm <= 1e-8
             assert direct == pytest.approx(result.residual_norm, rel=1e-6, abs=1e-14)
 
-    def test_overflowing_iterate_reruns_every_shift(self, monkeypatch):
+    def test_overflowing_iterate_is_a_breakdown(self):
         # row 2 of T - 0 I keeps the pivot 1e-300, which passes the pivot
         # check, but its back-substitution weight 1e9 / 1e-300 overflows: the
-        # factorization refuses the stack without a warning, every shift
-        # reruns alone, and shift 0 converges once nudged
+        # factorization refuses the stack without a warning, and the one-shift
+        # call at 0 converges once nudged by 1e-12 times the largest entry, 1e9
         sub, diag, sup = np.array([1.0, 1e9]), np.array([2.0, 1.0, 1e-300]), np.array([1.0, 0.0])
         assert _cyclic_reduction_factor(sub, diag, sup, np.array([0.0])) is None
-        alone = gdo.eigensolve._nudged_inverse_iteration
-        reruns = []
-        monkeypatch.setattr(
-            gdo.eigensolve,
-            "_nudged_inverse_iteration",
-            lambda *args: reruns.append(args[1]) or alone(*args),
-        )
+        assert stacked_inverse_iteration((sub, diag, sup), [0.0, 2.5]) is None
         matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
-        stacked = stacked_inverse_iteration((sub, diag, sup), [0.0, 2.5])
-        assert reruns == [0.0, 2.5]
-        singles = [inverse_iteration(matrix, shift) for shift in (0.0, 2.5)]
-        for result, single in zip(stacked, singles):
-            _assert_unit_eigenvector(result)
+        for shift, solved_at in ((0.0, 1e-12 * 1e9), (2.5, 2.5)):
+            [alone] = stacked_inverse_iteration(matrix.bands, [solved_at])
+            single = inverse_iteration(matrix, shift)
+            _assert_unit_eigenvector(alone)
             _assert_unit_eigenvector(single)
-            assert result.iterations == single.iterations
-            assert result.eigenvalue == single.eigenvalue
+            assert alone.iterations == single.iterations
+            assert alone.eigenvalue == single.eigenvalue
 
     def test_overflowing_norm_is_a_breakdown(self):
         # at shift 0 the pivot 1e-300 passes and the iterate, about 1e300, is
@@ -513,16 +511,21 @@ class TestStackedInverseIteration:
         # breakdown: the nudged shift converges to a unit eigenvector of the
         # eigenvalue 1e-300, not to a zero vector
         sub, diag, sup = np.zeros(1), np.array([1e-300, 5.0]), np.zeros(1)
-        result = inverse_iteration(OperatorMatrix.tridiagonal(sub, diag, sup), 0.0)
+        assert stacked_inverse_iteration((sub, diag, sup), [0.0, 5.0]) is None
+        matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
+        result = inverse_iteration(matrix, 0.0)
         _assert_unit_eigenvector(result)
         assert abs(result.eigenvalue) <= 1e-20
         assert abs(result.eigenvector[0]) == pytest.approx(1.0, abs=1e-10)
-        stacked = stacked_inverse_iteration((sub, diag, sup), [0.0, 5.0])
-        for result, value in zip(stacked, (0.0, 5.0)):
-            _assert_unit_eigenvector(result)
-            assert abs(result.eigenvalue - value) <= 1e-10
+        result = inverse_iteration(matrix, 5.0)
+        _assert_unit_eigenvector(result)
+        assert abs(result.eigenvalue - 5.0) <= 1e-10
 
-    def test_no_shifts(self):
+    def test_no_shifts(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("an empty stack was factored")
+
+        monkeypatch.setattr(gdo.eigensolve, "_cyclic_reduction_factor", never)
         d = np.array([1.0, 2.0])
         assert stacked_inverse_iteration((np.ones(1), d, np.ones(1)), []) == []
 

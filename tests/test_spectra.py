@@ -70,6 +70,18 @@ class TestLevels:
         with pytest.raises(ParameterError):
             epsilon_minus(negated(morse_spec), 0)
 
+    def test_cot_without_closed_form_levels_rejected(self):
+        # A <= 0 has no closed-form levels: epsilon_minus would read -1 here,
+        # and the singlet sin^{-1}(w) would blow up at the poles
+        spec = CotInteraction(A=-1.0, alpha=1.0, b=0.3)
+        for call in (
+            lambda: bound_state_count(spec, "minus"),
+            lambda: epsilon_minus(spec, 1),
+            lambda: analytic_spinor(spec, -1, Grid(0.5, 2.5, 11)),
+        ):
+            with pytest.raises(ParameterError, match="cot levels need A > 0"):
+                call()
+
 
 class TestDiracSpectrum:
     def test_singlet_line(self, morse_spec):

@@ -11,7 +11,6 @@ import gdo.eigensolve
 import gdo.models
 import gdo.verify
 from gdo import (
-    ConvergenceError,
     CotInteraction,
     DimensionError,
     EigenResult,
@@ -24,7 +23,12 @@ from gdo import (
     spectrum_rows,
     verify_all,
 )
-from gdo.eigensolve import _sturm_counts, sturm_window_counts, symtridiag_eigenvalues
+from gdo.eigensolve import (
+    _sturm_counts,
+    stacked_inverse_iteration,
+    sturm_window_counts,
+    symtridiag_eigenvalues,
+)
 from gdo.verify import eigen_deviation, seeded_eigenvalues
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -81,6 +85,8 @@ def _dense(d, e):
 # seeded exactly at the eigenvalue: residual 5.4e-15, 1.8 atol, and a window
 # of only atol miscounts
 @example(n=2, matrix_seed=5, scale=10.0, fractions=[0.0])
+# seeded exactly at the eigenvalue, where a pivot rounds to 0
+@example(n=2, matrix_seed=1, scale=1.0, fractions=[0.0])
 def test_seeded_levels_match_dense_eigenvalues(n, matrix_seed, scale, fractions):
     rng = np.random.default_rng(matrix_seed)
     d = scale * rng.normal(size=n)
@@ -115,7 +121,9 @@ def test_seeded_levels_match_dense_eigenvalues(n, matrix_seed, scale, fractions)
     gaps = np.diff(exact[: count + 1])
     nearest_gap = np.minimum(gaps, np.append(np.inf, gaps[:-1]))
     if np.all(own <= 0.25 * nearest_gap) and gaps.min() > 1e-6 * norm:
-        assert not spy.calls
+        # near seeds are certified unless the stacked factorization breaks
+        # down, as it can on a seed at an eigenvalue when a pivot rounds to 0
+        assert len(spy.calls) == (stacked_inverse_iteration((e, d, e), seeds) is None)
 
 
 def _morse_levels(monkeypatch, seed_levels):
@@ -249,17 +257,45 @@ def test_inverse_iteration_error_falls_back(monkeypatch, bisection, caplog):
     caplog.set_level(logging.INFO, logger="gdo")
     real = gdo.verify.stacked_inverse_iteration
 
-    def fails_on_level_1(bands, shifts):
+    def stalls_on_level_1(bands, shifts):
         results = real(bands, shifts)
-        results[1] = ConvergenceError("stalled")
+        results[1] = dataclasses.replace(
+            results[1], residual_norm=2.5e-3, iterations=100, converged=False
+        )
         return results
 
-    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", fails_on_level_1)
+    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", stalls_on_level_1)
     values = _morse_levels(monkeypatch, [0, 1])
     assert len(bisection.calls) == 1
     assert np.array_equal(values, bisection.calls[0][2])
     lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
-    assert lines[1].endswith("route=bisection (inverse iteration failed: stalled)")
+    assert lines[0].endswith("route=bisection")
+    assert lines[1].endswith("route=bisection (stalled: residual 2.500e-03 after 100 iterations)")
+
+
+def test_stacked_breakdown_goes_straight_to_bisection(monkeypatch, bisection, caplog):
+    # with row 0 split off (e[0] = 0), d[0] is an exact eigenvalue, the
+    # lowest; seeded exactly there, the stacked factorization meets a zero
+    # pivot and breaks down
+    caplog.set_level(logging.INFO, logger="gdo")
+    d, e = np.array([-1.0, 2.0, 3.0, 4.0]), np.array([0.0, 0.5, 0.5])
+    factor = gdo.eigensolve._cyclic_reduction_factor
+    factored = []
+    monkeypatch.setattr(
+        gdo.eigensolve,
+        "_cyclic_reduction_factor",
+        lambda *args: factored.append(args[3]) or factor(*args),
+    )
+    values = seeded_eigenvalues(d, e, [d[0], 1.8])
+    # one stacked factorization, no shift solved again alone, one bisection
+    assert len(factored) == 1
+    assert factor(e, d, e, factored[0]) is None
+    assert len(bisection.calls) == 1
+    assert np.array_equal(values, symtridiag_eigenvalues(d, e, count=2))
+    lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
+    assert len(lines) == 2
+    for line in lines:
+        assert line.endswith("route=bisection (stacked factorization broke down)")
 
 
 def test_levels_beyond_the_closed_form_go_to_bisection(monkeypatch, bisection):
