@@ -1,9 +1,9 @@
 """Generalized (1+1)-D Dirac oscillator with complex couplings.
 
-Closed-form spectra and bound states for the complexified Morse and shifted
-cotangent families, conjugation-shift (pseudo-Hermiticity) checks, rotating
-and anti-rotating two-level model assemblies, and self-contained eigensolver
-oracles to validate all of it numerically.
+Closed-form spectra and bound states for the linear, complexified Morse and
+shifted cotangent families, conjugation-shift (pseudo-Hermiticity) checks,
+rotating and anti-rotating two-level model assemblies, and self-contained
+eigensolver oracles to validate all of it numerically.
 """
 
 from .errors import (

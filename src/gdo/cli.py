@@ -1,11 +1,10 @@
 """Command-line front end: JSON configs in, JSON/CSV artifacts out.
 
 Exit codes: 0 every requested check passed, 1 a verification or range check
-failed, 2 the input could not be understood, asks for what its interaction
-family does not support (closed-form eigenfunctions of the linear family),
-or the artifact could not be written.  GDO_LOG in {quiet, info, debug} sets
-the level of the gdo logger, whose diagnostics go to stderr, on every call of
-main; unset, the logger keeps the level it has (WARNING in a fresh process).  Artifact bytes are
+failed, 2 the input could not be understood or the artifact could not be
+written.  GDO_LOG in {quiet, info, debug} sets the level of the gdo logger,
+whose diagnostics go to stderr, on every call of main; unset, the logger
+keeps the level it has (WARNING in a fresh process).  Artifact bytes are
 deterministic for a given configuration.
 """
 
@@ -20,7 +19,7 @@ import sys
 from time import perf_counter
 
 from .config import RunConfig, dumps_canonical, load_config
-from .errors import ConfigError, GdoError, UnsupportedError
+from .errors import ConfigError, GdoError
 from .interactions import check_pseudo_hermiticity_condition, default_condition_grid
 from .models import ground_state_structure, oscillator_models, spin_flip
 from .spectra import analytic_spinor
@@ -198,7 +197,7 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     try:
         return _HANDLERS[args.command](config, args)
-    except (ConfigError, UnsupportedError) as exc:
+    except ConfigError as exc:
         print(f"gdo: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except GdoError as exc:

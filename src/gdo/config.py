@@ -8,7 +8,10 @@ identical bytes.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,12 +70,6 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return mapping[key]
-
-
 def _integer(value, name: str) -> int:
     """value as an int; a bool or a number with a fractional part is rejected, not truncated."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -80,72 +77,66 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _interaction_from_dict(data: dict) -> InteractionSpec:
-    kind = _require(_object(data, "interaction"), "kind", "interaction")
+# get_type_hints evaluates the string annotations anew on every call, which
+# made a load about six times slower; one entry per config dataclass
+_type_hints = functools.cache(typing.get_type_hints)
+_FAMILIES = {cls.kind: cls for cls in (LinearInteraction, MorseInteraction, CotInteraction)}
+
+
+def _interaction(data) -> InteractionSpec:
+    data = dict(_object(data, "interaction"))
+    if "kind" not in data:
+        raise ConfigError("missing key 'kind' in interaction")
+    kind = data.pop("kind")
+    if not (isinstance(kind, str) and kind in _FAMILIES):
+        raise ConfigError(f"unknown interaction kind {kind!r} (expected {', '.join(_FAMILIES)})")
+    return _build(_FAMILIES[kind], data, f"{kind} interaction", f"bad {kind!r} interaction parameters")
+
+
+def _value(hint, value, name: str):
+    """One JSON value as the type its field is annotated with."""
+    if hint is float or hint is str:
+        return hint(value)
+    if hint is int:
+        return _integer(value, name)
+    if dataclasses.is_dataclass(hint):
+        return _build(hint, value, name, "bad configuration value")
+    if hint == InteractionSpec:
+        return _interaction(value)
+    # the one Optional[float] field, theta_override
+    return None if value is None else float(value)
+
+
+def _build(cls, data, where: str, bad: str):
+    """cls from the JSON object data, one key per field; a field without a default is required.
+
+    Defaults are the dataclass's own.  A value the constructor or a type
+    conversion rejects is a ConfigError that starts with bad.
+    """
+    _object(data, where)
+    fields = dataclasses.fields(cls)
+    names = {field.name for field in fields}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    hints = _type_hints(cls)
+    values = {}
     try:
-        if kind == "linear":
-            return LinearInteraction(
-                omega=float(_require(data, "omega", "linear interaction")),
-                sign=_integer(data.get("sign", 1), "sign"),
-            )
-        if kind == "morse":
-            return MorseInteraction(
-                D=float(_require(data, "D", "morse interaction")),
-                A=float(_require(data, "A", "morse interaction")),
-                B=float(data.get("B", 0.0)),
-                alpha=float(_require(data, "alpha", "morse interaction")),
-            )
-        if kind == "cot":
-            return CotInteraction(
-                A=float(_require(data, "A", "cot interaction")),
-                alpha=float(_require(data, "alpha", "cot interaction")),
-                a=float(data.get("a", 0.0)),
-                b=float(data.get("b", 0.0)),
-            )
+        for field in fields:
+            if field.name in data:
+                values[field.name] = _value(hints[field.name], data[field.name], field.name)
+            elif field.default is dataclasses.MISSING:
+                raise ConfigError(f"missing key {field.name!r} in {where}")
+        return cls(**values)
     except ConfigError:
         raise
     except (TypeError, ValueError, GdoError) as exc:
         # GdoError: a constructor rejected the value, e.g. a Morse alpha <= 0
-        raise ConfigError(f"bad {kind!r} interaction parameters: {exc}") from exc
-    raise ConfigError(f"unknown interaction kind {kind!r} (expected linear, morse, or cot)")
+        raise ConfigError(f"{bad}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    _object(data, "configuration root")
-    interaction = _interaction_from_dict(_require(data, "interaction", "configuration"))
-    grid_data = _object(_require(data, "grid", "configuration"), "grid")
-    try:
-        grid = Grid(
-            x_min=float(_require(grid_data, "x_min", "grid")),
-            x_max=float(_require(grid_data, "x_max", "grid")),
-            n_points=_integer(_require(grid_data, "n_points", "grid"), "n_points"),
-        )
-        consts_data = _object(data.get("constants", {}), "constants")
-        constants = PhysicalConstants(
-            hbar=float(consts_data.get("hbar", 1.0)),
-            c=float(consts_data.get("c", 1.0)),
-            mass=float(consts_data.get("mass", 1.0)),
-        )
-        tol_data = _object(data.get("tolerances", {}), "tolerances")
-        tolerances = Tolerances(
-            condition=float(tol_data.get("condition", 1e-10)),
-            eigen_rel=float(tol_data.get("eigen_rel", 1e-3)),
-            residual=float(tol_data.get("residual", 1e-8)),
-        )
-        theta_override = data.get("theta_override")
-        return RunConfig(
-            interaction=interaction,
-            grid=grid,
-            constants=constants,
-            tolerances=tolerances,
-            levels=_integer(data.get("levels", 4), "levels"),
-            mode=str(data.get("mode", "contour")),
-            theta_override=None if theta_override is None else float(theta_override),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, GdoError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
+    return _build(RunConfig, data, "configuration", "bad configuration value")
 
 
 def load_config(path: str) -> RunConfig:

@@ -301,9 +301,10 @@ def stacked_inverse_iteration(
     to tol keeps that iteration's values and is zeroed, so it solves for zero
     from then on.  Returns, in shift order, one EigenResult per shift,
     converged False for a shift still above tol after max_iter iterations;
-    [] for no shifts; or None when the factorization breaks down or a norm is
-    not finite: the iterate or its squared norm overflowed, or 0 * inf at a
-    block boundary made a NaN.  The caller chooses the remedy for a
+    [] for no shifts; or None when the factorization breaks down or the
+    norm of a live block is not finite and positive: the iterate or its
+    squared norm overflowed, 0 * inf at a block boundary made a NaN, or the
+    squared norm underflowed to 0.  The caller chooses the remedy for a
     breakdown or a stall.
     """
     shifts = np.asarray(shifts).reshape(-1)
@@ -339,10 +340,10 @@ def stacked_inverse_iteration(
             x = _cyclic_reduction_solve(levels, x)
             blocks = x[: count * width].reshape(count, width)
             norms = _row_norms(blocks)
-            if not np.isfinite(norms).all():
-                return None
             # a converged block solved for zero: scaling it by one keeps it zero
             norms[~live] = 1.0
+            if not (np.isfinite(norms).all() and norms.all()):
+                return None
             # times the reciprocal, on the real and imaginary parts: what
             # numpy's complex division by a real norm computes, minus its cost
             parts = blocks.view(norms.dtype)
@@ -376,7 +377,7 @@ def inverse_iteration(
     with identity rows to 2^m rows, is factored once by odd-even cyclic
     reduction and every iteration reuses the factorization.  A shift landing
     on an eigenvalue makes a pivot vanish or a factor, an iterate or its norm
-    overflow; the shift is then nudged by 1e-12 max(|diag|, |sub|, 1),
+    overflow; the shift is then nudged by 1e-12 max(|diag|, |sub|, |sup|, 1),
     growing tenfold over at most three retries, after which
     SingularPivotError is raised.  A shift still above tol after max_iter
     iterations raises ConvergenceError.
@@ -387,8 +388,7 @@ def inverse_iteration(
     stall at a solve-accuracy floor and end in ConvergenceError instead.
     """
     bands = matrix.bands
-    sub, diag, _ = bands
-    scale = float(max(np.max(np.abs(diag)), np.max(np.abs(sub), initial=0.0), 1.0))
+    scale = float(max(np.max(np.abs(band), initial=1.0) for band in bands))
     for attempt in range(4):
         sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
         results = stacked_inverse_iteration(bands, np.array([sigma]), tol, max_iter)

@@ -69,24 +69,22 @@ class Grid:
 
 @dataclass(frozen=True)
 class LinearInteraction:
-    """f(x) = sign * mass * omega * x, the standard oscillator coupling.
+    """f(x) = mass * omega * x, the coupling of the ordinary Dirac oscillator.
 
-    The sign flag records a global negation (used by the model spin flip)
-    without violating omega > 0.
+    Closed-form levels exist for omega > 0; a negative omega (produced by
+    model spin flips) is accepted here and rejected by the level formulas
+    that need that regime.
     """
 
     omega: float
-    sign: int = 1
     kind: ClassVar[str] = "linear"
 
     def __post_init__(self):
-        if not (np.isfinite(self.omega) and self.omega > 0):
-            raise ParameterError(f"linear coupling needs omega > 0, got {self.omega}")
-        if self.sign not in (-1, 1):
-            raise ParameterError(f"sign flag must be +1 or -1, got {self.sign}")
+        if not np.isfinite(self.omega):
+            raise ParameterError("linear parameter 'omega' must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MorseInteraction:
     """f(x) = D - (A + iB) exp(-alpha x).
 
@@ -97,7 +95,7 @@ class MorseInteraction:
 
     D: float
     A: float
-    B: float
+    B: float = 0.0
     alpha: float
     kind: ClassVar[str] = "morse"
 
@@ -166,7 +164,7 @@ def eval_f(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTAN
     """Evaluate f at a real or complex point (or array of points)."""
     zz = _as_complex(z)
     if isinstance(spec, LinearInteraction):
-        out = spec.sign * consts.mass * spec.omega * zz
+        out = consts.mass * spec.omega * zz
     elif isinstance(spec, MorseInteraction):
         out = spec.D - (spec.A + 1j * spec.B) * np.exp(-spec.alpha * zz)
     elif isinstance(spec, CotInteraction):
@@ -181,7 +179,7 @@ def eval_f_prime(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_C
     """Evaluate the analytic derivative f'(z); same pole rules as eval_f."""
     zz = _as_complex(z)
     if isinstance(spec, LinearInteraction):
-        out = np.full(zz.shape, spec.sign * consts.mass * spec.omega, dtype=complex)
+        out = np.full(zz.shape, consts.mass * spec.omega, dtype=complex)
     elif isinstance(spec, MorseInteraction):
         out = spec.alpha * (spec.A + 1j * spec.B) * np.exp(-spec.alpha * zz)
     elif isinstance(spec, CotInteraction):
@@ -266,7 +264,7 @@ def hermitian_equivalent_interaction(
 def negated(spec: InteractionSpec) -> InteractionSpec:
     """The coupling -f(x), keeping each family inside its own parameterization."""
     if isinstance(spec, LinearInteraction):
-        return dataclasses.replace(spec, sign=-spec.sign)
+        return dataclasses.replace(spec, omega=-spec.omega)
     if isinstance(spec, MorseInteraction):
         return dataclasses.replace(spec, D=-spec.D, A=-spec.A, B=-spec.B)
     if isinstance(spec, CotInteraction):

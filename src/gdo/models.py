@@ -16,13 +16,11 @@ from typing import Tuple
 import numpy as np
 
 from .eigensolve import rayleigh_quotient
-from .errors import ParameterError, UnsupportedError
+from .errors import ParameterError
 from .interactions import (
     DEFAULT_CONSTANTS,
-    CotInteraction,
     Grid,
     InteractionSpec,
-    MorseInteraction,
     PhysicalConstants,
     negated,
 )
@@ -117,7 +115,7 @@ def spin_flip(ms: ModelSpec) -> ModelSpec:
 def ground_state_structure(
     ms: ModelSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> GroundStateReport:
-    """Singlet report for a model whose coupling admits closed-form bound states.
+    """Singlet report of a model, from the closed-form singlet of its coupling.
 
     The GAJC singlet occupies the upper component (spin up), the GJC singlet
     the lower one (spin down).  The sampled singlet is fed through the
@@ -126,8 +124,6 @@ def ground_state_structure(
     The reported ground_energy keeps the stated-sign convention, which labels
     the GAJC singlet -delta and the GJC singlet +delta.
     """
-    if not isinstance(ms.interaction, (MorseInteraction, CotInteraction)):
-        raise UnsupportedError("singlet structure needs a morse or cot coupling")
     layout = "GDO" if ms.kind == "gajc" else "GJC"
     sample = analytic_spinor(ms.interaction, -1, grid, consts, model=layout)
     vector = np.concatenate([sample.psi1, sample.psi2])

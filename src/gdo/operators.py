@@ -180,8 +180,8 @@ def closed_form_potentials(
     elif isinstance(spec, LinearInteraction):
         mw = consts.mass * spec.omega
         sq = (mw * x) ** 2 + 0j
-        vm = sq - hb * mw * spec.sign
-        vp = sq + hb * mw * spec.sign
+        vm = sq - hb * mw
+        vp = sq + hb * mw
     else:
         raise UnsupportedError(f"unknown interaction {spec!r}")
     return EffectivePotentialSample(np.asarray(vm, complex), np.asarray(vp, complex))

@@ -89,6 +89,8 @@ def _morse_s(spec: MorseInteraction, consts: PhysicalConstants) -> float:
 
 
 def _require_solvable(spec: InteractionSpec):
+    if isinstance(spec, LinearInteraction) and spec.omega <= 0:
+        raise ParameterError("linear levels need omega > 0")
     if isinstance(spec, MorseInteraction) and (spec.D <= 0 or spec.A <= 0):
         raise ParameterError("morse levels need D > 0 and A > 0")
     if isinstance(spec, CotInteraction) and spec.A <= 0:
@@ -100,8 +102,8 @@ def bound_state_count(
 ):
     """Number of bound levels on a branch: floor-limited for Morse, else UNBOUNDED.
 
-    ParameterError outside the regime with closed-form levels: Morse needs
-    D, A > 0 and cot A > 0.
+    ParameterError outside the regime with closed-form levels: linear needs
+    omega > 0, Morse D, A > 0 and cot A > 0.
     """
     _check_branch(branch)
     _require_solvable(spec)
@@ -217,6 +219,18 @@ def _phi_raw_cot(spec: CotInteraction, branch: str, n: int, x, consts) -> np.nda
     return sw ** (s + n) * jacobi_any(n, -s - n, -s - n, y)
 
 
+def _phi_raw_linear(spec: LinearInteraction, n: int, x, consts) -> np.ndarray:
+    # both partner wells are (m omega x)^2 up to a constant, so level n of
+    # either is the Hermite function H_n(xi) exp(-xi^2/2); H_n is written
+    # through L_k^(-+1/2)(xi^2) with k = floor(n/2)
+    xi = math.sqrt(consts.mass * spec.omega / consts.hbar) * x
+    k, odd = divmod(n, 2)
+    hermite = (-4.0) ** k * math.factorial(k) * laguerre(k, odd - 0.5, xi * xi)
+    if odd:
+        hermite = 2.0 * xi * hermite
+    return hermite * np.exp(-0.5 * xi * xi)
+
+
 def _phi_raw(spec: InteractionSpec, branch: str, n: int, x, consts) -> np.ndarray:
     _check_branch(branch)
     _check_level(spec, branch, n, consts)
@@ -224,9 +238,7 @@ def _phi_raw(spec: InteractionSpec, branch: str, n: int, x, consts) -> np.ndarra
         return _phi_raw_morse(spec, branch, n, x, consts)
     if isinstance(spec, CotInteraction):
         return _phi_raw_cot(spec, branch, n, x, consts)
-    raise UnsupportedError(
-        "closed-form eigenfunctions exist for the morse and cot families only"
-    )
+    return _phi_raw_linear(spec, n, x, consts)
 
 
 def _ladder_constant(spec: InteractionSpec, n: int, consts: PhysicalConstants) -> complex:
@@ -236,7 +248,7 @@ def _ladder_constant(spec: InteractionSpec, n: int, consts: PhysicalConstants) -
         return -1j * consts.hbar * spec.alpha * (2.0 * s - n - 1.0)
     if isinstance(spec, CotInteraction):
         return complex(spec.A)
-    raise UnsupportedError("ladder constants exist for the morse and cot families only")
+    return -2j * (n + 1) * math.sqrt(consts.hbar * consts.mass * spec.omega)
 
 
 def _grid_normalize(values: np.ndarray, h: float) -> np.ndarray:

@@ -36,7 +36,7 @@ from .eigensolve import (
     sturm_window_counts,
     symtridiag_eigenvalues,
 )
-from .errors import DimensionError, GdoError
+from .errors import DimensionError, GdoError, LevelOutOfRangeError
 from .interactions import (
     DEFAULT_CONSTANTS,
     CotInteraction,
@@ -112,7 +112,8 @@ def numeric_epsilons(
     coupling: certified inverse-iteration values, or Sturm bisection for
     every level when the seeded solve does not certify them all.  A count
     with no closed-form level to seed from, such as one beyond the bound
-    Morse levels, goes to bisection directly.
+    Morse levels, goes to bisection directly; a coupling outside the regime
+    with closed-form levels raises the ParameterError of epsilon_minus.
     """
     if isinstance(spec, CotInteraction):
         h = math.pi / (spec.alpha * (grid.n_points + 1))
@@ -126,7 +127,7 @@ def numeric_epsilons(
     diag, off = diag.real, off.real
     try:
         seeds = [epsilon_minus(real_spec, level, consts) for level in range(count)]
-    except GdoError:
+    except LevelOutOfRangeError:
         return symtridiag_eigenvalues(diag, off, count=count)
     return seeded_eigenvalues(diag, off, seeds)
 

@@ -10,8 +10,9 @@ from gdo.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-# cot.json solves its numeric levels on the pole-to-pole lattice, morse.json on its grid
-@pytest.mark.parametrize("name", ["morse.json", "cot.json"])
+# every shipped config verifies: cot.json solves its numeric levels on the
+# pole-to-pole lattice, linear.json and morse.json on their own grids
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.json")))
 def test_verify_artifact_bytes_repeat(tmp_path, caplog, name):
     caplog.set_level(logging.INFO, logger="gdo")
     outputs = []
@@ -106,6 +107,12 @@ def _morse():
     return json.loads((CONFIGS / "morse.json").read_text())
 
 
+_LINEAR = {
+    "interaction": {"kind": "linear", "omega": 1.0},
+    "grid": {"x_min": -8, "x_max": 8, "n_points": 801},
+}
+
+
 @pytest.mark.parametrize(
     "config, out, message",
     [
@@ -121,9 +128,22 @@ def _morse():
             "artifact",
             "n_points must be an integer, got 1000.9",
         ),
+        # a key that names no field is refused, never ignored
+        (
+            dict(_LINEAR, interaction={"kind": "linear", "omega": 1.0, "sign": -1}),
+            "artifact",
+            "unknown key 'sign' in linear interaction",
+        ),
+        (
+            dict(_morse(), tolerances={"eigen_rell": 1e-9}),
+            "artifact",
+            "unknown key 'eigen_rell' in tolerances",
+        ),
+        (dict(_morse(), level=2), "artifact", "unknown key 'level' in configuration"),
     ],
     ids=["interaction_int", "constants_int", "tolerances_list", "not_utf8", "out_dir_missing",
-         "levels_fraction", "levels_bool", "n_points_fraction"],
+         "levels_fraction", "levels_bool", "n_points_fraction", "linear_sign", "tolerance_typo",
+         "root_typo"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, config, out, message):
     path = _write(tmp_path, config)
@@ -135,25 +155,24 @@ def test_malformed_input_exits_2(tmp_path, capsys, config, out, message):
     assert err.count("\n") == 1
 
 
-_LINEAR = {
-    "interaction": {"kind": "linear", "omega": 1.0},
-    "grid": {"x_min": -8, "x_max": 8, "n_points": 801},
-}
-
-
-# the linear family has a closed-form spectrum but no closed-form eigenfunctions
+# the linear family has closed-form eigenfunctions: Hermite functions
 @pytest.mark.parametrize(
     "command",
     [["verify"], ["models"], ["wavefunction", "--level", "1"]],
     ids=["verify", "models", "wavefunction"],
 )
-def test_unsupported_family_exits_2(tmp_path, capsys, command):
+def test_linear_family_verifies_and_samples(tmp_path, capsys, command):
     path = _write(tmp_path, _LINEAR)
     out = tmp_path / "artifact"
-    assert main(command + ["--config", str(path), "--out", str(out)]) == EXIT_BAD_INPUT
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert err.startswith("gdo: ") and err.count("\n") == 1
+    assert main(command + ["--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    if command[0] == "wavefunction":
+        assert out.read_text().count("\n") == 802
+        return
+    payload = json.loads(out.read_bytes())
+    if command[0] == "verify":
+        assert [c["passed"] for c in payload["checks"]] == [True] * 9
+    assert payload["overall" if command[0] == "verify" else "passed"] is True
 
 
 @pytest.mark.parametrize("command", [["check"], ["spectrum", "--numeric"]], ids=["check", "spectrum"])
@@ -207,6 +226,18 @@ def test_failed_check_exits_1(tmp_path, name, edit, command):
         assert max(row["deviation"] for row in payload) == pytest.approx(2.95, rel=0.01)
     else:
         assert payload["passed"] is False
+
+
+@pytest.mark.parametrize("command", [["wavefunction"], ["spectrum"], ["verify"]])
+def test_linear_with_negative_omega_exits_1(tmp_path, capsys, command):
+    # -omega is the spin-flipped coupling: it has no closed-form levels, yet
+    # its conjugation-shift condition holds
+    path = _write(tmp_path, dict(_LINEAR, interaction={"kind": "linear", "omega": -1.0}))
+    out = tmp_path / "artifact"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == EXIT_FAILED
+    assert not out.exists()
+    assert capsys.readouterr().err == "gdo: linear levels need omega > 0\n"
+    assert main(["check", "--config", str(path), "--out", str(out)]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command", [["wavefunction"], ["spectrum"], ["verify"]])

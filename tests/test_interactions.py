@@ -13,8 +13,10 @@ from gdo import (
     ParameterError,
     PhysicalConstants,
     PoleError,
+    bound_state_count,
     check_pseudo_hermiticity_condition,
     default_condition_grid,
+    epsilon_minus,
     eval_f,
     eval_f_prime,
     hermitian_equivalent_interaction,
@@ -218,10 +220,25 @@ class TestValidation:
         assert grid.spacing == pytest.approx(0.25)
         np.testing.assert_allclose(np.diff(grid.points), 0.25)
 
+    def test_morse_fields_are_keyword_only(self):
+        # B has a default, so positional calls could swap alpha and B
+        with pytest.raises(TypeError):
+            MorseInteraction(2.5, 1.0, 0.5, 1.0)
+        assert MorseInteraction(D=2.5, A=1.0, alpha=1.0).B == 0.0
+
     def test_morse_needs_positive_alpha(self):
         with pytest.raises(ParameterError):
             MorseInteraction(D=1.0, A=1.0, B=0.0, alpha=0.0)
 
     def test_linear_needs_positive_omega(self):
-        with pytest.raises(ParameterError):
-            LinearInteraction(omega=-2.0)
+        # a negative omega is the spin-flipped coupling: it evaluates, but
+        # has no closed-form levels
+        spec = LinearInteraction(omega=-2.0)
+        assert spec == negated(LinearInteraction(omega=2.0))
+        assert eval_f(spec, 1.5) == pytest.approx(-3.0)
+        with pytest.raises(ParameterError, match="linear levels need omega > 0"):
+            bound_state_count(spec, "minus")
+        with pytest.raises(ParameterError, match="linear levels need omega > 0"):
+            epsilon_minus(spec, 0)
+        with pytest.raises(ParameterError, match="'omega' must be finite"):
+            LinearInteraction(omega=math.inf)

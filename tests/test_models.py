@@ -12,7 +12,6 @@ from gdo import (
     ModelSpec,
     MorseInteraction,
     ParameterError,
-    UnsupportedError,
     assemble_dirac,
     assemble_model,
     eval_f,
@@ -70,7 +69,7 @@ class TestSpinFlip:
             ms = ModelSpec("gajc", 1.0, 1.0, spec)
             assert spin_flip(spin_flip(ms)) == ms
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         kind=st.sampled_from(["gajc", "gjc"]),
         omega_coupling=st.floats(0.0, 1e6),
@@ -90,7 +89,7 @@ class TestSpinFlip:
                 a=st.floats(allow_nan=False, allow_infinity=False),
                 b=st.floats(allow_nan=False, allow_infinity=False),
             ),
-            st.builds(LinearInteraction, omega=st.floats(1e-6, 1e6), sign=st.sampled_from([-1, 1])),
+            st.builds(LinearInteraction, omega=st.floats(allow_nan=False, allow_infinity=False)),
         ),
     )
     def test_involution_over_random_parameters(self, kind, omega_coupling, delta, interaction):
@@ -151,9 +150,17 @@ class TestGroundState:
         ratio = residuals[0] / residuals[1]
         assert 3.5 <= ratio <= 4.5
 
-    def test_linear_unsupported(self, morse_grid):
-        with pytest.raises(UnsupportedError):
-            ground_state_structure(ModelSpec("gajc", 1.0, 1.0, LinearInteraction(omega=1.0)), morse_grid)
+    def test_linear_report(self):
+        # the Gaussian singlet of the ordinary oscillator, in both layouts
+        grid = Grid(-8.0, 8.0, 801)
+        for kind, quotient in (("gajc", 1.0), ("gjc", -1.0)):
+            ms = ModelSpec(kind, 1.0, 1.0, LinearInteraction(omega=1.0))
+            report = ground_state_structure(ms, grid)
+            assert report.ground_energy == -quotient
+            assert report.rayleigh_quotient == pytest.approx(quotient, abs=1e-12)
+            assert report.empty_component_zero
+            # the O(h^2) eigen-residual reads 9.1e-5 at h = 0.02
+            assert report.residual <= 2e-4
 
     def test_flipped_parameters_rejected(self, morse_spec, morse_grid):
         ms = ModelSpec("gjc", 1.0, 1.0, negated(morse_spec))

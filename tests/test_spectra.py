@@ -14,7 +14,6 @@ from gdo import (
     ParameterError,
     PhysicalConstants,
     UNBOUNDED,
-    UnsupportedError,
     analytic_phi,
     analytic_spinor,
     assemble_dirac,
@@ -178,9 +177,20 @@ class TestAnalyticPhi:
         with pytest.raises(LevelOutOfRangeError):
             analytic_phi(morse_spec, "plus", 1, morse_grid)
 
-    def test_linear_unsupported(self, morse_grid):
-        with pytest.raises(UnsupportedError):
-            analytic_phi(LinearInteraction(omega=1.0), "minus", 0, morse_grid)
+    def test_linear_phi_is_a_hermite_function(self):
+        # level n of either partner well is H_n(xi) exp(-xi^2/2), with
+        # xi = sqrt(m omega / hbar) x; numpy's physicists' Hermite series is
+        # the reference for the Laguerre form, sign included
+        consts = PhysicalConstants(hbar=0.8, c=1.5, mass=1.3)
+        spec = LinearInteraction(omega=1.7)
+        grid = Grid(-5.0, 5.0, 1001)
+        xi = math.sqrt(1.3 * 1.7 / 0.8) * grid.points
+        for n in range(8):
+            reference = np.polynomial.hermite.hermval(xi, np.eye(n + 1)[n]) * np.exp(-0.5 * xi**2)
+            reference /= math.sqrt(np.sum(reference**2) * grid.spacing)
+            for branch in ("minus", "plus"):
+                phi = analytic_phi(spec, branch, n, grid, consts)
+                np.testing.assert_allclose(phi, reference, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("branch,n,expected", [("minus", 1, 4.0), ("plus", 0, 4.0)])
     def test_morse_phi_solves_its_partner_problem(self, morse_spec, branch, n, expected):
@@ -281,6 +291,19 @@ class TestAnalyticSpinor:
         matrix = assemble_model(ModelSpec("gjc", 1.0, 1.0, morse_spec), grid)
         v = np.concatenate([sample.psi1, sample.psi2])
         assert rayleigh_quotient(matrix, v).real == pytest.approx(math.sqrt(5.0), abs=1e-3)
+
+    def test_linear_spinor_rayleigh(self):
+        # the GAJC layout of the assembled model is the oscillator matrix
+        consts = PhysicalConstants(hbar=0.8, c=1.5, mass=1.3)
+        spec = LinearInteraction(omega=1.7)
+        grid = Grid(-8.0, 8.0, 4001)
+        matrix = assemble_dirac(spec, grid, consts)
+        for level in range(1, 5):
+            sample = analytic_spinor(spec, level, grid, consts)
+            energy = math.sqrt(1.3**2 * 1.5**4 + 1.5**2 * epsilon_minus(spec, level, consts))
+            v = np.concatenate([sample.psi1, sample.psi2])
+            # O(h^2): 1.1e-5 at level 1 to 1.1e-4 at level 4
+            assert rayleigh_quotient(matrix, v) == pytest.approx(energy, abs=2e-4)
 
     def test_cot_spinor_rayleigh(self, cot_spec):
         grid = Grid(1e-3, math.pi - 1e-3, 4000)

@@ -15,6 +15,10 @@ from gdo import (
     DimensionError,
     EigenResult,
     Grid,
+    LinearInteraction,
+    MorseInteraction,
+    ParameterError,
+    PhysicalConstants,
     assemble_schrodinger,
     effective_potentials,
     load_config,
@@ -75,7 +79,7 @@ def _dense(d, e):
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 40),
     matrix_seed=st.integers(0, 2**32 - 1),
@@ -309,6 +313,22 @@ def test_levels_beyond_the_closed_form_go_to_bisection(monkeypatch, bisection):
     values = numeric_epsilons(config.interaction, grid, config.constants, 3)
     assert len(bisection.calls) == 1
     assert np.array_equal(values, bisection.calls[0][2])
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (MorseInteraction(D=-1.0, A=1.0, alpha=1.0), "morse levels need D > 0 and A > 0"),
+        (LinearInteraction(omega=-1.0), "linear levels need omega > 0"),
+    ],
+    ids=["morse", "linear"],
+)
+def test_coupling_without_closed_form_levels_raises(bisection, spec, message):
+    # only a level beyond the bound ones goes to bisection; a coupling with
+    # no closed-form levels has nothing to check its box levels against
+    with pytest.raises(ParameterError, match=message):
+        numeric_epsilons(spec, Grid(-6.0, 6.0, 201), PhysicalConstants(), 2)
+    assert not bisection.calls
 
 
 def _never(*args, **kwargs):
