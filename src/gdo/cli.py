@@ -18,6 +18,8 @@ import os
 import sys
 from time import perf_counter
 
+import numpy as np
+
 from .config import RunConfig, dumps_canonical, load_config
 from .errors import ConfigError, GdoError
 from .interactions import check_pseudo_hermiticity_condition, default_condition_grid
@@ -31,7 +33,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 # 17 significant digits round-trip every float64 bit for bit
-_CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g\n"
+_CSV_FLOAT = "%.17g"
 
 
 def _setup_logging():
@@ -82,20 +84,41 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
+def _x_column(points: bytes) -> tuple:
+    """The points of a float64 array, formatted; the CSVs of one run share a grid.
+
+    Float-to-text conversion is most of the cost of a CSV, so the column of
+    the last grid written is kept.  The key is the points themselves: grids
+    that differ only in the sign of a zero endpoint compare equal, yet print
+    0 and -0.
+    """
+    return tuple(_CSV_FLOAT % x for x in np.frombuffer(points).tolist())
+
+
 def cmd_wavefunction(config: RunConfig, args) -> int:
     layout = {"gdo": "GDO", "gajc": "GDO", "gjc": "GJC"}[args.model]
-    sample = analytic_spinor(
-        config.interaction, args.level, config.grid, config.constants, model=layout
+    grid = config.grid
+    t0 = perf_counter()
+    sample = analytic_spinor(config.interaction, args.level, grid, config.constants, model=layout)
+    t1 = perf_counter()
+    fields, columns = ["%s"], [_x_column(grid.points.tobytes())]
+    for values in (sample.psi1.real, sample.psi1.imag, sample.psi2.real, sample.psi2.imag):
+        # "%.17g" prints +0.0 as 0, so a column of +0.0 alone is written
+        # without converting its values; -0.0 prints -0 and is converted
+        if values.any() or np.signbit(values).any():
+            fields.append(_CSV_FLOAT)
+            columns.append(values.tolist())
+        else:
+            fields.append("0")
+    template = ",".join(fields) + "\n"
+    text = "x,re_psi1,im_psi1,re_psi2,im_psi2\n" + "".join([template % row for row in zip(*columns)])
+    t2 = perf_counter()
+    log.info(
+        "wavefunction level %d model %s n %d: sample took %.1f ms, format took %.1f ms",
+        args.level, args.model, grid.n_points, (t1 - t0) * 1000, (t2 - t1) * 1000,
     )
-    columns = (
-        config.grid.points.tolist(),
-        sample.psi1.real.tolist(),
-        sample.psi1.imag.tolist(),
-        sample.psi2.real.tolist(),
-        sample.psi2.imag.tolist(),
-    )
-    rows = [_CSV_ROW % row for row in zip(*columns)]
-    _emit("x,re_psi1,im_psi1,re_psi2,im_psi2\n" + "".join(rows), args.out)
+    _emit(text, args.out)
     return EXIT_OK
 
 

@@ -70,9 +70,22 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _number(value, name: str) -> float:
+    """value as a float; only a JSON number is one, not a bool or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        # a JSON integer literal beyond the float range
+        raise ConfigError(f"{name} is too large for a float") from None
+
+
 def _integer(value, name: str) -> int:
-    """value as an int; a bool or a number with a fractional part is rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """value as an int; a bool, a string or a fraction is rejected, not truncated."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -94,17 +107,21 @@ def _interaction(data) -> InteractionSpec:
 
 
 def _value(hint, value, name: str):
-    """One JSON value as the type its field is annotated with."""
-    if hint is float or hint is str:
-        return hint(value)
+    """One JSON value checked against the type its field is annotated with; nothing is coerced."""
+    if hint is float:
+        return _number(value, name)
     if hint is int:
         return _integer(value, name)
+    if hint is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        return value
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, name, "bad configuration value")
     if hint == InteractionSpec:
         return _interaction(value)
     # the one Optional[float] field, theta_override
-    return None if value is None else float(value)
+    return None if value is None else _number(value, name)
 
 
 def _build(cls, data, where: str, bad: str):

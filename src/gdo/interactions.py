@@ -10,6 +10,7 @@ own adjoint, so the whole verification story starts here.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -58,9 +59,12 @@ class Grid:
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
-    @property
+    @functools.cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The sample points, computed once per grid and shared, so read-only."""
+        points = np.linspace(self.x_min, self.x_max, self.n_points)
+        points.flags.writeable = False
+        return points
 
     def refined(self) -> "Grid":
         """Same endpoints with the spacing exactly halved."""

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import logging
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gdo import analytic_spinor, cli, load_config, spectrum_rows
@@ -140,10 +143,16 @@ _LINEAR = {
             "unknown key 'eigen_rell' in tolerances",
         ),
         (dict(_morse(), level=2), "artifact", "unknown key 'level' in configuration"),
+        (
+            dict(_morse(), grid=dict(_morse()["grid"], x_min=True)),
+            "artifact",
+            "x_min must be a number, got True",
+        ),
+        (dict(_morse(), levels="3"), "artifact", "levels must be an integer, got '3'"),
     ],
     ids=["interaction_int", "constants_int", "tolerances_list", "not_utf8", "out_dir_missing",
          "levels_fraction", "levels_bool", "n_points_fraction", "linear_sign", "tolerance_typo",
-         "root_typo"],
+         "root_typo", "x_min_bool", "levels_str"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, config, out, message):
     path = _write(tmp_path, config)
@@ -292,51 +301,125 @@ def test_verify_real_line_probes_repeat(tmp_path):
     assert all(probe["converged"] for probe in probes)
 
 
-@pytest.mark.parametrize("level", [-1, 1])
-def test_wavefunction_csv_matches_per_value_format(tmp_path, level):
-    config_path = CONFIGS / "morse.json"
-    out = tmp_path / "wavefunction.csv"
-    argv = ["wavefunction", "--config", str(config_path), "--level", str(level), "--out", str(out)]
-    assert main(argv) == EXIT_OK
-    config = load_config(config_path)
-    sample = analytic_spinor(config.interaction, level, config.grid, config.constants, model="GDO")
+def _per_value_csv(config, sample) -> bytes:
+    """The CSV written the plain way: every value through format(v, ".17g")."""
     lines = ["x,re_psi1,im_psi1,re_psi2,im_psi2"]
     for x, psi1, psi2 in zip(config.grid.points, sample.psi1, sample.psi2):
         values = (x, psi1.real, psi1.imag, psi2.real, psi2.imag)
         lines.append(",".join(format(float(v), ".17g") for v in values))
-    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    return ("\n".join(lines) + "\n").encode()
+
+
+# morse.json has one bound pair, so no level 2
+@pytest.mark.parametrize("model", ["gdo", "gjc"])
+@pytest.mark.parametrize(
+    "name, level",
+    [("morse.json", -1), ("morse.json", 1)]
+    + [(name, level) for name in ("cot.json", "linear.json") for level in (-1, 1, 2)],
+)
+def test_wavefunction_csv_matches_per_value_format(tmp_path, name, level, model):
+    config_path = CONFIGS / name
+    out = tmp_path / "wavefunction.csv"
+    argv = ["wavefunction", "--config", str(config_path), "--level", str(level), "--model", model]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    config = load_config(config_path)
+    layout = model.upper()
+    sample = analytic_spinor(config.interaction, level, config.grid, config.constants, model=layout)
+    assert out.read_bytes() == _per_value_csv(config, sample)
+    if name == "linear.json":
+        # real coupling: at least two components are exactly zero at every level
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert sum(all(row[k] == "0" for row in rows) for k in range(1, 5)) >= 2
+
+
+def test_wavefunction_negative_zero_column_is_written_per_value(tmp_path, monkeypatch):
+    # "%.17g" prints -0.0 as -0, so a column with any -0.0 must not be
+    # written as the literal 0 of an all-zero column
+    def signed_zeros(spec, level, grid, consts, model):
+        sample = analytic_spinor(spec, level, grid, consts, model=model)
+        psi2 = np.zeros(grid.n_points, complex)
+        psi2.real[:] = -0.0
+        psi2.imag[7] = -0.0
+        return dataclasses.replace(sample, psi2=psi2)
+
+    monkeypatch.setattr(cli, "analytic_spinor", signed_zeros)
+    config_path = CONFIGS / "morse.json"
+    out = tmp_path / "wavefunction.csv"
+    assert main(["wavefunction", "--config", str(config_path), "--out", str(out)]) == EXIT_OK
+    config = load_config(config_path)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["-0"] * config.grid.n_points
+    assert [i for i, row in enumerate(rows) if row[4] != "0"] == [7] and rows[7][4] == "-0"
+    sample = signed_zeros(config.interaction, -1, config.grid, config.constants, "GDO")
+    assert out.read_bytes() == _per_value_csv(config, sample)
+
+
+def test_wavefunction_x_column_keeps_the_sign_of_a_zero_endpoint(tmp_path):
+    # grids that differ only in the sign of x_max compare equal, yet the
+    # last x reads 0 on one and -0 on the other
+    last = []
+    for x_max in (0.0, -0.0, 0.0):
+        path = _write(tmp_path, dict(_LINEAR, grid={"x_min": -8.0, "x_max": x_max, "n_points": 801}))
+        out = tmp_path / "wavefunction.csv"
+        assert main(["wavefunction", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        last.append(out.read_text().splitlines()[-1].split(",")[0])
+    assert last == ["0", "-0", "0"]
 
 
 def _lone_call(tmp_path, argv, name):
-    # a fresh parser, as in a process that makes no other call
+    # a fresh parser and x column cache, as in a process that makes no other call
     cli._parser.cache_clear()
+    cli._x_column.cache_clear()
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     return out.read_bytes()
 
 
 @pytest.mark.parametrize(
-    "name, first, second",
+    "calls",
     [
-        ("morse.json", ["spectrum", "--numeric"], ["spectrum"]),
-        ("cot.json", ["wavefunction", "--level", "2"], ["wavefunction"]),
+        [("morse.json", ["spectrum", "--numeric"]), ("morse.json", ["spectrum"])],
+        [("cot.json", ["wavefunction", "--level", "2"]), ("cot.json", ["wavefunction"])],
+        # the x column of the last grid is kept: cot's must not reach morse, nor morse's cot
+        [
+            ("cot.json", ["wavefunction", "--level", "2"]),
+            ("morse.json", ["wavefunction", "--level", "1", "--model", "gjc"]),
+            ("cot.json", ["wavefunction"]),
+        ],
     ],
+    ids=["morse.json-first0-second0", "cot.json-first1-second1", "cot-morse-cot"],
 )
-def test_consecutive_calls_match_lone_calls(tmp_path, name, first, second):
+def test_consecutive_calls_match_lone_calls(tmp_path, calls):
     # the parser is built once per process; options of one call must not
     # leak into the next
-    config = ["--config", str(CONFIGS / name)]
+    argvs = [argv + ["--config", str(CONFIGS / name)] for name, argv in calls]
     outputs = []
-    for run, argv in enumerate((first, second)):
+    for run, argv in enumerate(argvs):
         out = tmp_path / f"consecutive_{run}"
-        assert main(argv + config + ["--out", str(out)]) == EXIT_OK
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
         outputs.append(out.read_bytes())
-    lone = [
-        _lone_call(tmp_path, argv + config, f"lone_{run}")
-        for run, argv in enumerate((first, second))
-    ]
+    lone = [_lone_call(tmp_path, argv, f"lone_{run}") for run, argv in enumerate(argvs)]
     assert outputs == lone
-    assert outputs[0] != outputs[1]
+    assert len(set(outputs)) == len(outputs)
+
+
+def test_wavefunction_logs_its_times(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="gdo")
+    argv = ["wavefunction", "--config", str(CONFIGS / "cot.json"), "--level", "2", "--model", "gjc"]
+    outputs = {}
+    for level in ("quiet", "info"):
+        monkeypatch.setenv("GDO_LOG", level)
+        caplog.clear()
+        out = tmp_path / f"wavefunction_{level}.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        outputs[level] = (out.read_bytes(), [r.getMessage() for r in caplog.records])
+    assert outputs["quiet"][1] == []
+    (line,) = outputs["info"][1]
+    assert re.fullmatch(
+        r"wavefunction level 2 model gjc n 4000: sample took \d+\.\d ms, format took \d+\.\d ms", line
+    )
+    # the times go to the log, never into the artifact
+    assert outputs["info"][0] == outputs["quiet"][0]
 
 
 def _verify_log(tmp_path, monkeypatch, caplog, level):

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import struct
 
 import pytest
@@ -68,6 +69,15 @@ def test_omitted_keys_take_the_dataclass_defaults():
     assert config.interaction.B == 0.0 and config.tolerances == Tolerances()
 
 
+def _set(data, path, value):
+    """data with value stored under the key path, its missing sections added."""
+    target = data
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    target[path[-1]] = value
+    return data
+
+
 @pytest.mark.parametrize(
     "section, where",
     [
@@ -80,11 +90,7 @@ def test_omitted_keys_take_the_dataclass_defaults():
 )
 def test_unknown_key_is_refused(section, where):
     # a misspelled key would otherwise leave its field at the default
-    data = copy.deepcopy(_MINIMAL)
-    target = data
-    for key in section:
-        target = target.setdefault(key, {})
-    target["eigen_rell"] = 1e-9
+    data = _set(copy.deepcopy(_MINIMAL), section + ("eigen_rell",), 1e-9)
     with pytest.raises(ConfigError, match=f"^unknown key 'eigen_rell' in {where}$"):
         config_from_dict(data)
 
@@ -101,3 +107,39 @@ def test_unknown_key_is_refused(section, where):
 def test_field_without_default_is_required(interaction, missing):
     with pytest.raises(ConfigError, match=f"^missing key {missing}$"):
         config_from_dict(dict(_MINIMAL, interaction=interaction))
+
+
+# a value of the wrong JSON type is refused, never coerced: json.load gives
+# bool for true, str for "3" and int for an integer literal
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("grid", "x_min"), True, "x_min must be a number, got True"),
+        (("interaction", "D"), "2.5", "D must be a number, got '2.5'"),
+        (("theta_override",), "0.5", "theta_override must be a number, got '0.5'"),
+        (("constants", "hbar"), None, "hbar must be a number, got None"),
+        (("tolerances", "eigen_rel"), [1e-3], "eigen_rel must be a number, got [0.001]"),
+        (("levels",), "3", "levels must be an integer, got '3'"),
+        (("grid", "n_points"), False, "n_points must be an integer, got False"),
+        (("grid", "n_points"), float("inf"), "n_points must be an integer, got inf"),
+        (("mode",), 1, "mode must be a string, got 1"),
+        (("interaction", "alpha"), 10**400, "alpha is too large for a float"),
+    ],
+    ids=["float_bool", "float_str", "optional_str", "float_null", "float_list", "int_str",
+         "int_bool", "int_inf", "str_int", "float_overflow"],
+)
+def test_wrong_json_type_is_refused(path, value, message):
+    data = _set(copy.deepcopy(_MINIMAL), path, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)
+
+
+def test_json_numbers_become_their_field_types():
+    data = copy.deepcopy(_MINIMAL)
+    _set(data, ("grid", "x_min"), -6)
+    _set(data, ("grid", "n_points"), 101.0)
+    _set(data, ("theta_override",), 0)
+    config = config_from_dict(data)
+    assert config.grid == Grid(-6.0, 20.0, 101)
+    assert type(config.grid.x_min) is float and type(config.grid.n_points) is int
+    assert type(config.theta_override) is float

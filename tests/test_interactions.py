@@ -220,6 +220,21 @@ class TestValidation:
         assert grid.spacing == pytest.approx(0.25)
         np.testing.assert_allclose(np.diff(grid.points), 0.25)
 
+    @pytest.mark.parametrize(
+        "bounds", [(0.0, 1.0, 5), (-6.0, 20.0, 4000), (-1.0, -0.0, 7), (0.001, 3.14, 1001)]
+    )
+    def test_grid_points_are_computed_once_and_read_only(self, bounds):
+        grid = Grid(*bounds)
+        points = grid.points
+        # bit for bit what np.linspace gives, signed zeros included
+        expected = np.linspace(*bounds)
+        assert points.tobytes() == expected.tobytes()
+        assert grid.points is points
+        with pytest.raises(ValueError, match="read-only"):
+            points[0] = 1.0
+        # equal grids share no state: a new instance computes its own array
+        assert Grid(*bounds).points is not points
+
     def test_morse_fields_are_keyword_only(self):
         # B has a default, so positional calls could swap alpha and B
         with pytest.raises(TypeError):
