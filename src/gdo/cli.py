@@ -79,7 +79,7 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     if args.numeric:
         worst = eigen_deviation(rows)
         if worst > config.tolerances.eigen_rel:
-            log.warning("numeric spectrum deviates by %.3e (relative)", worst)
+            log.warning("numeric spectrum deviates by %.3e (scaled)", worst)
             return EXIT_FAILED
     return EXIT_OK
 

@@ -15,8 +15,9 @@ One cyclic-reduction factorization serves every shift, and the iterate keeps
 that flat padded layout from one solve to the next.  The solve runs in the
 dtype of the bands and shifts, so a real symmetric T with real shifts is
 solved in float64.  stacked_inverse_iteration reports a breakdown or a stall
-and leaves the remedy to its caller: inverse_iteration nudges its one shift
-and retries, and the seeded levels of verify fall back to bisection.
+and leaves the remedy to its caller: inverse_iteration raises
+SingularPivotError or ConvergenceError for its one shift, and the seeded
+levels of verify fall back to bisection.  No shift is ever perturbed.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .operators import OperatorMatrix, band_matvec
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
 TINY_PIVOT = 1e-300
-# the defaults of inverse_iteration and stacked_inverse_iteration
+# the default tolerance and the iteration cap of both inverse iterations
 ITERATION_TOL = 1e-8
 ITERATION_MAX = 100
 
@@ -286,7 +287,7 @@ def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
 
 
 def stacked_inverse_iteration(
-    bands, shifts, tol: float = ITERATION_TOL, max_iter: int = ITERATION_MAX
+    bands, shifts, tol: float = ITERATION_TOL
 ) -> Optional[List[EigenResult]]:
     """Fixed-shift inverse iteration at every shift of one tridiagonal matrix, in one solve.
 
@@ -300,11 +301,11 @@ def stacked_inverse_iteration(
     through its bands padded with zeros to 2^m.  A block whose residual drops
     to tol keeps that iteration's values and is zeroed, so it solves for zero
     from then on.  Returns, in shift order, one EigenResult per shift,
-    converged False for a shift still above tol after max_iter iterations;
-    [] for no shifts; or None when the factorization breaks down or the
-    norm of a live block is not finite and positive: the iterate or its
-    squared norm overflowed, 0 * inf at a block boundary made a NaN, or the
-    squared norm underflowed to 0.  The caller chooses the remedy for a
+    converged False for a shift still above tol after ITERATION_MAX
+    iterations; [] for no shifts; or None when the factorization breaks down
+    or the norm of a live block is not finite and positive: the iterate or
+    its squared norm overflowed, 0 * inf at a block boundary made a NaN, or
+    the squared norm underflowed to 0.  The caller chooses the remedy for a
     breakdown or a stall.
     """
     shifts = np.asarray(shifts).reshape(-1)
@@ -325,8 +326,6 @@ def stacked_inverse_iteration(
     blocks[:, :n] = _start_vector(n)
     live = np.ones((count, 1), dtype=bool)
     results: List[Optional[EigenResult]] = [None] * count
-    # what a shift reports if max_iter leaves it no iteration
-    eigenvalues, residuals = shifts[:, None], np.full((count, 1), np.inf)
 
     def record(rows, iterations, converged):
         for k in np.flatnonzero(rows).tolist():
@@ -336,7 +335,7 @@ def stacked_inverse_iteration(
 
     # an overflow shows as a non-finite norm, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for iteration in range(1, max_iter + 1):
+        for iteration in range(1, ITERATION_MAX + 1):
             x = _cyclic_reduction_solve(levels, x)
             blocks = x[: count * width].reshape(count, width)
             norms = _row_norms(blocks)
@@ -358,46 +357,34 @@ def stacked_inverse_iteration(
                 if not live.any():
                     return results
                 blocks[done[:, 0]] = 0.0
-    record(live, max_iter, False)
+    record(live, ITERATION_MAX, False)
     return results
 
 
 def inverse_iteration(
-    matrix: OperatorMatrix,
-    shift: complex,
-    tol: float = ITERATION_TOL,
-    max_iter: int = ITERATION_MAX,
+    matrix: OperatorMatrix, shift: complex, tol: float = ITERATION_TOL
 ) -> EigenResult:
     """Converge to the eigenpair of a complex tridiagonal matrix nearest the shift.
 
     Fixed-shift iteration with a Rayleigh-quotient eigenvalue readout;
     convergence means the absolute residual ||M v - lambda v|| (unit v) drops
-    below tol.  This is stacked_inverse_iteration with one block, in complex
-    arithmetic since OperatorMatrix stores complex bands: T - s I, padded
-    with identity rows to 2^m rows, is factored once by odd-even cyclic
-    reduction and every iteration reuses the factorization.  A shift landing
-    on an eigenvalue makes a pivot vanish or a factor, an iterate or its norm
-    overflow; the shift is then nudged by 1e-12 max(|diag|, |sub|, |sup|, 1),
-    growing tenfold over at most three retries, after which
-    SingularPivotError is raised.  A shift still above tol after max_iter
-    iterations raises ConvergenceError.
+    below tol.  This is one stacked_inverse_iteration call with one block, in
+    complex arithmetic since OperatorMatrix stores complex bands: T - s I,
+    padded with identity rows to 2^m rows, is factored once by odd-even
+    cyclic reduction and every iteration reuses the factorization.  A shift
+    landing on an eigenvalue can make a pivot vanish or a factor, an iterate
+    or its norm overflow; that breakdown raises SingularPivotError naming the
+    shift, which is never perturbed and retried.  A shift still above tol
+    after ITERATION_MAX iterations raises ConvergenceError.
 
     The reduction is unpivoted, like plain tridiagonal elimination, which is
     accurate for the diagonally dominant Schrodinger-style matrices this
     package builds; matrices whose shifted diagonal wanders through zero can
     stall at a solve-accuracy floor and end in ConvergenceError instead.
     """
-    bands = matrix.bands
-    scale = float(max(np.max(np.abs(band), initial=1.0) for band in bands))
-    for attempt in range(4):
-        sigma = shift + (1e-12 * scale * 10.0**(attempt - 1) if attempt else 0.0)
-        results = stacked_inverse_iteration(bands, np.array([sigma]), tol, max_iter)
-        if results is not None:
-            break
-    else:
-        raise SingularPivotError(
-            f"tridiagonal elimination kept breaking down near shift {shift} after 3 retries"
-        )
+    results = stacked_inverse_iteration(matrix.bands, np.array([shift]), tol)
+    if results is None:
+        raise SingularPivotError(f"tridiagonal elimination broke down at shift {shift}")
     [result] = results
     if not result.converged:
         raise ConvergenceError(

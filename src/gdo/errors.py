@@ -38,7 +38,7 @@ class ConvergenceError(GdoError):
 
 
 class SingularPivotError(GdoError):
-    """Tridiagonal elimination broke down even after pivot perturbation."""
+    """Tridiagonal elimination broke down at the requested shift."""
 
 
 class DegenerateRecurrenceError(GdoError):

@@ -63,6 +63,18 @@ def _stack_solve(sub, diag, sup, shifts, rhs):
     return blocks[:, :n]
 
 
+def _record_stacked_calls(monkeypatch):
+    """The shifts of every stacked_inverse_iteration call that inverse_iteration makes."""
+    calls = []
+
+    def recording(bands, shifts, *args):
+        calls.append(np.asarray(shifts).tolist())
+        return stacked_inverse_iteration(bands, shifts, *args)
+
+    monkeypatch.setattr(gdo.eigensolve, "stacked_inverse_iteration", recording)
+    return calls
+
+
 def _assert_unit_eigenvector(result):
     assert result.converged
     assert np.all(np.isfinite(result.eigenvector))
@@ -321,7 +333,7 @@ class TestCyclicReduction:
         bound = _norm_bound(d - shift_re, e) + shift_im
         assert residual <= 1e-14 * (bound * np.linalg.norm(x) + np.linalg.norm(rhs))
 
-    def test_zero_pivot_on_a_deeper_level(self):
+    def test_zero_pivot_on_a_deeper_level(self, monkeypatch):
         # every pivot of the first two levels is +-1 and the single pivot of
         # the third is exactly 0: the shift 0 is an eigenvalue
         d = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0], dtype=complex)
@@ -330,9 +342,10 @@ class TestCyclicReduction:
         assert len(_cyclic_reduction_factor(e, d, e, np.array([1e-12]))) == 3
         m = OperatorMatrix.tridiagonal(e, d, e)
         assert abs(np.linalg.det(m.to_dense())) < 1e-12
-        result = inverse_iteration(m, 0.0, tol=1e-10)
-        assert result.converged
-        assert abs(result.eigenvalue) <= 1e-10
+        calls = _record_stacked_calls(monkeypatch)
+        with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
+            inverse_iteration(m, 0.0, tol=1e-10)
+        assert calls == [[0.0]]
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 300])
     def test_three_blocks_match_their_own_dense_solves(self, n):
@@ -374,8 +387,8 @@ class TestInverseIteration:
         m = OperatorMatrix.tridiagonal(e.astype(complex), d.astype(complex), e.astype(complex))
         scale = max(1.0, float(np.max(np.abs(targets))))
         for target in targets:
-            # seeding exactly at the eigenvalue also exercises the
-            # pivot-perturbation retry path
+            # seeded exactly at the eigenvalue: no pivot of these matrices
+            # rounds to zero there, so every shift converges as given
             result = inverse_iteration(m, complex(target), tol=1e-10)
             assert result.converged
             assert abs(result.eigenvalue - target) <= 1e-10 * scale
@@ -395,39 +408,30 @@ class TestInverseIteration:
         m = OperatorMatrix.tridiagonal(
             np.full(9, 0.5 + 0j), np.zeros(10, complex), np.full(9, -0.5 + 0j)
         )
-        with pytest.raises(ConvergenceError):
-            inverse_iteration(m, 100.0, tol=1e-30, max_iter=3)
+        stall = f"after {gdo.eigensolve.ITERATION_MAX} iterations"
+        with pytest.raises(ConvergenceError, match=stall):
+            inverse_iteration(m, 100.0, tol=1e-30)
 
-    def test_breakdown_at_every_nudge_raises(self, monkeypatch):
-        # the nudges scale with the largest entry, the coupling 1e300: the
-        # pivot 0 stops the first attempt, and the iterate of each nudged
-        # shift, at most 1e-288, has a squared norm that underflows to 0
+    def test_breakdown_raises_after_one_stacked_call(self, monkeypatch):
+        # the pivot 0 stops the factorization at shift 0; the shift is
+        # reported as given, never perturbed and solved again
         m = OperatorMatrix.tridiagonal(np.array([1.0]), np.array([0.0, 1.0]), np.array([1e300]))
-        shifts = []
-
-        def recording(bands, shift, *args):
-            shifts.append(complex(shift[0]))
-            return stacked_inverse_iteration(bands, shift, *args)
-
-        monkeypatch.setattr(gdo.eigensolve, "stacked_inverse_iteration", recording)
-        with pytest.raises(SingularPivotError, match="near shift 0.0 after 3 retries"):
+        calls = _record_stacked_calls(monkeypatch)
+        with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
             inverse_iteration(m, 0.0)
-        np.testing.assert_allclose(shifts, [0.0, 1e288, 1e289, 1e290], rtol=1e-12)
+        assert calls == [[0.0]]
 
-    def test_underflowing_norm_is_a_breakdown(self):
+    def test_underflowing_norm_is_a_breakdown(self, monkeypatch):
         # zero couplings and a diagonal near 1e170: the iterate is about
         # 1e-170 and its squared norm underflows to exactly 0, which must not
         # be divided by
         bands = (np.zeros(1), np.array([1e170, 2e170]), np.zeros(1))
         assert stacked_inverse_iteration(bands, np.array([0.0])) is None
         m = OperatorMatrix.tridiagonal(*bands)
-        with pytest.raises(SingularPivotError, match="near shift 0.0 after 3 retries"):
+        calls = _record_stacked_calls(monkeypatch)
+        with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
             inverse_iteration(m, 0.0)
-
-    def test_no_iterations_allowed_raises(self):
-        m = OperatorMatrix.tridiagonal(np.ones(2, complex), np.zeros(3, complex), np.ones(2, complex))
-        with pytest.raises(ConvergenceError, match="residual inf after 0 iterations"):
-            inverse_iteration(m, 0.5, max_iter=0)
+        assert calls == [[0.0]]
 
     def test_deterministic(self):
         # shift below the diagonal range keeps the shifted elimination
@@ -507,36 +511,40 @@ class TestStackedInverseIteration:
             assert result.residual_norm <= 1e-8
             assert direct == pytest.approx(result.residual_norm, rel=1e-6, abs=1e-14)
 
-    def test_overflowing_iterate_is_a_breakdown(self):
+    def test_overflowing_iterate_is_a_breakdown(self, monkeypatch):
         # row 2 of T - 0 I keeps the pivot 1e-300, which passes the pivot
         # check, but its back-substitution weight 1e9 / 1e-300 overflows: the
         # factorization refuses the stack without a warning, and the one-shift
-        # call at 0 converges once nudged by 1e-12 times the largest entry, 1e9
+        # call at 0 raises after that one attempt
         sub, diag, sup = np.array([1.0, 1e9]), np.array([2.0, 1.0, 1e-300]), np.array([1.0, 0.0])
         assert _cyclic_reduction_factor(sub, diag, sup, np.array([0.0])) is None
         assert stacked_inverse_iteration((sub, diag, sup), [0.0, 2.5]) is None
         matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
-        for shift, solved_at in ((0.0, 1e-12 * 1e9), (2.5, 2.5)):
-            [alone] = stacked_inverse_iteration(matrix.bands, [solved_at])
-            single = inverse_iteration(matrix, shift)
-            _assert_unit_eigenvector(alone)
-            _assert_unit_eigenvector(single)
-            assert alone.iterations == single.iterations
-            assert alone.eigenvalue == single.eigenvalue
+        [alone] = stacked_inverse_iteration(matrix.bands, [2.5])
+        calls = _record_stacked_calls(monkeypatch)
+        with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
+            inverse_iteration(matrix, 0.0)
+        single = inverse_iteration(matrix, 2.5)
+        assert calls == [[0.0], [2.5]]
+        _assert_unit_eigenvector(alone)
+        _assert_unit_eigenvector(single)
+        assert alone.iterations == single.iterations
+        assert alone.eigenvalue == single.eigenvalue
 
-    def test_overflowing_norm_is_a_breakdown(self):
+    def test_overflowing_norm_is_a_breakdown(self, monkeypatch):
         # at shift 0 the pivot 1e-300 passes and the iterate, about 1e300, is
         # finite, but its squared norm overflows.  That counts as a
-        # breakdown: the nudged shift converges to a unit eigenvector of the
-        # eigenvalue 1e-300, not to a zero vector
+        # breakdown, not as convergence to a zero vector.  The shift 4.9
+        # beside it factors and converges alone
         sub, diag, sup = np.zeros(1), np.array([1e-300, 5.0]), np.zeros(1)
-        assert stacked_inverse_iteration((sub, diag, sup), [0.0, 5.0]) is None
+        assert _cyclic_reduction_factor(sub, diag, sup, np.array([0.0, 4.9])) is not None
+        assert stacked_inverse_iteration((sub, diag, sup), [0.0, 4.9]) is None
         matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
-        result = inverse_iteration(matrix, 0.0)
-        _assert_unit_eigenvector(result)
-        assert abs(result.eigenvalue) <= 1e-20
-        assert abs(result.eigenvector[0]) == pytest.approx(1.0, abs=1e-10)
-        result = inverse_iteration(matrix, 5.0)
+        calls = _record_stacked_calls(monkeypatch)
+        with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
+            inverse_iteration(matrix, 0.0)
+        result = inverse_iteration(matrix, 4.9)
+        assert calls == [[0.0], [4.9]]
         _assert_unit_eigenvector(result)
         assert abs(result.eigenvalue - 5.0) <= 1e-10
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from gdo import (
     PhysicalConstants,
     assemble_schrodinger,
     effective_potentials,
+    factorization_check,
     load_config,
     numeric_epsilons,
     real_line_probe,
@@ -33,7 +35,8 @@ from gdo.eigensolve import (
     sturm_window_counts,
     symtridiag_eigenvalues,
 )
-from gdo.verify import eigen_deviation, seeded_eigenvalues
+from gdo.cli import EXIT_FAILED, EXIT_OK, main
+from gdo.verify import _algebra_grid, eigen_deviation, seeded_eigenvalues
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -368,6 +371,78 @@ def test_real_line_probe_calls_inverse_iteration_per_seed(monkeypatch):
     assert shifts == [complex(seed) for seed in seeds]
     assert all(probe["converged"] for probe in probes)
     assert [probe["iterations"] for probe in probes] == [3, 8, 5, 9]
+
+
+def test_probe_breakdown_is_reported_per_seed(monkeypatch, tmp_path):
+    # gdo.verify keeps its own name for the seeded levels' stacked solve, so
+    # only the one-shift probes meet the breakdown
+    shifts = []
+
+    def breaks_down(bands, shift, *args):
+        shifts.append(np.asarray(shift).tolist())
+        return None
+
+    monkeypatch.setattr(gdo.eigensolve, "stacked_inverse_iteration", breaks_down)
+    config = load_config(CONFIGS / "cot.json")
+    seeds = [row["epsilon"] for row in spectrum_rows(config)][:2]
+    probes = real_line_probe(config.interaction, config.grid, config.constants, seeds)
+    assert shifts == [[complex(seed)] for seed in seeds]
+    assert [sorted(probe) for probe in probes] == [["error", "seed"]] * 2
+    for seed, probe in zip(seeds, probes):
+        assert probe["seed"] == seed
+        assert probe["error"].endswith(f"broke down at shift {complex(seed)}")
+    # probes are reported, never gated
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--config", str(CONFIGS / "cot.json"), "--out", str(out)]
+    assert main(argv + ["--mode", "real_line"]) == EXIT_OK
+    payload = json.loads(out.read_bytes())
+    assert payload["overall"] is True
+    assert all(set(probe) == {"seed", "error"} for probe in payload["real_line_probes"])
+
+
+def _rescaled(spec, lam):
+    """The same coupling in a unit of length lam times smaller: x -> lam x."""
+    if isinstance(spec, MorseInteraction):
+        return dataclasses.replace(
+            spec, D=spec.D / lam, A=spec.A / lam, B=spec.B / lam, alpha=spec.alpha / lam
+        )
+    return dataclasses.replace(spec, A=spec.A / lam, alpha=spec.alpha / lam)
+
+
+@pytest.mark.parametrize("name", ["morse.json", "cot.json"])
+def test_ladder_gate_does_not_depend_on_the_unit_of_length(name):
+    # a power-of-two rescale scales every grid point, f and hbar/h exactly,
+    # so the residual and its rounding scale move together
+    config = load_config(CONFIGS / name)
+
+    def ladder_ratio(spec):
+        report = factorization_check(spec, _algebra_grid(spec), config.constants)
+        assert report.overall
+        ladder = report.checks[0]
+        return ladder.measured / ladder.threshold
+
+    reference = ladder_ratio(config.interaction)
+    assert 0.1 < reference < 1.0
+    for lam in (0.125, 16.0):
+        assert ladder_ratio(_rescaled(config.interaction, lam)) == pytest.approx(
+            reference, rel=4 * np.finfo(float).eps
+        )
+
+
+def test_partner_function_error_propagates(monkeypatch, tmp_path, capsys):
+    # a level that shape_invariance cannot sample fails the run by name,
+    # never passes without a measurement
+    def unavailable(*args, **kwargs):
+        raise ParameterError("partner function unavailable")
+
+    monkeypatch.setattr(gdo.verify, "analytic_phi", unavailable)
+    with pytest.raises(ParameterError, match="partner function unavailable"):
+        verify_all(load_config(CONFIGS / "morse.json"))
+    out = tmp_path / "verify.json"
+    argv = ["verify", "--config", str(CONFIGS / "morse.json"), "--out", str(out)]
+    assert main(argv) == EXIT_FAILED
+    assert capsys.readouterr().err.splitlines() == ["gdo: partner function unavailable"]
+    assert not out.exists()
 
 
 def test_verify_samples_each_singlet_once(monkeypatch):
