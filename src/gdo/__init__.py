@@ -36,6 +36,7 @@ from .interactions import (
     hermitian_equivalent_interaction,
     metric_theta,
     negated,
+    upper_partner,
 )
 from .operators import (
     EffectivePotentialSample,

@@ -65,7 +65,7 @@ def cmd_check(config: RunConfig, args) -> int:
     report = check_pseudo_hermiticity_condition(
         config.interaction,
         config.condition_theta(),
-        default_condition_grid(config.interaction),
+        default_condition_grid(config.interaction, config.constants),
         config.constants,
         tol=config.tolerances.condition,
     )

@@ -211,18 +211,21 @@ def metric_theta(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONS
     raise UnsupportedError(f"unknown interaction {spec!r}")
 
 
-def default_condition_grid(spec: InteractionSpec) -> Grid:
+def default_condition_grid(
+    spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS
+) -> Grid:
     """401-point window used by the conjugation-shift check.
 
-    Centered at the origin except for the cot family, where the center sits
-    mid-period to stay clear of the cosec poles.
+    Half-width 2/k, with k = alpha, or sqrt(m |omega| / hbar) for linear (1
+    at omega = 0).  Centered at the origin except for the cot family, where
+    the center sits mid-period to stay clear of the cosec poles.
     """
-    alpha = getattr(spec, "alpha", 1.0)
-    if isinstance(spec, CotInteraction):
-        x0 = spec.a / alpha + math.pi / (2.0 * alpha)
+    if isinstance(spec, LinearInteraction):
+        k = math.sqrt(consts.mass * abs(spec.omega) / consts.hbar) or 1.0
     else:
-        x0 = 0.0
-    return Grid(x0 - 2.0 / alpha, x0 + 2.0 / alpha, 401)
+        k = spec.alpha
+    x0 = spec.a / k + math.pi / (2.0 * k) if isinstance(spec, CotInteraction) else 0.0
+    return Grid(x0 - 2.0 / k, x0 + 2.0 / k, 401)
 
 
 def check_pseudo_hermiticity_condition(
@@ -260,6 +263,23 @@ def hermitian_equivalent_interaction(
         return dataclasses.replace(spec, A=math.hypot(spec.A, spec.B), B=0.0)
     if isinstance(spec, CotInteraction):
         return dataclasses.replace(spec, b=0.0)
+    if isinstance(spec, LinearInteraction):
+        return spec
+    raise UnsupportedError(f"unknown interaction {spec!r}")
+
+
+def upper_partner(
+    spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS
+) -> InteractionSpec:
+    """Coupling whose lower-partner well is this one's upper-partner well plus a constant.
+
+    Shape invariance (Cooper, Khare & Sukhatme, Phys. Rep. 251 (1995) 267):
+    Morse D -> D - hbar alpha, cot A -> A + hbar alpha, linear unchanged.
+    """
+    if isinstance(spec, MorseInteraction):
+        return dataclasses.replace(spec, D=spec.D - consts.hbar * spec.alpha)
+    if isinstance(spec, CotInteraction):
+        return dataclasses.replace(spec, A=spec.A + consts.hbar * spec.alpha)
     if isinstance(spec, LinearInteraction):
         return spec
     raise UnsupportedError(f"unknown interaction {spec!r}")

@@ -6,6 +6,10 @@ index -1.  Spinor levels use the physical subscript, so level -1 is the
 singlet and level k >= 1 pairs the k-th lower-partner state with the
 (k-1)-th upper-partner state.
 
+Only the lower branch has formulas.  The upper branch is derived from it by
+shape invariance: eps_n^+ = eps_{n+1}^-, and the upper-partner function at
+index n is the lower-partner function at index n of upper_partner(spec).
+
 Eigenfunction phases are pinned by the exact first-order ladder relations
 (see _ladder_constant), which makes every sampled spinor an eigenvector of
 the assembled two-component matrix up to discretization error.
@@ -13,7 +17,6 @@ the assembled two-component matrix up to discretization error.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List
@@ -36,6 +39,7 @@ from .interactions import (
     LinearInteraction,
     MorseInteraction,
     PhysicalConstants,
+    upper_partner,
 )
 from .polynomials import jacobi_any, laguerre
 
@@ -79,11 +83,6 @@ class SpinorSample:
     model: str
 
 
-def _check_branch(branch: str):
-    if branch not in _BRANCHES:
-        raise ParameterError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-
-
 def _morse_s(spec: MorseInteraction, consts: PhysicalConstants) -> float:
     return spec.D / (consts.hbar * spec.alpha)
 
@@ -105,7 +104,8 @@ def bound_state_count(
     ParameterError outside the regime with closed-form levels: linear needs
     omega > 0, Morse D, A > 0 and cot A > 0.
     """
-    _check_branch(branch)
+    if branch not in _BRANCHES:
+        raise ParameterError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     _require_solvable(spec)
     if isinstance(spec, MorseInteraction):
         s = _morse_s(spec, consts)
@@ -143,16 +143,9 @@ def epsilon_minus(
 def epsilon_plus(
     spec: InteractionSpec, n: int, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
-    """Decoupled eigenvalue of the upper-partner problem at level n."""
+    """Decoupled eigenvalue of the upper-partner problem at level n: epsilon_minus at n + 1."""
     _check_level(spec, "plus", n, consts)
-    hb = consts.hbar
-    if isinstance(spec, MorseInteraction):
-        return spec.D**2 - (spec.D - (n + 1) * hb * spec.alpha) ** 2
-    if isinstance(spec, CotInteraction):
-        return (spec.A + (n + 1) * hb * spec.alpha) ** 2 - spec.A**2
-    if isinstance(spec, LinearInteraction):
-        return 2.0 * (n + 1) * hb * consts.mass * spec.omega
-    raise UnsupportedError(f"unknown interaction {spec!r}")
+    return epsilon_minus(spec, n + 1, consts)
 
 
 def dirac_spectrum(
@@ -191,24 +184,15 @@ def spinor_coefficients(
     return SpinorCoefficients(a=a, b=b, energy=energy)
 
 
-def _phi_raw_morse(spec: MorseInteraction, branch: str, n: int, x, consts) -> np.ndarray:
+def _phi_raw_morse(spec: MorseInteraction, n: int, x, consts) -> np.ndarray:
     s = _morse_s(spec, consts)
     w = spec.A + 1j * spec.B
     z = (2.0 * w / (consts.hbar * spec.alpha)) * np.exp(-spec.alpha * x)
-    if branch == "minus":
-        power, upper, degree = s - n, 2 * s - 2 * n, n
-    else:
-        power, upper, degree = s - n - 1, 2 * s - 2 * n - 2, n
     # arg(z) is constant in x, so the principal power never crosses a cut
-    return z**power * np.exp(-z / 2.0) * laguerre(degree, upper, z)
+    return z ** (s - n) * np.exp(-z / 2.0) * laguerre(n, 2 * s - 2 * n, z)
 
 
-def _phi_raw_cot(spec: CotInteraction, branch: str, n: int, x, consts) -> np.ndarray:
-    if branch == "plus":
-        # upper-partner eigenfunctions are the lower-partner ones of the
-        # amplitude shifted by hbar*alpha, at the same level index
-        shifted = dataclasses.replace(spec, A=spec.A + consts.hbar * spec.alpha)
-        return _phi_raw_cot(shifted, "minus", n, x, consts)
+def _phi_raw_cot(spec: CotInteraction, n: int, x, consts) -> np.ndarray:
     s = spec.A / (consts.hbar * spec.alpha)
     w = spec.alpha * x - spec.a - 1j * spec.b
     sw = np.sin(w)
@@ -232,12 +216,13 @@ def _phi_raw_linear(spec: LinearInteraction, n: int, x, consts) -> np.ndarray:
 
 
 def _phi_raw(spec: InteractionSpec, branch: str, n: int, x, consts) -> np.ndarray:
-    _check_branch(branch)
     _check_level(spec, branch, n, consts)
+    if branch == "plus":
+        spec = upper_partner(spec, consts)
     if isinstance(spec, MorseInteraction):
-        return _phi_raw_morse(spec, branch, n, x, consts)
+        return _phi_raw_morse(spec, n, x, consts)
     if isinstance(spec, CotInteraction):
-        return _phi_raw_cot(spec, branch, n, x, consts)
+        return _phi_raw_cot(spec, n, x, consts)
     return _phi_raw_linear(spec, n, x, consts)
 
 

@@ -16,6 +16,10 @@ down, or any level stalls or fails its certificate, all of them come from
 Sturm bisection instead.  The real-line complex matrix is probed by inverse
 iteration, one shift per call, and reported without gating, since its
 boundary conditions are a modeling choice.
+
+Shape invariance is checked on the wells built from f and f': V+ of the
+coupling minus V- of upper_partner(spec), the map the closed forms take
+their upper branch from, must be constant on the config grid.
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ from .interactions import (
     CotInteraction,
     Grid,
     InteractionSpec,
-    MorseInteraction,
     PhysicalConstants,
     check_pseudo_hermiticity_condition,
     default_condition_grid,
     eval_f,
     eval_f_prime,
     hermitian_equivalent_interaction,
+    upper_partner,
 )
 from .models import ModelSpec, assemble_model, ground_state_structure, oscillator_models, spin_flip
 from .operators import (
@@ -60,12 +64,9 @@ from .operators import (
     momentum_operator,
 )
 from .spectra import (  # analytic_spinor: perfbench/tracer.py patches gdo.verify's name
-    analytic_phi,
     analytic_spinor,
-    bound_state_count,
     dirac_spectrum,
     epsilon_minus,
-    epsilon_plus,
     spinor_coefficients,
 )
 
@@ -261,11 +262,11 @@ def eigen_deviation(rows: List[dict]) -> float:
     return max(scaled_deviation(row["epsilon"], row["epsilon_numeric"]) for row in rows)
 
 
-def _algebra_grid(spec: InteractionSpec) -> Grid:
-    # the window of the condition check at 201 points; the ladder-product
-    # residual is rounding gated relative to max|f|^2 + hbar^2/h^2, so the
-    # point count sets only the cost
-    base = default_condition_grid(spec)
+def _algebra_grid(spec: InteractionSpec, consts: PhysicalConstants) -> Grid:
+    # the condition check's window, two coupling lengths each side, at 201
+    # points; the ladder-product residual is rounding gated relative to
+    # max|f|^2 + hbar^2/h^2, so the point count sets only the cost
+    base = default_condition_grid(spec, consts)
     return Grid(base.x_min, base.x_max, 201)
 
 
@@ -295,7 +296,8 @@ def verify_all(config: RunConfig) -> VerificationReport:
 
     # 1. conjugation-shift condition on the default 401-point window
     condition = check_pseudo_hermiticity_condition(
-        spec, config.condition_theta(), default_condition_grid(spec), consts, tol=tols.condition
+        spec, config.condition_theta(), default_condition_grid(spec, consts), consts,
+        tol=tols.condition,
     )
     add(CheckResult("condition_shift", condition.max_deviation, tols.condition, condition.passed))
 
@@ -314,12 +316,12 @@ def verify_all(config: RunConfig) -> VerificationReport:
     add(CheckResult("potential_closed_form", pot_dev, 1e-12, pot_dev <= 1e-12))
 
     # 3. ladder-product identity and commutator order
-    fact = factorization_check(spec, _algebra_grid(spec), consts)
+    fact = factorization_check(spec, _algebra_grid(spec, consts), consts)
     fact_measure = float(max(c.measured / max(c.threshold, 1e-300) for c in fact.checks))
     add(CheckResult("factorization", fact_measure, 1.0, fact.overall))
 
-    # 4. shape invariance: level identity plus eigenfunction ratio
-    add(_shape_invariance_check(spec, consts))
+    # 4. shape invariance: V+ of the coupling is V- of its upper partner plus a constant
+    add(_shape_invariance_check(spec, config.grid, consts))
 
     # 5. analytic vs numeric decoupled eigenvalues
     eig_dev = eigen_deviation(spectrum_rows(config, numeric=True))
@@ -431,43 +433,15 @@ def factorization_check(
     ))
 
 
-def _shape_invariance_check(spec, consts) -> CheckResult:
-    level_dev = 0.0
-    plus_count = bound_state_count(spec, "plus", consts)
-    n_max = 6 if math.isinf(plus_count) else int(plus_count)
-    for n in range(n_max):
-        level_dev = max(
-            level_dev, abs(epsilon_plus(spec, n, consts) - epsilon_minus(spec, n + 1, consts))
-        )
-    ratio_dev = 0.0
-    if isinstance(spec, (MorseInteraction, CotInteraction)):
-        ratio_dev = _partner_ratio_spread(spec, consts, levels=min(2, n_max))
-    measured = max(level_dev, ratio_dev)
-    # one scalar threshold: the looser of the two stated bounds, each part
-    # individually far below it in practice
+def _shape_invariance_check(spec, grid, consts) -> CheckResult:
+    # spread of the gap relative to max|V+|: rounding for the right partner,
+    # an x-dependent gap for a wrong one
+    v_plus = effective_potentials(spec, grid, consts).v_plus
+    gap = v_plus - effective_potentials(upper_partner(spec, consts), grid, consts).v_minus
+    spread = np.max(np.abs(gap - gap[gap.size // 2]))
+    measured = float(spread / np.max(np.abs(v_plus), initial=np.finfo(float).tiny))
     threshold = 1e-8
     return CheckResult("shape_invariance", measured, threshold, measured <= threshold)
-
-
-def _partner_ratio_spread(spec, consts, levels: int) -> float:
-    """Pointwise-ratio spread between upper-partner states and the shifted lower ones."""
-    shift = consts.hbar * spec.alpha
-    if isinstance(spec, MorseInteraction):
-        shifted = dataclasses.replace(spec, D=spec.D - shift)
-        grid = Grid(-2.0 / spec.alpha, 6.0 / spec.alpha, 601)
-    else:
-        shifted = dataclasses.replace(spec, A=spec.A + shift)
-        period = math.pi / spec.alpha
-        grid = Grid(spec.a / spec.alpha + 0.05 * period, spec.a / spec.alpha + 0.95 * period, 601)
-    worst = 0.0
-    for n in range(levels):
-        plus_side = analytic_phi(spec, "plus", n, grid, consts)
-        minus_side = analytic_phi(shifted, "minus", n, grid, consts)
-        keep = np.abs(minus_side) > 1e-6 * np.max(np.abs(minus_side))
-        ratio = plus_side[keep] / minus_side[keep]
-        center = ratio[ratio.size // 2]
-        worst = max(worst, float(np.max(np.abs(ratio - center)) / abs(center)))
-    return worst
 
 
 def _singlet_check(gajc: ModelSpec, gjc: ModelSpec, grid, consts, rq_tol) -> CheckResult:

@@ -22,6 +22,7 @@ from gdo import (
     hermitian_equivalent_interaction,
     metric_theta,
     negated,
+    upper_partner,
 )
 
 
@@ -158,6 +159,29 @@ class TestConditionCheck:
         center = (grid.x_min + grid.x_max) / 2
         assert center == pytest.approx(cot_spec.a / cot_spec.alpha + math.pi / 2)
         assert grid.x_max - grid.x_min == pytest.approx(4.0 / cot_spec.alpha)
+
+    @pytest.mark.parametrize("omega,half_width", [(4.0, 0.5), (-4.0, 0.5), (0.0, 2.0)])
+    def test_linear_window_spans_two_oscillator_lengths(self, omega, half_width):
+        # sqrt(hbar / (m |omega|)) = 1/4 here; omega = 0 keeps the unit window
+        consts = PhysicalConstants(hbar=0.5, c=1.0, mass=2.0)
+        grid = default_condition_grid(LinearInteraction(omega=omega), consts)
+        assert (grid.x_min, grid.x_max, grid.n_points) == (-half_width, half_width, 401)
+
+
+class TestUpperPartner:
+    CONSTS = PhysicalConstants(hbar=0.5, c=1.0, mass=2.0)
+
+    def test_morse_depth_drops_by_hbar_alpha(self):
+        spec = MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=2.0)
+        assert upper_partner(spec, self.CONSTS) == MorseInteraction(D=1.5, A=1.0, B=0.5, alpha=2.0)
+
+    def test_cot_amplitude_grows_by_hbar_alpha(self):
+        spec = CotInteraction(A=1.0, alpha=2.0, a=0.2, b=0.3)
+        assert upper_partner(spec, self.CONSTS) == CotInteraction(A=2.0, alpha=2.0, a=0.2, b=0.3)
+
+    def test_linear_is_its_own_partner(self):
+        spec = LinearInteraction(omega=1.5)
+        assert upper_partner(spec, self.CONSTS) is spec
 
 
 class TestHermitianEquivalent:

@@ -36,7 +36,12 @@ from gdo.eigensolve import (
     symtridiag_eigenvalues,
 )
 from gdo.cli import EXIT_FAILED, EXIT_OK, main
-from gdo.verify import _algebra_grid, eigen_deviation, seeded_eigenvalues
+from gdo.verify import (
+    _algebra_grid,
+    _shape_invariance_check,
+    eigen_deviation,
+    seeded_eigenvalues,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -406,17 +411,26 @@ def _rescaled(spec, lam):
         return dataclasses.replace(
             spec, D=spec.D / lam, A=spec.A / lam, B=spec.B / lam, alpha=spec.alpha / lam
         )
+    if isinstance(spec, LinearInteraction):
+        return dataclasses.replace(spec, omega=spec.omega / lam**2)
     return dataclasses.replace(spec, A=spec.A / lam, alpha=spec.alpha / lam)
 
 
-@pytest.mark.parametrize("name", ["morse.json", "cot.json"])
+SHIPPED = ["morse.json", "cot.json", "linear.json"]
+# powers of two, so every grid point, coupling value and potential scales exactly
+UNIT_SCALES = (0.125, 0.5, 2.0, 16.0)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_ladder_gate_does_not_depend_on_the_unit_of_length(name):
     # a power-of-two rescale scales every grid point, f and hbar/h exactly,
     # so the residual and its rounding scale move together
     config = load_config(CONFIGS / name)
 
     def ladder_ratio(spec):
-        report = factorization_check(spec, _algebra_grid(spec), config.constants)
+        report = factorization_check(
+            spec, _algebra_grid(spec, config.constants), config.constants
+        )
         assert report.overall
         ladder = report.checks[0]
         return ladder.measured / ladder.threshold
@@ -429,13 +443,60 @@ def test_ladder_gate_does_not_depend_on_the_unit_of_length(name):
         )
 
 
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shape_invariance_does_not_depend_on_the_unit_of_length(name):
+    # both wells scale by exactly lam^-2 and so does their gap, so the
+    # relative spread is the same number at every power-of-two rescale
+    config = load_config(CONFIGS / name)
+    grid, consts = config.grid, config.constants
+    reference = _shape_invariance_check(config.interaction, grid, consts)
+    assert reference.passed
+    for lam in UNIT_SCALES:
+        rescaled_grid = Grid(grid.x_min * lam, grid.x_max * lam, grid.n_points)
+        check = _shape_invariance_check(_rescaled(config.interaction, lam), rescaled_grid, consts)
+        assert check.measured == reference.measured
+
+
+def _wrong_partner(spec, consts):
+    # each family's shift with the wrong sign, and linear at twice omega
+    shift = consts.hbar * getattr(spec, "alpha", 0.0)
+    if isinstance(spec, MorseInteraction):
+        return dataclasses.replace(spec, D=spec.D + shift)
+    if isinstance(spec, CotInteraction):
+        return dataclasses.replace(spec, A=spec.A - shift)
+    return dataclasses.replace(spec, omega=2.0 * spec.omega)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shape_invariance_fails_on_a_wrong_partner(monkeypatch, name):
+    monkeypatch.setattr(gdo.verify, "upper_partner", _wrong_partner)
+    verdicts = {c.name: c for c in verify_all(load_config(CONFIGS / name)).checks}
+    assert not verdicts["shape_invariance"].passed
+    assert verdicts["shape_invariance"].measured > 1e-3
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        (CotInteraction(A=0.0, alpha=1.0, b=0.3), "cot levels need A > 0"),
+        (LinearInteraction(omega=0.0), "linear levels need omega > 0"),
+    ],
+)
+def test_zero_coupling_passes_shape_invariance_to_the_level_check(spec, message):
+    # V+ vanishes everywhere, so check 4 must not divide 0 by 0; the run
+    # stops at the closed-form levels with their named error
+    config = dataclasses.replace(load_config(CONFIGS / f"{spec.kind}.json"), interaction=spec)
+    with pytest.raises(ParameterError, match=message):
+        verify_all(config)
+
+
 def test_partner_function_error_propagates(monkeypatch, tmp_path, capsys):
-    # a level that shape_invariance cannot sample fails the run by name,
+    # a partner that shape_invariance cannot build fails the run by name,
     # never passes without a measurement
     def unavailable(*args, **kwargs):
         raise ParameterError("partner function unavailable")
 
-    monkeypatch.setattr(gdo.verify, "analytic_phi", unavailable)
+    monkeypatch.setattr(gdo.verify, "upper_partner", unavailable)
     with pytest.raises(ParameterError, match="partner function unavailable"):
         verify_all(load_config(CONFIGS / "morse.json"))
     out = tmp_path / "verify.json"
