@@ -22,9 +22,10 @@ import numpy as np
 
 from .config import RunConfig, dumps_canonical, load_config
 from .errors import ConfigError, GdoError
-from .interactions import check_pseudo_hermiticity_condition, default_condition_grid
+from .interactions import check_pseudo_hermiticity_condition, default_condition_grid, metric_theta
 from .models import ground_state_structure, oscillator_models, spin_flip
 from .spectra import analytic_spinor
+# real_line_probe is not called here: perfbench/tracer.py patches gdo.cli's name
 from .verify import eigen_deviation, real_line_probe, spectrum_rows, verify_all
 
 log = logging.getLogger("gdo")
@@ -64,7 +65,7 @@ def _emit(text: str, out_path):
 def cmd_check(config: RunConfig, args) -> int:
     report = check_pseudo_hermiticity_condition(
         config.interaction,
-        config.condition_theta(),
+        metric_theta(config.interaction, config.constants),
         default_condition_grid(config.interaction, config.constants),
         config.constants,
         tol=config.tolerances.condition,
@@ -130,11 +131,6 @@ def cmd_verify(config: RunConfig, args) -> int:
         "checks": [dataclasses.asdict(c) for c in report.checks],
         "overall": report.overall,
     }
-    if config.mode == "real_line" and config.interaction.kind == "cot":
-        seeds = [row["epsilon"] for row in spectrum_rows(config)]
-        payload["real_line_probes"] = real_line_probe(
-            config.interaction, config.grid, config.constants, seeds, tol=config.tolerances.residual
-        )
     _emit(dumps_canonical(payload) + "\n", args.out)
     log.info("verify took %d ms", int(runtime * 1000))
     return EXIT_OK if report.overall else EXIT_FAILED
@@ -186,12 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--level", type=int, default=-1, help="-1 for the singlet, k >= 1 for pairs")
             cmd.add_argument("--model", choices=("gdo", "gajc", "gjc"), default="gdo")
         if name == "verify":
+            # kept for the command lines that still pass it (ROADMAP item 6)
             cmd.add_argument(
-                "--mode",
-                choices=("contour", "real_line"),
-                default=None,
-                help="real_line adds inverse-iteration probes of the complex real-line "
-                "matrix to the report of a cot config; contour adds none",
+                "--mode", choices=("contour",), help="accepted for old command lines; selects nothing"
             )
     return parser
 
@@ -213,8 +206,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        if getattr(args, "mode", None):
-            config = dataclasses.replace(config, mode=args.mode)
     except ConfigError as exc:
         print(f"gdo: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -13,7 +13,6 @@ import functools
 import json
 import typing
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConfigError, GdoError
 from .interactions import (
@@ -23,7 +22,6 @@ from .interactions import (
     LinearInteraction,
     MorseInteraction,
     PhysicalConstants,
-    metric_theta,
 )
 
 
@@ -48,20 +46,13 @@ class RunConfig:
     constants: PhysicalConstants = PhysicalConstants()
     tolerances: Tolerances = Tolerances()
     levels: int = 4
-    mode: str = "contour"
-    theta_override: Optional[float] = None
+    mode: str = "contour"  # one value, selecting nothing; kept for old configs (ROADMAP item 6)
 
     def __post_init__(self):
         if self.levels < 1:
             raise ConfigError(f"levels must be >= 1, got {self.levels}")
-        if self.mode not in ("contour", "real_line"):
-            raise ConfigError(f"mode must be 'contour' or 'real_line', got {self.mode!r}")
-
-    def condition_theta(self) -> float:
-        """Shift parameter of the condition check: the override, else the family's own."""
-        if self.theta_override is None:
-            return metric_theta(self.interaction, self.constants)
-        return self.theta_override
+        if self.mode != "contour":
+            raise ConfigError(f"mode must be 'contour', got {self.mode!r}")
 
 
 def _object(value, where: str) -> dict:
@@ -118,10 +109,8 @@ def _value(hint, value, name: str):
         return value
     if dataclasses.is_dataclass(hint):
         return _build(hint, value, name, "bad configuration value")
-    if hint == InteractionSpec:
-        return _interaction(value)
-    # the one Optional[float] field, theta_override
-    return None if value is None else _number(value, name)
+    # the one field left, RunConfig.interaction, is an InteractionSpec
+    return _interaction(value)
 
 
 def _build(cls, data, where: str, bad: str):

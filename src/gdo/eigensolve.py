@@ -202,9 +202,9 @@ def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
 
     All of them when count is None.  Bisection on Sturm counts (Barth,
     Martin & Wilkinson, Numer. Math. 9 (1967) 386): each level keeps a
-    bracket, starting from the Gershgorin interval, and every pass counts the
-    eigenvalues below the midpoint of each distinct unconverged bracket, the
-    fewest shifts in total when every shift costs the same.  A level is done
+    bracket, starting from the Gershgorin interval, and every pass halves the
+    bracket of each unconverged level at its midpoint by one Sturm count,
+    independently of the other levels.  A level is done
     when its bracket is narrower than eps*||T|| or 2 eps times its magnitude,
     the default tolerances of LAPACK stebz; the midpoint is returned.
     Deterministic: identical inputs give bit-identical outputs.  Each shift
@@ -235,25 +235,14 @@ def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
     while True:
         active = hi - lo > np.maximum(atol, 2.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
         if not active.any():
-            # the updates below keep lo and hi non-decreasing in the level,
-            # so the midpoints come out ascending
+            # Sturm counts rise with the shift, so lo and hi are non-decreasing
+            # in the level and the midpoints come out ascending
             return 0.5 * (lo + hi)
-        # levels still sharing the bracket of the level below add no shifts
-        fresh = active & np.append(True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))
-        shifts = 0.5 * (lo[fresh] + hi[fresh])
-        below = _sturm_counts(d, e2, pivmin, shifts)
-        # level j lies above every shift counting <= j eigenvalues and at or
-        # below every shift counting more; running extremes over the shifts
-        # ordered by count give both bounds for all levels at once
-        order = np.argsort(below, kind="stable")
-        ordered = shifts[order]
-        lower = np.maximum.accumulate(ordered)
-        upper = np.minimum.accumulate(ordered[::-1])[::-1]
-        split = np.searchsorted(below[order], levels, side="right")
-        has_lower = split > 0
-        has_upper = split < shifts.size
-        lo[has_lower] = np.maximum(lo[has_lower], lower[split[has_lower] - 1])
-        hi[has_upper] = np.minimum(hi[has_upper], upper[split[has_upper]])
+        mid = 0.5 * (lo[active] + hi[active])
+        # more than k eigenvalues at or below the midpoint puts level k there or below
+        above = _sturm_counts(d, e2, pivmin, mid) > levels[active]
+        hi[active] = np.where(above, mid, hi[active])
+        lo[active] = np.where(above, lo[active], mid)
 
 
 def _start_vector(n: int) -> np.ndarray:

@@ -45,8 +45,6 @@ from .polynomials import jacobi_any, laguerre
 
 UNBOUNDED = math.inf
 
-_BRANCHES = ("minus", "plus")
-
 
 @dataclass(frozen=True)
 class SpectralLine:
@@ -96,40 +94,34 @@ def _require_solvable(spec: InteractionSpec):
         raise ParameterError("cot levels need A > 0")
 
 
-def bound_state_count(
-    spec: InteractionSpec, branch: str, consts: PhysicalConstants = DEFAULT_CONSTANTS
-):
-    """Number of bound levels on a branch: floor-limited for Morse, else UNBOUNDED.
+def bound_state_count(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Number of bound lower-partner levels: floor(D/(hbar alpha)) for Morse, else UNBOUNDED.
 
+    The upper partner has one fewer, since its level n is lower level n + 1.
     ParameterError outside the regime with closed-form levels: linear needs
     omega > 0, Morse D, A > 0 and cot A > 0.
     """
-    if branch not in _BRANCHES:
-        raise ParameterError(f"branch must be one of {_BRANCHES}, got {branch!r}")
     _require_solvable(spec)
     if isinstance(spec, MorseInteraction):
-        s = _morse_s(spec, consts)
-        return max(0, math.floor(s) - (0 if branch == "minus" else 1))
+        return math.floor(_morse_s(spec, consts))
     if isinstance(spec, (CotInteraction, LinearInteraction)):
         return UNBOUNDED
     raise UnsupportedError(f"unknown interaction {spec!r}")
 
 
-def _check_level(spec, branch, n, consts):
+def _check_level(spec, n, consts):
     if n < 0:
         raise LevelOutOfRangeError(f"level index must be >= 0, got {n}")
-    count = bound_state_count(spec, branch, consts)
+    count = bound_state_count(spec, consts)
     if n >= count:
-        raise LevelOutOfRangeError(
-            f"{branch}-branch level {n} out of range: only {count} bound levels"
-        )
+        raise LevelOutOfRangeError(f"level {n} out of range: only {count} bound levels")
 
 
 def epsilon_minus(
     spec: InteractionSpec, n: int, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
     """Decoupled eigenvalue of the lower-partner problem at level n."""
-    _check_level(spec, "minus", n, consts)
+    _check_level(spec, n, consts)
     hb = consts.hbar
     if isinstance(spec, MorseInteraction):
         return spec.D**2 - (spec.D - n * hb * spec.alpha) ** 2
@@ -144,7 +136,7 @@ def epsilon_plus(
     spec: InteractionSpec, n: int, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
     """Decoupled eigenvalue of the upper-partner problem at level n: epsilon_minus at n + 1."""
-    _check_level(spec, "plus", n, consts)
+    _check_level(spec, n, consts)
     return epsilon_minus(spec, n + 1, consts)
 
 
@@ -162,7 +154,8 @@ def dirac_spectrum(
         raise ParameterError(f"max_levels must be >= 1, got {max_levels}")
     mc2 = consts.mass * consts.c**2
     lines = [SpectralLine(n=-1, epsilon=0.0, energy_plus=-mc2, energy_minus=-mc2)]
-    pair_count = bound_state_count(spec, "plus", consts)
+    # pair n holds upper level n, that is lower level n + 1
+    pair_count = bound_state_count(spec, consts) - 1
     n = 0
     while len(lines) < max_levels and n < pair_count:
         eps = epsilon_plus(spec, n, consts)
@@ -216,8 +209,13 @@ def _phi_raw_linear(spec: LinearInteraction, n: int, x, consts) -> np.ndarray:
 
 
 def _phi_raw(spec: InteractionSpec, branch: str, n: int, x, consts) -> np.ndarray:
-    _check_level(spec, branch, n, consts)
+    if branch not in ("minus", "plus"):
+        raise ParameterError(f"branch must be 'minus' or 'plus', got {branch!r}")
+    _check_level(spec, n, consts)
     if branch == "plus":
+        # upper level n is lower level n + 1 of spec, range-checked on spec: the
+        # partner's floor((D - hbar alpha)/(hbar alpha)) can round unlike floor(s) - 1
+        _check_level(spec, n + 1, consts)
         spec = upper_partner(spec, consts)
     if isinstance(spec, MorseInteraction):
         return _phi_raw_morse(spec, n, x, consts)

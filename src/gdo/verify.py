@@ -13,9 +13,9 @@ levels are found by inverse iteration seeded at the closed-form levels, all
 of them in one stacked real solve, and each one is certified by a residual
 bound and a Sturm count that does not use the seed; if that solve breaks
 down, or any level stalls or fails its certificate, all of them come from
-Sturm bisection instead.  The real-line complex matrix is probed by inverse
-iteration, one shift per call, and reported without gating, since its
-boundary conditions are a modeling choice.
+Sturm bisection instead.  real_line_probe probes the real-line complex
+matrix by inverse iteration, one shift per call, and gates nothing, since
+its boundary conditions are a modeling choice.
 
 Shape invariance is checked on the wells built from f and f': V+ of the
 coupling minus V- of upper_partner(spec), the map the closed forms take
@@ -52,6 +52,7 @@ from .interactions import (
     eval_f,
     eval_f_prime,
     hermitian_equivalent_interaction,
+    metric_theta,
     upper_partner,
 )
 from .models import ModelSpec, assemble_model, ground_state_structure, oscillator_models, spin_flip
@@ -296,7 +297,7 @@ def verify_all(config: RunConfig) -> VerificationReport:
 
     # 1. conjugation-shift condition on the default 401-point window
     condition = check_pseudo_hermiticity_condition(
-        spec, config.condition_theta(), default_condition_grid(spec, consts), consts,
+        spec, metric_theta(spec, consts), default_condition_grid(spec, consts), consts,
         tol=tols.condition,
     )
     add(CheckResult("condition_shift", condition.max_deviation, tols.condition, condition.passed))

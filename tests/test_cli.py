@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gdo import analytic_spinor, cli, load_config, spectrum_rows
+import gdo.verify
+from gdo import analytic_spinor, cli, load_config, metric_theta, verify_all
 from gdo.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -149,10 +150,17 @@ _LINEAR = {
             "x_min must be a number, got True",
         ),
         (dict(_morse(), levels="3"), "artifact", "levels must be an integer, got '3'"),
+        # the condition check always takes the family's own theta
+        (
+            dict(_morse(), theta_override=0.3),
+            "artifact",
+            "unknown key 'theta_override' in configuration",
+        ),
+        (dict(_morse(), mode="real_line"), "artifact", "mode must be 'contour', got 'real_line'"),
     ],
     ids=["interaction_int", "constants_int", "tolerances_list", "not_utf8", "out_dir_missing",
          "levels_fraction", "levels_bool", "n_points_fraction", "linear_sign", "tolerance_typo",
-         "root_typo", "x_min_bool", "levels_str"],
+         "root_typo", "x_min_bool", "levels_str", "theta_override", "mode_real_line"],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, config, out, message):
     path = _write(tmp_path, config)
@@ -205,8 +213,10 @@ def test_integral_float_fields_are_accepted(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def _wrong_theta(data):
-    data["theta_override"] = 0.3
+def _tiny_condition(data):
+    # the shipped Morse coupling meets its condition to 1.3e-15 (rounding);
+    # cot and linear meet it exactly
+    data["tolerances"]["condition"] = 1e-16
 
 
 def _tiny_eigen_rel(data):
@@ -219,7 +229,7 @@ def _tiny_eigen_rel(data):
 @pytest.mark.parametrize(
     "name, edit, command",
     [
-        ("morse.json", _wrong_theta, ["check"]),
+        ("morse.json", _tiny_condition, ["check"]),
         # the cot eigenvalue deviation at s = 0.3 is 0.78 > eigen_rel
         ("cot.json", _cot_below_half, ["spectrum", "--numeric"]),
         ("morse.json", _tiny_eigen_rel, ["models"]),
@@ -286,19 +296,31 @@ def test_spectrum_numeric_level_without_real_energy(tmp_path):
     assert singlet["energy_numeric"] is None
 
 
-def test_verify_real_line_probes_repeat(tmp_path):
-    config = CONFIGS / "cot.json"
-    outputs = []
-    for run in range(2):
-        out = tmp_path / f"real_line_{run}.json"
-        argv = ["verify", "--config", str(config), "--mode", "real_line", "--out", str(out)]
-        assert main(argv) == EXIT_OK
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
-    probes = json.loads(outputs[0])["real_line_probes"]
-    seeds = [row["epsilon"] for row in spectrum_rows(load_config(config))]
-    assert [probe["seed"] for probe in probes] == seeds
-    assert all(probe["converged"] for probe in probes)
+@pytest.mark.parametrize("name", ["cot.json", "linear.json", "morse.json"])
+def test_planted_theta_fails_the_condition(tmp_path, monkeypatch, name):
+    # a theta off the family's own by 0.01 must fail check 1 of verify and gdo check
+    def planted(spec, consts):
+        return metric_theta(spec, consts) + 0.01
+
+    monkeypatch.setattr(gdo.verify, "metric_theta", planted)
+    monkeypatch.setattr(cli, "metric_theta", planted)
+    config = load_config(CONFIGS / name)
+    [condition] = [c for c in verify_all(config).checks if c.name == "condition_shift"]
+    assert not condition.passed
+    out = tmp_path / "check.json"
+    assert main(["check", "--config", str(CONFIGS / name), "--out", str(out)]) == EXIT_FAILED
+    payload = json.loads(out.read_bytes())
+    assert payload["passed"] is False
+    assert payload["theta_used"] == planted(config.interaction, config.constants)
+
+
+def test_verify_mode_accepts_contour_only(tmp_path, capsys):
+    argv = ["verify", "--config", str(CONFIGS / "cot.json"), "--out", str(tmp_path / "verify.json")]
+    assert main(argv + ["--mode", "contour"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--mode", "real_line"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'real_line'" in capsys.readouterr().err
 
 
 def _per_value_csv(config, sample) -> bytes:

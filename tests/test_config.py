@@ -116,7 +116,6 @@ def test_field_without_default_is_required(interaction, missing):
     [
         (("grid", "x_min"), True, "x_min must be a number, got True"),
         (("interaction", "D"), "2.5", "D must be a number, got '2.5'"),
-        (("theta_override",), "0.5", "theta_override must be a number, got '0.5'"),
         (("constants", "hbar"), None, "hbar must be a number, got None"),
         (("tolerances", "eigen_rel"), [1e-3], "eigen_rel must be a number, got [0.001]"),
         (("levels",), "3", "levels must be an integer, got '3'"),
@@ -125,7 +124,7 @@ def test_field_without_default_is_required(interaction, missing):
         (("mode",), 1, "mode must be a string, got 1"),
         (("interaction", "alpha"), 10**400, "alpha is too large for a float"),
     ],
-    ids=["float_bool", "float_str", "optional_str", "float_null", "float_list", "int_str",
+    ids=["float_bool", "float_str", "float_null", "float_list", "int_str",
          "int_bool", "int_inf", "str_int", "float_overflow"],
 )
 def test_wrong_json_type_is_refused(path, value, message):
@@ -138,8 +137,6 @@ def test_json_numbers_become_their_field_types():
     data = copy.deepcopy(_MINIMAL)
     _set(data, ("grid", "x_min"), -6)
     _set(data, ("grid", "n_points"), 101.0)
-    _set(data, ("theta_override",), 0)
     config = config_from_dict(data)
     assert config.grid == Grid(-6.0, 20.0, 101)
     assert type(config.grid.x_min) is float and type(config.grid.n_points) is int
-    assert type(config.theta_override) is float

@@ -276,7 +276,7 @@ class TestValidation:
         assert spec == negated(LinearInteraction(omega=2.0))
         assert eval_f(spec, 1.5) == pytest.approx(-3.0)
         with pytest.raises(ParameterError, match="linear levels need omega > 0"):
-            bound_state_count(spec, "minus")
+            bound_state_count(spec)
         with pytest.raises(ParameterError, match="linear levels need omega > 0"):
             epsilon_minus(spec, 0)
         with pytest.raises(ParameterError, match="'omega' must be finite"):

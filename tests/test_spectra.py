@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -52,10 +51,10 @@ class TestLevels:
         assert epsilon_minus(lin, 5, consts) == pytest.approx(60.0)
 
     def test_bound_counts(self, morse_spec, cot_spec):
-        assert bound_state_count(morse_spec, "minus") == 2
-        assert bound_state_count(morse_spec, "plus") == 1
-        assert bound_state_count(cot_spec, "minus") is UNBOUNDED
-        assert bound_state_count(LinearInteraction(omega=1.0), "plus") is UNBOUNDED
+        # lower-partner levels only: floor(D/(hbar alpha)) = floor(2.5) for Morse
+        assert bound_state_count(morse_spec) == 2
+        assert bound_state_count(cot_spec) is UNBOUNDED
+        assert bound_state_count(LinearInteraction(omega=1.0)) is UNBOUNDED
 
     def test_morse_level_range_enforced(self, morse_spec):
         with pytest.raises(LevelOutOfRangeError):
@@ -74,7 +73,7 @@ class TestLevels:
         # and the singlet sin^{-1}(w) would blow up at the poles
         spec = CotInteraction(A=-1.0, alpha=1.0, b=0.3)
         for call in (
-            lambda: bound_state_count(spec, "minus"),
+            lambda: bound_state_count(spec),
             lambda: epsilon_minus(spec, 1),
             lambda: analytic_spinor(spec, -1, Grid(0.5, 2.5, 11)),
         ):
@@ -176,6 +175,13 @@ class TestAnalyticPhi:
     def test_level_out_of_range(self, morse_spec, morse_grid):
         with pytest.raises(LevelOutOfRangeError):
             analytic_phi(morse_spec, "plus", 1, morse_grid)
+        with pytest.raises(LevelOutOfRangeError):
+            analytic_phi(morse_spec, "plus", -1, morse_grid)
+
+    @pytest.mark.parametrize("branch", ["upper", "Minus", ""])
+    def test_unknown_branch_rejected(self, morse_spec, morse_grid, branch):
+        with pytest.raises(ParameterError, match="branch must be 'minus' or 'plus'"):
+            analytic_phi(morse_spec, branch, 0, morse_grid)
 
     def test_linear_phi_is_a_hermite_function(self):
         # level n of either partner well is H_n(xi) exp(-xi^2/2), with
@@ -220,25 +226,6 @@ class TestAnalyticPhi:
         expected = epsilon_minus(spec, n) if branch == "minus" else epsilon_plus(spec, n)
         assert rq.real == pytest.approx(expected, abs=5e-3)
         assert abs(rq.imag) <= 1e-9
-
-    @pytest.mark.parametrize("n", [0, 1])
-    def test_cot_partner_ratio_is_constant(self, cot_spec, n):
-        # upper-partner state at amplitude A equals the lower-partner state of
-        # amplitude A + hbar*alpha at the same index, up to one constant
-        grid = Grid(0.15, math.pi - 0.15, 801)
-        shifted = dataclasses.replace(cot_spec, A=cot_spec.A + 1.0)
-        plus_side = analytic_phi(cot_spec, "plus", n, grid)
-        minus_side = analytic_phi(shifted, "minus", n, grid)
-        ratio = plus_side / minus_side
-        assert np.max(np.abs(ratio - ratio[0])) <= 1e-8 * abs(ratio[0])
-
-    def test_morse_partner_ratio_is_constant(self, morse_spec):
-        grid = Grid(-2.0, 8.0, 801)
-        shifted = dataclasses.replace(morse_spec, D=morse_spec.D - 1.0)
-        plus_side = analytic_phi(morse_spec, "plus", 0, grid)
-        minus_side = analytic_phi(shifted, "minus", 0, grid)
-        ratio = plus_side / minus_side
-        assert np.max(np.abs(ratio - ratio[0])) <= 1e-8 * abs(ratio[0])
 
 
 class TestAnalyticSpinor:
