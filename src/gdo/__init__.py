@@ -10,7 +10,6 @@ from .errors import (
     BranchError,
     ConfigError,
     ConvergenceError,
-    DegenerateRecurrenceError,
     DimensionError,
     DomainError,
     GdoError,
@@ -48,11 +47,9 @@ from .operators import (
     effective_potentials,
     momentum_operator,
 )
-from .polynomials import jacobi, jacobi_series, laguerre, laguerre_series
 from .eigensolve import (
     EigenResult,
     inverse_iteration,
-    rayleigh_quotient,
     symtridiag_eigenvalues,
 )
 from .spectra import (
@@ -60,7 +57,6 @@ from .spectra import (
     SpinorCoefficients,
     SpinorSample,
     UNBOUNDED,
-    analytic_phi,
     analytic_spinor,
     bound_state_count,
     dirac_spectrum,

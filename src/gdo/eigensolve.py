@@ -264,17 +264,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_vdots(x, x))
 
 
-def rayleigh_quotient(matrix: OperatorMatrix, v: np.ndarray) -> complex:
-    """(v* M v) / (v* v) for any storage kind."""
-    w = np.asarray(v, dtype=complex)
-    if w.shape != (matrix.dim,):
-        raise DimensionError(f"vector length {w.shape} does not match dim {matrix.dim}")
-    nrm2 = np.vdot(w, w)
-    if nrm2 == 0:
-        raise DimensionError("rayleigh quotient of the zero vector")
-    return complex(np.vdot(w, matrix.matvec(w)) / nrm2)
-
-
 def stacked_inverse_iteration(
     bands, shifts, tol: float = ITERATION_TOL
 ) -> Optional[List[EigenResult]]:

@@ -41,9 +41,5 @@ class SingularPivotError(GdoError):
     """Tridiagonal elimination broke down at the requested shift."""
 
 
-class DegenerateRecurrenceError(GdoError):
-    """A three-term recurrence coefficient vanished; use the series form."""
-
-
 class ConfigError(GdoError):
     """A run configuration file is malformed or incomplete."""

@@ -15,7 +15,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .eigensolve import rayleigh_quotient
 from .errors import ParameterError
 from .interactions import (
     DEFAULT_CONSTANTS,
@@ -118,20 +117,21 @@ def ground_state_structure(
     """Singlet report of a model, from the closed-form singlet of its coupling.
 
     The GAJC singlet occupies the upper component (spin up), the GJC singlet
-    the lower one (spin down).  The sampled singlet is fed through the
-    assembled matrix; its Rayleigh quotient equals +delta (GAJC) or -delta
-    (GJC) with an eigen-residual falling off as the grid spacing squared.
+    the lower one (spin down).  One product of the assembled matrix with the
+    sampled singlet gives both its Rayleigh quotient, which equals +delta
+    (GAJC) or -delta (GJC), and its eigen-residual, which falls off as the
+    grid spacing squared.
     The reported ground_energy keeps the stated-sign convention, which labels
     the GAJC singlet -delta and the GJC singlet +delta.
     """
     layout = "GDO" if ms.kind == "gajc" else "GJC"
     sample = analytic_spinor(ms.interaction, -1, grid, consts, model=layout)
     vector = np.concatenate([sample.psi1, sample.psi2])
-    matrix = assemble_model(ms, grid, consts)
-    quotient = rayleigh_quotient(matrix, vector)
+    image = assemble_model(ms, grid, consts).matvec(vector)
+    quotient = complex(np.vdot(vector, image) / np.vdot(vector, vector))
     # periodic-family eigenfunctions do not vanish at the grid ends, so the
     # truncated first and last stencil row of each component are excluded
-    mismatch = matrix.matvec(vector) - quotient * vector
+    mismatch = image - quotient * vector
     n = grid.n_points
     keep = np.ones(2 * n, dtype=bool)
     keep[[0, n - 1, n, 2 * n - 1]] = False

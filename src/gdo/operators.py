@@ -25,7 +25,6 @@ from .interactions import (
     SIN_POLE_CUTOFF,
     Grid,
     InteractionSpec,
-    LinearInteraction,
     MorseInteraction,
     CotInteraction,
     PhysicalConstants,
@@ -53,8 +52,7 @@ class OperatorMatrix:
     Tridiagonal storage keeps the bands (sub, diag, sup).  Two-level storage
     keeps (delta, upper, lower) for [[delta I, upper], [lower, -delta I]] on
     the stacked two-component vector, upper and lower being tridiagonal
-    OperatorMatrix instances of equal size.  Dense conversion is meant for
-    modest dimensions (tests), matvec works at any size.
+    OperatorMatrix instances of equal size.
     """
 
     __slots__ = ("dim", "_bands", "_two_level")
@@ -105,14 +103,6 @@ class OperatorMatrix:
         n = upper.dim
         v1, v2 = w[:n], w[n:]
         return np.concatenate([delta * v1 + upper.matvec(v2), lower.matvec(v1) - delta * v2])
-
-    def to_dense(self) -> np.ndarray:
-        if self._bands is not None:
-            sub, diag, sup = self._bands
-            return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
-        delta, upper, lower = self._two_level
-        top = np.diag(np.full(upper.dim, delta))
-        return np.block([[top, upper.to_dense()], [lower.to_dense(), -top]])
 
     def max_abs_diff(self, other: "OperatorMatrix") -> float:
         """Max-norm of the difference, structure-aware so 2N x 2N never densifies."""
@@ -177,13 +167,11 @@ def closed_form_potentials(
         cosec2 = 1.0 / (s * s)
         vm = spec.A * (spec.A - hb * spec.alpha) * cosec2 - spec.A**2
         vp = spec.A * (spec.A + hb * spec.alpha) * cosec2 - spec.A**2
-    elif isinstance(spec, LinearInteraction):
+    else:
         mw = consts.mass * spec.omega
         sq = (mw * x) ** 2 + 0j
         vm = sq - hb * mw
         vp = sq + hb * mw
-    else:
-        raise UnsupportedError(f"unknown interaction {spec!r}")
     return EffectivePotentialSample(np.asarray(vm, complex), np.asarray(vp, complex))
 
 

@@ -1,35 +1,22 @@
 """Associated Laguerre and Jacobi polynomials for complex arguments and parameters.
 
-Both families are evaluated two independent ways: a three-term recurrence
-(fast path) and an explicit finite series (oracle and fallback).  The bound
-state formulas only ever need degrees below ~20, so double precision is
-plenty.
+Both are evaluated by their standard three-term recurrences, the one route
+the closed forms use; the bound-state formulas only need degrees below ~20,
+so double precision is plenty.  The Laguerre recurrence divides by m + 1
+only, so any upper parameter k is admissible.  The Jacobi recurrence
+divides by 2(m+1)(m+1+a+b)(2m+a+b) at step m, so it needs every such factor
+away from zero.  The cot eigenfunctions take a = b = -s - n with s > 0,
+which keeps |m+1+a+b| >= n + 2s and |2m+a+b| >= 2s + 2 at every step.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateRecurrenceError
-
-# Conditioning guard on the factors of the leading recurrence coefficient
-# 2m(m+a+b)(2m+a+b-2): below this the division amplifies roundoff past the
-# 1e-10 agreement target (calibrated against a 50-digit reference), so the
-# caller should switch to the series evaluation.  Correctness over speed.
-DEGENERACY_CUTOFF = 0.5
-
 
 def _check_degree(n):
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"polynomial degree must be a non-negative integer, got {n!r}")
-
-
-def _binomial_general(w, m: int):
-    """C(w, m) for arbitrary complex w and non-negative integer m, as a finite product."""
-    out = 1.0 + 0.0j
-    for i in range(1, m + 1):
-        out *= (w - m + i) / i
-    return out
 
 
 def laguerre(n: int, k, z):
@@ -61,22 +48,6 @@ def laguerre(n: int, k, z):
     return cur if np.ndim(z) else complex(cur)
 
 
-def laguerre_series(n: int, k, z):
-    """L_n^k by its explicit sum: sum_j (-1)^j C(n+k, n-j) z^j / j!.
-
-    Independent of the recurrence path; used as a cross-check oracle.
-    """
-    _check_degree(n)
-    zz = np.asarray(z, dtype=complex)
-    total = np.zeros_like(zz)
-    fact = 1.0
-    for j in range(n + 1):
-        if j > 0:
-            fact *= j
-        total = total + (-1) ** j * _binomial_general(n + k, n - j) * zz**j / fact
-    return total if np.ndim(z) else complex(total)
-
-
 def jacobi(n: int, a, b, y):
     """Jacobi polynomial P_n^(a,b) evaluated by the standard recurrence.
 
@@ -85,21 +56,14 @@ def jacobi(n: int, a, b, y):
     n : int
         degree, n >= 0
     a, b : float or complex
-        parameters; strongly negative values are fine until a recurrence
-        coefficient vanishes, see Raises
+        parameters; each factor m+1+a+b and 2m+a+b, m = 1..n-1, must stay
+        away from zero (see the module docstring)
     y : complex scalar or ndarray
         evaluation points
 
     Returns
     -------
     complex scalar or ndarray
-
-    Raises
-    ------
-    DegenerateRecurrenceError
-        when a leading coefficient 2m(m+a+b)(2m+a+b-2) vanishes along the
-        way, or sits close enough to zero to wreck the division's accuracy;
-        evaluate with jacobi_series instead
 
     """
     _check_degree(n)
@@ -110,41 +74,10 @@ def jacobi(n: int, a, b, y):
     cur = (a - b) / 2.0 + (1.0 + (a + b) / 2.0) * yy
     for m in range(1, n):
         # computing P_{m+1}; the division is by 2(m+1)(m+a+b+1)(2m+a+b)
-        f1 = m + 1 + (a + b)
         f2 = 2 * m + a + b
-        if abs(f1) < DEGENERACY_CUTOFF or abs(f2) < DEGENERACY_CUTOFF:
-            raise DegenerateRecurrenceError(
-                f"jacobi recurrence ill-conditioned at step {m + 1} for parameters ({a}, {b})"
-            )
-        c1 = 2 * (m + 1) * f1 * f2
+        c1 = 2 * (m + 1) * (m + 1 + (a + b)) * f2
         c2 = (f2 + 1) * (a * a - b * b)
         c3 = f2 * (f2 + 1) * (f2 + 2)
         c4 = 2 * (m + a) * (m + b) * (f2 + 2)
         prev, cur = cur, ((c2 + c3 * yy) * cur - c4 * prev) / c1
     return cur if np.ndim(y) else complex(cur)
-
-
-def jacobi_series(n: int, a, b, y):
-    """P_n^(a,b) by the finite hypergeometric sum.
-
-    sum_j C(n+a, n-j) C(n+b, j) ((y-1)/2)^j ((y+1)/2)^(n-j); total for every
-    parameter value, including the degenerate-recurrence ones.
-    """
-    _check_degree(n)
-    yy = np.asarray(y, dtype=complex)
-    lo = (yy - 1.0) / 2.0
-    hi = (yy + 1.0) / 2.0
-    total = np.zeros_like(yy)
-    for j in range(n + 1):
-        total = total + (
-            _binomial_general(n + a, n - j) * _binomial_general(n + b, j) * lo**j * hi ** (n - j)
-        )
-    return total if np.ndim(y) else complex(total)
-
-
-def jacobi_any(n: int, a, b, y):
-    """Jacobi value by recurrence, falling back to the series when degenerate."""
-    try:
-        return jacobi(n, a, b, y)
-    except DegenerateRecurrenceError:
-        return jacobi_series(n, a, b, y)

@@ -28,7 +28,6 @@ from .errors import (
     LevelOutOfRangeError,
     ParameterError,
     PoleError,
-    UnsupportedError,
 )
 from .interactions import (
     DEFAULT_CONSTANTS,
@@ -41,7 +40,8 @@ from .interactions import (
     PhysicalConstants,
     upper_partner,
 )
-from .polynomials import jacobi_any, laguerre
+# bound under the name perfbench/tracer.py patches
+from .polynomials import jacobi as jacobi_any, laguerre
 
 UNBOUNDED = math.inf
 
@@ -58,7 +58,6 @@ class SpectralLine:
     epsilon: float
     energy_plus: float
     energy_minus: float
-    source: str = "analytic"
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,7 @@ def bound_state_count(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT
     _require_solvable(spec)
     if isinstance(spec, MorseInteraction):
         return math.floor(_morse_s(spec, consts))
-    if isinstance(spec, (CotInteraction, LinearInteraction)):
-        return UNBOUNDED
-    raise UnsupportedError(f"unknown interaction {spec!r}")
+    return UNBOUNDED
 
 
 def _check_level(spec, n, consts):
@@ -127,9 +124,7 @@ def epsilon_minus(
         return spec.D**2 - (spec.D - n * hb * spec.alpha) ** 2
     if isinstance(spec, CotInteraction):
         return (spec.A + n * hb * spec.alpha) ** 2 - spec.A**2
-    if isinstance(spec, LinearInteraction):
-        return 2.0 * n * hb * consts.mass * spec.omega
-    raise UnsupportedError(f"unknown interaction {spec!r}")
+    return 2.0 * n * hb * consts.mass * spec.omega
 
 
 def epsilon_plus(
@@ -209,8 +204,7 @@ def _phi_raw_linear(spec: LinearInteraction, n: int, x, consts) -> np.ndarray:
 
 
 def _phi_raw(spec: InteractionSpec, branch: str, n: int, x, consts) -> np.ndarray:
-    if branch not in ("minus", "plus"):
-        raise ParameterError(f"branch must be 'minus' or 'plus', got {branch!r}")
+    """Unnormalized partner function at level n: branch "plus" is the upper partner, else the lower."""
     _check_level(spec, n, consts)
     if branch == "plus":
         # upper level n is lower level n + 1 of spec, range-checked on spec: the
@@ -239,18 +233,6 @@ def _grid_normalize(values: np.ndarray, h: float) -> np.ndarray:
     if norm == 0:
         raise ParameterError("cannot normalize an identically zero sample")
     return values / norm
-
-
-def analytic_phi(
-    spec: InteractionSpec,
-    branch: str,
-    n: int,
-    grid: Grid,
-    consts: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> np.ndarray:
-    """Closed-form partner eigenfunction sampled on the grid, grid-normalized."""
-    phi = _phi_raw(spec, branch, n, grid.points, consts)
-    return _grid_normalize(phi, grid.spacing)
 
 
 def analytic_spinor(

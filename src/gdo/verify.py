@@ -237,7 +237,6 @@ def spectrum_rows(config: RunConfig, numeric: bool = False) -> List[dict]:
             "epsilon": float(line.epsilon),
             "energy_plus": float(line.energy_plus),
             "energy_minus": float(line.energy_minus),
-            "source": line.source,
         }
         for line in lines
     ]
@@ -302,7 +301,7 @@ def verify_all(config: RunConfig) -> VerificationReport:
     )
     add(CheckResult("condition_shift", condition.max_deviation, tols.condition, condition.passed))
 
-    # 2. generic vs expanded closed-form potentials, pointwise
+    # 2. generic vs expanded closed-form potentials, pointwise; check 4 reuses generic
     generic = effective_potentials(spec, config.grid, consts)
     closed = closed_form_potentials(spec, config.grid, consts)
     scale = np.maximum(
@@ -322,7 +321,7 @@ def verify_all(config: RunConfig) -> VerificationReport:
     add(CheckResult("factorization", fact_measure, 1.0, fact.overall))
 
     # 4. shape invariance: V+ of the coupling is V- of its upper partner plus a constant
-    add(_shape_invariance_check(spec, config.grid, consts))
+    add(_shape_invariance_check(spec, generic.v_plus, config.grid, consts))
 
     # 5. analytic vs numeric decoupled eigenvalues
     eig_dev = eigen_deviation(spectrum_rows(config, numeric=True))
@@ -434,10 +433,9 @@ def factorization_check(
     ))
 
 
-def _shape_invariance_check(spec, grid, consts) -> CheckResult:
-    # spread of the gap relative to max|V+|: rounding for the right partner,
-    # an x-dependent gap for a wrong one
-    v_plus = effective_potentials(spec, grid, consts).v_plus
+def _shape_invariance_check(spec, v_plus, grid, consts) -> CheckResult:
+    # spread of the gap relative to max|V+| (V+ of spec sampled on grid):
+    # rounding for the right partner, an x-dependent gap for a wrong one
     gap = v_plus - effective_potentials(upper_partner(spec, consts), grid, consts).v_minus
     spread = np.max(np.abs(gap - gap[gap.size // 2]))
     measured = float(spread / np.max(np.abs(v_plus), initial=np.finfo(float).tiny))

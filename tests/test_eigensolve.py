@@ -17,7 +17,6 @@ from gdo import (
     assemble_dirac,
     assemble_schrodinger,
     inverse_iteration,
-    rayleigh_quotient,
     symtridiag_eigenvalues,
 )
 from gdo.eigensolve import (
@@ -26,6 +25,7 @@ from gdo.eigensolve import (
     _sturm_counts,
     stacked_inverse_iteration,
 )
+from oracles import dense, rayleigh_quotient
 
 
 def _dense_eigenvalues(d, e):
@@ -341,7 +341,7 @@ class TestCyclicReduction:
         assert _cyclic_reduction_factor(e, d, e, np.array([0.0])) is None
         assert len(_cyclic_reduction_factor(e, d, e, np.array([1e-12]))) == 3
         m = OperatorMatrix.tridiagonal(e, d, e)
-        assert abs(np.linalg.det(m.to_dense())) < 1e-12
+        assert abs(np.linalg.det(dense(m))) < 1e-12
         calls = _record_stacked_calls(monkeypatch)
         with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
             inverse_iteration(m, 0.0, tol=1e-10)
@@ -558,6 +558,7 @@ class TestStackedInverseIteration:
 
 
 class TestRayleighQuotient:
+    # the test oracle that tests/test_spectra.py measures eigenfunctions with
     @staticmethod
     def _diagonal(values):
         zeros = np.zeros(len(values) - 1)

@@ -20,6 +20,7 @@ from gdo import (
     oscillator_preset,
     spin_flip,
 )
+from oracles import dense
 
 
 class TestAssembly:
@@ -33,8 +34,8 @@ class TestAssembly:
 
     def test_rotating_layout_swaps_ladders(self, morse_spec):
         grid = Grid(-2.0, 2.0, 41)
-        gajc = assemble_model(ModelSpec("gajc", 1.0, 1.0, morse_spec), grid).to_dense()
-        gjc = assemble_model(ModelSpec("gjc", 1.0, 1.0, morse_spec), grid).to_dense()
+        gajc = dense(assemble_model(ModelSpec("gajc", 1.0, 1.0, morse_spec), grid))
+        gjc = dense(assemble_model(ModelSpec("gjc", 1.0, 1.0, morse_spec), grid))
         n = grid.n_points
         np.testing.assert_array_equal(gajc[:n, n:], gjc[n:, :n])
         np.testing.assert_array_equal(gajc[n:, :n], gjc[:n, n:])
@@ -48,7 +49,7 @@ class TestAssembly:
 
     def test_zero_coupling_decouples(self, morse_spec):
         grid = Grid(-1.0, 1.0, 21)
-        matrix = assemble_model(ModelSpec("gajc", 0.0, 2.0, morse_spec), grid).to_dense()
+        matrix = dense(assemble_model(ModelSpec("gajc", 0.0, 2.0, morse_spec), grid))
         expected = np.diag(np.concatenate([np.full(21, 2.0), np.full(21, -2.0)]))
         np.testing.assert_array_equal(matrix, expected)
 

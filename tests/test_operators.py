@@ -23,40 +23,40 @@ from gdo import (
     momentum_operator,
     symtridiag_eigenvalues,
 )
+from oracles import dense
 
 # D = A = B = 0 makes the Morse coupling vanish identically
 ZERO_COUPLING = MorseInteraction(D=0.0, A=0.0, B=0.0, alpha=1.0)
 
 
 def adjoint(m):
-    return m.to_dense().conj().T
+    return dense(m).conj().T
 
 
 def hermiticity_defect(m):
-    dense = m.to_dense()
-    return float(np.max(np.abs(dense - dense.conj().T)))
+    full = dense(m)
+    return float(np.max(np.abs(full - full.conj().T)))
 
 
 class TestOperatorMatrix:
     def test_tridiagonal_round_trip(self):
         m = OperatorMatrix.tridiagonal([1j, 2j], [1.0, 2.0, 3.0], [4.0, 5.0])
-        dense = m.to_dense()
         expected = np.array([[1, 4, 0], [1j, 2, 5], [0, 2j, 3]], dtype=complex)
-        np.testing.assert_array_equal(dense, expected)
+        np.testing.assert_array_equal(dense(m), expected)
         assert m.dim == 3
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(7)
         m = OperatorMatrix.tridiagonal(rng.normal(size=9), rng.normal(size=10), rng.normal(size=9))
         v = rng.normal(size=10) + 1j * rng.normal(size=10)
-        np.testing.assert_allclose(m.matvec(v), m.to_dense() @ v, atol=1e-14)
+        np.testing.assert_allclose(m.matvec(v), dense(m) @ v, atol=1e-14)
 
     def test_block_matvec_matches_dense(self, morse_spec):
         grid = Grid(-2.0, 2.0, 21)
         h = assemble_dirac(morse_spec, grid)
         rng = np.random.default_rng(11)
         v = rng.normal(size=42) + 1j * rng.normal(size=42)
-        np.testing.assert_allclose(h.matvec(v), h.to_dense() @ v, atol=1e-12)
+        np.testing.assert_allclose(h.matvec(v), dense(h) @ v, atol=1e-12)
 
     def test_two_level_needs_equal_tridiagonal_blocks(self, morse_spec):
         p = momentum_operator(Grid(-1.0, 1.0, 10))
@@ -141,18 +141,18 @@ class TestLadderAndDirac:
         grid = Grid(-2.0, 2.0, 31)
         spec = MorseInteraction(D=2.5, A=1.0, B=0.0, alpha=1.0)
         lower, raise_ = assemble_ladder(spec, grid)
-        np.testing.assert_allclose(raise_.to_dense(), adjoint(lower), atol=1e-14)
+        np.testing.assert_allclose(dense(raise_), adjoint(lower), atol=1e-14)
 
     def test_complex_coupling_breaks_plain_adjoint(self, morse_spec):
         grid = Grid(-2.0, 2.0, 31)
         lower, raise_ = assemble_ladder(morse_spec, grid)
-        assert np.max(np.abs(raise_.to_dense() - adjoint(lower))) > 0.1
+        assert np.max(np.abs(dense(raise_) - adjoint(lower))) > 0.1
 
     def test_explicit_six_by_six(self):
         # three points on [0, 2], zero coupling, unit constants: spacing 1,
         # so the momentum entries are -+ i/2 and the structure is [[I, p], [p, -I]]
         grid = Grid(0.0, 2.0, 3)
-        h = assemble_dirac(ZERO_COUPLING, grid).to_dense()
+        h = dense(assemble_dirac(ZERO_COUPLING, grid))
         q = 0.5j
         expected = np.array(
             [
@@ -171,7 +171,7 @@ class TestLadderAndDirac:
         # spectrum of [[I, p], [p, -I]] is +/- sqrt(1 + k^2) over momentum
         # eigenvalues k = (hbar/h) cos(j pi / (N+1))
         grid = Grid(-1.0, 1.0, 25)
-        h = assemble_dirac(ZERO_COUPLING, grid).to_dense()
+        h = dense(assemble_dirac(ZERO_COUPLING, grid))
         found = np.sort(np.linalg.eigvals(h).real)
         n = grid.n_points
         k = (1.0 / grid.spacing) * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
@@ -183,13 +183,13 @@ class TestLadderAndDirac:
         h = assemble_dirac(morse_spec, grid)
         conj_spec = dataclasses.replace(morse_spec, B=-morse_spec.B)
         h_conj = assemble_dirac(conj_spec, grid)
-        np.testing.assert_allclose(adjoint(h), h_conj.to_dense(), atol=1e-14)
+        np.testing.assert_allclose(adjoint(h), dense(h_conj), atol=1e-14)
 
     def test_cot_dagger_flips_offset_sign(self, cot_spec):
         grid = Grid(0.3, 2.8, 31)
         h = assemble_dirac(cot_spec, grid)
         h_conj = assemble_dirac(dataclasses.replace(cot_spec, b=-cot_spec.b), grid)
-        np.testing.assert_allclose(adjoint(h), h_conj.to_dense(), atol=1e-14)
+        np.testing.assert_allclose(adjoint(h), dense(h_conj), atol=1e-14)
 
 
 class TestSchrodinger:
@@ -258,9 +258,9 @@ class TestFactorization:
     def test_band_residual_matches_dense(self, spec, grid):
         # the dense products the band form replaces, as the reference
         lower, raise_ = assemble_ladder(spec, grid)
-        p = momentum_operator(grid).to_dense()
+        p = dense(momentum_operator(grid))
         f = np.diag(eval_f_vec(spec, grid))
-        product = raise_.to_dense() @ lower.to_dense()
+        product = dense(raise_) @ dense(lower)
         expanded = p @ p + f @ f + 1j * (f @ p - p @ f)
         dense_residual = float(np.max(np.abs(product - expanded)))
         report = factorization_check(spec, grid)
@@ -282,9 +282,9 @@ class TestFactorization:
         # A A# - A# A = -2i [f, p] as an exact matrix identity
         grid = Grid(-2.0, 2.0, 101)
         lower, raise_ = assemble_ladder(morse_spec, grid)
-        p = momentum_operator(grid).to_dense()
+        p = dense(momentum_operator(grid))
         f = np.diag(eval_f_vec(morse_spec, grid))
-        left = lower.to_dense() @ raise_.to_dense() - raise_.to_dense() @ lower.to_dense()
+        left = dense(lower) @ dense(raise_) - dense(raise_) @ dense(lower)
         right = -2j * (f @ p - p @ f)
         assert np.max(np.abs(left - right)) <= 1e-12
 

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdo import DegenerateRecurrenceError, jacobi, jacobi_series, laguerre, laguerre_series
-from gdo.polynomials import _binomial_general, jacobi_any
+from gdo.polynomials import jacobi, laguerre
+from oracles import binomial_general, jacobi_series, laguerre_series
 
 
 class TestLaguerre:
@@ -63,24 +65,27 @@ class TestJacobi:
         right = (-1) ** n * jacobi(n, a, a, y)
         assert left == pytest.approx(right, abs=1e-12 * max(1.0, abs(right)))
 
-    def test_exact_degeneracy_raises(self):
-        # a + b = -2 zeroes the m=1 leading factor
-        with pytest.raises(DegenerateRecurrenceError):
-            jacobi(2, -1.0, -1.0, 0.4)
 
-    def test_near_degeneracy_raises(self):
-        with pytest.raises(DegenerateRecurrenceError):
-            jacobi(2, -0.9, -0.9, 0.4)
+def _jacobi_scale(n, a, b, y, *values):
+    # the series term-magnitude sum, the natural conditioning measure near roots
+    lo, hi = (y - 1) / 2, (y + 1) / 2
+    terms = sum(
+        abs(binomial_general(n + a, n - j) * binomial_general(n + b, j) * lo**j * hi ** (n - j))
+        for j in range(n + 1)
+    )
+    return max(terms, *(abs(v) for v in values))
 
-    def test_fallback_matches_series(self):
-        value = jacobi_any(2, -1.0, -1.0, 0.4)
-        assert value == pytest.approx(jacobi_series(2, -1.0, -1.0, 0.4))
+
+def _leading_factors(n, a, b):
+    # |m+1+a+b| and |2m+a+b| of every recurrence step m = 1..n-1
+    return [abs(f) for m in range(1, n) for f in (m + 1 + (a + b), 2 * m + a + b)]
 
 
 class TestRecurrenceVsSeries:
     def test_randomized_agreement(self):
         # smaller rehearsal of the acceptance sweep; scale is the series
-        # term-magnitude sum, the natural conditioning measure near roots
+        # term-magnitude sum.  Jacobi draws with a leading factor below 0.5,
+        # where the recurrence's division loses the 1e-10 target, are left out
         rng = np.random.default_rng(1234)
         excluded = 0
         for _ in range(300):
@@ -91,25 +96,31 @@ class TestRecurrenceVsSeries:
             scale = max(
                 abs(rec),
                 abs(ser),
-                sum(abs(_binomial_general(n + k, n - j) * z**j) / math.factorial(j) for j in range(n + 1)),
+                sum(abs(binomial_general(n + k, n - j) * z**j) / math.factorial(j) for j in range(n + 1)),
             )
             assert abs(rec - ser) <= 1e-10 * scale
             a, b = rng.uniform(-10, 10), rng.uniform(-10, 10)
             y = complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
-            try:
-                rec = jacobi(n, a, b, y)
-            except DegenerateRecurrenceError:
+            if min(_leading_factors(n, a, b), default=math.inf) < 0.5:
                 excluded += 1
                 continue
-            ser = jacobi_series(n, a, b, y)
-            lo, hi = (y - 1) / 2, (y + 1) / 2
-            scale = max(
-                abs(rec),
-                abs(ser),
-                sum(
-                    abs(_binomial_general(n + a, n - j) * _binomial_general(n + b, j) * lo**j * hi ** (n - j))
-                    for j in range(n + 1)
-                ),
-            )
-            assert abs(rec - ser) <= 1e-10 * scale
+            rec, ser = jacobi(n, a, b, y), jacobi_series(n, a, b, y)
+            assert abs(rec - ser) <= 1e-10 * _jacobi_scale(n, a, b, y, rec, ser)
         assert excluded < 150
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        s=st.floats(0.01, 6.0),
+        n=st.integers(0, 7),
+        upper=st.booleans(),
+        y=st.complex_numbers(max_magnitude=10.0),
+    )
+    def test_cot_parameters_stay_well_conditioned(self, s, n, upper, y):
+        # the cot eigenfunctions evaluate P_n^(a,a) with a = -s - n (lower
+        # partner) or a = -s - 1 - n (upper partner, A -> A + hbar alpha), s > 0:
+        # every leading factor of the recurrence stays at 2 or more, and the
+        # recurrence agrees with the series
+        a = -s - n - (1 if upper else 0)
+        assert min(_leading_factors(n, a, a), default=math.inf) >= 2.0
+        rec, ser = jacobi(n, a, a, y), jacobi_series(n, a, a, y)
+        assert abs(rec - ser) <= 1e-10 * _jacobi_scale(n, a, a, y, rec, ser)

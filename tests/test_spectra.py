@@ -13,7 +13,6 @@ from gdo import (
     ParameterError,
     PhysicalConstants,
     UNBOUNDED,
-    analytic_phi,
     analytic_spinor,
     assemble_dirac,
     assemble_schrodinger,
@@ -22,9 +21,9 @@ from gdo import (
     dirac_spectrum,
     epsilon_minus,
     epsilon_plus,
-    rayleigh_quotient,
     spinor_coefficients,
 )
+from oracles import analytic_phi, rayleigh_quotient
 
 
 class TestLevels:
@@ -177,11 +176,6 @@ class TestAnalyticPhi:
             analytic_phi(morse_spec, "plus", 1, morse_grid)
         with pytest.raises(LevelOutOfRangeError):
             analytic_phi(morse_spec, "plus", -1, morse_grid)
-
-    @pytest.mark.parametrize("branch", ["upper", "Minus", ""])
-    def test_unknown_branch_rejected(self, morse_spec, morse_grid, branch):
-        with pytest.raises(ParameterError, match="branch must be 'minus' or 'plus'"):
-            analytic_phi(morse_spec, branch, 0, morse_grid)
 
     def test_linear_phi_is_a_hermite_function(self):
         # level n of either partner well is H_n(xi) exp(-xi^2/2), with

@@ -42,6 +42,7 @@ from gdo.verify import (
     eigen_deviation,
     seeded_eigenvalues,
 )
+from oracles import dense
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -55,13 +56,13 @@ def test_real_line_probe_matches_dense_eigenvalues():
     assert [p["seed"] for p in probes] == seeds
     assert real_line_probe(config.interaction, grid, config.constants, seeds, tol=tol) == probes
     sample = effective_potentials(config.interaction, grid, config.constants)
-    dense = np.linalg.eigvals(assemble_schrodinger(sample.v_minus, grid, config.constants).to_dense())
+    levels = np.linalg.eigvals(dense(assemble_schrodinger(sample.v_minus, grid, config.constants)))
     converged = [p for p in probes if p.get("converged")]
     assert len(converged) == len(seeds)
     for probe in converged:
         assert probe["residual"] <= tol
         value = complex(probe["eigenvalue_re"], probe["eigenvalue_im"])
-        nearest = dense[np.argmin(np.abs(dense - value))]
+        nearest = levels[np.argmin(np.abs(levels - value))]
         assert abs(value - nearest) <= 1e-8 * max(1.0, abs(nearest))
 
 
@@ -443,11 +444,14 @@ def test_shape_invariance_does_not_depend_on_the_unit_of_length(name):
     # relative spread is the same number at every power-of-two rescale
     config = load_config(CONFIGS / name)
     grid, consts = config.grid, config.constants
-    reference = _shape_invariance_check(config.interaction, grid, consts)
+    v_plus = effective_potentials(config.interaction, grid, consts).v_plus
+    reference = _shape_invariance_check(config.interaction, v_plus, grid, consts)
     assert reference.passed
     for lam in UNIT_SCALES:
         rescaled_grid = Grid(grid.x_min * lam, grid.x_max * lam, grid.n_points)
-        check = _shape_invariance_check(_rescaled(config.interaction, lam), rescaled_grid, consts)
+        rescaled = _rescaled(config.interaction, lam)
+        v_plus = effective_potentials(rescaled, rescaled_grid, consts).v_plus
+        check = _shape_invariance_check(rescaled, v_plus, rescaled_grid, consts)
         assert check.measured == reference.measured
 
 
