@@ -18,6 +18,16 @@ solved in float64.  stacked_inverse_iteration reports a breakdown or a stall
 and leaves the remedy to its caller: inverse_iteration raises
 SingularPivotError or ConvergenceError for its one shift, and the seeded
 levels of verify fall back to bisection.  No shift is ever perturbed.
+
+Each iteration costs one solve plus a few passes over the iterate, so the
+passes are kept few and copy-free.  The factorization checks the pivots of
+all its levels once, after the last one, and the solve sums each level in
+place, with its products written into one scratch buffer.  T multiplies the
+whole stack as three 1-d products over the flat layout, with its bands tiled
+once per call and zero across block edges, and the norms are sums of squares
+over the float view of the iterate.  Every shift starts from the same vector,
+a Weyl sequence: a smooth start is nearly orthogonal to the odd levels of a
+symmetric well, which then take 2 to 3 more iterations.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, SingularPivotError
-from .operators import OperatorMatrix, band_matvec
+from .operators import OperatorMatrix
 
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
@@ -81,8 +91,12 @@ def _cyclic_reduction_factor(sub, diag, sup, shifts):
     the factors are finite.  Each level keeps its reciprocal pivots, its
     back-substitution weights and the multipliers that reduce a right-hand
     side, in the dtype of the bands and shifts.  Unpivoted: a pivot that is
-    non-finite or below TINY_PIVOT in magnitude stops the factorization, and
-    so does an overflow in any factor, caught without a floating-point warning.
+    zero, non-finite or below TINY_PIVOT in magnitude refuses the stack, and
+    so does an overflow in any factor, caught without a floating-point
+    warning.  The pivots of all levels are checked once, after the last
+    level; a bad pivot only spoils the levels after it, which are discarded
+    with it, so the stacks refused and the levels kept are those of a check
+    before every level.
     """
     n = diag.shape[0]
     width = 1 << n.bit_length()
@@ -97,21 +111,24 @@ def _cyclic_reduction_factor(sub, diag, sup, shifts):
     b[:stacked].reshape(-1, width)[:, :n] = diag - shifts[:, None]
     c[:stacked].reshape(-1, width)[:, : n - 1] = sup
     a, b, c = a[:size], b[:size], c[:size]
-    levels = []
+    levels, pivots = [], []
     try:
-        # an overflowing weight or reduced coefficient raises, and never warns
-        with np.errstate(over="raise", invalid="raise"):
+        # a zero pivot, an overflowing reciprocal, weight or reduced
+        # coefficient raises, and never warns
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
             while b.size:
-                pivots = b[::2]
-                if not (np.isfinite(pivots).all() and (np.abs(pivots) >= TINY_PIVOT).all()):
-                    return None
-                inv = 1.0 / pivots
+                pivots.append(b[::2])
+                inv = 1.0 / pivots[-1]
                 alpha = -a[1::2] * inv[:-1]
                 gamma = -c[1::2] * inv[1:]
                 levels.append((inv, a[::2] * inv, c[::2] * inv, alpha, gamma))
                 b = b[1::2] + alpha * c[:-1:2] + gamma * a[2::2]
                 a, c = alpha * a[:-1:2], gamma * c[2::2]
     except FloatingPointError:
+        return None
+    # a zero pivot raised above; the NaN, infinite and tiny ones are caught here
+    pivots = np.concatenate(pivots)
+    if not (np.isfinite(pivots).all() and np.abs(pivots).min() >= TINY_PIVOT):
         return None
     return levels
 
@@ -127,10 +144,18 @@ def _cyclic_reduction_solve(levels, f):
     dtype = levels[0][0].dtype
     # the spare last entry is not a row of the stack
     f = f[:-1]
+    # each level sums in place and writes its other products into scratch,
+    # in the order f[1::2] + alpha f[:-1:2] + gamma f[2::2] spells out.  The
+    # factors keep their order and no product overwrites its own operand:
+    # numpy's complex multiply can round a * b and b * a differently
+    scratch = np.empty(f.size // 2 + 1, dtype=dtype)
     reduced = []
     for _, _, _, alpha, gamma in levels:
         reduced.append(f)
-        f = f[1::2] + alpha * f[:-1:2] + gamma * f[2::2]
+        g = alpha * f[:-1:2]
+        g += f[1::2]
+        g += np.multiply(gamma, f[2::2], out=scratch[: g.size])
+        f = g
     x = f
     for (inv, left, right, _, _), f in zip(reversed(levels), reversed(reduced)):
         # padded[1 : m + 1] is this level's solution: the coarser level fills
@@ -139,7 +164,11 @@ def _cyclic_reduction_solve(levels, f):
         padded = np.empty(m + 2, dtype=dtype)
         padded[0] = padded[m + 1] = 0.0
         padded[2:m:2] = x
-        padded[1 : m + 1 : 2] = inv * f[::2] - left * padded[:m:2] - right * padded[2::2]
+        rows = padded[1 : m + 1 : 2]
+        tmp = scratch[: rows.size]
+        np.multiply(inv, f[::2], out=rows)
+        rows -= np.multiply(left, padded[:m:2], out=tmp)
+        rows -= np.multiply(right, padded[2::2], out=tmp)
         x = padded[1 : m + 1]
     # the zero end padded[m + 1] is the spare entry again
     return padded[1:]
@@ -246,8 +275,15 @@ def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
 
 
 def _start_vector(n: int) -> np.ndarray:
-    # all-ones with a fixed ripple so no eigenvector is accidentally orthogonal
-    v = 1.0 + 0.01 * np.sin(1.0 + np.arange(n))
+    # the Weyl sequence frac(j phi) - 1/2, phi the fractional part of the
+    # golden ratio: deterministic with no RNG, and without the symmetry of a
+    # smooth start.  1 + 0.01 sin(1 + j) is orthogonal to every odd level of
+    # a symmetric well up to rounding (overlap 6e-14 at n = 1001), so those
+    # levels grew out of rounding noise 2 to 3 iterations late; this one
+    # overlaps each of the 8 lowest harmonic levels by 2.8e-4 or more.
+    # LAPACK stein starts from random vectors for the same reason
+    v = np.arange(n) * 0.6180339887498949
+    v -= np.floor(v) + 0.5
     return v / np.linalg.norm(v)
 
 
@@ -255,13 +291,6 @@ def _row_vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """np.vdot of each row pair of two (K, w) stacks, as a column."""
     # row times column per pair: matmul sums each row as np.dot sums a vector
     return (x.conj()[:, None, :] @ y[:, :, None])[:, 0]
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of a (K, w) stack as a real column, summed as np.linalg.norm sums."""
-    if np.iscomplexobj(x):
-        return np.sqrt(_row_vdots(x.real, x.real) + _row_vdots(x.imag, x.imag))
-    return np.sqrt(_row_vdots(x, x))
 
 
 def stacked_inverse_iteration(
@@ -274,17 +303,19 @@ def stacked_inverse_iteration(
     eigenvector comes back in that dtype.  One factorization of the
     block-diagonal stack of the T - s_k I serves every iteration of every
     shift, and the iterate stays in the solve's layout: row k of its
-    (K, 2^m) view is shift k's block.  Norms, Rayleigh values and residuals
-    are one row-wise reduction each over that view, and T multiplies it
-    through its bands padded with zeros to 2^m.  A block whose residual drops
-    to tol keeps that iteration's values and is zeroed, so it solves for zero
-    from then on.  Returns, in shift order, one EigenResult per shift,
-    converged False for a shift still above tol after ITERATION_MAX
-    iterations; [] for no shifts; or None when the factorization breaks down
-    or the norm of a live block is not finite and positive: the iterate or
-    its squared norm overflowed, 0 * inf at a block boundary made a NaN, or
-    the squared norm underflowed to 0.  The caller chooses the remedy for a
-    breakdown or a stall.
+    (K, 2^m) view is shift k's block.  Every block starts from
+    _start_vector.  Norms, Rayleigh values and residuals are one row-wise
+    reduction each over that view, and T multiplies the flat stack through
+    its bands tiled once per call, zero across block edges and on pad rows,
+    so each block meets the arithmetic it would meet alone.  A block whose
+    residual drops to tol keeps that iteration's values and is zeroed, so it
+    solves for zero from then on.  Returns, in shift order, one EigenResult
+    per shift, converged False for a shift still above tol after
+    ITERATION_MAX iterations; [] for no shifts; or None when the
+    factorization breaks down or the norm of a live block is not finite and
+    positive: the iterate or its squared norm overflowed, 0 * inf at a block
+    boundary made a NaN, or the squared norm underflowed to 0.  The caller
+    chooses the remedy for a breakdown or a stall.
     """
     shifts = np.asarray(shifts).reshape(-1)
     if shifts.size == 0:
@@ -295,15 +326,27 @@ def stacked_inverse_iteration(
         return None
     n, count = diag.size, shifts.size
     width = 1 << n.bit_length()
+    stacked = count * width
     dtype = np.result_type(sub, diag, sup)
-    tee = np.zeros(width - 1, dtype), np.zeros(width, dtype), np.zeros(width - 1, dtype)
-    tee[0][: n - 1], tee[1][:n], tee[2][: n - 1] = sub, diag, sup
+    # T's bands tiled over the stack, zero across block edges and on pad
+    # rows: row i of the flat layout couples to row i - 1 through lower[i - 1]
+    # and to row i + 1 through upper[i]
+    lower, middle, upper = (np.zeros((count, width), dtype) for _ in range(3))
+    lower[:, : n - 1], middle[:, :n], upper[:, : n - 1] = sub, diag, sup
+    lower, middle, upper = lower.reshape(-1)[:-1], middle.reshape(-1), upper.reshape(-1)[:-1]
     # the solve's layout: 2^k entries, twice the first level's pivots
     x = np.zeros(2 * levels[0][0].size, dtype=levels[0][0].dtype)
-    blocks = x[: count * width].reshape(count, width)
-    blocks[:, :n] = _start_vector(n)
+    x[:stacked].reshape(count, width)[:, :n] = _start_vector(n)
+    real = np.finfo(x.dtype).dtype
+    scratch = np.empty(stacked, dtype=x.dtype)
     live = np.ones((count, 1), dtype=bool)
     results: List[Optional[EigenResult]] = [None] * count
+
+    def row_norms(rows):
+        # one row-times-column product per row of the real view: no copies
+        # of .real and .imag, and faster than einsum at these sizes
+        parts = rows.view(real)
+        return np.sqrt(parts[:, None, :] @ parts[:, :, None])[:, 0]
 
     def record(rows, iterations, converged):
         for k in np.flatnonzero(rows).tolist():
@@ -315,19 +358,27 @@ def stacked_inverse_iteration(
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, ITERATION_MAX + 1):
             x = _cyclic_reduction_solve(levels, x)
-            blocks = x[: count * width].reshape(count, width)
-            norms = _row_norms(blocks)
+            flat = x[:stacked]
+            blocks = flat.reshape(count, width)
+            norms = row_norms(blocks)
             # a converged block solved for zero: scaling it by one keeps it zero
             norms[~live] = 1.0
             if not (np.isfinite(norms).all() and norms.all()):
                 return None
             # times the reciprocal, on the real and imaginary parts: what
             # numpy's complex division by a real norm computes, minus its cost
-            parts = blocks.view(norms.dtype)
+            parts = blocks.view(real)
             parts *= 1.0 / norms
-            mv = band_matvec(tee, blocks)
+            # T times every block: three products over the flat layout, in
+            # the order of band_matvec
+            mv = middle * flat
+            mv[:-1] += np.multiply(upper, flat[1:], out=scratch[:-1])
+            mv[1:] += np.multiply(lower, flat[:-1], out=scratch[:-1])
+            mv = mv.reshape(count, width)
             eigenvalues = _row_vdots(blocks, mv)
-            residuals = _row_norms(mv - eigenvalues * blocks)
+            # the residual T v - rho v, formed in mv
+            mv -= np.multiply(eigenvalues, blocks, out=scratch.reshape(count, width))
+            residuals = row_norms(mv)
             done = live & (residuals <= tol)
             if done.any():
                 record(done, iteration, True)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .config import RunConfig
 from .eigensolve import (
+    ITERATION_TOL,
     inverse_iteration,
     stacked_inverse_iteration,
     sturm_window_counts,
@@ -197,7 +198,7 @@ def real_line_probe(
     grid: Grid,
     consts: PhysicalConstants,
     seeds,
-    tol: float = 1e-8,
+    tol: float = ITERATION_TOL,
 ) -> List[dict]:
     """Inverse-iteration probes of the complex real-line matrix, one per seed.
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from gdo import (
 from gdo.eigensolve import (
     _cyclic_reduction_factor,
     _cyclic_reduction_solve,
+    _start_vector,
     _sturm_counts,
     stacked_inverse_iteration,
 )
@@ -347,6 +349,23 @@ class TestCyclicReduction:
             inverse_iteration(m, 0.0, tol=1e-10)
         assert calls == [[0.0]]
 
+    @pytest.mark.parametrize("tiny", [1e-301, 1e-310])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_tiny_pivot_on_the_deepest_level(self, tiny, dtype):
+        # row 3 has no couplings, so its pivot reaches the third and last
+        # level as d[3] itself, while every other pivot is +-1.  The pivots
+        # are checked once, after the last level: 1e-301 passes every level
+        # without a floating-point exception and is refused by that check,
+        # and the subnormal 1e-310 overflows its reciprocal.  Neither warns
+        e = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0], dtype=dtype)
+        d = np.array([1.0, 1.0, 1.0, 0.5, 1.0, 3.0, 1.0], dtype=dtype)
+        levels = _cyclic_reduction_factor(e, d, e, np.array([0.0]))
+        assert len(levels) == 3 and levels[2][0].tolist() == [2.0]
+        d[3] = tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _cyclic_reduction_factor(e, d, e, np.array([0.0])) is None
+
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 17, 300])
     def test_three_blocks_match_their_own_dense_solves(self, n):
         # three blocks of 2^m rows fill 4 2^m - 1 rows: an identity block
@@ -447,6 +466,21 @@ class TestInverseIteration:
 
 
 class TestStackedInverseIteration:
+    @pytest.mark.parametrize("n", [401, 1001])
+    def test_start_vector_meets_both_parities(self, n):
+        # a symmetric harmonic well: its levels alternate even and odd about
+        # the centre, and a start vector nearly orthogonal to the odd ones,
+        # as a nearly constant one is, leaves them to grow out of rounding
+        # noise
+        grid = Grid(-8.0, 8.0, n)
+        x = grid.points
+        _, diag, sup = assemble_schrodinger((x * x).astype(complex), grid).bands
+        t = np.diag(diag.real) + np.diag(sup.real, 1) + np.diag(sup.real, -1)
+        _, vectors = np.linalg.eigh(t)
+        overlaps = np.abs(vectors[:, :8].T @ _start_vector(n))
+        assert overlaps.min() >= 1e-5
+        assert abs(np.linalg.norm(_start_vector(n)) - 1.0) <= 1e-15
+
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
         # sizes 2^m - 1 fill their blocks; the rest leave identity rows

@@ -377,7 +377,7 @@ def test_real_line_probe_calls_inverse_iteration_per_seed(monkeypatch):
     probes = real_line_probe(config.interaction, grid, config.constants, seeds)
     assert shifts == [complex(seed) for seed in seeds]
     assert all(probe["converged"] for probe in probes)
-    assert [probe["iterations"] for probe in probes] == [3, 8, 5, 9]
+    assert [probe["iterations"] for probe in probes] == [4, 5, 5, 5]
 
 
 def test_probe_breakdown_is_reported_per_seed(monkeypatch):
