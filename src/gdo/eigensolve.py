@@ -14,20 +14,27 @@ diagonal of one tridiagonal matrix with exactly zero couplings between them.
 One cyclic-reduction factorization serves every shift, and the iterate keeps
 that flat padded layout from one solve to the next.  The solve runs in the
 dtype of the bands and shifts, so a real symmetric T with real shifts is
-solved in float64.  stacked_inverse_iteration reports a breakdown or a stall
-and leaves the remedy to its caller: inverse_iteration raises
+solved in float64.  Each shift is fixed, except that a block converging
+slowly may move its shift once to its Rayleigh value, at the cost of one
+factorization of the stack (_refresh_pays has the rule).  A refresh whose
+factorization breaks down is dropped and the block keeps its shift.
+stacked_inverse_iteration reports a breakdown of the shifts it was given, or
+a stall, and leaves the remedy to its caller: inverse_iteration raises
 SingularPivotError or ConvergenceError for its one shift, and the seeded
-levels of verify fall back to bisection.  No shift is ever perturbed.
+levels of verify fall back to bisection.  A breakdown never perturbs a shift.
 
 Each iteration costs one solve plus a few passes over the iterate, so the
 passes are kept few and copy-free.  The factorization checks the pivots of
-all its levels once, after the last one, and the solve sums each level in
-place, with its products written into one scratch buffer.  T multiplies the
-whole stack as three 1-d products over the flat layout, with its bands tiled
-once per call and zero across block edges, and the norms are sums of squares
-over the float view of the iterate.  Every shift starts from the same vector,
-a Weyl sequence: a smooth start is nearly orthogonal to the odd levels of a
-symmetric well, which then take 2 to 3 more iterations.
+all its levels once, after the last one.  Its solve is planned once
+(_plan): every level's buffers and views are made before the first solve,
+and a refresh's factorization takes them over (_replan), so a solve is only
+the arithmetic, written in place, and each level's solution lands where the
+finer level reads it.  T multiplies the whole stack as three 1-d
+products over the flat layout, with its bands tiled once per call and zero
+across block edges, and the norms are sums of squares over the float view
+of the iterate.  Every shift starts from the same vector, a Weyl sequence: a
+smooth start is nearly orthogonal to the odd levels of a symmetric well,
+which then take 2 to 3 more iterations.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ TINY_PIVOT = 1e-300
 # the default tolerance and the iteration cap of both inverse iterations
 ITERATION_TOL = 1e-8
 ITERATION_MAX = 100
+# when a block's shift moves to its Rayleigh value; see _refresh_pays
+REFRESH_GAP = 0.1
+REFRESH_ITERATIONS = 2
 
 
 def _sturm_counts(d, e2, pivmin, shifts):
@@ -96,7 +106,8 @@ def _cyclic_reduction_factor(sub, diag, sup, shifts):
     warning.  The pivots of all levels are checked once, after the last
     level; a bad pivot only spoils the levels after it, which are discarded
     with it, so the stacks refused and the levels kept are those of a check
-    before every level.
+    before every level.  Returns the levels, finest first, each as (inv,
+    left, right, alpha, gamma).
     """
     n = diag.shape[0]
     width = 1 << n.bit_length()
@@ -133,45 +144,91 @@ def _cyclic_reduction_factor(sub, diag, sup, shifts):
     return levels
 
 
-def _cyclic_reduction_solve(levels, f):
-    """Solve with a factorization from _cyclic_reduction_factor, in its layout.
+class _Plan:
+    """The solve with one factorization's levels, planned once.
 
-    f and the solution are flat arrays of 2^k entries, one more than the
-    stack's rows; with K shifts, f[: K 2^m].reshape(K, 2^m) views block k as
-    row k.  Pad rows and the entries past the last block are zero in f and
-    solve to zero.
+    The solve reads rhs and returns solution, flat arrays of 2^k entries, one
+    more than the stack's rows: with K shifts, rhs[: K 2^m].reshape(K, 2^m)
+    views block k as row k.  Pad rows and the entries past the last block are
+    zero in rhs and solve to zero.  reduce and substitute hold, step by step,
+    the factors and the views of the plan's buffers that the solve reads and
+    writes, so a solve makes no array and no slice.  A plain class, since a
+    NamedTuple adds about 0.3 ms to the import.
     """
+
+    __slots__ = ("rhs", "solution", "reduce", "substitute")
+
+    def __init__(self, rhs, solution, reduce, substitute):
+        self.rhs = rhs
+        self.solution = solution
+        self.reduce = reduce
+        self.substitute = substitute
+
+
+def _plan(levels) -> _Plan:
+    """Every buffer and view of the solve with these levels, made once."""
     dtype = levels[0][0].dtype
-    # the spare last entry is not a row of the stack
-    f = f[:-1]
-    # each level sums in place and writes its other products into scratch,
-    # in the order f[1::2] + alpha f[:-1:2] + gamma f[2::2] spells out.  The
-    # factors keep their order and no product overwrites its own operand:
-    # numpy's complex multiply can round a * b and b * a differently
-    scratch = np.empty(f.size // 2 + 1, dtype=dtype)
-    reduced = []
-    for _, _, _, alpha, gamma in levels:
-        reduced.append(f)
-        g = alpha * f[:-1:2]
-        g += f[1::2]
-        g += np.multiply(gamma, f[2::2], out=scratch[: g.size])
-        f = g
-    x = f
-    for (inv, left, right, _, _), f in zip(reversed(levels), reversed(reduced)):
-        # padded[1 : m + 1] is this level's solution: the coarser level fills
-        # its odd rows, and the zero ends stand for the missing neighbours
+    # 2^k - 1 rows, twice the first level's pivots less one
+    size = 2 * levels[0][0].size - 1
+    rhs = np.zeros(size + 1, dtype=dtype)
+    # one scratch buffer holds every level's products in turn
+    scratch = np.empty(size // 2 + 1, dtype=dtype)
+    # padded[1 : size + 1] is the solution, and padded[:: 2^l] is level l's
+    # solution between two zero ends, which stand for the missing neighbours:
+    # a level's odd rows are the next level's solution, in place
+    padded = np.zeros(size + 2, dtype=dtype)
+    # the spare last entry of rhs is not a row of the stack
+    f, p = rhs[:-1], padded
+    reduce, substitute = [], []
+    for inv, left, right, alpha, gamma in levels:
+        g = np.empty(alpha.size, dtype=dtype)
+        reduce.append((alpha, f[:-1:2], f[1::2], gamma, f[2::2], g, scratch[: g.size]))
         m = f.size
-        padded = np.empty(m + 2, dtype=dtype)
-        padded[0] = padded[m + 1] = 0.0
-        padded[2:m:2] = x
-        rows = padded[1 : m + 1 : 2]
-        tmp = scratch[: rows.size]
-        np.multiply(inv, f[::2], out=rows)
-        rows -= np.multiply(left, padded[:m:2], out=tmp)
-        rows -= np.multiply(right, padded[2::2], out=tmp)
-        x = padded[1 : m + 1]
-    # the zero end padded[m + 1] is the spare entry again
-    return padded[1:]
+        rows = p[1 : m + 1 : 2]
+        substitute.append((inv, f[::2], rows, left, p[:m:2], right, p[2::2], scratch[: rows.size]))
+        f, p = g, p[::2]
+    substitute.reverse()
+    # the zero end padded[size + 1] is the spare entry of the solution
+    return _Plan(rhs, padded[1:], reduce, substitute)
+
+
+def _replan(plan: _Plan, levels) -> _Plan:
+    """The plan for levels of plan's stack and dtype, on plan's buffers.
+
+    The new plan takes over the buffers and views with what they hold, the
+    right-hand side included, and swaps in the new factors; plan must not
+    be solved with again.
+    """
+    reduce = [
+        (alpha, lo, mid, gamma, hi, g, tmp)
+        for (_, lo, mid, _, hi, g, tmp), (_, _, _, alpha, gamma) in zip(plan.reduce, levels)
+    ]
+    substitute = [
+        (inv, f, rows, left, lo, right, hi, tmp)
+        for (_, f, rows, _, lo, _, hi, tmp), (inv, left, right, _, _) in zip(
+            plan.substitute, reversed(levels)
+        )
+    ]
+    return _Plan(plan.rhs, plan.solution, reduce, substitute)
+
+
+def _cyclic_reduction_solve(plan: _Plan) -> np.ndarray:
+    """Solve for plan.rhs; the solution is plan.solution, overwritten by the next solve.
+
+    Each level sums in place and writes its other products into scratch, in
+    the order f[1::2] + alpha f[:-1:2] + gamma f[2::2] spells out.  The
+    factors keep their order and no product overwrites its own operand:
+    numpy's complex multiply can round a * b and b * a differently.
+    """
+    for alpha, lo, mid, gamma, hi, g, tmp in plan.reduce:
+        np.multiply(alpha, lo, out=g)
+        g += mid
+        g += np.multiply(gamma, hi, out=tmp)
+    for inv, f, rows, left, lo, right, hi, tmp in plan.substitute:
+        np.multiply(inv, f, out=rows)
+        rows -= np.multiply(left, lo, out=tmp)
+        rows -= np.multiply(right, hi, out=tmp)
+    return plan.solution
 
 
 def _stebz_bounds(d, e):
@@ -217,13 +274,18 @@ def sturm_window_counts(diag, offdiag, centers, radii):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """An inverse-iteration eigenpair and its residual; converged says whether it reached tol."""
+    """An inverse-iteration eigenpair and its residual; converged says whether it reached tol.
+
+    shift is the shift of the factorization that produced the pair: the one
+    asked for, or the Rayleigh value it was refreshed to.
+    """
 
     eigenvalue: complex
     eigenvector: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
+    shift: complex
 
 
 def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
@@ -293,29 +355,63 @@ def _row_vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj()[:, None, :] @ y[:, :, None])[:, 0]
 
 
+def _refresh_pays(residual, previous, value, shift, tol) -> bool:
+    """Whether moving a block's shift to its Rayleigh value should save iterations.
+
+    A fixed shift s converges linearly, at the ratio |lam - s| / |lam' - s|
+    of its distances to the nearest eigenvalue and the next one, which the
+    observed ratio q of two successive residuals estimates.  The Rayleigh
+    value rho is far closer to lam than s once the residual r is small next
+    to |rho - s|, and a shift at rho converges in an iteration or two
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4; Ipsen, SIAM Rev. 39
+    (1997) 254).  The refresh costs a factorization, about two iterations,
+    so it is made when r < REFRESH_GAP |rho - s| and, with 0 < q < 1, the
+    fixed shift still needs more than REFRESH_ITERATIONS iterations, that is
+    log(tol / r) / log(q) > REFRESH_ITERATIONS.
+    """
+    ratio = residual / previous
+    return (
+        residual < REFRESH_GAP * abs(value - shift)
+        and 0.0 < ratio < 1.0
+        and math.log(tol / residual) / math.log(ratio) > REFRESH_ITERATIONS
+    )
+
+
 def stacked_inverse_iteration(
     bands, shifts, tol: float = ITERATION_TOL
 ) -> Optional[List[EigenResult]]:
-    """Fixed-shift inverse iteration at every shift of one tridiagonal matrix, in one solve.
+    """Inverse iteration at every shift of one tridiagonal matrix, in one solve.
 
     bands is (sub, diag, sup); the solve runs in their dtype combined with
     the shifts', so real bands with real shifts stay in float64 and each
     eigenvector comes back in that dtype.  One factorization of the
-    block-diagonal stack of the T - s_k I serves every iteration of every
+    block-diagonal stack of the T - s_k I serves the iterations of every
     shift, and the iterate stays in the solve's layout: row k of its
     (K, 2^m) view is shift k's block.  Every block starts from
     _start_vector.  Norms, Rayleigh values and residuals are one row-wise
     reduction each over that view, and T multiplies the flat stack through
     its bands tiled once per call, zero across block edges and on pad rows,
-    so each block meets the arithmetic it would meet alone.  A block whose
-    residual drops to tol keeps that iteration's values and is zeroed, so it
-    solves for zero from then on.  Returns, in shift order, one EigenResult
-    per shift, converged False for a shift still above tol after
-    ITERATION_MAX iterations; [] for no shifts; or None when the
+    so each block meets the arithmetic it would meet alone.
+
+    Each shift is fixed, with at most one refresh: after an iteration, a
+    block whose refresh has not been tried and that _refresh_pays moves its
+    shift to its Rayleigh value rho, real in a real solve, and the stack is
+    factored again with the other shifts as they were.  A refresh
+    whose factorization breaks down is dropped, not retried, and the block
+    iterates on with its old factorization; when blocks refreshing together
+    break down, each is tried alone, so a block refreshes exactly when it
+    would alone.  The reported value stays v^H T v and the residual stays
+    ||T v - rho v||, computed directly.
+
+    A block whose residual drops to tol keeps that iteration's values and is
+    zeroed, so it solves for zero from then on.  Returns, in shift order, one
+    EigenResult per shift, converged False for a shift still above tol after
+    ITERATION_MAX iterations; [] for no shifts; or None when the first
     factorization breaks down or the norm of a live block is not finite and
     positive: the iterate or its squared norm overflowed, 0 * inf at a block
     boundary made a NaN, or the squared norm underflowed to 0.  The caller
-    chooses the remedy for a breakdown or a stall.
+    chooses the remedy for a breakdown or a stall; no breakdown perturbs a
+    shift.
     """
     shifts = np.asarray(shifts).reshape(-1)
     if shifts.size == 0:
@@ -324,6 +420,7 @@ def stacked_inverse_iteration(
     levels = _cyclic_reduction_factor(sub, diag, sup, shifts)
     if levels is None:
         return None
+    plan = _plan(levels)
     n, count = diag.size, shifts.size
     width = 1 << n.bit_length()
     stacked = count * width
@@ -334,13 +431,17 @@ def stacked_inverse_iteration(
     lower, middle, upper = (np.zeros((count, width), dtype) for _ in range(3))
     lower[:, : n - 1], middle[:, :n], upper[:, : n - 1] = sub, diag, sup
     lower, middle, upper = lower.reshape(-1)[:-1], middle.reshape(-1), upper.reshape(-1)[:-1]
-    # the solve's layout: 2^k entries, twice the first level's pivots
-    x = np.zeros(2 * levels[0][0].size, dtype=levels[0][0].dtype)
-    x[:stacked].reshape(count, width)[:, :n] = _start_vector(n)
-    real = np.finfo(x.dtype).dtype
-    scratch = np.empty(stacked, dtype=x.dtype)
+    # the iterate lives in the plan's right-hand side, in the solve's layout
+    plan.rhs[:stacked].reshape(count, width)[:, :n] = _start_vector(n)
+    solve_dtype = plan.rhs.dtype
+    real = np.finfo(solve_dtype).dtype
+    scratch = np.empty(stacked, dtype=solve_dtype)
     live = np.ones((count, 1), dtype=bool)
     results: List[Optional[EigenResult]] = [None] * count
+    # the blocks whose refresh is still to be tried, and every block's
+    # residual at the iteration before
+    untried = list(range(count))
+    previous = [math.inf] * count
 
     def row_norms(rows):
         # one row-times-column product per row of the real view: no copies
@@ -352,23 +453,39 @@ def stacked_inverse_iteration(
         for k in np.flatnonzero(rows).tolist():
             vector = blocks[k, :n].copy()
             value, residual = complex(eigenvalues[k, 0]), float(residuals[k, 0])
-            results[k] = EigenResult(value, vector, residual, iterations, converged)
+            results[k] = EigenResult(
+                value, vector, residual, iterations, converged, complex(shifts[k])
+            )
+
+    def refactor(moves):
+        # factor again with each (block, value) of moves as that block's
+        # shift; on a breakdown keep the old factorization and return False
+        nonlocal plan, shifts
+        trial = shifts.astype(solve_dtype)
+        for k, value in moves:
+            trial[k] = value
+        levels = _cyclic_reduction_factor(sub, diag, sup, trial)
+        if levels is None:
+            return False
+        # the unit iterate in plan.rhs is the next right-hand side
+        plan, shifts = _replan(plan, levels), trial
+        return True
 
     # an overflow shows as a non-finite norm, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, ITERATION_MAX + 1):
-            x = _cyclic_reduction_solve(levels, x)
-            flat = x[:stacked]
+            flat = plan.rhs[:stacked]
             blocks = flat.reshape(count, width)
-            norms = row_norms(blocks)
+            solution = _cyclic_reduction_solve(plan)[:stacked].reshape(count, width)
+            norms = row_norms(solution)
             # a converged block solved for zero: scaling it by one keeps it zero
             norms[~live] = 1.0
             if not (np.isfinite(norms).all() and norms.all()):
                 return None
-            # times the reciprocal, on the real and imaginary parts: what
+            # the unit iterate, written over the right-hand side: times the
+            # reciprocal, on the real and imaginary parts, which is what
             # numpy's complex division by a real norm computes, minus its cost
-            parts = blocks.view(real)
-            parts *= 1.0 / norms
+            np.multiply(solution.view(real), 1.0 / norms, out=blocks.view(real))
             # T times every block: three products over the flat layout, in
             # the order of band_matvec
             mv = middle * flat
@@ -386,6 +503,25 @@ def stacked_inverse_iteration(
                 if not live.any():
                     return results
                 blocks[done[:, 0]] = 0.0
+            if untried:
+                untried = [k for k in untried if live[k, 0]]
+                current = residuals[:, 0].tolist()
+                values, now = eigenvalues[:, 0].tolist(), shifts.tolist()
+                pays = [
+                    k
+                    for k in untried
+                    if _refresh_pays(current[k], previous[k], values[k], now[k], tol)
+                ]
+                previous = current
+                if pays:
+                    # each block tries its refresh once; a joint breakdown
+                    # tries each block alone, so a block's refresh is kept
+                    # exactly when it would be kept alone
+                    untried = [k for k in untried if k not in pays]
+                    moves = [(k, values[k]) for k in pays]
+                    if not refactor(moves) and len(moves) > 1:
+                        for move in moves:
+                            refactor([move])
     record(live, ITERATION_MAX, False)
     return results
 
@@ -395,16 +531,20 @@ def inverse_iteration(
 ) -> EigenResult:
     """Converge to the eigenpair of a complex tridiagonal matrix nearest the shift.
 
-    Fixed-shift iteration with a Rayleigh-quotient eigenvalue readout;
-    convergence means the absolute residual ||M v - lambda v|| (unit v) drops
-    below tol.  This is one stacked_inverse_iteration call with one block, in
-    complex arithmetic since OperatorMatrix stores complex bands: T - s I,
-    padded with identity rows to 2^m rows, is factored once by odd-even
-    cyclic reduction and every iteration reuses the factorization.  A shift
-    landing on an eigenvalue can make a pivot vanish or a factor, an iterate
-    or its norm overflow; that breakdown raises SingularPivotError naming the
-    shift, which is never perturbed and retried.  A shift still above tol
-    after ITERATION_MAX iterations raises ConvergenceError.
+    Fixed-shift iteration, refreshed at most once to the Rayleigh value,
+    with a Rayleigh-quotient eigenvalue readout; convergence means the
+    absolute residual ||M v - lambda v|| (unit v) drops below tol.  This is
+    one stacked_inverse_iteration call with one block, in complex arithmetic
+    since OperatorMatrix stores complex bands: T - s I, padded with identity
+    rows to 2^m rows, is factored by odd-even cyclic reduction and every
+    iteration reuses the factorization, until a slowly converging shift moves
+    to its Rayleigh value and T is factored once more there; the result's
+    shift says which factorization produced it.  A shift landing on an
+    eigenvalue can make a pivot vanish or a factor, an iterate or its norm
+    overflow; that breakdown raises SingularPivotError naming the shift,
+    which is never perturbed and retried.  A refresh that breaks down is
+    dropped and the iteration goes on at the given shift.  A shift still
+    above tol after ITERATION_MAX iterations raises ConvergenceError.
 
     The reduction is unpivoted, like plain tridiagonal elimination, which is
     accurate for the diagonally dominant Schrodinger-style matrices this
@@ -423,4 +563,4 @@ def inverse_iteration(
     # the residual certificate of the matrix the caller holds, not of its padded bands
     v, value = result.eigenvector, result.eigenvalue
     residual = float(np.linalg.norm(matrix.matvec(v) - value * v))
-    return EigenResult(value, v, residual, result.iterations, result.converged)
+    return EigenResult(value, v, residual, result.iterations, result.converged, result.shift)

@@ -150,7 +150,9 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     breaks down, a level stalls above the tolerance or any level fails its
     certificate, every level comes from symtridiag_eigenvalues, so the values
     are never a mix of the two routes.  Each level's route goes to the log at
-    INFO level, with the failure that sent a level to bisection.
+    INFO level, with the shift its factorization ended at (the seed, or the
+    Rayleigh value of a refresh) and the failure that sent a level to
+    bisection.
     """
     d = np.asarray(diag, dtype=np.float64)
     e = np.asarray(offdiag, dtype=np.float64)
@@ -183,8 +185,11 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
         route = "bisection" if failures else "certified"
         for level, (seed, value) in enumerate(zip(seeds, values.tolist())):
             log.info(
-                "level %d n=%d seed=%.10g numeric=%.10g radius=%s iterations=%s route=%s%s",
-                level, d.size, seed, value,
+                "level %d n=%d seed=%.10g shift=%s numeric=%.10g radius=%s iterations=%s "
+                "route=%s%s",
+                level, d.size, seed,
+                f"{results[level].shift.real:.10g}" if level < len(results) else "-",
+                value,
                 f"{radius[level]:.2e}" if level < len(radius) else "-",
                 results[level].iterations if level < len(results) else "-",
                 route,
@@ -204,7 +209,10 @@ def real_line_probe(
 
     Informational: reality of the located eigenvalues is evidence for the
     metric argument, but the Dirichlet ends are not part of any closed-form
-    statement, so nothing here gates a verification run.
+    statement, so nothing here gates a verification run.  A probe that
+    breaks down or stalls raises in inverse_iteration and becomes that
+    seed's "error" row, so "converged" is True in every other row; the key
+    stays because the probe check of perfbench/workloads.py reads it.
     """
     sample = effective_potentials(spec, grid, consts)
     matrix = assemble_schrodinger(sample.v_minus, grid, consts)

@@ -21,13 +21,17 @@ from gdo import (
     symtridiag_eigenvalues,
 )
 from gdo.eigensolve import (
+    ITERATION_TOL,
     _cyclic_reduction_factor,
     _cyclic_reduction_solve,
+    _plan,
+    _refresh_pays,
+    _replan,
     _start_vector,
     _sturm_counts,
     stacked_inverse_iteration,
 )
-from oracles import dense, rayleigh_quotient
+from oracles import cyclic_reduction_solve, dense, rayleigh_quotient
 
 
 def _dense_eigenvalues(d, e):
@@ -52,13 +56,12 @@ def _counts(d, e, shifts):
 
 def _stack_solve(sub, diag, sup, shifts, rhs):
     """Solve (T - shifts[k] I) x_k = rhs[k] for every k in the solve's flat padded layout."""
-    levels = _cyclic_reduction_factor(sub, diag, sup, np.asarray(shifts))
+    plan = _plan(_cyclic_reduction_factor(sub, diag, sup, np.asarray(shifts)))
     count, n = rhs.shape
     width = 1 << n.bit_length()
-    f = np.zeros(2 * levels[0][0].size, dtype=levels[0][0].dtype)
-    f[: count * width].reshape(count, width)[:, :n] = rhs
-    x = _cyclic_reduction_solve(levels, f)
-    assert x.shape == f.shape
+    plan.rhs[: count * width].reshape(count, width)[:, :n] = rhs
+    x = _cyclic_reduction_solve(plan)
+    assert x.shape == plan.rhs.shape
     blocks = x[: count * width].reshape(count, width)
     # pad rows and the entries past the last block solve to zero
     assert not np.any(blocks[:, n:]) and not np.any(x[count * width :])
@@ -383,6 +386,73 @@ class TestCyclicReduction:
             assert np.linalg.norm(block - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+class TestPlannedSolve:
+    """The solve planned once per factorization against the per-level reference solve."""
+
+    # entries planted in the bands: pivots that are zero, tiny, subnormal or
+    # not finite, and couplings that overflow a product
+    SPECIAL = (0.0, 1e-295, 1e-300, 1e-310, 1e-320, np.nan, np.inf, -np.inf, 1e200, -1e200)
+
+    @staticmethod
+    def _assert_matches_reference(rng, sub, diag, sup, shifts):
+        levels = _cyclic_reduction_factor(sub, diag, sup, shifts)
+        if levels is None:
+            return False
+        n, count = diag.size, shifts.size
+        width = 1 << n.bit_length()
+        f = np.zeros(2 * levels[0][0].size, dtype=levels[0][0].dtype)
+        rhs = rng.normal(size=(count, n))
+        f[: count * width].reshape(count, width)[:, :n] = rhs if f.dtype == float else rhs + 1j
+        plan = _plan(levels)
+        # three chained solves, each solving for the last one's solution; the
+        # later two on the first one's buffers, replanned as a refresh does
+        other = _cyclic_reduction_factor(sub, diag, sup, shifts + 0.5)
+        for solve, factors in enumerate((levels, other or levels, levels)):
+            if solve:
+                plan = _replan(plan, factors)
+            expected = cyclic_reduction_solve(factors, f)
+            plan.rhs[...] = f
+            x = _cyclic_reduction_solve(plan)
+            assert x.dtype == expected.dtype
+            assert x.tobytes() == expected.tobytes()
+            f = expected.copy()
+        return True
+
+    @staticmethod
+    def _bands(rng, n, count, complex_bands):
+        def draw(*shape):
+            v = rng.normal(size=shape)
+            return v + 1j * rng.normal(size=shape) if complex_bands else v
+
+        return draw(n - 1), 3.0 * draw(n), draw(n - 1), draw(count)
+
+    @pytest.mark.parametrize("complex_bands", [False, True])
+    def test_bit_identical_on_small_stacks(self, complex_bands):
+        rng = np.random.default_rng(2024 + complex_bands)
+        solved = 0
+        for _ in range(300):
+            n, count = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            sub, diag, sup, shifts = self._bands(rng, n, count, complex_bands)
+            for band in (sub, diag, sup):
+                for _ in range(int(rng.integers(0, 2)) if band.size else 0):
+                    band[rng.integers(band.size)] = rng.choice(self.SPECIAL)
+            with np.errstate(invalid="ignore"):
+                solved += self._assert_matches_reference(rng, sub, diag, sup, shifts)
+        # a planted entry refuses many stacks; most still solve
+        assert solved >= 150
+
+    @pytest.mark.parametrize("n", [1000, 2047, 4000])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("complex_bands", [False, True])
+    def test_bit_identical_on_large_stacks(self, n, count, complex_bands):
+        rng = np.random.default_rng(n + count)
+        sub, diag, sup, shifts = self._bands(rng, n, count, complex_bands)
+        # one tiny and one overflowing coupling that the stack still factors
+        sub[n // 3], sup[n // 2] = 1e-300, 1e200
+        sup[n // 3] = sub[n // 2] = 0.0
+        assert self._assert_matches_reference(rng, sub, diag, sup, shifts)
+
+
 class TestInverseIteration:
     def test_two_component_matrix_rejected(self, morse_spec):
         with pytest.raises(UnsupportedError):
@@ -581,6 +651,108 @@ class TestStackedInverseIteration:
         assert calls == [[0.0], [4.9]]
         _assert_unit_eigenvector(result)
         assert abs(result.eigenvalue - 5.0) <= 1e-10
+
+    @staticmethod
+    def _harmonic_well():
+        """The bands of a real harmonic well at n = 201 and its lowest levels."""
+        grid = Grid(-8.0, 8.0, 201)
+        x = grid.points
+        _, diag, sup = assemble_schrodinger((x * x).astype(complex), grid).bands
+        d, e = diag.real, sup.real
+        return (e, d, e), _dense_eigenvalues(d, e)[:4]
+
+    def test_refresh_rule(self):
+        gap, left = gdo.eigensolve.REFRESH_GAP, gdo.eigensolve.REFRESH_ITERATIONS
+        tol, shift = 1e-8, 1.0
+
+        def pays(residual, iterations, value):
+            # a residual falling at the ratio that leaves that many fixed-shift iterations
+            ratio = (tol / residual) ** (1.0 / iterations)
+            return _refresh_pays(residual, residual / ratio, value, shift, tol)
+
+        for value in (1.25, 1.0 + 0.25j):
+            small, large = 0.99 * gap * 0.25, 1.01 * gap * 0.25
+            assert pays(small, left + 0.1, value)
+            assert not pays(small, left - 0.1, value)
+            assert not pays(large, 10.0, value)
+            # no ratio at the first iteration, nor for a residual that is not falling
+            assert not _refresh_pays(small, math.inf, value, shift, tol)
+            assert not _refresh_pays(small, small, value, shift, tol)
+            assert not _refresh_pays(small, 0.5 * small, value, shift, tol)
+
+    def test_refreshed_block_matches_its_one_shift_call(self, monkeypatch):
+        bands, levels = self._harmonic_well()
+        # shift 0 sits on level 0 and converges before its residual has a
+        # ratio; shift 1, 0.3 of a gap above level 2, converges at about
+        # 0.3 / 0.7 per iteration and refreshes
+        shifts = np.array([levels[0] + 1e-9, levels[2] + 0.3 * (levels[3] - levels[2])])
+        stacked = stacked_inverse_iteration(bands, shifts)
+        assert stacked[0].shift == shifts[0]
+        assert stacked[1].shift != shifts[1]
+        assert abs(stacked[1].shift - levels[2]) < 1e-3 * (levels[3] - levels[2])
+        for shift, result in zip(shifts.tolist(), stacked):
+            [alone] = stacked_inverse_iteration(bands, [shift])
+            assert result.shift == alone.shift
+            assert result.iterations == alone.iterations
+            assert result.eigenvalue == alone.eigenvalue
+            np.testing.assert_array_equal(result.eigenvector, alone.eigenvector)
+            assert result.residual_norm <= ITERATION_TOL
+        # the fixed shift alone takes far more iterations
+        monkeypatch.setattr(gdo.eigensolve, "_refresh_pays", lambda *args: False)
+        [fixed] = stacked_inverse_iteration(bands, shifts[1:])
+        assert fixed.shift == shifts[1]
+        assert fixed.iterations > 2 * stacked[1].iterations
+
+    def test_refresh_breakdown_keeps_the_old_shift(self, monkeypatch):
+        bands, levels = self._harmonic_well()
+        shift = levels[2] + 0.3 * (levels[3] - levels[2])
+        with monkeypatch.context() as m:
+            m.setattr(gdo.eigensolve, "_refresh_pays", lambda *args: False)
+            [fixed] = stacked_inverse_iteration(bands, [shift])
+        factor = gdo.eigensolve._cyclic_reduction_factor
+        calls = []
+
+        def first_only(sub, diag, sup, shifts):
+            calls.append(shifts.tolist())
+            return None if len(calls) > 1 else factor(sub, diag, sup, shifts)
+
+        monkeypatch.setattr(gdo.eigensolve, "_cyclic_reduction_factor", first_only)
+        [result] = stacked_inverse_iteration(bands, [shift])
+        # one refresh, tried once and dropped: the block iterates on with its
+        # old factorization, exactly as the fixed shift does
+        assert len(calls) == 2 and calls[0] == [shift] and calls[1] != [shift]
+        assert result.converged and result.residual_norm <= ITERATION_TOL
+        assert result.shift == shift
+        assert result.iterations == fixed.iterations
+        assert result.eigenvalue == fixed.eigenvalue
+        np.testing.assert_array_equal(result.eigenvector, fixed.eigenvector)
+
+    def test_joint_refresh_breakdown_tries_each_block_alone(self, monkeypatch):
+        # two equal shifts refresh at the same iteration.  Any factorization
+        # that moves block 0's shift breaks down, so the joint refresh does;
+        # then block 0 keeps its shift and block 1 refreshes as it would alone
+        bands, levels = self._harmonic_well()
+        shift = levels[2] + 0.3 * (levels[3] - levels[2])
+        [refreshed] = stacked_inverse_iteration(bands, [shift])
+        factor = gdo.eigensolve._cyclic_reduction_factor
+        calls = []
+
+        def breaks_block_0(sub, diag, sup, shifts):
+            calls.append(shifts.tolist())
+            return factor(sub, diag, sup, shifts) if shifts[0] == shift else None
+
+        monkeypatch.setattr(gdo.eigensolve, "_cyclic_reduction_factor", breaks_block_0)
+        [kept] = stacked_inverse_iteration(bands, [shift])
+        calls.clear()
+        results = stacked_inverse_iteration(bands, [shift, shift])
+        # the start, the joint refresh, then block 0 and block 1 alone
+        moved = refreshed.shift.real
+        assert calls == [[shift, shift], [moved, moved], [moved, shift], [shift, moved]]
+        for result, alone in zip(results, (kept, refreshed)):
+            assert result.shift == alone.shift
+            assert result.iterations == alone.iterations
+            assert result.eigenvalue == alone.eigenvalue
+            np.testing.assert_array_equal(result.eigenvector, alone.eigenvector)
 
     def test_no_shifts(self, monkeypatch):
         def never(*args):

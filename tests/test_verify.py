@@ -47,23 +47,47 @@ from oracles import dense
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def test_real_line_probe_matches_dense_eigenvalues():
-    config = load_config(CONFIGS / "cot.json")
+def _probe_shifts(monkeypatch, config):
+    """Probes of config at n = 400 checked against dense eigenvalues; returns their shifts."""
     grid = dataclasses.replace(config.grid, n_points=400)
     tol = config.tolerances.residual
     seeds = [row["epsilon"] for row in spectrum_rows(config)]
+    probe = gdo.verify.inverse_iteration
+    shifts = []
+
+    def recording(*args, **kwargs):
+        result = probe(*args, **kwargs)
+        shifts.append(result.shift)
+        return result
+
+    monkeypatch.setattr(gdo.verify, "inverse_iteration", recording)
     probes = real_line_probe(config.interaction, grid, config.constants, seeds, tol=tol)
     assert [p["seed"] for p in probes] == seeds
     assert real_line_probe(config.interaction, grid, config.constants, seeds, tol=tol) == probes
     sample = effective_potentials(config.interaction, grid, config.constants)
     levels = np.linalg.eigvals(dense(assemble_schrodinger(sample.v_minus, grid, config.constants)))
-    converged = [p for p in probes if p.get("converged")]
-    assert len(converged) == len(seeds)
-    for probe in converged:
+    assert all(p.get("converged") for p in probes)
+    for seed, probe in zip(seeds, probes):
         assert probe["residual"] <= tol
+        # the level the probe finds is the one nearest its seed
         value = complex(probe["eigenvalue_re"], probe["eigenvalue_im"])
-        nearest = levels[np.argmin(np.abs(levels - value))]
+        nearest = levels[np.argmin(np.abs(levels - seed))]
         assert abs(value - nearest) <= 1e-8 * max(1.0, abs(nearest))
+    return seeds, shifts[: len(seeds)]
+
+
+def test_real_line_probe_matches_dense_eigenvalues(monkeypatch):
+    seeds, shifts = _probe_shifts(monkeypatch, load_config(CONFIGS / "cot.json"))
+    assert shifts == seeds
+
+
+def test_refreshed_real_line_probe_matches_dense_eigenvalues(monkeypatch):
+    # strong coupling, s = A/(hbar alpha) = 2.8: most probes converge slowly
+    # enough from their seeds to move their shift to a Rayleigh value
+    config = load_config(CONFIGS / "cot.json")
+    config = dataclasses.replace(config, interaction=dataclasses.replace(config.interaction, A=2.8))
+    seeds, shifts = _probe_shifts(monkeypatch, config)
+    assert sum(shift != seed for seed, shift in zip(seeds, shifts)) >= 2
 
 
 class BisectionSpy:
@@ -201,7 +225,7 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
         for shift in shifts:
             value = 1.0 if shift < 2.0 else 3.0
             vector = np.array([1.0, -1.0 if value == 1.0 else 1.0]) / np.sqrt(2.0)
-            results.append(EigenResult(complex(value), vector, 0.0, 1, True))
+            results.append(EigenResult(complex(value), vector, 0.0, 1, True, complex(shift)))
         return results
 
     monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", exact_pairs)
@@ -345,8 +369,9 @@ def _never(*args, **kwargs):
     raise AssertionError("inverse_iteration ran")
 
 
-@pytest.mark.parametrize("name", ["morse.json", "cot.json"])
+@pytest.mark.parametrize("name", ["morse.json", "cot.json", "linear.json"])
 def test_numeric_levels_come_from_one_factorization(monkeypatch, bisection, name):
+    # one factorization: no seeded level refreshes its shift
     factor = gdo.eigensolve._cyclic_reduction_factor
     shifts = []
     monkeypatch.setattr(
