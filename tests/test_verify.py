@@ -36,6 +36,7 @@ from gdo.eigensolve import (
     symtridiag_eigenvalues,
 )
 from gdo.cli import EXIT_FAILED, main
+from gdo.config import config_from_dict
 from gdo.verify import (
     _algebra_grid,
     _shape_invariance_check,
@@ -543,3 +544,125 @@ def test_verify_samples_each_singlet_once(monkeypatch):
     report = verify_all(load_config(CONFIGS / "morse.json"))
     assert sampled == [-1, -1]
     assert {c.name: c.passed for c in report.checks}["singlet_structure"]
+
+
+# the first cycle of the sweep stream of perfbench/workloads.py at seed 7,
+# n = 1001, written out so that a change to the stream cannot move the pins
+_SWEEP_SEED_7 = [
+    {"kind": "morse", "D": 2.5471511903701916, "A": 0.9811871521080981,
+     "B": -0.47559034892778473, "alpha": 1.0043120631191194},
+    {"kind": "cot", "A": 0.8758229472484242, "alpha": 1.0035313446745777,
+     "a": 0.4914990293561572, "b": 0.18196052661284745},
+    {"kind": "morse", "D": 4.455529030517383, "A": 1.2572095947568012,
+     "B": -0.7511931940964589, "alpha": 1.0105042734793037},
+    {"kind": "cot", "A": 2.648110209987012, "alpha": 1.0121490126742403,
+     "a": -0.01252226594689626, "b": 0.3771194621612596},
+]
+_SWEEP_GRIDS = [
+    (-5.974238705612712, 19.91412901870904),
+    (0.490769484495314, 3.6193071306398297),
+    (-5.937629515747799, 19.792098385825998),
+    (-0.011371958861878122, 3.0905115743436355),
+]
+
+# (name, measured, threshold, passed) of every check: the reports must not
+# move by one bit when a change only reorganizes how the checks are computed
+_PINNED_REPORTS = {
+    "morse.json": [
+        ("condition_shift", 1.2560739669470201e-15, 1e-10, True),
+        ("potential_closed_form", 6.20082089333322e-16, 1e-12, True),
+        ("factorization", 0.40353846374023816, 1.0, True),
+        ("shape_invariance", 1.612170902345601e-16, 1e-08, True),
+        ("eigenvalues_numeric", 1.8713957813376127e-05, 0.001, True),
+        ("spinor_coefficients", 2.220446049250313e-16, 1e-12, True),
+        ("model_identification", 0.0, 1e-14, True),
+        ("model_duality", 0.0, 1e-14, True),
+        ("singlet_structure", 0.00015807944552188643, 0.001, True),
+    ],
+    "cot.json": [
+        ("condition_shift", 0.0, 1e-10, True),
+        ("potential_closed_form", 4.577566798522235e-16, 1e-12, True),
+        ("factorization", 0.40768031059697674, 1.0, True),
+        ("shape_invariance", 1.3462242402708402e-15, 1e-08, True),
+        ("eigenvalues_numeric", 8.76859206281703e-07, 0.001, True),
+        ("spinor_coefficients", 1.1102230246251565e-16, 1e-12, True),
+        ("model_identification", 0.0, 1e-14, True),
+        ("model_duality", 0.0, 1e-14, True),
+        ("singlet_structure", 1.0264799873100783e-07, 0.001, True),
+    ],
+    "linear.json": [
+        ("condition_shift", 0.0, 1e-10, True),
+        ("potential_closed_form", 0.0, 1e-12, True),
+        ("factorization", 0.40894568690095845, 1.0, True),
+        ("shape_invariance", 1.0931426704001542e-16, 1e-08, True),
+        ("eigenvalues_numeric", 0.00010417614805927992, 0.001, True),
+        ("spinor_coefficients", 2.220446049250313e-16, 1e-12, True),
+        ("model_identification", 0.0, 1e-14, True),
+        ("model_duality", 0.0, 1e-14, True),
+        ("singlet_structure", 9.128070315885783e-05, 0.001, True),
+    ],
+    "sweep0": [
+        ("condition_shift", 1.831026719408895e-15, 1e-10, True),
+        ("potential_closed_form", 8.354490551925467e-16, 1e-12, True),
+        ("factorization", 0.40061447759306895, 1.0, True),
+        ("shape_invariance", 1.6428987882231732e-16, 1e-08, True),
+        ("eigenvalues_numeric", 0.00031019112188549077, 0.001, True),
+        ("spinor_coefficients", 0.0, 1e-12, True),
+        ("model_identification", 0.0, 1e-14, True),
+        ("model_duality", 0.0, 1e-14, True),
+        ("singlet_structure", 0.0024894643531313564, 0.001, False),
+    ],
+    "sweep1": [
+        ("condition_shift", 1.2560739669470201e-15, 1e-10, True),
+        ("potential_closed_form", 4.559241321490142e-16, 1e-12, True),
+        ("factorization", 0.40294231155516214, 1.0, True),
+        ("shape_invariance", 1.7844029995862904e-15, 1e-08, True),
+        ("eigenvalues_numeric", 0.0014276067120287052, 0.001, False),
+        ("spinor_coefficients", 0.0, 1e-12, True),
+        ("model_identification", 0.0, 1e-14, True),
+        ("model_duality", 0.0, 1e-14, True),
+        ("singlet_structure", 3.405720749261231e-06, 0.001, True),
+    ],
+    "sweep2": [
+        ("condition_shift", 1.9860273225978185e-15, 1e-10, True),
+        ("potential_closed_form", 9.906076369394386e-16, 1e-12, True),
+        ("factorization", 0.3927924668781066, 1.0, True),
+        ("shape_invariance", 1.851419228512405e-16, 1e-08, True),
+        ("eigenvalues_numeric", 0.0009023510930533768, 0.001, True),
+        ("spinor_coefficients", 2.220446049250313e-16, 1e-12, True),
+        ("model_identification", 0.0, 1e-14, True),
+        ("model_duality", 0.0, 1e-14, True),
+        ("singlet_structure", 0.010029548705620178, 0.001, False),
+    ],
+    "sweep3": [
+        ("condition_shift", 0.0, 1e-10, True),
+        ("potential_closed_form", 1.3697481007220793e-15, 1e-12, True),
+        ("factorization", 0.39156797580109787, 1.0, True),
+        ("shape_invariance", 9.75677048647413e-16, 1e-08, True),
+        ("eigenvalues_numeric", 1.7385403568711436e-05, 0.001, True),
+        ("spinor_coefficients", 1.1102230246251565e-16, 1e-12, True),
+        ("model_identification", 0.0, 1e-14, True),
+        ("model_duality", 0.0, 1e-14, True),
+        ("singlet_structure", 1.8123564325969312e-05, 0.001, True),
+    ],
+}
+
+
+def _pinned_config(name):
+    if name.endswith(".json"):
+        return load_config(CONFIGS / name)
+    index = int(name[len("sweep"):])
+    x_min, x_max = _SWEEP_GRIDS[index]
+    return config_from_dict(
+        {
+            "interaction": _SWEEP_SEED_7[index],
+            "grid": {"x_min": x_min, "x_max": x_max, "n_points": 1001},
+        }
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
+def test_reports_are_pinned_bit_for_bit(name):
+    report = verify_all(_pinned_config(name))
+    observed = [(c.name, c.measured, c.threshold, c.passed) for c in report.checks]
+    assert observed == _PINNED_REPORTS[name]
