@@ -23,7 +23,15 @@ import numpy as np
 from .config import RunConfig, dumps_canonical, load_config
 from .errors import ConfigError, GdoError
 from .interactions import check_pseudo_hermiticity_condition, default_condition_grid, metric_theta
-from .models import ground_state_structure, oscillator_models, spin_flip
+# ground_state_structure is not called here: perfbench/tracer.py patches gdo.cli's name
+from .models import (
+    ground_state_structure,
+    model_matrix,
+    oscillator_models,
+    singlet_report,
+    spin_flip,
+)
+from .operators import assemble_ladder
 from .spectra import analytic_spinor
 # real_line_probe is not called here: perfbench/tracer.py patches gdo.cli's name
 from .verify import eigen_deviation, real_line_probe, spectrum_rows, verify_all
@@ -137,10 +145,14 @@ def cmd_verify(config: RunConfig, args) -> int:
 
 
 def cmd_models(config: RunConfig, args) -> int:
+    spec, grid, consts = config.interaction, config.grid, config.constants
+    # both models share one ladder pair and one singlet sample
+    ladder = assemble_ladder(spec, grid, consts)
+    singlet = analytic_spinor(spec, -1, grid, consts)
     payload = {"models": []}
     ok = True
-    for ms in oscillator_models(config.interaction, config.constants):
-        report = ground_state_structure(ms, config.grid, config.constants)
+    for ms in oscillator_models(spec, consts):
+        report = singlet_report(ms, model_matrix(ms, ladder), singlet)
         flip = spin_flip(ms)
         payload["models"].append(
             {

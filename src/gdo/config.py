@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import typing
 from dataclasses import dataclass
 
@@ -33,8 +34,10 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("condition", "eigen_rel", "residual"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"tolerance {name!r} must be > 0")
+            value = getattr(self, name)
+            # an infinite gate passes every measurement, or breaks the artifact
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"tolerance {name!r} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

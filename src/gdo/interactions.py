@@ -166,30 +166,37 @@ def _cot_argument(spec: CotInteraction, zz):
     return w, s
 
 
+def _coupling(spec: InteractionSpec, zz, consts: PhysicalConstants, derivative: bool):
+    """f on the complex points zz, and f' when derivative is set, else None.
+
+    Both come from one evaluation of exp(-alpha z) (Morse) or sin w (cot).
+    """
+    if isinstance(spec, LinearInteraction):
+        mw = consts.mass * spec.omega
+        return mw * zz, np.full(zz.shape, mw, dtype=complex) if derivative else None
+    if isinstance(spec, MorseInteraction):
+        w = spec.A + 1j * spec.B
+        e = np.exp(-spec.alpha * zz)
+        return spec.D - w * e, spec.alpha * w * e if derivative else None
+    w, s = _cot_argument(spec, zz)
+    return -spec.A * np.cos(w) / s, spec.A * spec.alpha / (s * s) if derivative else None
+
+
 def eval_f(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTANTS):
     """Evaluate f at a real or complex point (or array of points)."""
-    zz = _as_complex(z)
-    if isinstance(spec, LinearInteraction):
-        out = consts.mass * spec.omega * zz
-    elif isinstance(spec, MorseInteraction):
-        out = spec.D - (spec.A + 1j * spec.B) * np.exp(-spec.alpha * zz)
-    else:
-        w, s = _cot_argument(spec, zz)
-        out = -spec.A * np.cos(w) / s
-    return _maybe_scalar(out, z)
+    return _maybe_scalar(_coupling(spec, _as_complex(z), consts, False)[0], z)
 
 
 def eval_f_prime(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTANTS):
     """Evaluate the analytic derivative f'(z); same pole rules as eval_f."""
-    zz = _as_complex(z)
-    if isinstance(spec, LinearInteraction):
-        out = np.full(zz.shape, consts.mass * spec.omega, dtype=complex)
-    elif isinstance(spec, MorseInteraction):
-        out = spec.alpha * (spec.A + 1j * spec.B) * np.exp(-spec.alpha * zz)
-    else:
-        _, s = _cot_argument(spec, zz)
-        out = spec.A * spec.alpha / (s * s)
-    return _maybe_scalar(out, z)
+    return _maybe_scalar(_coupling(spec, _as_complex(z), consts, True)[1], z)
+
+
+def sample_coupling(
+    spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
+):
+    """(f, f') on the grid points, as eval_f and eval_f_prime give them, from one sampling."""
+    return _coupling(spec, grid.points.astype(complex), consts, True)
 
 
 def metric_theta(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

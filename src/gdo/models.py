@@ -24,7 +24,7 @@ from .interactions import (
     negated,
 )
 from .operators import OperatorMatrix, assemble_ladder
-from .spectra import analytic_spinor
+from .spectra import SpinorSample, analytic_spinor, singlet_layout
 
 _MODEL_KINDS = ("gajc", "gjc")
 
@@ -86,15 +86,23 @@ def oscillator_models(
     return preset, dataclasses.replace(preset, kind="gjc")
 
 
-def assemble_model(
-    ms: ModelSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> OperatorMatrix:
-    """[[delta, W A#], [W A, -delta]] for GAJC; ladder blocks swapped for GJC."""
-    lower, raise_ = assemble_ladder(ms.interaction, grid, consts)
+def model_matrix(ms: ModelSpec, ladder) -> OperatorMatrix:
+    """[[delta, W A#], [W A, -delta]] for GAJC from the ladder pair (A, A#) of ms's coupling.
+
+    The GJC layout swaps the ladder blocks.
+    """
+    lower, raise_ = ladder
     w = ms.omega_coupling
     if ms.kind == "gajc":
         return OperatorMatrix.two_level(ms.delta, raise_.scaled(w), lower.scaled(w))
     return OperatorMatrix.two_level(ms.delta, lower.scaled(w), raise_.scaled(w))
+
+
+def assemble_model(
+    ms: ModelSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
+) -> OperatorMatrix:
+    """[[delta, W A#], [W A, -delta]] for GAJC; ladder blocks swapped for GJC."""
+    return model_matrix(ms, assemble_ladder(ms.interaction, grid, consts))
 
 
 def spin_flip(ms: ModelSpec) -> ModelSpec:
@@ -124,15 +132,22 @@ def ground_state_structure(
     The reported ground_energy keeps the stated-sign convention, which labels
     the GAJC singlet -delta and the GJC singlet +delta.
     """
-    layout = "GDO" if ms.kind == "gajc" else "GJC"
-    sample = analytic_spinor(ms.interaction, -1, grid, consts, model=layout)
+    singlet = analytic_spinor(ms.interaction, -1, grid, consts)
+    return singlet_report(ms, assemble_model(ms, grid, consts), singlet)
+
+
+def singlet_report(
+    ms: ModelSpec, matrix: OperatorMatrix, singlet: SpinorSample
+) -> GroundStateReport:
+    """ground_state_structure of ms from its assembled matrix and the GDO-layout singlet."""
+    sample = singlet_layout(singlet, "GDO" if ms.kind == "gajc" else "GJC")
     vector = np.concatenate([sample.psi1, sample.psi2])
-    image = assemble_model(ms, grid, consts).matvec(vector)
+    image = matrix.matvec(vector)
     quotient = complex(np.vdot(vector, image) / np.vdot(vector, vector))
     # periodic-family eigenfunctions do not vanish at the grid ends, so the
     # truncated first and last stencil row of each component are excluded
     mismatch = image - quotient * vector
-    n = grid.n_points
+    n = sample.grid.n_points
     keep = np.ones(2 * n, dtype=bool)
     keep[[0, n - 1, n, 2 * n - 1]] = False
     residual = float(np.linalg.norm(mismatch[keep]) / np.linalg.norm(vector))

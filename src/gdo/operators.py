@@ -4,7 +4,7 @@ Conventions fixed here and relied on everywhere else:
 
 * momentum is the antisymmetric central first difference times -i*hbar, with
   Dirichlet truncation at both ends, so the matrix is exactly Hermitian;
-  momentum_operator owns this stencil and assemble_ladder reuses its bands;
+  momentum_operator owns this stencil and ladder_pair reuses its bands;
 * the second-derivative operator is the three-point Laplacian with implicit
   zeros one step outside the grid (all grid points are active unknowns);
   assemble_schrodinger owns this stencil;
@@ -29,7 +29,7 @@ from .interactions import (
     CotInteraction,
     PhysicalConstants,
     eval_f,
-    eval_f_prime,
+    sample_coupling,
 )
 
 
@@ -134,14 +134,18 @@ def momentum_operator(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS)
     )
 
 
+def partner_potentials(
+    f, fp, consts: PhysicalConstants = DEFAULT_CONSTANTS
+) -> EffectivePotentialSample:
+    """Partner potentials f^2 -/+ hbar f' from samples of f and f'."""
+    return EffectivePotentialSample(f * f - consts.hbar * fp, f * f + consts.hbar * fp)
+
+
 def effective_potentials(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> EffectivePotentialSample:
     """Partner potentials from f and f', evaluated pointwise on the grid."""
-    x = grid.points.astype(complex)
-    f = eval_f(spec, x, consts)
-    fp = eval_f_prime(spec, x, consts)
-    return EffectivePotentialSample(f * f - consts.hbar * fp, f * f + consts.hbar * fp)
+    return partner_potentials(*sample_coupling(spec, grid, consts), consts)
 
 
 def closed_form_potentials(
@@ -175,26 +179,33 @@ def closed_form_potentials(
     return EffectivePotentialSample(np.asarray(vm, complex), np.asarray(vp, complex))
 
 
+def ladder_pair(f, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Lowering/raising pair (p - i f, p + i f) from f sampled on the grid."""
+    sub, _, sup = momentum_operator(grid, consts).bands
+    lower = OperatorMatrix.tridiagonal(sub, -1j * f, sup)
+    return lower, OperatorMatrix.tridiagonal(sub, 1j * f, sup)
+
+
 def assemble_ladder(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ):
     """Lowering/raising pair (p - i f, p + i f) as tridiagonal matrices."""
-    x = grid.points.astype(complex)
-    f = eval_f(spec, x, consts)
-    sub, _, sup = momentum_operator(grid, consts).bands
-    lower = OperatorMatrix.tridiagonal(sub, -1j * f, sup)
-    raise_ = OperatorMatrix.tridiagonal(sub, 1j * f, sup)
-    return lower, raise_
+    return ladder_pair(eval_f(spec, grid.points.astype(complex), consts), grid, consts)
+
+
+def dirac_matrix(ladder, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> OperatorMatrix:
+    """Two-component Hamiltonian [[mc^2, c(p + i f)], [c(p - i f), -mc^2]] from a ladder pair."""
+    lower, raise_ = ladder
+    return OperatorMatrix.two_level(
+        consts.mass * consts.c**2, raise_.scaled(consts.c), lower.scaled(consts.c)
+    )
 
 
 def assemble_dirac(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> OperatorMatrix:
     """Two-component Hamiltonian [[mc^2, c(p + i f)], [c(p - i f), -mc^2]]."""
-    lower, raise_ = assemble_ladder(spec, grid, consts)
-    return OperatorMatrix.two_level(
-        consts.mass * consts.c**2, raise_.scaled(consts.c), lower.scaled(consts.c)
-    )
+    return dirac_matrix(assemble_ladder(spec, grid, consts), consts)
 
 
 def assemble_schrodinger(

@@ -257,9 +257,7 @@ def analytic_spinor(
     mc2 = consts.mass * consts.c**2
     if level == -1:
         phi0 = _grid_normalize(_phi_raw(spec, "minus", 0, x, consts), h)
-        zero = np.zeros_like(phi0)
-        psi1, psi2 = (phi0, zero) if model == "GDO" else (zero, phi0)
-        return SpinorSample(grid, psi1, psi2, level, model)
+        return singlet_layout(SpinorSample(grid, phi0, np.zeros_like(phi0), level, "GDO"), model)
     if level < 1:
         raise LevelOutOfRangeError(f"spinor levels are -1 (singlet) or >= 1, got {level}")
     n = level - 1
@@ -276,3 +274,10 @@ def analytic_spinor(
         psi2 = lower_part
     norm = math.sqrt(float(np.sum(np.abs(psi1) ** 2 + np.abs(psi2) ** 2)) * h)
     return SpinorSample(grid, psi1 / norm, psi2 / norm, level, model)
+
+
+def singlet_layout(singlet: SpinorSample, model: str) -> SpinorSample:
+    """A singlet sample laid out for the GDO or GJC layout; the GJC one swaps the components."""
+    if model == singlet.model:
+        return singlet
+    return SpinorSample(singlet.grid, singlet.psi2, singlet.psi1, singlet.level, model)

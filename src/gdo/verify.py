@@ -20,6 +20,20 @@ its boundary conditions are a modeling choice.
 Shape invariance is checked on the wells built from f and f': V+ of the
 coupling minus V- of upper_partner(spec), the map the closed forms take
 their upper branch from, must be constant on the config grid.
+
+verify_all makes each grid sample once.  f and f' on the config grid come
+from one evaluation of the coupling: check 2 reads the partner potentials
+built from them, check 4 their V+, and checks 7-9 one ladder pair built from
+f.  factorization_check takes its ladder, its band products and its coarse
+commutator from one sample on its own 201-point grid.  The singlet is
+sampled once in the GDO layout, and the GJC report reads it with its
+components swapped.  Checks 7 and 8 still test something on the shared
+ladder: check 7 compares the GAJC layout of model_matrix with the oscillator
+layout of dirac_matrix, each of which places the ladder blocks by its own
+rule, and check 8 compares the GJC layout with the GAJC layout of the
+negated() coupling, whose ladder is sampled afresh.  A ladder rebuilt from
+the same coupling and grid is the shared one bit for bit, so rebuilding it
+would test nothing more.
 """
 
 from __future__ import annotations
@@ -50,20 +64,30 @@ from .interactions import (
     PhysicalConstants,
     check_pseudo_hermiticity_condition,
     default_condition_grid,
-    eval_f,
-    eval_f_prime,
     hermitian_equivalent_interaction,
     metric_theta,
+    sample_coupling,
     upper_partner,
 )
-from .models import ModelSpec, assemble_model, ground_state_structure, oscillator_models, spin_flip
+# assemble_dirac and ground_state_structure are not called here:
+# perfbench/tracer.py patches gdo.verify's names
+from .models import (
+    assemble_model,
+    ground_state_structure,
+    model_matrix,
+    oscillator_models,
+    singlet_report,
+    spin_flip,
+)
 from .operators import (
     assemble_dirac,
-    assemble_ladder,
     assemble_schrodinger,
     closed_form_potentials,
+    dirac_matrix,
     effective_potentials,
+    ladder_pair,
     momentum_operator,
+    partner_potentials,
 )
 from .spectra import (  # analytic_spinor: perfbench/tracer.py patches gdo.verify's name
     analytic_spinor,
@@ -310,8 +334,10 @@ def verify_all(config: RunConfig) -> VerificationReport:
     )
     add(CheckResult("condition_shift", condition.max_deviation, tols.condition, condition.passed))
 
-    # 2. generic vs expanded closed-form potentials, pointwise; check 4 reuses generic
-    generic = effective_potentials(spec, config.grid, consts)
+    # 2. generic vs expanded closed-form potentials, pointwise; f is shared with
+    # the ladder of checks 7-9 and V+ with check 4
+    f, fp = sample_coupling(spec, config.grid, consts)
+    generic = partner_potentials(f, fp, consts)
     closed = closed_form_potentials(spec, config.grid, consts)
     scale = np.maximum(
         1.0, np.maximum(np.abs(generic.v_minus), np.abs(generic.v_plus))
@@ -344,20 +370,20 @@ def verify_all(config: RunConfig) -> VerificationReport:
     add(CheckResult("spinor_coefficients", coeff_dev, 1e-12, coeff_dev <= 1e-12))
 
     # 7. anti-rotating model reproduces the oscillator matrix exactly
+    ladder = ladder_pair(f, config.grid, consts)
     preset, gjc = oscillator_models(spec, consts)
-    ident_dev = assemble_model(preset, config.grid, consts).max_abs_diff(
-        assemble_dirac(spec, config.grid, consts)
-    )
+    gajc_matrix = model_matrix(preset, ladder)
+    ident_dev = gajc_matrix.max_abs_diff(dirac_matrix(ladder, consts))
     add(CheckResult("model_identification", ident_dev, 1e-14, ident_dev <= 1e-14))
 
     # 8. rotating/anti-rotating duality under coupling negation
-    dual_dev = assemble_model(gjc, config.grid, consts).max_abs_diff(
-        assemble_model(spin_flip(gjc), config.grid, consts)
-    )
+    gjc_matrix = model_matrix(gjc, ladder)
+    dual_dev = gjc_matrix.max_abs_diff(assemble_model(spin_flip(gjc), config.grid, consts))
     add(CheckResult("model_duality", dual_dev, 1e-14, dual_dev <= 1e-14))
 
     # 9. singlet structure: exact component zeros and |Rayleigh quotient| = delta
-    add(_singlet_check(preset, gjc, config.grid, consts, tols.eigen_rel))
+    singlet = analytic_spinor(spec, -1, config.grid, consts)
+    add(_singlet_check(((preset, gajc_matrix), (gjc, gjc_matrix)), singlet, tols.eigen_rel))
 
     return VerificationReport(tuple(checks))
 
@@ -395,9 +421,9 @@ def factorization_check(
     i[f, p]/(-hbar) to a smooth test vector reproduces f' with an error that
     drops fourfold when the spacing is halved.
     """
-    lower, raise_ = assemble_ladder(spec, grid, consts)
+    f, fp = sample_coupling(spec, grid, consts)
+    lower, raise_ = ladder_pair(f, grid, consts)
     p = momentum_operator(grid, consts).bands
-    f = eval_f(spec, grid.points.astype(complex), consts)
     fd = (np.zeros_like(p[0]), f, np.zeros_like(p[2]))
 
     product = _band_product(raise_.bands, lower.bands)
@@ -413,20 +439,20 @@ def factorization_check(
     entry_scale = float(np.max(np.abs(f) ** 2)) + (consts.hbar / grid.spacing) ** 2
     algebra_tol = float(np.finfo(float).eps) * entry_scale
 
-    def commutator_error(g: Grid):
+    def commutator_error(g: Grid, fg, fpg):
         x = g.points
         psi = np.sin(np.pi * (x - g.x_min) / (g.x_max - g.x_min)).astype(complex)
-        fg = eval_f(spec, x.astype(complex), consts)
         pg = momentum_operator(g, consts)
         lhs = 1j * (fg * pg.matvec(psi) - pg.matvec(fg * psi)) / (-consts.hbar)
-        target = eval_f_prime(spec, x.astype(complex), consts) * psi
+        target = fpg * psi
         # roundoff floor of the two matvec paths; below it the error carries
         # no discretization signal (constant couplings land here)
         floor = 1e-13 * float(1.0 + np.max(np.abs(fg)) / g.spacing)
         return float(np.max(np.abs(lhs - target)[1:-1])), floor
 
-    err_coarse, floor_coarse = commutator_error(grid)
-    err_fine, floor_fine = commutator_error(grid.refined())
+    err_coarse, floor_coarse = commutator_error(grid, f, fp)
+    fine = grid.refined()
+    err_fine, floor_fine = commutator_error(fine, *sample_coupling(spec, fine, consts))
     if err_coarse <= floor_coarse and err_fine <= floor_fine:
         ratio = 4.0
     else:
@@ -452,11 +478,12 @@ def _shape_invariance_check(spec, v_plus, grid, consts) -> CheckResult:
     return CheckResult("shape_invariance", measured, threshold, measured <= threshold)
 
 
-def _singlet_check(gajc: ModelSpec, gjc: ModelSpec, grid, consts, rq_tol) -> CheckResult:
+def _singlet_check(models, singlet, rq_tol) -> CheckResult:
+    # models: (ModelSpec, assembled matrix) pairs sharing the GDO-layout singlet
     measured = 0.0
     ok = True
-    for ms in (gajc, gjc):
-        report = ground_state_structure(ms, grid, consts)
+    for ms, matrix in models:
+        report = singlet_report(ms, matrix, singlet)
         ok = ok and report.empty_component_zero
         # quotient magnitude pins the level, the residual certifies the vector
         measured = max(

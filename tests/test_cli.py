@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gdo.models
+import gdo.operators
 import gdo.verify
 from gdo import analytic_spinor, cli, load_config, metric_theta, verify_all
 from gdo.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
@@ -79,14 +81,26 @@ def _infinite_depth(data):
     data["interaction"]["D"] = float("inf")
 
 
+def _infinite_condition(data):
+    # an infinite gate would compute every check, then fail to write the artifact
+    data["tolerances"]["condition"] = float("inf")
+
+
+def _infinite_eigen_rel(data):
+    # an infinite gate would pass any eigenvalue deviation
+    data["tolerances"]["eigen_rel"] = float("inf")
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (_drop_grid, "missing key 'grid' in configuration"),
         (_zero_alpha, "bad 'morse' interaction parameters: morse coupling needs alpha > 0"),
         (_infinite_depth, "bad 'morse' interaction parameters: morse parameter 'D' must be finite"),
+        (_infinite_condition, "tolerance 'condition' must be finite and > 0, got inf"),
+        (_infinite_eigen_rel, "tolerance 'eigen_rel' must be finite and > 0, got inf"),
     ],
-    ids=["no_grid", "alpha_0", "D_inf"],
+    ids=["no_grid", "alpha_0", "D_inf", "condition_inf", "eigen_rel_inf"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -471,3 +485,24 @@ def test_verify_logs_each_check_time(tmp_path, monkeypatch, caplog):
     assert timed == [check["name"] for check in json.loads(first)["checks"]]
     verdicts = [line.split()[4] for line in lines if line.startswith("check ")]
     assert verdicts == ["ok" if check["passed"] else "FAILED" for check in json.loads(first)["checks"]]
+
+
+def test_models_samples_one_ladder_and_one_singlet(tmp_path, monkeypatch):
+    # both models' reports come from one ladder pair and one singlet sample
+    ladders, singlets = [], []
+    real_ladder = gdo.operators.ladder_pair
+    monkeypatch.setattr(
+        gdo.operators, "ladder_pair", lambda *args: ladders.append(args) or real_ladder(*args)
+    )
+    for module in (cli, gdo.models):
+        real = module.analytic_spinor
+        monkeypatch.setattr(
+            module,
+            "analytic_spinor",
+            lambda *args, real=real, **kw: singlets.append(args[1]) or real(*args, **kw),
+        )
+    out = tmp_path / "models.json"
+    assert main(["models", "--config", str(CONFIGS / "morse.json"), "--out", str(out)]) == EXIT_OK
+    assert len(ladders) == 1 and singlets == [-1]
+    kinds = [(m["kind"], m["dual_kind"]) for m in json.loads(out.read_text())["models"]]
+    assert kinds == [("gajc", "gjc"), ("gjc", "gajc")]

@@ -140,3 +140,13 @@ def test_json_numbers_become_their_field_types():
     config = config_from_dict(data)
     assert config.grid == Grid(-6.0, 20.0, 101)
     assert type(config.grid.x_min) is float and type(config.grid.n_points) is int
+
+
+@pytest.mark.parametrize("name", ["condition", "eigen_rel", "residual"])
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan"), 0.0, -1e-3])
+def test_tolerance_must_be_finite_and_positive(name, value):
+    # json.load reads Infinity, -Infinity and NaN as floats
+    data = _set(copy.deepcopy(_MINIMAL), ("tolerances", name), value)
+    message = f"tolerance '{name}' must be finite and > 0, got {value}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config_from_dict(data)

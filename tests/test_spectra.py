@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from gdo import (
     dirac_spectrum,
     epsilon_minus,
     epsilon_plus,
+    load_config,
     spinor_coefficients,
 )
+from gdo.spectra import singlet_layout
 from oracles import analytic_phi, rayleigh_quotient
 
 
@@ -301,3 +304,19 @@ class TestAnalyticSpinor:
 
     def test_model_name_recorded(self, morse_spec, morse_grid):
         assert analytic_spinor(morse_spec, -1, morse_grid, model="GJC").model == "GJC"
+
+
+@pytest.mark.parametrize("name", ["morse.json", "cot.json", "linear.json"])
+def test_swapped_singlet_is_the_gjc_singlet_bit_for_bit(name):
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    args = (config.interaction, -1, config.grid, config.constants)
+    gdo_layout = analytic_spinor(*args)
+    gjc = analytic_spinor(*args, model="GJC")
+    swapped = singlet_layout(gdo_layout, "GJC")
+    assert (swapped.level, swapped.model, swapped.grid) == (-1, "GJC", config.grid)
+    for component in ("psi1", "psi2"):
+        assert getattr(swapped, component).tobytes() == getattr(gjc, component).tobytes()
+    # the GJC singlet is the GDO one with its components exchanged: +0.0 on top
+    assert gjc.psi2.tobytes() == gdo_layout.psi1.tobytes()
+    assert gjc.psi1.tobytes() == np.zeros(config.grid.n_points, dtype=complex).tobytes()
+    assert singlet_layout(swapped, "GDO").psi1.tobytes() == gdo_layout.psi1.tobytes()

@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdo.eigensolve
+import gdo.interactions
 import gdo.models
+import gdo.operators
 import gdo.verify
 from gdo import (
     CotInteraction,
@@ -542,8 +544,46 @@ def test_verify_samples_each_singlet_once(monkeypatch):
             ),
         )
     report = verify_all(load_config(CONFIGS / "morse.json"))
-    assert sampled == [-1, -1]
+    # one sample serves both models, laid out for GJC by swapping its components
+    assert sampled == [-1]
     assert {c.name: c.passed for c in report.checks}["singlet_structure"]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_verify_samples_each_coupling_and_ladder_once_per_grid(monkeypatch, name):
+    # every coupling sample goes through gdo.interactions._coupling and every
+    # ladder pair through ladder_pair, under gdo.operators' or gdo.verify's name
+    samples, ladders = [], []
+    coupling = gdo.interactions._coupling
+    monkeypatch.setattr(
+        gdo.interactions,
+        "_coupling",
+        lambda spec, zz, consts, derivative: (
+            samples.append((spec.kind, zz.size, derivative)) or coupling(spec, zz, consts, derivative)
+        ),
+    )
+    for module in (gdo.operators, gdo.verify):
+        real = module.ladder_pair
+        monkeypatch.setattr(
+            module,
+            "ladder_pair",
+            lambda f, grid, *args, real=real: ladders.append(grid.n_points) or real(f, grid, *args),
+        )
+    config = load_config(CONFIGS / name)
+    verify_all(config)
+    n = config.grid.n_points
+    # factorization's algebra grid, then the config grid's coupling and its negation
+    assert ladders == [201, n, n]
+    kind = config.interaction.kind
+    assert samples == [
+        (kind, 401, False),  # condition_shift: f shifted by i hbar theta
+        (kind, 401, False),  # and f on the real window
+        (kind, n, True),  # f and f' on the config grid: checks 2, 4 and 7-9
+        (kind, 201, True),  # factorization: ladder, band product and coarse commutator
+        (kind, 401, True),  # factorization: commutator on the refined grid
+        (kind, n, True),  # shape_invariance: V- of the upper partner
+        (kind, n, False),  # model_duality: the negated coupling's ladder
+    ]
 
 
 # the first cycle of the sweep stream of perfbench/workloads.py at seed 7,
