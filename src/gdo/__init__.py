@@ -14,6 +14,7 @@ from .errors import (
     DomainError,
     GdoError,
     LevelOutOfRangeError,
+    NonFiniteError,
     ParameterError,
     PoleError,
     SingularPivotError,

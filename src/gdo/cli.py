@@ -5,7 +5,8 @@ failed, 2 the input could not be understood or the artifact could not be
 written.  GDO_LOG in {quiet, info, debug} sets the level of the gdo logger,
 whose diagnostics go to stderr, on every call of main; unset, the logger
 keeps the level it has (WARNING in a fresh process).  Artifact bytes are
-deterministic for a given configuration.
+deterministic for a given configuration.  Every float in a wavefunction CSV
+is the exact text of "%.17g" % v, which round-trips each float64 bit for bit.
 """
 
 from __future__ import annotations
@@ -14,14 +15,16 @@ import argparse
 import dataclasses
 import functools
 import logging
+import math
 import os
 import sys
 from time import perf_counter
 
 import numpy as np
 
+from ._floattext import csv_text
 from .config import RunConfig, dumps_canonical, load_config
-from .errors import ConfigError, GdoError
+from .errors import ConfigError, GdoError, NonFiniteError
 from .interactions import check_pseudo_hermiticity_condition, default_condition_grid, metric_theta
 # ground_state_structure is not called here: perfbench/tracer.py patches gdo.cli's name
 from .models import (
@@ -41,8 +44,6 @@ log = logging.getLogger("gdo")
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
-# 17 significant digits round-trip every float64 bit for bit
-_CSV_FLOAT = "%.17g"
 
 
 def _setup_logging():
@@ -93,39 +94,20 @@ def cmd_spectrum(config: RunConfig, args) -> int:
     return EXIT_OK
 
 
-@functools.lru_cache(maxsize=1)
-def _x_column(points: bytes) -> tuple:
-    """The points of a float64 array, formatted; the CSVs of one run share a grid.
-
-    Float-to-text conversion is most of the cost of a CSV, so the column of
-    the last grid written is kept.  The key is the points themselves: grids
-    that differ only in the sign of a zero endpoint compare equal, yet print
-    0 and -0.
-    """
-    return tuple(_CSV_FLOAT % x for x in np.frombuffer(points).tolist())
-
-
 def cmd_wavefunction(config: RunConfig, args) -> int:
     layout = {"gdo": "GDO", "gajc": "GDO", "gjc": "GJC"}[args.model]
     grid = config.grid
     t0 = perf_counter()
     sample = analytic_spinor(config.interaction, args.level, grid, config.constants, model=layout)
     t1 = perf_counter()
-    fields, columns = ["%s"], [_x_column(grid.points.tobytes())]
-    for values in (sample.psi1.real, sample.psi1.imag, sample.psi2.real, sample.psi2.imag):
-        # "%.17g" prints +0.0 as 0, so a column of +0.0 alone is written
-        # without converting its values; -0.0 prints -0 and is converted
-        if values.any() or np.signbit(values).any():
-            fields.append(_CSV_FLOAT)
-            columns.append(values.tolist())
-        else:
-            fields.append("0")
-    template = ",".join(fields) + "\n"
-    text = "x,re_psi1,im_psi1,re_psi2,im_psi2\n" + "".join([template % row for row in zip(*columns)])
+    text, fallbacks = csv_text(
+        "x,re_psi1,im_psi1,re_psi2,im_psi2\n",
+        np.stack([grid.points, sample.psi1.real, sample.psi1.imag, sample.psi2.real, sample.psi2.imag], axis=1),
+    )
     t2 = perf_counter()
     log.info(
-        "wavefunction level %d model %s n %d: sample took %.1f ms, format took %.1f ms",
-        args.level, args.model, grid.n_points, (t1 - t0) * 1000, (t2 - t1) * 1000,
+        "wavefunction level %d model %s n %d: sample took %.1f ms, format took %.1f ms, %d fallback values",
+        args.level, args.model, grid.n_points, (t1 - t0) * 1000, (t2 - t1) * 1000, fallbacks,
     )
     _emit(text, args.out)
     return EXIT_OK
@@ -135,6 +117,10 @@ def cmd_verify(config: RunConfig, args) -> int:
     t0 = perf_counter()
     report = verify_all(config)
     runtime = perf_counter() - t0
+    for check in report.checks:
+        # a NaN fails its check, but JSON cannot hold it: say which check it was
+        if not math.isfinite(check.measured):
+            raise NonFiniteError(f"check {check.name} measured {check.measured}, not a finite number")
     payload = {
         "checks": [dataclasses.asdict(c) for c in report.checks],
         "overall": report.overall,

@@ -41,5 +41,9 @@ class SingularPivotError(GdoError):
     """Tridiagonal elimination broke down at the requested shift."""
 
 
+class NonFiniteError(GdoError):
+    """A measurement came out NaN or infinite, so no check can pass on it."""
+
+
 class ConfigError(GdoError):
     """A run configuration file is malformed or incomplete."""

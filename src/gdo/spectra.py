@@ -177,7 +177,15 @@ def _phi_raw_morse(spec: MorseInteraction, n: int, x, consts) -> np.ndarray:
     w = spec.A + 1j * spec.B
     z = (2.0 * w / (consts.hbar * spec.alpha)) * np.exp(-spec.alpha * x)
     # arg(z) is constant in x, so the principal power never crosses a cut
-    return z ** (s - n) * np.exp(-z / 2.0) * laguerre(n, 2 * s - 2 * n, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = z ** (s - n) * np.exp(-z / 2.0) * laguerre(n, 2 * s - 2 * n, z)
+        bad = ~np.isfinite(phi)
+        if bad.any():
+            # far left z^(s-n) overflows while e^(-z/2) underflows; their product
+            # is taken in log space at those points only, so no finite sample moves
+            zb = z[bad]
+            phi[bad] = np.exp((s - n) * np.log(zb) - zb / 2.0) * laguerre(n, 2 * s - 2 * n, zb)
+    return phi
 
 
 def _phi_raw_cot(spec: CotInteraction, n: int, x, consts) -> np.ndarray:
@@ -228,11 +236,14 @@ def _ladder_constant(spec: InteractionSpec, n: int, consts: PhysicalConstants) -
     return -2j * (n + 1) * math.sqrt(consts.hbar * consts.mass * spec.omega)
 
 
+def _checked_norm(norm: float) -> float:
+    if norm == 0 or not math.isfinite(norm):
+        raise ParameterError(f"cannot normalize a sample of norm {norm} on this grid")
+    return norm
+
+
 def _grid_normalize(values: np.ndarray, h: float) -> np.ndarray:
-    norm = math.sqrt(float(np.sum(np.abs(values) ** 2)) * h)
-    if norm == 0:
-        raise ParameterError("cannot normalize an identically zero sample")
-    return values / norm
+    return values / _checked_norm(math.sqrt(float(np.sum(np.abs(values) ** 2)) * h))
 
 
 def analytic_spinor(
@@ -272,7 +283,7 @@ def analytic_spinor(
     else:
         psi1 = (consts.c * kappa / (energy - mc2)) * upper_part
         psi2 = lower_part
-    norm = math.sqrt(float(np.sum(np.abs(psi1) ** 2 + np.abs(psi2) ** 2)) * h)
+    norm = _checked_norm(math.sqrt(float(np.sum(np.abs(psi1) ** 2 + np.abs(psi2) ** 2)) * h))
     return SpinorSample(grid, psi1 / norm, psi2 / norm, level, model)
 
 

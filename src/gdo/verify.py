@@ -290,9 +290,14 @@ def scaled_deviation(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic))
 
 
+def _worst(values) -> float:
+    """The largest of values, NaN when any is NaN: Python's max keeps a NaN only in first place."""
+    return float(np.max(np.asarray(values, dtype=float)))
+
+
 def eigen_deviation(rows: List[dict]) -> float:
     """Worst scaled deviation of numeric spectrum rows, the value verify and spectrum --numeric gate."""
-    return max(scaled_deviation(row["epsilon"], row["epsilon_numeric"]) for row in rows)
+    return _worst([scaled_deviation(row["epsilon"], row["epsilon_numeric"]) for row in rows])
 
 
 def _algebra_grid(spec: InteractionSpec, consts: PhysicalConstants) -> Grid:
@@ -342,17 +347,15 @@ def verify_all(config: RunConfig) -> VerificationReport:
     scale = np.maximum(
         1.0, np.maximum(np.abs(generic.v_minus), np.abs(generic.v_plus))
     )
-    pot_dev = float(
-        max(
-            np.max(np.abs(generic.v_minus - closed.v_minus) / scale),
-            np.max(np.abs(generic.v_plus - closed.v_plus) / scale),
-        )
-    )
+    pot_dev = _worst([
+        np.max(np.abs(generic.v_minus - closed.v_minus) / scale),
+        np.max(np.abs(generic.v_plus - closed.v_plus) / scale),
+    ])
     add(CheckResult("potential_closed_form", pot_dev, 1e-12, pot_dev <= 1e-12))
 
     # 3. ladder-product identity and commutator order
     fact = factorization_check(spec, _algebra_grid(spec, consts), consts)
-    fact_measure = float(max(c.measured / max(c.threshold, 1e-300) for c in fact.checks))
+    fact_measure = _worst([c.measured / max(c.threshold, 1e-300) for c in fact.checks])
     add(CheckResult("factorization", fact_measure, 1.0, fact.overall))
 
     # 4. shape invariance: V+ of the coupling is V- of its upper partner plus a constant
@@ -363,10 +366,11 @@ def verify_all(config: RunConfig) -> VerificationReport:
     add(CheckResult("eigenvalues_numeric", eig_dev, tols.eigen_rel, eig_dev <= tols.eigen_rel))
 
     # 6. coefficient identity a^2 + b^2 = 1 along the positive branch
-    coeff_dev = 0.0
+    coeff_devs = [0.0]
     for line in dirac_spectrum(spec, consts, max_levels=max(config.levels, 2))[1:]:
         coeffs = spinor_coefficients(line.energy_plus, consts)
-        coeff_dev = max(coeff_dev, abs(coeffs.a**2 + coeffs.b**2 - 1.0))
+        coeff_devs.append(abs(coeffs.a**2 + coeffs.b**2 - 1.0))
+    coeff_dev = _worst(coeff_devs)
     add(CheckResult("spinor_coefficients", coeff_dev, 1e-12, coeff_dev <= 1e-12))
 
     # 7. anti-rotating model reproduces the oscillator matrix exactly
@@ -480,13 +484,12 @@ def _shape_invariance_check(spec, v_plus, grid, consts) -> CheckResult:
 
 def _singlet_check(models, singlet, rq_tol) -> CheckResult:
     # models: (ModelSpec, assembled matrix) pairs sharing the GDO-layout singlet
-    measured = 0.0
+    measures = []
     ok = True
     for ms, matrix in models:
         report = singlet_report(ms, matrix, singlet)
         ok = ok and report.empty_component_zero
         # quotient magnitude pins the level, the residual certifies the vector
-        measured = max(
-            measured, abs(abs(report.rayleigh_quotient) - ms.delta), report.residual
-        )
+        measures += [abs(abs(report.rayleigh_quotient) - ms.delta), report.residual]
+    measured = _worst(measures)
     return CheckResult("singlet_structure", measured, rq_tol, ok and measured <= rq_tol)

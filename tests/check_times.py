@@ -1,12 +1,16 @@
-"""Print the median wall time of each of the nine verify checks over the sweep stream.
+"""Print the median wall time of each verify check and of each wavefunction CSV stage.
 
-The configs are the first CYCLES cycles of the sweep stream of
-perfbench/workloads.py at the given seed (n = 1001), each run through
+The first table: the configs are the first CYCLES cycles of the sweep stream
+of perfbench/workloads.py at the given seed (n = 1001), each run through
 `gdo verify` in this process ROUNDS times, with GDO_LOG=info.  The times are
 the ones verify_all logs on its per-check lines ("check <name> ... took
 <ms> ms"), so they are the program's own measurements; the last line gives
-the median of the nine summed per verify.  Columns: every config, then the
-Morse and the cot configs alone.  Run it on two checkouts to compare them:
+the median of the nine summed per verify.  The second table: the first
+CYCLES cycles of the artifacts stream (n = 4000), each level the benchmark
+writes run through `gdo wavefunction` ROUNDS times, with the sample and
+format times of its log line ("wavefunction ... sample took <ms> ms, format
+took <ms> ms").  Columns: every config, then the Morse and the cot configs
+alone.  Run it on two checkouts to compare them:
 
     python tests/check_times.py --seed 7 --cycles 8 --rounds 5
 
@@ -30,69 +34,100 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
-from perfbench.workloads import VERIFY_CHECKS, config_cycles  # noqa: E402  (puts ROOT/src on sys.path)
+from perfbench.workloads import (  # noqa: E402  (puts ROOT/src on sys.path)
+    VERIFY_CHECKS,
+    config_cycles,
+    wavefunction_levels,
+)
 
 import gdo.cli  # noqa: E402
 
 FAMILIES = ("morse", "cot")
 
 
-class _CheckTimes(logging.Handler):
-    """Keeps (check name, ms) of every per-check line of verify_all."""
+class _Times(logging.Handler):
+    """Keeps (name, ms) of every per-check line of verify_all and (stage, ms) of every wavefunction line."""
 
     def __init__(self):
         super().__init__(logging.INFO)
         self.times = []
 
     def emit(self, record):
-        # the args of verify_all's line: name, measured, threshold, verdict, ms
         if record.msg.startswith("check "):
+            # name, measured, threshold, verdict, ms
             self.times.append((record.args[0], record.args[4]))
+        elif record.msg.startswith("wavefunction "):
+            # level, model, n, sample ms, format ms
+            self.times += [("sample", record.args[3]), ("format", record.args[4])]
 
 
-def check_times(seed: int, cycles: int, rounds: int):
-    """{(family, check): [ms, ...]}, with "total" for the nine summed per verify."""
-    handler = _CheckTimes()
+def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
+    """{(family, name): [ms, ...]} over ROUNDS runs of commands(config) for each config.
+
+    "total" holds the logged times summed per command.
+    """
+    handler = _Times()
     logger = logging.getLogger("gdo")
     logger.addHandler(handler)
     # the records go to the handler only, not to the root logger's stderr;
-    # the handler drops all but the per-check lines
+    # the handler drops all but the timed lines
     logger.propagate = False
     os.environ["GDO_LOG"] = "info"
     samples = defaultdict(list)
     configs = list(itertools.chain.from_iterable(
-        itertools.islice(config_cycles("sweep", seed), cycles)
+        itertools.islice(config_cycles(workload, seed), cycles)
     ))
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for index, config in enumerate(configs):
-            path = Path(tmp) / f"sweep{index:02d}.json"
+            path = Path(tmp) / f"{workload}{index:02d}.json"
             path.write_text(json.dumps(config), encoding="utf-8")
-            paths.append((config["interaction"]["kind"], path))
-        out = str(Path(tmp) / "verify.json")
+            paths.append((config, path))
+        out = str(Path(tmp) / "artifact")
         for _ in range(rounds):
-            for family, path in paths:
-                handler.times.clear()
-                gdo.cli.main(["verify", "--config", str(path), "--out", out])
-                for name, ms in handler.times:
-                    samples[family, name].append(ms)
-                samples[family, "total"].append(sum(ms for _, ms in handler.times))
+            for config, path in paths:
+                family = config["interaction"]["kind"]
+                for argv in commands(config):
+                    handler.times.clear()
+                    gdo.cli.main(argv + ["--config", str(path), "--out", out])
+                    for name, ms in handler.times:
+                        samples[family, name].append(ms)
+                    samples[family, "total"].append(sum(ms for _, ms in handler.times))
+    logger.removeHandler(handler)
     return samples
+
+
+def check_times(seed: int, cycles: int, rounds: int):
+    """{(family, check): [ms, ...]}, with "total" for the nine summed per verify."""
+    return _timed_runs("sweep", seed, cycles, rounds, lambda config: [["verify"]])
+
+
+def wavefunction_times(seed: int, cycles: int, rounds: int):
+    """{(family, "sample" or "format"): [ms, ...]} of every level an artifacts job writes."""
+    return _timed_runs(
+        "artifacts", seed, cycles, rounds,
+        lambda config: [["wavefunction", "--level", str(level)] for level in wavefunction_levels(config)],
+    )
+
+
+def _table(samples, label, names):
+    print(f"{label:<24}{'all':>9}" + "".join(f"{family:>9}" for family in FAMILIES))
+    for name in names:
+        cells = [samples[family, name] for family in FAMILIES]
+        medians = [statistics.median(values) for values in [sum(cells, [])] + cells]
+        print(f"{name:<24}" + "".join(f"{ms:9.3f}" for ms in medians))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--cycles", type=int, default=8, help="sweep cycles, four configs each")
-    parser.add_argument("--rounds", type=int, default=5, help="verify runs per config")
+    parser.add_argument("--cycles", type=int, default=8, help="sweep and artifacts cycles, four configs each")
+    parser.add_argument("--rounds", type=int, default=5, help="verify and wavefunction runs per config")
     args = parser.parse_args()
-    samples = check_times(args.seed, args.cycles, args.rounds)
     print(f"median ms per check, sweep seed={args.seed} cycles={args.cycles} rounds={args.rounds}")
-    print(f"{'check':<24}{'all':>9}" + "".join(f"{family:>9}" for family in FAMILIES))
-    for name in VERIFY_CHECKS + ("total",):
-        cells = [samples[family, name] for family in FAMILIES]
-        medians = [statistics.median(values) for values in [sum(cells, [])] + cells]
-        print(f"{name:<24}" + "".join(f"{ms:9.3f}" for ms in medians))
+    _table(check_times(args.seed, args.cycles, args.rounds), "check", VERIFY_CHECKS + ("total",))
+    print(f"median ms per wavefunction CSV, artifacts seed={args.seed} cycles={args.cycles} rounds={args.rounds}")
+    _table(wavefunction_times(args.seed, args.cycles, args.rounds), "stage", ("sample", "format"))
     return 0
 
 

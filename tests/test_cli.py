@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,10 +403,40 @@ def test_wavefunction_x_column_keeps_the_sign_of_a_zero_endpoint(tmp_path):
     assert last == ["0", "-0", "0"]
 
 
+def test_wide_left_morse_window_writes_finite_normalized_levels(tmp_path, capsys):
+    # at D = 40 and x_min = -40, z^(s-n) overflows where e^(-z/2) underflows
+    path = _write(tmp_path, {
+        "interaction": {"kind": "morse", "D": 40.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
+        "grid": {"x_min": -40.0, "x_max": 20.0, "n_points": 4000},
+    })
+    for level in (-1, 1):
+        out = tmp_path / f"wavefunction_{level}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["wavefunction", "--config", str(path), "--out", str(out), "--level", str(level)]) == EXIT_OK
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(table).all()
+        h = (table[-1, 0] - table[0, 0]) / (len(table) - 1)
+        assert h * np.sum(table[:, 1:] ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert capsys.readouterr().err == ""
+
+
+def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
+    # at s = 400 the unnormalized singlet peaks near e^2272, past any float64
+    path = _write(tmp_path, {
+        "interaction": {"kind": "morse", "D": 400.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
+        "grid": {"x_min": -6.0, "x_max": 20.0, "n_points": 4000},
+    })
+    out = tmp_path / "wavefunction.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["wavefunction", "--config", str(path), "--out", str(out)]) == EXIT_FAILED
+    assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm nan on this grid"]
+    assert not out.exists()
+
+
 def _lone_call(tmp_path, argv, name):
-    # a fresh parser and x column cache, as in a process that makes no other call
+    # a fresh parser, as in a process that makes no other call
     cli._parser.cache_clear()
-    cli._x_column.cache_clear()
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     return out.read_bytes()
@@ -452,7 +483,9 @@ def test_wavefunction_logs_its_times(tmp_path, monkeypatch, caplog):
     assert outputs["quiet"][1] == []
     (line,) = outputs["info"][1]
     assert re.fullmatch(
-        r"wavefunction level 2 model gjc n 4000: sample took \d+\.\d ms, format took \d+\.\d ms", line
+        r"wavefunction level 2 model gjc n 4000: sample took \d+\.\d ms, format took \d+\.\d ms, "
+        r"0 fallback values",
+        line,
     )
     # the times go to the log, never into the artifact
     assert outputs["info"][0] == outputs["quiet"][0]

@@ -706,3 +706,49 @@ def test_reports_are_pinned_bit_for_bit(name):
     report = verify_all(_pinned_config(name))
     observed = [(c.name, c.measured, c.threshold, c.passed) for c in report.checks]
     assert observed == _PINNED_REPORTS[name]
+
+
+def _nan_singlet(monkeypatch):
+    original = gdo.verify.analytic_spinor
+
+    def with_nan(spec, level, grid, consts, model="GDO"):
+        sample = original(spec, level, grid, consts, model=model)
+        psi1 = sample.psi1.copy()
+        psi1[grid.n_points // 3] = np.nan
+        return dataclasses.replace(sample, psi1=psi1)
+
+    monkeypatch.setattr(gdo.verify, "analytic_spinor", with_nan)
+
+
+def test_nan_singlet_fails_singlet_structure(monkeypatch):
+    # max(0.0, nan) is 0.0: folded that way, a NaN quotient and residual read 0 and passed
+    _nan_singlet(monkeypatch)
+    with np.errstate(invalid="ignore"):
+        report = verify_all(load_config(CONFIGS / "morse.json"))
+    check = report.checks[8]
+    assert check.name == "singlet_structure" and np.isnan(check.measured) and not check.passed
+    assert not report.overall
+
+
+def test_nan_numeric_level_fails_eigenvalues_numeric(monkeypatch):
+    original = gdo.verify.spectrum_rows
+
+    def with_nan(config, numeric=False):
+        rows = original(config, numeric=numeric)
+        rows[1]["epsilon_numeric"] = float("nan")
+        return rows
+
+    monkeypatch.setattr(gdo.verify, "spectrum_rows", with_nan)
+    check = verify_all(load_config(CONFIGS / "morse.json")).checks[4]
+    assert check.name == "eigenvalues_numeric" and np.isnan(check.measured) and not check.passed
+
+
+def test_nan_measurement_exits_1_naming_the_check(monkeypatch, tmp_path, capsys):
+    _nan_singlet(monkeypatch)
+    out = tmp_path / "verify.json"
+    with np.errstate(invalid="ignore"):
+        assert main(["verify", "--config", str(CONFIGS / "morse.json"), "--out", str(out)]) == EXIT_FAILED
+    assert capsys.readouterr().err.splitlines() == [
+        "gdo: check singlet_structure measured nan, not a finite number"
+    ]
+    assert not out.exists()
