@@ -17,6 +17,7 @@ from .errors import (
     NonFiniteError,
     ParameterError,
     PoleError,
+    ResolutionError,
     SingularPivotError,
     UnsupportedError,
 )

@@ -18,13 +18,15 @@ laid out by the %g rules.  csv_text computes the same bytes with numpy:
   exponent digits; trailing zeros are dropped, and the point with them when
   no fraction is left.  Each value fills a slot of four 64-bit words with
   fixed places for the sign, the "0.000" lead of fixed notation below 1,
-  the digits (the point goes in by moving the digits after it up one
-  byte), the exponent and the separator.  Absent characters are NUL, and
-  one pass over the whole buffer removes them.
+  the first digit, the point, the other 16 digits, the exponent and the
+  separator.  Only values of 10 or more, whose point follows a later
+  digit, move the digits before it down one byte.  Absent characters are
+  NUL, and one bytes.translate per pass removes them.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 
 import numpy as np
@@ -33,16 +35,26 @@ REFERENCE = "%.17g"
 _MIN, _MAX = 1e-279, 1e16
 # floor(log10|v|) of the values in range, 16 when log10 rounds up below 1e16
 _E_MIN, _E_MAX = -280, 16
+# the exponent row of +-0: its text is the first digit, 0, alone
+_E_ZERO = _E_MAX + 1
 # 2^27 + 1, Veltkamp's splitter: x = hi + lo with 26-bit halves
 _SPLIT = 134217729.0
 # rows formatted per pass: at 5 columns each array holds 20 kB, which keeps
 # the peak memory of a CSV near that of the text itself
 _ROWS = 512
 # a value's slot is four little-endian words, 32 bytes: sign, the lead
-# "0.000" and a NUL (bytes 0-6), the 17 digits (7-23) with room for the
-# point after any of them (one more byte), the exponent (25-29), a NUL and
-# the separator (31)
+# "0.000" and a NUL (bytes 0-6), the first digit (7), the point (8), the
+# other 16 digits (9-24), the exponent (25-29), a NUL and the separator (31)
 _WORDS = 4
+# the 17 (e, trailing zeros) rows of each exponent e in the layout tables
+_ZEROS = 17
+# shifts by one, three, five and seven bytes
+_BYTE, _THREE, _FIVE, _SEVEN = (np.uint64(8 * n) for n in (1, 3, 5, 7))
+
+_Tables = collections.namedtuple(
+    "_Tables",
+    "group_text group_zeros high high_hi high_lo low first_text affix keep keep_last moves at down point stay",
+)
 
 
 def _split(x):
@@ -57,7 +69,7 @@ def _words(table) -> np.ndarray:
 
 
 @functools.cache
-def _tables():
+def _tables() -> _Tables:
     """Digit groups, their trailing zeros, the powers of ten, and the word masks."""
     # group g = 1000 a + 100 b + 10 c + d sits at [a, b, c, d] of 10x10x10x10 tables:
     # its 4 digit characters as the low half of a word, and its trailing
@@ -74,18 +86,9 @@ def _tables():
         power *= 10
     high = np.array([float(power) for power in powers])
     low = np.array([float(power - int(h)) for power, h in zip(powers, high)])
-    # digits 1-16 sit at bytes 8-23, words 1 and 2: keep[s] keeps the first s - 1
-    keep = (np.arange(16) < np.arange(18)[:, None] - 1) * 255
-    # the point after digit p goes to byte 8 + p and the bytes from there
-    # move up one; p = 16 stands for no point
-    byte = np.arange(8, 24)
-    p = np.arange(17)[:, None]
-    unmoved = (byte < 8 + p) * 255
-    point = ((byte == 8 + p) & (p < 16)) * ord(".")
-    moved = (byte > 8 + p) * 255
     # by exponent: the lead of fixed notation below 1 (bytes 1-5 of word 0)
     # and the exponent of exponent notation (bytes 1-5 of word 3)
-    e = np.arange(_E_MIN, _E_MAX + 1)
+    e = np.arange(_E_MIN, _E_ZERO + 1)
     affix = np.zeros((e.size, 16), np.uint8)
     lead = (e >= -4) & (e < 0)
     affix[lead, 1] = ord("0")
@@ -100,15 +103,38 @@ def _tables():
     affix[sci, 11] = np.where(three, mag // 100, mag // 10 % 10) + 48
     affix[sci, 12] = np.where(three, mag // 10 % 10, mag % 10) + 48
     affix[sci, 13] = np.where(three, mag % 10 + 48, 0)
-    return (
+    # by (e, trailing zeros), row (e - _E_MIN) * _ZEROS + zeros: fixed
+    # notation shows every digit before the point, which follows digit e
+    # there and digit 0 in exponent notation; at = 16 stands for no point,
+    # also when no digit is shown after it
+    zeros = np.tile(np.arange(_ZEROS), e.size)[:, None]
+    e = np.repeat(e, _ZEROS)[:, None]
+    shown = np.where(e == _E_ZERO, 1, np.maximum(_ZEROS - zeros, e + 1))
+    at = np.where(e >= 0, e, np.where(e < -4, 0, 16))
+    at = np.where(at < shown - 1, at, 16)
+    # bytes 8-24 (b = 0-16): the point at byte 8 when it follows digit 0,
+    # then digit b where b < shown
+    b = np.arange(17)
+    keep = (np.where(b == 0, at == 0, b < shown)) * 255
+    # a point after digit 1 to 15 moves the digits before it down one byte
+    # from bytes 9-23: the ones it moves, the point, and the ones it leaves
+    at = at.ravel()
+    b, p = np.arange(8, 24), np.arange(17)[:, None]
+    down = (b < 8 + p) * 255
+    point = (b == 8 + p) * ord(".")
+    stay = (b > 8 + p) * 255
+    return _Tables(
         groups, group_zeros, high, *_split(high), low,
-        _words(keep), _words(unmoved), _words(point), _words(moved), _words(affix),
+        # the first digit's character, byte 7 of word 0
+        (np.arange(10, dtype=np.uint64) + np.uint64(48)) << _SEVEN,
+        _words(affix), _words(keep[:, :16]), (keep[:, 16] > 0) * np.uint64(255),
+        (at > 0) & (at < 16), at, _words(down), _words(point), _words(stay),
     )
 
 
 def _digits(v: np.ndarray):
     """The 17 digits D and the exponent e of each |v|, and which of them are exact."""
-    _, _, high, high_hi, high_lo, low, *_ = _tables()
+    t = _tables()
     a = np.abs(v)
     zero = a == 0
     exact = (a >= _MIN) & (a < _MAX)
@@ -116,25 +142,28 @@ def _digits(v: np.ndarray):
     a = np.where(exact, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
     k = 16 - e
-    p = a * high[k]
+    p = a * t.high[k]
     a_hi, a_lo = _split(a)
-    h_hi, h_lo = high_hi[k], high_lo[k]
+    h_hi, h_lo = t.high_hi[k], t.high_lo[k]
     err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
-    tail = a * low[k]
+    tail = a * t.low[k]
     r = err + tail
     nearest = np.rint(r)
     digits = p.astype(np.int64) + nearest.astype(np.int64)
-    exact &= np.abs(np.abs(r - nearest) - 0.5) > 1e-9
+    # |r| is below about 20, so r - nearest is exact and at most 1/2
+    exact &= np.abs(r - nearest) < 0.5 - 1e-9
     # |v| 10^k >= 10^16 holds for sure, or exactly: |v| is a power of ten
     exact &= ((p - 1e16) + r > 1e-9) | ((p == 1e16) & (err == 0) & (tail == 0))
     exact &= digits < 10**17
-    digits[zero] = 0
+    # a zero's digits 00...01 end in no zero, so its row alone sets its text
+    digits[zero] = 1
+    e[zero] = _E_ZERO
     return digits, e, exact | zero
 
 
 def _slots(v: np.ndarray, separators: np.ndarray):
     """(len(v), 4) uint64 slots of the values' text and separators, and the fallback indices."""
-    group_text, group_zeros, *_, keep, unmoved, point, moved, affix = _tables()
+    t = _tables()
     digits, e, exact = _digits(v)
     # digit 0, then four groups of four
     top = digits // 10**8
@@ -144,29 +173,34 @@ def _slots(v: np.ndarray, separators: np.ndarray):
     groups = [high8 // 10**4, None, low8 // 10**4, None]
     groups[1] = high8 - groups[0] * 10**4
     groups[3] = low8 - groups[2] * 10**4
-    # trailing zero digits: the last nonzero group's, plus those of the
-    # groups before it when it is 0 (a zero group has 4)
-    zeros = 0
-    for g in groups:
-        z = group_zeros[g]
-        zeros = z + (z == 4) * zeros
-    # fixed notation shows every digit before the point
-    shown = np.maximum(17 - zeros, e + 1)
-    # the point follows digit e in fixed notation, digit 0 in exponent notation
-    at = np.where(e >= 0, e, np.where(e < -4, 0, 16))
-    at = np.where(at < shown - 1, at, 16)
-
-    body = [
-        (group_text[groups[0]] | group_text[groups[1]] << np.uint64(32)) & keep[0][shown],
-        (group_text[groups[2]] | group_text[groups[3]] << np.uint64(32)) & keep[1][shown],
-    ]
-    moving = [body[0] << np.uint64(8), body[1] << np.uint64(8) | body[0] >> np.uint64(56)]
+    # trailing zero digits: the last group's, and only where it is 0000 (4)
+    # those of the groups before it, walked for those values alone
+    zeros = t.group_zeros[groups[3]]
+    walk = np.flatnonzero(zeros == 4)
+    for g in groups[2::-1]:
+        if not walk.size:
+            break
+        z = t.group_zeros[g[walk]]
+        zeros[walk] += z
+        walk = walk[z == 4]
     ends = e - _E_MIN
+    row = ends * _ZEROS + zeros
+
+    # the groups' characters from byte 9 on: digits 1-7 in word 1 after the
+    # point, 8-15 in word 2 and 16 in byte 0 of word 3
+    text = [t.group_text[g] for g in groups]
     out = np.empty((v.size, 4), np.uint64)
-    out[:, 0] = affix[0][ends] | np.signbit(v) * np.uint64(ord("-")) | (first.astype(np.uint64) + np.uint64(48)) << np.uint64(56)
-    for j in (0, 1):
-        out[:, j + 1] = body[j] & unmoved[j][at] | moving[j] & moved[j][at] | point[j][at]
-    out[:, 3] = affix[1][ends] | np.where(at < 16, body[1] >> np.uint64(56), 0) | separators
+    out[:, 0] = t.affix[0][ends] | np.signbit(v) * np.uint64(ord("-")) | t.first_text[first]
+    out[:, 1] = (text[0] << _BYTE | text[1] << _FIVE | np.uint64(ord("."))) & t.keep[0][row]
+    out[:, 2] = (text[1] >> _THREE | text[2] << _BYTE | text[3] << _FIVE) & t.keep[1][row]
+    out[:, 3] = t.affix[1][ends] | text[3] >> _THREE & t.keep_last[row] | separators
+    moving = np.flatnonzero(t.moves[row])
+    if moving.size:
+        p = t.at[row[moving]]
+        word = [out[moving, 1], out[moving, 2]]
+        shifted = [word[0] >> _BYTE | word[1] << _SEVEN, word[1] >> _BYTE]
+        for j in (0, 1):
+            out[moving, j + 1] = shifted[j] & t.down[j][p] | t.point[j][p] | word[j] & t.stay[j][p]
     return out, np.flatnonzero(~exact)
 
 
@@ -179,16 +213,16 @@ def csv_text(header: str, table: np.ndarray) -> tuple:
     rows, columns = table.shape
     # the separator after each value, in the last byte of its slot
     separators = np.array([ord(",")] * (columns - 1) + [ord("\n")], np.uint64) << np.uint64(56)
+    separators = np.tile(separators, min(rows, _ROWS))
     parts, fallbacks = [header], 0
     for start in range(0, rows, _ROWS):
         values = table[start:start + _ROWS]
-        slots, slow = _slots(values.ravel(), np.tile(separators, len(values)))
+        slots, slow = _slots(values.ravel(), separators[:values.size])
         text = slots.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8 * _WORDS)
         for i in slow:
             reference = (REFERENCE % values.flat[i]).encode()
             text[i, :-1] = 0
             text[i, :len(reference)] = np.frombuffer(reference, np.uint8)
         fallbacks += slow.size
-        flat = text.ravel()
-        parts.append(flat[flat != 0].tobytes().decode("ascii"))
+        parts.append(text.tobytes().translate(None, b"\0").decode("ascii"))
     return "".join(parts), fallbacks

@@ -105,11 +105,13 @@ def cmd_wavefunction(config: RunConfig, args) -> int:
         np.stack([grid.points, sample.psi1.real, sample.psi1.imag, sample.psi2.real, sample.psi2.imag], axis=1),
     )
     t2 = perf_counter()
-    log.info(
-        "wavefunction level %d model %s n %d: sample took %.1f ms, format took %.1f ms, %d fallback values",
-        args.level, args.model, grid.n_points, (t1 - t0) * 1000, (t2 - t1) * 1000, fallbacks,
-    )
     _emit(text, args.out)
+    t3 = perf_counter()
+    log.info(
+        "wavefunction level %d model %s n %d: sample took %.1f ms, format took %.1f ms, write took %.1f ms, "
+        "%d fallback values",
+        args.level, args.model, grid.n_points, (t1 - t0) * 1000, (t2 - t1) * 1000, (t3 - t2) * 1000, fallbacks,
+    )
     return EXIT_OK
 
 

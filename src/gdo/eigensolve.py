@@ -247,6 +247,11 @@ def _stebz_bounds(d, e):
     return e2, pivmin, gl, gu, atol
 
 
+def bisection_tolerance(diag, offdiag) -> float:
+    """atol of symtridiag_eigenvalues: eps times the Gershgorin bound on ||T||, at least pivmin."""
+    return _stebz_bounds(np.asarray(diag, dtype=np.float64), np.asarray(offdiag, dtype=np.float64))[-1]
+
+
 def sturm_window_counts(diag, offdiag, centers, radii):
     """Eigenvalue counts at both ends of the windows center -+ rho, in one Sturm pass.
 

@@ -41,6 +41,10 @@ class SingularPivotError(GdoError):
     """Tridiagonal elimination broke down at the requested shift."""
 
 
+class ResolutionError(GdoError):
+    """A numeric route cannot tell the requested levels apart on this grid."""
+
+
 class NonFiniteError(GdoError):
     """A measurement came out NaN or infinite, so no check can pass on it."""
 

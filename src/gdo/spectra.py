@@ -7,8 +7,14 @@ singlet and level k >= 1 pairs the k-th lower-partner state with the
 (k-1)-th upper-partner state.
 
 Only the lower branch has formulas.  The upper branch is derived from it by
-shape invariance: eps_n^+ = eps_{n+1}^-, and the upper-partner function at
-index n is the lower-partner function at index n of upper_partner(spec).
+shape invariance (Cooper, Khare & Sukhatme, Phys. Rep. 251 (1995) 267):
+eps_n^+ = eps_{n+1}^-, and the upper-partner function at index n is the
+lower-partner function at index n of upper_partner(spec).  So the two
+components of spinor level k share one prefactor and one polynomial family:
+for Morse z^(s-k) e^(-z/2) and L^(2s-2k)(z), because s' - (k-1) = s - k; for
+cot sin^(s+k) w and P^(-s-k,-s-k)(i cot w), because s' + (k-1) = s + k.  Each
+level samples its argument and prefactor once and evaluates the polynomial
+at degrees k and k - 1; linear shares only its Gaussian.
 
 Eigenfunction phases are pinned by the exact first-order ladder relations
 (see _ladder_constant), which makes every sampled spinor an eigenvector of
@@ -38,7 +44,6 @@ from .interactions import (
     LinearInteraction,
     MorseInteraction,
     PhysicalConstants,
-    upper_partner,
 )
 # bound under the name perfbench/tracer.py patches
 from .polynomials import jacobi as jacobi_any, laguerre
@@ -172,58 +177,72 @@ def spinor_coefficients(
     return SpinorCoefficients(a=a, b=b, energy=energy)
 
 
-def _phi_raw_morse(spec: MorseInteraction, n: int, x, consts) -> np.ndarray:
+def _morse_factors(spec: MorseInteraction, level: int, x, consts):
     s = _morse_s(spec, consts)
     w = spec.A + 1j * spec.B
     z = (2.0 * w / (consts.hbar * spec.alpha)) * np.exp(-spec.alpha * x)
     # arg(z) is constant in x, so the principal power never crosses a cut
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = z ** (s - n) * np.exp(-z / 2.0) * laguerre(n, 2 * s - 2 * n, z)
-        bad = ~np.isfinite(phi)
-        if bad.any():
-            # far left z^(s-n) overflows while e^(-z/2) underflows; their product
-            # is taken in log space at those points only, so no finite sample moves
-            zb = z[bad]
-            phi[bad] = np.exp((s - n) * np.log(zb) - zb / 2.0) * laguerre(n, 2 * s - 2 * n, zb)
-    return phi
+    prefactor = z ** (s - level) * np.exp(-z / 2.0)
+    bad = ~np.isfinite(prefactor)
+    if bad.any():
+        # far left z^(s-k) overflows while e^(-z/2) underflows (inf * 0); their
+        # product is taken in log space at those points only, so no finite
+        # sample moves
+        zb = z[bad]
+        prefactor[bad] = np.exp((s - level) * np.log(zb) - zb / 2.0)
+    if level == 0:
+        return prefactor, []
+    return prefactor, [laguerre(n, 2 * s - 2 * level, z) for n in (level, level - 1)]
 
 
-def _phi_raw_cot(spec: CotInteraction, n: int, x, consts) -> np.ndarray:
+def _cot_factors(spec: CotInteraction, level: int, x, consts):
     s = spec.A / (consts.hbar * spec.alpha)
     w = spec.alpha * x - spec.a - 1j * spec.b
     sw = np.sin(w)
     if np.any(np.abs(sw) < SIN_POLE_CUTOFF):
         raise PoleError("cot eigenfunction sampled at a pole")
+    # (sin w)^(s+k) stays on one branch while Re(sin w) > 0, i.e. inside one period
+    prefactor = sw ** (s + level)
+    if level == 0:
+        return prefactor, []
     y = 1j * np.cos(w) / sw
-    # (sin w)^(s+n) stays on one branch while Re(sin w) > 0, i.e. inside one period
-    return sw ** (s + n) * jacobi_any(n, -s - n, -s - n, y)
+    return prefactor, [jacobi_any(n, -s - level, -s - level, y) for n in (level, level - 1)]
 
 
-def _phi_raw_linear(spec: LinearInteraction, n: int, x, consts) -> np.ndarray:
+def _linear_factors(spec: LinearInteraction, level: int, x, consts):
     # both partner wells are (m omega x)^2 up to a constant, so level n of
     # either is the Hermite function H_n(xi) exp(-xi^2/2); H_n is written
     # through L_k^(-+1/2)(xi^2) with k = floor(n/2)
     xi = math.sqrt(consts.mass * spec.omega / consts.hbar) * x
-    k, odd = divmod(n, 2)
-    hermite = (-4.0) ** k * math.factorial(k) * laguerre(k, odd - 0.5, xi * xi)
-    if odd:
-        hermite = 2.0 * xi * hermite
-    return hermite * np.exp(-0.5 * xi * xi)
+    xi2 = xi * xi
+    hermite = []
+    for n in (level, level - 1) if level else ():
+        k, odd = divmod(n, 2)
+        h_n = (-4.0) ** k * math.factorial(k) * laguerre(k, odd - 0.5, xi2)
+        hermite.append(2.0 * xi * h_n if odd else h_n)
+    return np.exp(-0.5 * xi2), hermite
 
 
-def _phi_raw(spec: InteractionSpec, branch: str, n: int, x, consts) -> np.ndarray:
-    """Unnormalized partner function at level n: branch "plus" is the upper partner, else the lower."""
-    _check_level(spec, n, consts)
-    if branch == "plus":
-        # upper level n is lower level n + 1 of spec, range-checked on spec: the
-        # partner's floor((D - hbar alpha)/(hbar alpha)) can round unlike floor(s) - 1
-        _check_level(spec, n + 1, consts)
-        spec = upper_partner(spec, consts)
+def _partner_functions(spec: InteractionSpec, level: int, x, consts) -> list:
+    """[lower-partner function at level, upper-partner function at level - 1], unnormalized.
+
+    Both are one prefactor times a polynomial of degree level and level - 1
+    (see the module docstring).  At level 0, the singlet, the list holds the
+    lower function alone.  Overflow is left to the caller's np.errstate.
+    """
+    _check_level(spec, level, consts)
     if isinstance(spec, MorseInteraction):
-        return _phi_raw_morse(spec, n, x, consts)
-    if isinstance(spec, CotInteraction):
-        return _phi_raw_cot(spec, n, x, consts)
-    return _phi_raw_linear(spec, n, x, consts)
+        prefactor, polynomials = _morse_factors(spec, level, x, consts)
+    elif isinstance(spec, CotInteraction):
+        prefactor, polynomials = _cot_factors(spec, level, x, consts)
+    else:
+        prefactor, polynomials = _linear_factors(spec, level, x, consts)
+    if not polynomials:
+        # the degree-0 polynomial is 1; the complex product with 1 + 0j keeps
+        # the signs of zero parts, and the nan of an infinite point, that a
+        # product with its array of ones gives
+        return [prefactor * (1 + 0j)]
+    return [prefactor * polynomial for polynomial in polynomials]
 
 
 def _ladder_constant(spec: InteractionSpec, n: int, consts: PhysicalConstants) -> complex:
@@ -266,24 +285,26 @@ def analytic_spinor(
     x = grid.points
     h = grid.spacing
     mc2 = consts.mass * consts.c**2
-    if level == -1:
-        phi0 = _grid_normalize(_phi_raw(spec, "minus", 0, x, consts), h)
-        return singlet_layout(SpinorSample(grid, phi0, np.zeros_like(phi0), level, "GDO"), model)
-    if level < 1:
+    if level != -1 and level < 1:
         raise LevelOutOfRangeError(f"spinor levels are -1 (singlet) or >= 1, got {level}")
-    n = level - 1
-    eps = epsilon_minus(spec, level, consts)
-    energy = math.sqrt(mc2 * mc2 + consts.c**2 * eps)
-    lower_part = _phi_raw(spec, "minus", level, x, consts)
-    upper_part = _phi_raw(spec, "plus", n, x, consts)
-    kappa = _ladder_constant(spec, n, consts)
-    if model == "GDO":
-        psi1 = lower_part
-        psi2 = (consts.c * kappa / (energy + mc2)) * upper_part
-    else:
-        psi1 = (consts.c * kappa / (energy - mc2)) * upper_part
-        psi2 = lower_part
-    norm = _checked_norm(math.sqrt(float(np.sum(np.abs(psi1) ** 2 + np.abs(psi2) ** 2)) * h))
+    # a sample beyond the float range overflows on its way to the norm, which
+    # _checked_norm then refuses as inf or nan: the overflow itself is no news
+    with np.errstate(over="ignore", invalid="ignore"):
+        if level == -1:
+            (phi0,) = _partner_functions(spec, 0, x, consts)
+            phi0 = _grid_normalize(phi0, h)
+            return singlet_layout(SpinorSample(grid, phi0, np.zeros_like(phi0), level, "GDO"), model)
+        eps = epsilon_minus(spec, level, consts)
+        energy = math.sqrt(mc2 * mc2 + consts.c**2 * eps)
+        lower_part, upper_part = _partner_functions(spec, level, x, consts)
+        kappa = _ladder_constant(spec, level - 1, consts)
+        if model == "GDO":
+            psi1 = lower_part
+            psi2 = (consts.c * kappa / (energy + mc2)) * upper_part
+        else:
+            psi1 = (consts.c * kappa / (energy - mc2)) * upper_part
+            psi2 = lower_part
+        norm = _checked_norm(math.sqrt(float(np.sum(np.abs(psi1) ** 2 + np.abs(psi2) ** 2)) * h))
     return SpinorSample(grid, psi1 / norm, psi2 / norm, level, model)
 
 

@@ -50,12 +50,13 @@ import numpy as np
 from .config import RunConfig
 from .eigensolve import (
     ITERATION_TOL,
+    bisection_tolerance,
     inverse_iteration,
     stacked_inverse_iteration,
     sturm_window_counts,
     symtridiag_eigenvalues,
 )
-from .errors import DimensionError, GdoError, LevelOutOfRangeError
+from .errors import DimensionError, GdoError, LevelOutOfRangeError, ResolutionError
 from .interactions import (
     DEFAULT_CONSTANTS,
     CotInteraction,
@@ -141,6 +142,10 @@ def numeric_epsilons(
     with no closed-form level to seed from, such as one beyond the bound
     Morse levels, goes to bisection directly; a coupling outside the regime
     with closed-form levels raises the ParameterError of epsilon_minus.
+    Two levels that come out no further apart than eps ||T||, the bisection
+    tolerance, raise ResolutionError: the levels are simple, so the solve
+    could not tell them apart, as on a Morse window reaching far into the
+    wall, where V grows like e^(-2 alpha x).
     """
     if isinstance(spec, CotInteraction):
         h = math.pi / (spec.alpha * (grid.n_points + 1))
@@ -156,7 +161,15 @@ def numeric_epsilons(
         seeds = [epsilon_minus(real_spec, level, consts) for level in range(count)]
     except LevelOutOfRangeError:
         return symtridiag_eigenvalues(diag, off, count=count)
-    return seeded_eigenvalues(diag, off, seeds)
+    values = seeded_eigenvalues(diag, off, seeds)
+    gap = min(np.diff(values), default=math.inf)
+    tolerance = bisection_tolerance(diag, off)
+    if gap <= tolerance:
+        raise ResolutionError(
+            f"the bisection tolerance eps*||T|| = {tolerance:.3e} cannot resolve the seeded levels "
+            f"on this window: two of them came out {gap:.3e} apart; narrow the grid window"
+        )
+    return values
 
 
 def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:

@@ -7,9 +7,9 @@ the ones verify_all logs on its per-check lines ("check <name> ... took
 <ms> ms"), so they are the program's own measurements; the last line gives
 the median of the nine summed per verify.  The second table: the first
 CYCLES cycles of the artifacts stream (n = 4000), each level the benchmark
-writes run through `gdo wavefunction` ROUNDS times, with the sample and
-format times of its log line ("wavefunction ... sample took <ms> ms, format
-took <ms> ms").  Columns: every config, then the Morse and the cot configs
+writes run through `gdo wavefunction` ROUNDS times, with the sample, format
+and write times of its log line ("wavefunction ... sample took <ms> ms,
+format took <ms> ms, write took <ms> ms").  Columns: every config, then the Morse and the cot configs
 alone.  Run it on two checkouts to compare them:
 
     python tests/check_times.py --seed 7 --cycles 8 --rounds 5
@@ -57,8 +57,8 @@ class _Times(logging.Handler):
             # name, measured, threshold, verdict, ms
             self.times.append((record.args[0], record.args[4]))
         elif record.msg.startswith("wavefunction "):
-            # level, model, n, sample ms, format ms
-            self.times += [("sample", record.args[3]), ("format", record.args[4])]
+            # level, model, n, sample ms, format ms, write ms
+            self.times += [("sample", record.args[3]), ("format", record.args[4]), ("write", record.args[5])]
 
 
 def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
@@ -103,7 +103,7 @@ def check_times(seed: int, cycles: int, rounds: int):
 
 
 def wavefunction_times(seed: int, cycles: int, rounds: int):
-    """{(family, "sample" or "format"): [ms, ...]} of every level an artifacts job writes."""
+    """{(family, "sample", "format" or "write"): [ms, ...]} of every level an artifacts job writes."""
     return _timed_runs(
         "artifacts", seed, cycles, rounds,
         lambda config: [["wavefunction", "--level", str(level)] for level in wavefunction_levels(config)],
@@ -127,7 +127,7 @@ def main() -> int:
     print(f"median ms per check, sweep seed={args.seed} cycles={args.cycles} rounds={args.rounds}")
     _table(check_times(args.seed, args.cycles, args.rounds), "check", VERIFY_CHECKS + ("total",))
     print(f"median ms per wavefunction CSV, artifacts seed={args.seed} cycles={args.cycles} rounds={args.rounds}")
-    _table(wavefunction_times(args.seed, args.cycles, args.rounds), "stage", ("sample", "format"))
+    _table(wavefunction_times(args.seed, args.cycles, args.rounds), "stage", ("sample", "format", "write"))
     return 0
 
 

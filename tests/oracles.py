@@ -1,19 +1,25 @@
 """Independent routes the tests compare gdo against; no gdo command uses them.
 
 The polynomial series are the explicit finite sums, independent of the
-recurrences in gdo.polynomials.  analytic_phi samples a closed-form partner
-function on its own, rayleigh_quotient measures how well a vector solves a
-matrix, and dense builds a matrix column by column from its matvec.
+recurrences in gdo.polynomials.  phi_raw samples one closed-form partner
+function on its own, the upper partner as the lower partner of
+upper_partner(spec), where gdo.spectra builds a level's two components from
+one shared prefactor; analytic_phi grid-normalizes it.  rayleigh_quotient
+measures how well a vector solves a matrix, and dense builds a matrix column
+by column from its matvec.
 cyclic_reduction_solve is the per-level solve that gdo.eigensolve plans once
 per factorization; the planned solve must match it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from gdo import DEFAULT_CONSTANTS
-from gdo.spectra import _grid_normalize, _phi_raw
+from gdo import DEFAULT_CONSTANTS, CotInteraction, MorseInteraction, upper_partner
+from gdo.polynomials import jacobi, laguerre
+from gdo.spectra import _check_level, _grid_normalize
 
 
 def binomial_general(w, m: int):
@@ -53,9 +59,56 @@ def jacobi_series(n: int, a, b, y):
     return total if np.ndim(y) else complex(total)
 
 
+def _lower_morse(spec, n: int, x, consts) -> np.ndarray:
+    s = spec.D / (consts.hbar * spec.alpha)
+    z = (2.0 * (spec.A + 1j * spec.B) / (consts.hbar * spec.alpha)) * np.exp(-spec.alpha * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = z ** (s - n) * np.exp(-z / 2.0) * laguerre(n, 2 * s - 2 * n, z)
+        bad = ~np.isfinite(phi)
+        if bad.any():
+            # z^(s-n) e^(-z/2) in log space where the product over- or underflows
+            zb = z[bad]
+            phi[bad] = np.exp((s - n) * np.log(zb) - zb / 2.0) * laguerre(n, 2 * s - 2 * n, zb)
+    return phi
+
+
+def _lower_cot(spec, n: int, x, consts) -> np.ndarray:
+    s = spec.A / (consts.hbar * spec.alpha)
+    w = spec.alpha * x - spec.a - 1j * spec.b
+    sw = np.sin(w)
+    return sw ** (s + n) * jacobi(n, -s - n, -s - n, 1j * np.cos(w) / sw)
+
+
+def _lower_linear(spec, n: int, x, consts) -> np.ndarray:
+    xi = math.sqrt(consts.mass * spec.omega / consts.hbar) * x
+    k, odd = divmod(n, 2)
+    hermite = (-4.0) ** k * math.factorial(k) * laguerre(k, odd - 0.5, xi * xi)
+    if odd:
+        hermite = 2.0 * xi * hermite
+    return hermite * np.exp(-0.5 * xi * xi)
+
+
+def phi_raw(spec, branch: str, n: int, x, consts=DEFAULT_CONSTANTS) -> np.ndarray:
+    """Unnormalized partner function at level n: branch "plus" is the upper partner, else the lower.
+
+    The upper partner's level n is the lower partner's level n of
+    upper_partner(spec), range-checked as level n + 1 of spec: the partner's
+    floor((D - hbar alpha)/(hbar alpha)) can round unlike floor(s) - 1.
+    """
+    _check_level(spec, n, consts)
+    if branch == "plus":
+        _check_level(spec, n + 1, consts)
+        spec = upper_partner(spec, consts)
+    if isinstance(spec, MorseInteraction):
+        return _lower_morse(spec, n, x, consts)
+    if isinstance(spec, CotInteraction):
+        return _lower_cot(spec, n, x, consts)
+    return _lower_linear(spec, n, x, consts)
+
+
 def analytic_phi(spec, branch: str, n: int, grid, consts=DEFAULT_CONSTANTS) -> np.ndarray:
     """Closed-form partner function ("minus" or "plus") sampled on the grid, grid-normalized."""
-    return _grid_normalize(_phi_raw(spec, branch, n, grid.points, consts), grid.spacing)
+    return _grid_normalize(phi_raw(spec, branch, n, grid.points, consts), grid.spacing)
 
 
 def rayleigh_quotient(matrix, v) -> complex:

@@ -422,16 +422,21 @@ def test_wide_left_morse_window_writes_finite_normalized_levels(tmp_path, capsys
 
 
 def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
-    # at s = 400 the unnormalized singlet peaks near e^2272, past any float64
+    # at s = 400 the unnormalized singlet peaks near e^2272, past any float64,
+    # and level 3's psi2 overflows too; the one line on stderr is the
+    # ParameterError, with no numpy warning before it
     path = _write(tmp_path, {
         "interaction": {"kind": "morse", "D": 400.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
         "grid": {"x_min": -6.0, "x_max": 20.0, "n_points": 4000},
     })
     out = tmp_path / "wavefunction.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["wavefunction", "--config", str(path), "--out", str(out)]) == EXIT_FAILED
-    assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm nan on this grid"]
-    assert not out.exists()
+    for level in (-1, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["wavefunction", "--config", str(path), "--out", str(out), "--level", str(level)])
+        assert code == EXIT_FAILED
+        assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm nan on this grid"]
+        assert not out.exists()
 
 
 def _lone_call(tmp_path, argv, name):
@@ -484,7 +489,7 @@ def test_wavefunction_logs_its_times(tmp_path, monkeypatch, caplog):
     (line,) = outputs["info"][1]
     assert re.fullmatch(
         r"wavefunction level 2 model gjc n 4000: sample took \d+\.\d ms, format took \d+\.\d ms, "
-        r"0 fallback values",
+        r"write took \d+\.\d ms, 0 fallback values",
         line,
     )
     # the times go to the log, never into the artifact
@@ -539,3 +544,4 @@ def test_models_samples_one_ladder_and_one_singlet(tmp_path, monkeypatch):
     assert len(ladders) == 1 and singlets == [-1]
     kinds = [(m["kind"], m["dual_kind"]) for m in json.loads(out.read_text())["models"]]
     assert kinds == [("gajc", "gjc"), ("gjc", "gajc")]
+

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdo import CotInteraction, Grid, MorseInteraction, analytic_spinor
+from gdo import _floattext
 from gdo._floattext import csv_text
 
 
@@ -104,3 +105,38 @@ def test_ties_at_the_17th_digit_fall_back():
     # odd multiples of 2^-18 in [0.1, 1) have 18 significant digits, the last a 5
     values = [(2 * j + 1) * 2.0**-18 for j in range(13107, 13207)]
     assert _assert_matches(_column(values)) == len(values)
+
+
+def _trailing_zeros(v: float) -> int:
+    mantissa = format(v, ".16e").split("e")[0].replace(".", "").lstrip("-")
+    return len(mantissa) - len(mantissa.rstrip("0"))
+
+
+def test_trailing_zero_walk_over_several_passes():
+    # a trailing-zero count is read from the last 4-digit group and walks the
+    # groups before it only when that group is 0000: exact values with 4, 8,
+    # 12 and 16 trailing zeros stop the walk after one, two, three and four
+    # groups, and 13-15 zeros end it inside a group
+    walked = {
+        4: 1.000244140625, 8: 1.00390625, 12: 1.0625, 16: 0.5,
+        13: 1.125, 14: 1.25, 15: 1.5,
+    }
+    assert {zeros: _trailing_zeros(v) for zeros, v in walked.items()} == {zeros: zeros for zeros in walked}
+    # exact multiples keep the digits, and values of 10 and more move the
+    # digits before their point; 2^-15 to 2^-17 have 5 to 7 trailing zeros in
+    # exponent notation
+    special = [v * s for v in walked.values() for s in (1.0, -10.0, 1e3, 1e6)]
+    special = np.array(special + [0.0, -0.0, 2.0, 12345.0, 2.0**-15, -(2.0**-16), 2.0**-17])
+    rng = np.random.default_rng(2028)
+    ordinary = rng.normal(size=20000) * 10.0 ** rng.integers(-8, 8, size=20000)
+    # ordinary values show all 17 digits, so no walk starts on them
+    ordinary = np.array([v for v in ordinary if _trailing_zeros(v) == 0])
+    rows = _floattext._ROWS
+    columns = 3
+    table = ordinary[: 4 * rows * columns].reshape(4 * rows, columns).copy()
+    # chunks 0, 2 and 3 take the exact values at spread positions; chunk 1 none
+    for chunk in (0, 2, 3):
+        cells = table[chunk * rows:(chunk + 1) * rows].reshape(-1)
+        cells[rng.choice(cells.size, special.size, replace=False)] = special
+    assert not any(_trailing_zeros(v) for v in table[rows:2 * rows].ravel())
+    assert _assert_matches(table) == 0

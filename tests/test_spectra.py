@@ -25,8 +25,8 @@ from gdo import (
     load_config,
     spinor_coefficients,
 )
-from gdo.spectra import singlet_layout
-from oracles import analytic_phi, rayleigh_quotient
+from gdo.spectra import _ladder_constant, _partner_functions, singlet_layout
+from oracles import analytic_phi, phi_raw, rayleigh_quotient
 
 
 class TestLevels:
@@ -320,3 +320,42 @@ def test_swapped_singlet_is_the_gjc_singlet_bit_for_bit(name):
     assert gjc.psi2.tobytes() == gdo_layout.psi1.tobytes()
     assert gjc.psi1.tobytes() == np.zeros(config.grid.n_points, dtype=complex).tobytes()
     assert singlet_layout(swapped, "GDO").psi1.tobytes() == gdo_layout.psi1.tobytes()
+
+
+_SCALED = PhysicalConstants(hbar=0.8, c=1.5, mass=1.3)
+_SHARED_PAIR_CASES = [
+    # D or A and alpha where s' -+ (k - 1) of upper_partner differs from
+    # s -+ k in the last bit at each level; Morse s = 5.69 and 5.73, B != 0
+    (MorseInteraction(D=5.641351481464853, A=0.9811871521080981, B=-0.47559034892778473, alpha=0.9918240813887417),
+     PhysicalConstants(), Grid(-5.974238705612712, 19.91412901870904, 1001)),
+    (MorseInteraction(D=4.5837291986162265, A=1.2572095947568012, B=-0.7511931940964589, alpha=0.9994935626221347),
+     _SCALED, Grid(-5.937629515747799, 19.792098385825998, 1001)),
+    # cot s = 0.89 and s = 3.24, inside one period
+    (CotInteraction(A=0.8899939763027477, alpha=1.0052120441677017, a=0.4914990293561572, b=0.18196052661284745),
+     PhysicalConstants(), Grid(0.4895, 3.6137, 1001)),
+    (CotInteraction(A=2.636788073891152, alpha=1.018530689435874, a=-0.01252226594689626, b=0.3771194621612596),
+     _SCALED, Grid(-0.0113, 3.0594, 1001)),
+    (LinearInteraction(omega=1.7), _SCALED, Grid(-8.0, 8.0, 1001)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, consts, grid", _SHARED_PAIR_CASES, ids=["morse", "morse-scaled", "cot-weak", "cot-strong", "linear"]
+)
+def test_shared_pair_matches_the_per_partner_route(spec, consts, grid):
+    # a level's two components share one prefactor; the oracle samples the
+    # upper one as the lower-partner function of upper_partner(spec)
+    x, h = grid.points, grid.spacing
+    mc2 = consts.mass * consts.c**2
+    for level in range(1, 5):
+        lower = phi_raw(spec, "minus", level, x, consts)
+        upper = phi_raw(spec, "plus", level - 1, x, consts)
+        for got, want in zip(_partner_functions(spec, level, x, consts), (lower, upper)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        energy = math.sqrt(mc2 * mc2 + consts.c**2 * epsilon_minus(spec, level, consts))
+        coupled = consts.c * _ladder_constant(spec, level - 1, consts) * upper
+        for model, pair in (("GDO", (lower, coupled / (energy + mc2))), ("GJC", (coupled / (energy - mc2), lower))):
+            norm = math.sqrt(float(np.sum(np.abs(pair[0]) ** 2 + np.abs(pair[1]) ** 2)) * h)
+            sample = analytic_spinor(spec, level, grid, consts, model=model)
+            for got, want in zip((sample.psi1, sample.psi2), pair):
+                assert np.max(np.abs(got - want / norm)) <= 1e-13 * np.max(np.abs(want / norm))

@@ -22,6 +22,7 @@ from gdo import (
     MorseInteraction,
     ParameterError,
     PhysicalConstants,
+    ResolutionError,
     assemble_schrodinger,
     effective_potentials,
     factorization_check,
@@ -751,4 +752,27 @@ def test_nan_measurement_exits_1_naming_the_check(monkeypatch, tmp_path, capsys)
     assert capsys.readouterr().err.splitlines() == [
         "gdo: check singlet_structure measured nan, not a finite number"
     ]
+    assert not out.exists()
+
+
+def test_wide_morse_window_raises_instead_of_one_value_for_every_level(tmp_path, capsys):
+    # at x_min = -40 the Morse wall makes ||T|| about 7e34, so eps ||T|| is
+    # 1.5e19 and bisection returned 7.689158177e+18 for all four levels
+    wide = {
+        "interaction": {"kind": "morse", "D": 40.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
+        "grid": {"x_min": -40.0, "x_max": 20.0, "n_points": 4000},
+    }
+    config = config_from_dict(wide)
+    message = (
+        r"the bisection tolerance eps\*\|\|T\|\| = 1\.538e\+19 cannot resolve the seeded levels "
+        r"on this window: two of them came out 0\.000e\+00 apart; narrow the grid window"
+    )
+    with pytest.raises(ResolutionError, match=message):
+        numeric_epsilons(config.interaction, config.grid, config.constants, 4)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == EXIT_FAILED
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("gdo: the bisection tolerance eps*||T|| = 1.538e+19 cannot resolve")
     assert not out.exists()
