@@ -33,11 +33,6 @@ from .interactions import (
     check_pseudo_hermiticity_condition,
     default_condition_grid,
     eval_f,
-    eval_f_prime,
-    hermitian_equivalent_interaction,
-    metric_theta,
-    negated,
-    upper_partner,
 )
 from .operators import (
     EffectivePotentialSample,

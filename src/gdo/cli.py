@@ -25,7 +25,7 @@ import numpy as np
 from ._floattext import csv_text
 from .config import RunConfig, dumps_canonical, load_config
 from .errors import ConfigError, GdoError, NonFiniteError
-from .interactions import check_pseudo_hermiticity_condition, default_condition_grid, metric_theta
+from .interactions import check_pseudo_hermiticity_condition, default_condition_grid
 # ground_state_structure is not called here: perfbench/tracer.py patches gdo.cli's name
 from .models import (
     ground_state_structure,
@@ -74,7 +74,7 @@ def _emit(text: str, out_path):
 def cmd_check(config: RunConfig, args) -> int:
     report = check_pseudo_hermiticity_condition(
         config.interaction,
-        metric_theta(config.interaction, config.constants),
+        config.interaction.theta(config.constants),
         default_condition_grid(config.interaction, config.constants),
         config.constants,
         tol=config.tolerances.condition,
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--level", type=int, default=-1, help="-1 for the singlet, k >= 1 for pairs")
             cmd.add_argument("--model", choices=("gdo", "gajc", "gjc"), default="gdo")
         if name == "verify":
-            # kept for the command lines that still pass it (ROADMAP item 6)
+            # kept for the command lines that still pass it (ROADMAP item 18)
             cmd.add_argument(
                 "--mode", choices=("contour",), help="accepted for old command lines; selects nothing"
             )

@@ -49,7 +49,7 @@ class RunConfig:
     constants: PhysicalConstants = PhysicalConstants()
     tolerances: Tolerances = Tolerances()
     levels: int = 4
-    mode: str = "contour"  # one value, selecting nothing; kept for old configs (ROADMAP item 6)
+    mode: str = "contour"  # one value, selecting nothing; kept for old configs (ROADMAP item 18)
 
     def __post_init__(self):
         if self.levels < 1:

@@ -5,6 +5,28 @@ real axis.  Each family carries a real shift parameter theta such that moving
 the argument to x + i*hbar*theta turns f into its complex conjugate; that
 substitution rule is what makes the two-component Hamiltonian similar to its
 own adjoint, so the whole verification story starts here.
+
+Every fact that depends on the family is a method of its class:
+
+* coupling(zz, consts, derivative): f on complex points, and f' when asked
+  (else None), from one evaluation of exp(-alpha z) or sin w;
+* theta(consts), the metric shift, and condition_window(consts), the scale k
+  and centre x0 of the conjugation-shift window;
+* hermitian_equivalent(), the real coupling f(x + i hbar theta/2);
+  upper_partner(consts), whose lower well is this one's upper well plus a
+  constant by shape invariance (Cooper, Khare & Sukhatme, Phys. Rep. 251
+  (1995) 267); negated(), the coupling -f in the family's own parameters;
+* closed_form_potentials(x, consts), the wells f^2 -/+ hbar f' expanded;
+* level_count(consts), the number of bound lower-partner levels, after the
+  check that the parameters lie in the regime with closed-form levels;
+* epsilon(n, consts), the level eps_n^-, and ladder_constant(n, consts), the
+  kappa with (p - i f) phi-_{n+1} = kappa phi+_n in the raw closed forms;
+* real_problem(grid), the real coupling and grid numeric_epsilons
+  solves (for cot, the real well on the pole-to-pole lattice);
+* Morse and cot also give s(consts) = D/(hbar alpha) or A/(hbar alpha), and
+  cot its argument w and sin w, with the pole check, through sine.
+
+The closed-form level functions live in gdo.spectra, one per family kind.
 """
 
 from __future__ import annotations
@@ -13,7 +35,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,6 +43,8 @@ from .errors import DomainError, ParameterError, PoleError
 
 # Complex cotangent evaluations closer than this to a zero of sin are refused.
 SIN_POLE_CUTOFF = 1e-12
+# level count of the families whose well binds infinitely many levels
+UNBOUNDED = math.inf
 
 
 @dataclass(frozen=True)
@@ -71,8 +95,27 @@ class Grid:
         return Grid(self.x_min, self.x_max, 2 * self.n_points - 1)
 
 
+class InteractionSpec:
+    """Base of the coupling families, each a frozen dataclass of float parameters.
+
+    Every parameter must be finite, and alpha, where the family has one,
+    positive.  Each family defines the methods listed in the module
+    docstring.  The base is no dataclass, since gdo.config builds any
+    dataclass hint from its fields and this one stands for three families.
+    """
+
+    kind: ClassVar[str]
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            if not np.isfinite(getattr(self, field.name)):
+                raise ParameterError(f"{self.kind} parameter {field.name!r} must be finite")
+        if getattr(self, "alpha", 1.0) <= 0:
+            raise ParameterError(f"{self.kind} coupling needs alpha > 0, got {self.alpha}")
+
+
 @dataclass(frozen=True)
-class LinearInteraction:
+class LinearInteraction(InteractionSpec):
     """f(x) = mass * omega * x, the coupling of the ordinary Dirac oscillator.
 
     Closed-form levels exist for omega > 0; a negative omega (produced by
@@ -83,13 +126,47 @@ class LinearInteraction:
     omega: float
     kind: ClassVar[str] = "linear"
 
-    def __post_init__(self):
-        if not np.isfinite(self.omega):
-            raise ParameterError("linear parameter 'omega' must be finite")
+    def coupling(self, zz, consts: PhysicalConstants, derivative: bool):
+        mw = consts.mass * self.omega
+        return mw * zz, np.full(zz.shape, mw, dtype=complex) if derivative else None
+
+    def theta(self, consts: PhysicalConstants) -> float:
+        return 0.0
+
+    def condition_window(self, consts: PhysicalConstants):
+        return math.sqrt(consts.mass * abs(self.omega) / consts.hbar) or 1.0, 0.0
+
+    def hermitian_equivalent(self) -> "LinearInteraction":
+        return self
+
+    def upper_partner(self, consts: PhysicalConstants) -> "LinearInteraction":
+        return self
+
+    def negated(self) -> "LinearInteraction":
+        return dataclasses.replace(self, omega=-self.omega)
+
+    def closed_form_potentials(self, x, consts: PhysicalConstants):
+        mw = consts.mass * self.omega
+        sq = (mw * x) ** 2 + 0j
+        return sq - consts.hbar * mw, sq + consts.hbar * mw
+
+    def level_count(self, consts: PhysicalConstants):
+        if self.omega <= 0:
+            raise ParameterError("linear levels need omega > 0")
+        return UNBOUNDED
+
+    def epsilon(self, n: int, consts: PhysicalConstants) -> float:
+        return 2.0 * n * consts.hbar * consts.mass * self.omega
+
+    def ladder_constant(self, n: int, consts: PhysicalConstants) -> complex:
+        return -2j * (n + 1) * math.sqrt(consts.hbar * consts.mass * self.omega)
+
+    def real_problem(self, grid: Grid):
+        return self, grid
 
 
 @dataclass(frozen=True, kw_only=True)
-class MorseInteraction:
+class MorseInteraction(InteractionSpec):
     """f(x) = D - (A + iB) exp(-alpha x).
 
     Closed-form levels exist in the regime D, A > 0; negated parameter sets
@@ -103,16 +180,58 @@ class MorseInteraction:
     alpha: float
     kind: ClassVar[str] = "morse"
 
-    def __post_init__(self):
-        for name in ("D", "A", "B", "alpha"):
-            if not np.isfinite(getattr(self, name)):
-                raise ParameterError(f"morse parameter {name!r} must be finite")
-        if self.alpha <= 0:
-            raise ParameterError(f"morse coupling needs alpha > 0, got {self.alpha}")
+    def coupling(self, zz, consts: PhysicalConstants, derivative: bool):
+        w = self.A + 1j * self.B
+        e = np.exp(-self.alpha * zz)
+        return self.D - w * e, self.alpha * w * e if derivative else None
+
+    def theta(self, consts: PhysicalConstants) -> float:
+        # atan2 keeps theta defined for either sign of A; it agrees with
+        # 2 atan(B/A)/(hbar alpha) on the documented A > 0 range
+        if self.A == 0:
+            raise ParameterError("morse shift parameter undefined for A = 0")
+        return 2.0 / (consts.hbar * self.alpha) * math.atan2(self.B, self.A)
+
+    def condition_window(self, consts: PhysicalConstants):
+        return self.alpha, 0.0
+
+    def hermitian_equivalent(self) -> "MorseInteraction":
+        return dataclasses.replace(self, A=math.hypot(self.A, self.B), B=0.0)
+
+    def upper_partner(self, consts: PhysicalConstants) -> "MorseInteraction":
+        return dataclasses.replace(self, D=self.D - consts.hbar * self.alpha)
+
+    def negated(self) -> "MorseInteraction":
+        return dataclasses.replace(self, D=-self.D, A=-self.A, B=-self.B)
+
+    def closed_form_potentials(self, x, consts: PhysicalConstants):
+        hb = consts.hbar
+        w = self.A + 1j * self.B
+        e1 = np.exp(-self.alpha * x)
+        base = self.D**2 + w * w * e1 * e1
+        v_minus = base - (2.0 * self.D + hb * self.alpha) * w * e1
+        return v_minus, base - (2.0 * self.D - hb * self.alpha) * w * e1
+
+    def s(self, consts: PhysicalConstants) -> float:
+        return self.D / (consts.hbar * self.alpha)
+
+    def level_count(self, consts: PhysicalConstants):
+        if self.D <= 0 or self.A <= 0:
+            raise ParameterError("morse levels need D > 0 and A > 0")
+        return math.floor(self.s(consts))
+
+    def epsilon(self, n: int, consts: PhysicalConstants) -> float:
+        return self.D**2 - (self.D - n * consts.hbar * self.alpha) ** 2
+
+    def ladder_constant(self, n: int, consts: PhysicalConstants) -> complex:
+        return -1j * consts.hbar * self.alpha * (2.0 * self.s(consts) - n - 1.0)
+
+    def real_problem(self, grid: Grid):
+        return self.hermitian_equivalent(), grid
 
 
 @dataclass(frozen=True)
-class CotInteraction:
+class CotInteraction(InteractionSpec):
     """f(x) = -A cot(alpha x - a - i b), complex-shifted periodic coupling."""
 
     A: float
@@ -121,17 +240,60 @@ class CotInteraction:
     b: float = 0.0
     kind: ClassVar[str] = "cot"
 
-    def __post_init__(self):
-        for name in ("A", "alpha", "a", "b"):
-            if not np.isfinite(getattr(self, name)):
-                raise ParameterError(f"cot parameter {name!r} must be finite")
-        if self.alpha <= 0:
-            raise ParameterError(f"cot coupling needs alpha > 0, got {self.alpha}")
+    def sine(self, x, pole_message: str):
+        """(w, sin w) with w = alpha x - a - i b; PoleError(pole_message) at a pole of cot w."""
+        w = self.alpha * x - self.a - 1j * self.b
+        s = np.sin(w)
+        if np.any(np.abs(s) < SIN_POLE_CUTOFF):
+            raise PoleError(pole_message)
+        return w, s
 
+    def coupling(self, zz, consts: PhysicalConstants, derivative: bool):
+        w, s = self.sine(zz, "cot coupling evaluated within 1e-12 of a pole of cosec")
+        return -self.A * np.cos(w) / s, self.A * self.alpha / (s * s) if derivative else None
 
-# every per-family dispatch below ends on its last family unguarded: these
-# three classes are the whole union, and configs build nothing else
-InteractionSpec = Union[LinearInteraction, MorseInteraction, CotInteraction]
+    def theta(self, consts: PhysicalConstants) -> float:
+        return 2.0 * self.b / (consts.hbar * self.alpha)
+
+    def condition_window(self, consts: PhysicalConstants):
+        # mid-period, clear of the cosec poles
+        k = self.alpha
+        return k, self.a / k + math.pi / (2.0 * k)
+
+    def hermitian_equivalent(self) -> "CotInteraction":
+        return dataclasses.replace(self, b=0.0)
+
+    def upper_partner(self, consts: PhysicalConstants) -> "CotInteraction":
+        return dataclasses.replace(self, A=self.A + consts.hbar * self.alpha)
+
+    def negated(self) -> "CotInteraction":
+        return dataclasses.replace(self, A=-self.A)
+
+    def closed_form_potentials(self, x, consts: PhysicalConstants):
+        hb = consts.hbar
+        _, s = self.sine(x, "closed-form cot potential evaluated at a pole")
+        cosec2 = 1.0 / (s * s)
+        v_minus = self.A * (self.A - hb * self.alpha) * cosec2 - self.A**2
+        return v_minus, self.A * (self.A + hb * self.alpha) * cosec2 - self.A**2
+
+    def s(self, consts: PhysicalConstants) -> float:
+        return self.A / (consts.hbar * self.alpha)
+
+    def level_count(self, consts: PhysicalConstants):
+        if self.A <= 0:
+            raise ParameterError("cot levels need A > 0")
+        return UNBOUNDED
+
+    def epsilon(self, n: int, consts: PhysicalConstants) -> float:
+        return (self.A + n * consts.hbar * self.alpha) ** 2 - self.A**2
+
+    def ladder_constant(self, n: int, consts: PhysicalConstants) -> complex:
+        return complex(self.A)
+
+    def real_problem(self, grid: Grid):
+        # the real cosec^2 well on the interior of the pole-to-pole lattice
+        h = math.pi / (self.alpha * (grid.n_points + 1))
+        return dataclasses.replace(self, a=0.0, b=0.0), Grid(h, math.pi / self.alpha - h, grid.n_points)
 
 
 @dataclass(frozen=True)
@@ -145,73 +307,20 @@ class ConditionReport:
     worst_point: float
 
 
-def _as_complex(z):
+def eval_f(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTANTS):
+    """Evaluate f at a real or complex point (or array of points)."""
     zz = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(zz)):
         raise DomainError("evaluation point must be finite")
-    return zz
-
-
-def _maybe_scalar(out, z):
-    if np.ndim(z) == 0:
-        return complex(out)
-    return out
-
-
-def _cot_argument(spec: CotInteraction, zz):
-    w = spec.alpha * zz - spec.a - 1j * spec.b
-    s = np.sin(w)
-    if np.any(np.abs(s) < SIN_POLE_CUTOFF):
-        raise PoleError("cot coupling evaluated within 1e-12 of a pole of cosec")
-    return w, s
-
-
-def _coupling(spec: InteractionSpec, zz, consts: PhysicalConstants, derivative: bool):
-    """f on the complex points zz, and f' when derivative is set, else None.
-
-    Both come from one evaluation of exp(-alpha z) (Morse) or sin w (cot).
-    """
-    if isinstance(spec, LinearInteraction):
-        mw = consts.mass * spec.omega
-        return mw * zz, np.full(zz.shape, mw, dtype=complex) if derivative else None
-    if isinstance(spec, MorseInteraction):
-        w = spec.A + 1j * spec.B
-        e = np.exp(-spec.alpha * zz)
-        return spec.D - w * e, spec.alpha * w * e if derivative else None
-    w, s = _cot_argument(spec, zz)
-    return -spec.A * np.cos(w) / s, spec.A * spec.alpha / (s * s) if derivative else None
-
-
-def eval_f(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Evaluate f at a real or complex point (or array of points)."""
-    return _maybe_scalar(_coupling(spec, _as_complex(z), consts, False)[0], z)
-
-
-def eval_f_prime(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Evaluate the analytic derivative f'(z); same pole rules as eval_f."""
-    return _maybe_scalar(_coupling(spec, _as_complex(z), consts, True)[1], z)
+    f = spec.coupling(zz, consts, False)[0]
+    return complex(f) if np.ndim(z) == 0 else f
 
 
 def sample_coupling(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ):
-    """(f, f') on the grid points, as eval_f and eval_f_prime give them, from one sampling."""
-    return _coupling(spec, grid.points.astype(complex), consts, True)
-
-
-def metric_theta(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Shift parameter theta of the metric exp(-theta p) for this family.
-
-    atan2 keeps the Morse formula defined for either sign of A; the two
-    conventions agree on the documented A > 0 range.
-    """
-    if isinstance(spec, LinearInteraction):
-        return 0.0
-    if isinstance(spec, MorseInteraction):
-        if spec.A == 0:
-            raise ParameterError("morse shift parameter undefined for A = 0")
-        return 2.0 / (consts.hbar * spec.alpha) * math.atan2(spec.B, spec.A)
-    return 2.0 * spec.b / (consts.hbar * spec.alpha)
+    """(f, f') on the grid points from one evaluation of the coupling."""
+    return spec.coupling(grid.points.astype(complex), consts, True)
 
 
 def default_condition_grid(
@@ -219,15 +328,12 @@ def default_condition_grid(
 ) -> Grid:
     """401-point window used by the conjugation-shift check.
 
-    Half-width 2/k, with k = alpha, or sqrt(m |omega| / hbar) for linear (1
-    at omega = 0).  Centered at the origin except for the cot family, where
-    the center sits mid-period to stay clear of the cosec poles.
+    Half-width 2/k around x0, with (k, x0) the family's condition_window: k
+    = alpha, or sqrt(m |omega| / hbar) for linear (1 at omega = 0); x0 = 0,
+    except for the cot family, whose window sits mid-period to stay clear
+    of the cosec poles.
     """
-    if isinstance(spec, LinearInteraction):
-        k = math.sqrt(consts.mass * abs(spec.omega) / consts.hbar) or 1.0
-    else:
-        k = spec.alpha
-    x0 = spec.a / k + math.pi / (2.0 * k) if isinstance(spec, CotInteraction) else 0.0
+    k, x0 = spec.condition_window(consts)
     return Grid(x0 - 2.0 / k, x0 + 2.0 / k, 401)
 
 
@@ -252,42 +358,3 @@ def check_pseudo_hermiticity_condition(
         passed=max_dev <= tol,
         worst_point=float(x[worst]),
     )
-
-
-def hermitian_equivalent_interaction(
-    spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> InteractionSpec:
-    """Real coupling obtained by conjugating with the square root of the metric.
-
-    Equivalent to evaluating f at x + i*hbar*theta/2: the Morse amplitude
-    becomes hypot(A, B) and the cot offset b drops out.
-    """
-    if isinstance(spec, MorseInteraction):
-        return dataclasses.replace(spec, A=math.hypot(spec.A, spec.B), B=0.0)
-    if isinstance(spec, CotInteraction):
-        return dataclasses.replace(spec, b=0.0)
-    return spec
-
-
-def upper_partner(
-    spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> InteractionSpec:
-    """Coupling whose lower-partner well is this one's upper-partner well plus a constant.
-
-    Shape invariance (Cooper, Khare & Sukhatme, Phys. Rep. 251 (1995) 267):
-    Morse D -> D - hbar alpha, cot A -> A + hbar alpha, linear unchanged.
-    """
-    if isinstance(spec, MorseInteraction):
-        return dataclasses.replace(spec, D=spec.D - consts.hbar * spec.alpha)
-    if isinstance(spec, CotInteraction):
-        return dataclasses.replace(spec, A=spec.A + consts.hbar * spec.alpha)
-    return spec
-
-
-def negated(spec: InteractionSpec) -> InteractionSpec:
-    """The coupling -f(x), keeping each family inside its own parameterization."""
-    if isinstance(spec, LinearInteraction):
-        return dataclasses.replace(spec, omega=-spec.omega)
-    if isinstance(spec, MorseInteraction):
-        return dataclasses.replace(spec, D=-spec.D, A=-spec.A, B=-spec.B)
-    return dataclasses.replace(spec, A=-spec.A)

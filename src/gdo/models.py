@@ -21,7 +21,6 @@ from .interactions import (
     Grid,
     InteractionSpec,
     PhysicalConstants,
-    negated,
 )
 from .operators import OperatorMatrix, assemble_ladder
 from .spectra import SpinorSample, analytic_spinor, singlet_layout
@@ -115,7 +114,7 @@ def spin_flip(ms: ModelSpec) -> ModelSpec:
         kind=other,
         omega_coupling=ms.omega_coupling,
         delta=ms.delta,
-        interaction=negated(ms.interaction),
+        interaction=ms.interaction.negated(),
     )
 
 

@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, PoleError, UnsupportedError
+from .errors import DimensionError, UnsupportedError
 from .interactions import (
     DEFAULT_CONSTANTS,
-    SIN_POLE_CUTOFF,
     Grid,
     InteractionSpec,
-    MorseInteraction,
-    CotInteraction,
     PhysicalConstants,
     eval_f,
     sample_coupling,
@@ -153,29 +150,10 @@ def closed_form_potentials(
 ) -> EffectivePotentialSample:
     """Partner potentials from the per-family expanded expressions.
 
-    Independent of eval_f / eval_f_prime; agreement with effective_potentials
-    is one of the verification checks.
+    Independent of the family's coupling method; agreement with
+    effective_potentials is one of the verification checks.
     """
-    x = grid.points
-    hb = consts.hbar
-    if isinstance(spec, MorseInteraction):
-        w = spec.A + 1j * spec.B
-        e1 = np.exp(-spec.alpha * x)
-        base = spec.D**2 + w * w * e1 * e1
-        vm = base - (2.0 * spec.D + hb * spec.alpha) * w * e1
-        vp = base - (2.0 * spec.D - hb * spec.alpha) * w * e1
-    elif isinstance(spec, CotInteraction):
-        s = np.sin(spec.alpha * x - spec.a - 1j * spec.b)
-        if np.any(np.abs(s) < SIN_POLE_CUTOFF):
-            raise PoleError("closed-form cot potential evaluated at a pole")
-        cosec2 = 1.0 / (s * s)
-        vm = spec.A * (spec.A - hb * spec.alpha) * cosec2 - spec.A**2
-        vp = spec.A * (spec.A + hb * spec.alpha) * cosec2 - spec.A**2
-    else:
-        mw = consts.mass * spec.omega
-        sq = (mw * x) ** 2 + 0j
-        vm = sq - hb * mw
-        vp = sq + hb * mw
+    vm, vp = spec.closed_form_potentials(grid.points, consts)
     return EffectivePotentialSample(np.asarray(vm, complex), np.asarray(vp, complex))
 
 

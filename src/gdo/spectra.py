@@ -9,7 +9,7 @@ singlet and level k >= 1 pairs the k-th lower-partner state with the
 Only the lower branch has formulas.  The upper branch is derived from it by
 shape invariance (Cooper, Khare & Sukhatme, Phys. Rep. 251 (1995) 267):
 eps_n^+ = eps_{n+1}^-, and the upper-partner function at index n is the
-lower-partner function at index n of upper_partner(spec).  So the two
+lower-partner function at index n of spec.upper_partner(consts).  So the two
 components of spinor level k share one prefactor and one polynomial family:
 for Morse z^(s-k) e^(-z/2) and L^(2s-2k)(z), because s' - (k-1) = s - k; for
 cot sin^(s+k) w and P^(-s-k,-s-k)(i cot w), because s' + (k-1) = s + k.  Each
@@ -17,8 +17,8 @@ level samples its argument and prefactor once and evaluates the polynomial
 at degrees k and k - 1; linear shares only its Gaussian.
 
 Eigenfunction phases are pinned by the exact first-order ladder relations
-(see _ladder_constant), which makes every sampled spinor an eigenvector of
-the assembled two-component matrix up to discretization error.
+(see each family's ladder_constant), which makes every sampled spinor an
+eigenvector of the assembled two-component matrix up to discretization error.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ from typing import List
 
 import numpy as np
 
-from .errors import (
-    BranchError,
-    LevelOutOfRangeError,
-    ParameterError,
-    PoleError,
-)
+from .errors import BranchError, LevelOutOfRangeError, ParameterError
 from .interactions import (
     DEFAULT_CONSTANTS,
-    SIN_POLE_CUTOFF,
+    UNBOUNDED,
     CotInteraction,
     Grid,
     InteractionSpec,
@@ -47,8 +42,6 @@ from .interactions import (
 )
 # bound under the name perfbench/tracer.py patches
 from .polynomials import jacobi as jacobi_any, laguerre
-
-UNBOUNDED = math.inf
 
 
 @dataclass(frozen=True)
@@ -85,30 +78,14 @@ class SpinorSample:
     model: str
 
 
-def _morse_s(spec: MorseInteraction, consts: PhysicalConstants) -> float:
-    return spec.D / (consts.hbar * spec.alpha)
-
-
-def _require_solvable(spec: InteractionSpec):
-    if isinstance(spec, LinearInteraction) and spec.omega <= 0:
-        raise ParameterError("linear levels need omega > 0")
-    if isinstance(spec, MorseInteraction) and (spec.D <= 0 or spec.A <= 0):
-        raise ParameterError("morse levels need D > 0 and A > 0")
-    if isinstance(spec, CotInteraction) and spec.A <= 0:
-        raise ParameterError("cot levels need A > 0")
-
-
 def bound_state_count(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS):
     """Number of bound lower-partner levels: floor(D/(hbar alpha)) for Morse, else UNBOUNDED.
 
     The upper partner has one fewer, since its level n is lower level n + 1.
     ParameterError outside the regime with closed-form levels: linear needs
-    omega > 0, Morse D, A > 0 and cot A > 0.
+    omega > 0, Morse D, A > 0 and cot A > 0 (the family's level_count).
     """
-    _require_solvable(spec)
-    if isinstance(spec, MorseInteraction):
-        return math.floor(_morse_s(spec, consts))
-    return UNBOUNDED
+    return spec.level_count(consts)
 
 
 def _check_level(spec, n, consts):
@@ -124,12 +101,7 @@ def epsilon_minus(
 ) -> float:
     """Decoupled eigenvalue of the lower-partner problem at level n."""
     _check_level(spec, n, consts)
-    hb = consts.hbar
-    if isinstance(spec, MorseInteraction):
-        return spec.D**2 - (spec.D - n * hb * spec.alpha) ** 2
-    if isinstance(spec, CotInteraction):
-        return (spec.A + n * hb * spec.alpha) ** 2 - spec.A**2
-    return 2.0 * n * hb * consts.mass * spec.omega
+    return spec.epsilon(n, consts)
 
 
 def epsilon_plus(
@@ -178,7 +150,7 @@ def spinor_coefficients(
 
 
 def _morse_factors(spec: MorseInteraction, level: int, x, consts):
-    s = _morse_s(spec, consts)
+    s = spec.s(consts)
     w = spec.A + 1j * spec.B
     z = (2.0 * w / (consts.hbar * spec.alpha)) * np.exp(-spec.alpha * x)
     # arg(z) is constant in x, so the principal power never crosses a cut
@@ -190,17 +162,20 @@ def _morse_factors(spec: MorseInteraction, level: int, x, consts):
         # sample moves
         zb = z[bad]
         prefactor[bad] = np.exp((s - level) * np.log(zb) - zb / 2.0)
+        if not np.isfinite(prefactor).all():
+            # beyond the float range even so (a deep well): the whole
+            # prefactor is taken relative to its largest modulus, a constant
+            # factor that the normalization removes
+            log_p = (s - level) * np.log(z) - z / 2.0
+            prefactor = np.exp(log_p - log_p.real.max())
     if level == 0:
         return prefactor, []
     return prefactor, [laguerre(n, 2 * s - 2 * level, z) for n in (level, level - 1)]
 
 
 def _cot_factors(spec: CotInteraction, level: int, x, consts):
-    s = spec.A / (consts.hbar * spec.alpha)
-    w = spec.alpha * x - spec.a - 1j * spec.b
-    sw = np.sin(w)
-    if np.any(np.abs(sw) < SIN_POLE_CUTOFF):
-        raise PoleError("cot eigenfunction sampled at a pole")
+    s = spec.s(consts)
+    w, sw = spec.sine(x, "cot eigenfunction sampled at a pole")
     # (sin w)^(s+k) stays on one branch while Re(sin w) > 0, i.e. inside one period
     prefactor = sw ** (s + level)
     if level == 0:
@@ -223,6 +198,11 @@ def _linear_factors(spec: LinearInteraction, level: int, x, consts):
     return np.exp(-0.5 * xi2), hermite
 
 
+# the closed-form level functions by family kind; their polynomials go
+# through this module's laguerre and jacobi_any
+_FACTORS = {"morse": _morse_factors, "cot": _cot_factors, "linear": _linear_factors}
+
+
 def _partner_functions(spec: InteractionSpec, level: int, x, consts) -> list:
     """[lower-partner function at level, upper-partner function at level - 1], unnormalized.
 
@@ -231,28 +211,13 @@ def _partner_functions(spec: InteractionSpec, level: int, x, consts) -> list:
     lower function alone.  Overflow is left to the caller's np.errstate.
     """
     _check_level(spec, level, consts)
-    if isinstance(spec, MorseInteraction):
-        prefactor, polynomials = _morse_factors(spec, level, x, consts)
-    elif isinstance(spec, CotInteraction):
-        prefactor, polynomials = _cot_factors(spec, level, x, consts)
-    else:
-        prefactor, polynomials = _linear_factors(spec, level, x, consts)
+    prefactor, polynomials = _FACTORS[spec.kind](spec, level, x, consts)
     if not polynomials:
         # the degree-0 polynomial is 1; the complex product with 1 + 0j keeps
         # the signs of zero parts, and the nan of an infinite point, that a
         # product with its array of ones gives
         return [prefactor * (1 + 0j)]
     return [prefactor * polynomial for polynomial in polynomials]
-
-
-def _ladder_constant(spec: InteractionSpec, n: int, consts: PhysicalConstants) -> complex:
-    """kappa with (p - i f) phi-_{n+1} = kappa phi+_n in the raw closed forms."""
-    if isinstance(spec, MorseInteraction):
-        s = _morse_s(spec, consts)
-        return -1j * consts.hbar * spec.alpha * (2.0 * s - n - 1.0)
-    if isinstance(spec, CotInteraction):
-        return complex(spec.A)
-    return -2j * (n + 1) * math.sqrt(consts.hbar * consts.mass * spec.omega)
 
 
 def _checked_norm(norm: float) -> float:
@@ -297,7 +262,7 @@ def analytic_spinor(
         eps = epsilon_minus(spec, level, consts)
         energy = math.sqrt(mc2 * mc2 + consts.c**2 * eps)
         lower_part, upper_part = _partner_functions(spec, level, x, consts)
-        kappa = _ladder_constant(spec, level - 1, consts)
+        kappa = spec.ladder_constant(level - 1, consts)
         if model == "GDO":
             psi1 = lower_part
             psi2 = (consts.c * kappa / (energy + mc2)) * upper_part

@@ -18,7 +18,7 @@ matrix by inverse iteration, one shift per call, and gates nothing, since
 its boundary conditions are a modeling choice.
 
 Shape invariance is checked on the wells built from f and f': V+ of the
-coupling minus V- of upper_partner(spec), the map the closed forms take
+coupling minus V- of its upper_partner, the map the closed forms take
 their upper branch from, must be constant on the config grid.
 
 verify_all makes each grid sample once.  f and f' on the config grid come
@@ -31,14 +31,13 @@ components swapped.  Checks 7 and 8 still test something on the shared
 ladder: check 7 compares the GAJC layout of model_matrix with the oscillator
 layout of dirac_matrix, each of which places the ladder blocks by its own
 rule, and check 8 compares the GJC layout with the GAJC layout of the
-negated() coupling, whose ladder is sampled afresh.  A ladder rebuilt from
+negated coupling, whose ladder is sampled afresh.  A ladder rebuilt from
 the same coupling and grid is the shared one bit for bit, so rebuilding it
 would test nothing more.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 from dataclasses import dataclass
@@ -59,16 +58,12 @@ from .eigensolve import (
 from .errors import DimensionError, GdoError, LevelOutOfRangeError, ResolutionError
 from .interactions import (
     DEFAULT_CONSTANTS,
-    CotInteraction,
     Grid,
     InteractionSpec,
     PhysicalConstants,
     check_pseudo_hermiticity_condition,
     default_condition_grid,
-    hermitian_equivalent_interaction,
-    metric_theta,
     sample_coupling,
-    upper_partner,
 )
 # assemble_dirac and ground_state_structure are not called here:
 # perfbench/tracer.py patches gdo.verify's names
@@ -129,8 +124,9 @@ def numeric_epsilons(
 ) -> np.ndarray:
     """Lowest decoupled eigenvalues by the assertable numeric route.
 
-    Morse/linear: lower-partner potential of the metric-rotated real coupling
-    on the given grid.  Cot: real cosec^2 well at the points j h, j = 1..n,
+    The family's real_problem gives the real coupling and grid.  Morse and
+    linear: lower-partner potential of the metric-rotated real coupling on
+    the given grid.  Cot: real cosec^2 well at the points j h, j = 1..n,
     with h = pi/(alpha (n + 1)) and n the given grid's point count (only
     that count is used), so that the Dirichlet ghosts j = 0 and n + 1 sit on
     the poles.  The cosec^2 coefficient is hbar^2 alpha^2 s(s - 1) >= -1/4
@@ -147,13 +143,7 @@ def numeric_epsilons(
     could not tell them apart, as on a Morse window reaching far into the
     wall, where V grows like e^(-2 alpha x).
     """
-    if isinstance(spec, CotInteraction):
-        h = math.pi / (spec.alpha * (grid.n_points + 1))
-        solve_grid = Grid(h, math.pi / spec.alpha - h, grid.n_points)
-        real_spec = dataclasses.replace(spec, a=0.0, b=0.0)
-    else:
-        solve_grid = grid
-        real_spec = hermitian_equivalent_interaction(spec, consts)
+    real_spec, solve_grid = spec.real_problem(grid)
     sample = closed_form_potentials(real_spec, solve_grid, consts)
     off, diag, _ = assemble_schrodinger(sample.v_minus, solve_grid, consts).bands
     diag, off = diag.real, off.real
@@ -347,7 +337,7 @@ def verify_all(config: RunConfig) -> VerificationReport:
 
     # 1. conjugation-shift condition on the default 401-point window
     condition = check_pseudo_hermiticity_condition(
-        spec, metric_theta(spec, consts), default_condition_grid(spec, consts), consts,
+        spec, spec.theta(consts), default_condition_grid(spec, consts), consts,
         tol=tols.condition,
     )
     add(CheckResult("condition_shift", condition.max_deviation, tols.condition, condition.passed))
@@ -488,7 +478,7 @@ def factorization_check(
 def _shape_invariance_check(spec, v_plus, grid, consts) -> CheckResult:
     # spread of the gap relative to max|V+| (V+ of spec sampled on grid):
     # rounding for the right partner, an x-dependent gap for a wrong one
-    gap = v_plus - effective_potentials(upper_partner(spec, consts), grid, consts).v_minus
+    gap = v_plus - effective_potentials(spec.upper_partner(consts), grid, consts).v_minus
     spread = np.max(np.abs(gap - gap[gap.size // 2]))
     measured = float(spread / np.max(np.abs(v_plus), initial=np.finfo(float).tiny))
     threshold = 1e-8

@@ -3,7 +3,7 @@
 The polynomial series are the explicit finite sums, independent of the
 recurrences in gdo.polynomials.  phi_raw samples one closed-form partner
 function on its own, the upper partner as the lower partner of
-upper_partner(spec), where gdo.spectra builds a level's two components from
+spec.upper_partner(consts), where gdo.spectra builds a level's two components from
 one shared prefactor; analytic_phi grid-normalizes it.  rayleigh_quotient
 measures how well a vector solves a matrix, and dense builds a matrix column
 by column from its matvec.
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from gdo import DEFAULT_CONSTANTS, CotInteraction, MorseInteraction, upper_partner
+from gdo import DEFAULT_CONSTANTS, CotInteraction, MorseInteraction
 from gdo.polynomials import jacobi, laguerre
 from gdo.spectra import _check_level, _grid_normalize
 
@@ -92,13 +92,13 @@ def phi_raw(spec, branch: str, n: int, x, consts=DEFAULT_CONSTANTS) -> np.ndarra
     """Unnormalized partner function at level n: branch "plus" is the upper partner, else the lower.
 
     The upper partner's level n is the lower partner's level n of
-    upper_partner(spec), range-checked as level n + 1 of spec: the partner's
+    spec.upper_partner(consts), range-checked as level n + 1 of spec: the partner's
     floor((D - hbar alpha)/(hbar alpha)) can round unlike floor(s) - 1.
     """
     _check_level(spec, n, consts)
     if branch == "plus":
         _check_level(spec, n + 1, consts)
-        spec = upper_partner(spec, consts)
+        spec = spec.upper_partner(consts)
     if isinstance(spec, MorseInteraction):
         return _lower_morse(spec, n, x, consts)
     if isinstance(spec, CotInteraction):

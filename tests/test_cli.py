@@ -11,7 +11,7 @@ import pytest
 import gdo.models
 import gdo.operators
 import gdo.verify
-from gdo import analytic_spinor, cli, load_config, metric_theta, verify_all
+from gdo import analytic_spinor, cli, load_config, verify_all
 from gdo.cli import EXIT_BAD_INPUT, EXIT_FAILED, EXIT_OK, main
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -314,12 +314,14 @@ def test_spectrum_numeric_level_without_real_energy(tmp_path):
 @pytest.mark.parametrize("name", ["cot.json", "linear.json", "morse.json"])
 def test_planted_theta_fails_the_condition(tmp_path, monkeypatch, name):
     # a theta off the family's own by 0.01 must fail check 1 of verify and gdo check
-    def planted(spec, consts):
-        return metric_theta(spec, consts) + 0.01
-
-    monkeypatch.setattr(gdo.verify, "metric_theta", planted)
-    monkeypatch.setattr(cli, "metric_theta", planted)
     config = load_config(CONFIGS / name)
+    family = type(config.interaction)
+    theta = family.theta
+
+    def planted(spec, consts):
+        return theta(spec, consts) + 0.01
+
+    monkeypatch.setattr(family, "theta", planted)
     [condition] = [c for c in verify_all(config).checks if c.name == "condition_shift"]
     assert not condition.passed
     out = tmp_path / "check.json"
@@ -421,13 +423,33 @@ def test_wide_left_morse_window_writes_finite_normalized_levels(tmp_path, capsys
     assert capsys.readouterr().err == ""
 
 
-def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
-    # at s = 400 the unnormalized singlet peaks near e^2272, past any float64,
-    # and level 3's psi2 overflows too; the one line on stderr is the
-    # ParameterError, with no numpy warning before it
+def test_deep_morse_well_is_sampled_relative_to_its_largest_value(tmp_path, capsys):
+    # at s = 400 the unnormalized prefactor z^(s-k) e^(-z/2) peaks near e^2318
+    # (x = -5.99), so even its log-space product overflows; taken relative to
+    # its largest value it normalizes like any other level
     path = _write(tmp_path, {
         "interaction": {"kind": "morse", "D": 400.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
         "grid": {"x_min": -6.0, "x_max": 20.0, "n_points": 4000},
+    })
+    for level in (-1, 3):
+        out = tmp_path / f"wavefunction_{level}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["wavefunction", "--config", str(path), "--out", str(out), "--level", str(level)]) == EXIT_OK
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.isfinite(table).all()
+        h = (table[-1, 0] - table[0, 0]) / (len(table) - 1)
+        assert h * np.sum(table[:, 1:] ** 2) == pytest.approx(1.0, abs=1e-12)
+    assert capsys.readouterr().err == ""
+
+
+def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
+    # at s = 400 on [600, 700], z is about e^-600 and z^(s-k) underflows to 0
+    # at every point, so no scale can recover the state; the one line on
+    # stderr is the ParameterError, with no numpy warning before it
+    path = _write(tmp_path, {
+        "interaction": {"kind": "morse", "D": 400.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
+        "grid": {"x_min": 600.0, "x_max": 700.0, "n_points": 4000},
     })
     out = tmp_path / "wavefunction.csv"
     for level in (-1, 3):
@@ -435,7 +457,7 @@ def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
             warnings.simplefilter("error")
             code = main(["wavefunction", "--config", str(path), "--out", str(out), "--level", str(level)])
         assert code == EXIT_FAILED
-        assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm nan on this grid"]
+        assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm 0.0 on this grid"]
         assert not out.exists()
 
 

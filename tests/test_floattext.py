@@ -1,6 +1,8 @@
 """The vectorized CSV formatter against "%.17g" % v, value by value."""
 
+import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,6 +53,36 @@ def test_powers_of_ten_and_their_neighbours():
     _assert_matches(_column(_with_neighbours(powers)))
 
 
+def _near_ties():
+    """Doubles v = n 2^-j whose remainder after the 17th digit lies t/2^m from one half.
+
+    With k = 16 - floor(log10 v) and m = j - k, n in [2^52, 2^53) solves
+    n 5^k = 2^(m-1) + t (mod 2^m), so v 10^k = n 5^k / 2^m is an integer plus
+    1/2 + t/2^m; the offsets reach from 2^-52 past both sides of the
+    formatter's 1e-9 margin.
+    """
+    offsets = (1e-13, -1e-12, 1e-11, -3e-10, 9e-10, -1.1e-9, 5e-9)
+    values = []
+    for j in range(40, 76):
+        for k in range(10, 40):
+            m = j - k
+            if not 30 <= m <= 52:
+                continue
+            inverse = pow(5**k, -1, 2**m)
+            for t in {1, -1, 3, -7, *(round(d * 2**m) for d in offsets)} - {0}:
+                n0 = (2 ** (m - 1) + t) * inverse % 2**m
+                n = n0 + 2**m * -(-(2**52 - n0) // 2**m)
+                v = Fraction(n, 2**j)
+                # log10 of a double may round across a power of ten
+                e = math.floor(math.log10(n * 2.0**-j))
+                e += (v >= Fraction(10) ** (e + 1)) - (v < Fraction(10) ** e)
+                if 16 - e == k:
+                    scaled = v * 10**k
+                    assert scaled - math.floor(scaled) - Fraction(1, 2) == Fraction(t, 2**m)
+                    values.append(float(v))
+    return sorted(values)
+
+
 @pytest.mark.parametrize(
     "values",
     [
@@ -63,8 +95,10 @@ def test_powers_of_ten_and_their_neighbours():
         [0.0, -0.0, float("nan"), float("inf"), float("-inf")],
         # exact values whose digits end in zeros, and halves at the 17th digit
         [1.0, 10.0, 20.0, 0.5, 0.25, 0.125, 1.5, 100.5, 2.0**53, 2.0**54 + 2.0, 0.1, 0.2, 0.3, 1 / 3],
+        # remainders just off a half at the 17th digit, inside and outside the margin
+        _near_ties(),
     ],
-    ids=["fixed-to-exponent", "exponent-to-fixed", "three-digit-exponents", "zeros-and-non-finite", "short"],
+    ids=["fixed-to-exponent", "exponent-to-fixed", "three-digit-exponents", "zeros-and-non-finite", "short", "near-ties"],
 )
 def test_explicit_cases(values):
     _assert_matches(_column(_with_neighbours(values)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gdo import (
+    DEFAULT_CONSTANTS,
     CotInteraction,
     DomainError,
     Grid,
@@ -18,12 +19,12 @@ from gdo import (
     default_condition_grid,
     epsilon_minus,
     eval_f,
-    eval_f_prime,
-    hermitian_equivalent_interaction,
-    metric_theta,
-    negated,
-    upper_partner,
 )
+
+
+def f_prime(spec, z, consts=DEFAULT_CONSTANTS):
+    """f'(z) at a real point, as the family's coupling method gives it."""
+    return complex(spec.coupling(np.asarray(z, dtype=complex), consts, True)[1])
 
 
 class TestEvalF:
@@ -71,11 +72,11 @@ class TestEvalF:
 
 class TestEvalFPrime:
     def test_linear_constant(self):
-        assert eval_f_prime(LinearInteraction(omega=1.0), 17.3) == pytest.approx(1.0)
+        assert f_prime(LinearInteraction(omega=1.0), 17.3) == pytest.approx(1.0)
 
     def test_morse_complex_amplitude(self):
         spec = MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=1.0)
-        assert eval_f_prime(spec, 0.0) == pytest.approx(1.0 + 0.5j)
+        assert f_prime(spec, 0.0) == pytest.approx(1.0 + 0.5j)
 
     @pytest.mark.parametrize(
         "spec, points",
@@ -89,28 +90,28 @@ class TestEvalFPrime:
         step = 1e-6
         for x in points:
             numeric = (eval_f(spec, x + step) - eval_f(spec, x - step)) / (2 * step)
-            analytic = eval_f_prime(spec, x)
+            analytic = f_prime(spec, x)
             assert analytic == pytest.approx(numeric, rel=1e-6)
 
 
 class TestMetricTheta:
     def test_real_morse_is_hermitian(self):
-        assert metric_theta(MorseInteraction(D=2.5, A=1.0, B=0.0, alpha=1.0)) == 0.0
+        assert MorseInteraction(D=2.5, A=1.0, B=0.0, alpha=1.0).theta(DEFAULT_CONSTANTS) == 0.0
 
     def test_morse_value(self):
         spec = MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=1.0)
-        assert metric_theta(spec) == pytest.approx(0.9272952180016122, abs=1e-12)
+        assert spec.theta(DEFAULT_CONSTANTS) == pytest.approx(0.9272952180016122, abs=1e-12)
 
     def test_cot_value(self):
-        assert metric_theta(CotInteraction(A=1.0, alpha=1.0, a=0.0, b=0.3)) == pytest.approx(0.6)
+        assert CotInteraction(A=1.0, alpha=1.0, a=0.0, b=0.3).theta(DEFAULT_CONSTANTS) == pytest.approx(0.6)
 
     def test_linear_is_zero(self):
-        assert metric_theta(LinearInteraction(omega=4.0)) == 0.0
+        assert LinearInteraction(omega=4.0).theta(DEFAULT_CONSTANTS) == 0.0
 
     def test_morse_zero_amplitude_rejected(self):
         spec = MorseInteraction(D=2.5, A=0.0, B=0.5, alpha=1.0)
         with pytest.raises(ParameterError):
-            metric_theta(spec)
+            spec.theta(DEFAULT_CONSTANTS)
 
 
 class TestConditionCheck:
@@ -122,7 +123,7 @@ class TestConditionCheck:
         ],
     )
     def test_identity_holds_at_the_right_theta(self, spec):
-        theta = metric_theta(spec)
+        theta = spec.theta(DEFAULT_CONSTANTS)
         report = check_pseudo_hermiticity_condition(spec, theta, default_condition_grid(spec))
         assert report.passed
         assert report.max_deviation <= 1e-12
@@ -136,7 +137,7 @@ class TestConditionCheck:
         ],
     )
     def test_wrong_theta_fails(self, spec, factor):
-        theta = metric_theta(spec) * factor
+        theta = spec.theta(DEFAULT_CONSTANTS) * factor
         report = check_pseudo_hermiticity_condition(spec, theta, default_condition_grid(spec))
         assert not report.passed
         assert report.max_deviation > 1e-3
@@ -149,7 +150,7 @@ class TestConditionCheck:
 
     def test_report_invariant(self, morse_spec):
         report = check_pseudo_hermiticity_condition(
-            morse_spec, metric_theta(morse_spec), default_condition_grid(morse_spec)
+            morse_spec, morse_spec.theta(DEFAULT_CONSTANTS), default_condition_grid(morse_spec)
         )
         assert report.passed == (report.max_deviation <= report.tolerance)
 
@@ -173,34 +174,34 @@ class TestUpperPartner:
 
     def test_morse_depth_drops_by_hbar_alpha(self):
         spec = MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=2.0)
-        assert upper_partner(spec, self.CONSTS) == MorseInteraction(D=1.5, A=1.0, B=0.5, alpha=2.0)
+        assert spec.upper_partner(self.CONSTS) == MorseInteraction(D=1.5, A=1.0, B=0.5, alpha=2.0)
 
     def test_cot_amplitude_grows_by_hbar_alpha(self):
         spec = CotInteraction(A=1.0, alpha=2.0, a=0.2, b=0.3)
-        assert upper_partner(spec, self.CONSTS) == CotInteraction(A=2.0, alpha=2.0, a=0.2, b=0.3)
+        assert spec.upper_partner(self.CONSTS) == CotInteraction(A=2.0, alpha=2.0, a=0.2, b=0.3)
 
     def test_linear_is_its_own_partner(self):
         spec = LinearInteraction(omega=1.5)
-        assert upper_partner(spec, self.CONSTS) is spec
+        assert spec.upper_partner(self.CONSTS) is spec
 
 
 class TestHermitianEquivalent:
     def test_morse_pythagorean_amplitude(self):
         spec = MorseInteraction(D=2.5, A=3.0, B=4.0, alpha=1.0)
-        real_spec = hermitian_equivalent_interaction(spec)
+        real_spec = spec.hermitian_equivalent()
         assert real_spec.A == pytest.approx(5.0)
         assert real_spec.B == 0.0
         assert real_spec.D == spec.D
 
     def test_cot_drops_imaginary_offset(self):
         spec = CotInteraction(A=1.0, alpha=1.0, a=0.2, b=0.3)
-        real_spec = hermitian_equivalent_interaction(spec)
+        real_spec = spec.hermitian_equivalent()
         assert real_spec.b == 0.0
         assert real_spec.a == spec.a
 
     def test_linear_unchanged(self):
         spec = LinearInteraction(omega=1.0)
-        assert hermitian_equivalent_interaction(spec) is spec
+        assert spec.hermitian_equivalent() is spec
 
     @pytest.mark.parametrize(
         "spec, grid",
@@ -210,8 +211,8 @@ class TestHermitianEquivalent:
         ],
     )
     def test_matches_half_shift_and_is_real(self, spec, grid):
-        real_spec = hermitian_equivalent_interaction(spec)
-        theta = metric_theta(spec)
+        real_spec = spec.hermitian_equivalent()
+        theta = spec.theta(DEFAULT_CONSTANTS)
         x = grid.points
         half_shifted = eval_f(spec, x + 0.5j * theta)
         direct = eval_f(real_spec, x.astype(complex))
@@ -222,8 +223,8 @@ class TestHermitianEquivalent:
 class TestNegation:
     def test_families_negate_pointwise(self, morse_spec, cot_spec):
         for spec, x in ((morse_spec, 0.7), (cot_spec, 1.1), (LinearInteraction(omega=2.0), 0.4)):
-            assert eval_f(negated(spec), x) == pytest.approx(-eval_f(spec, x))
-            assert eval_f_prime(negated(spec), x) == pytest.approx(-eval_f_prime(spec, x))
+            assert eval_f(spec.negated(), x) == pytest.approx(-eval_f(spec, x))
+            assert f_prime(spec.negated(), x) == pytest.approx(-f_prime(spec, x))
 
 
 class TestValidation:
@@ -273,7 +274,7 @@ class TestValidation:
         # a negative omega is the spin-flipped coupling: it evaluates, but
         # has no closed-form levels
         spec = LinearInteraction(omega=-2.0)
-        assert spec == negated(LinearInteraction(omega=2.0))
+        assert spec == LinearInteraction(omega=2.0).negated()
         assert eval_f(spec, 1.5) == pytest.approx(-3.0)
         with pytest.raises(ParameterError, match="linear levels need omega > 0"):
             bound_state_count(spec)

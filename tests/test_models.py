@@ -16,7 +16,6 @@ from gdo import (
     assemble_model,
     eval_f,
     ground_state_structure,
-    negated,
     oscillator_preset,
     spin_flip,
 )
@@ -44,7 +43,7 @@ class TestAssembly:
         grid = Grid(0.3, 2.8, 101)
         for spec in (morse_spec, cot_spec, LinearInteraction(omega=1.0)):
             gjc = ModelSpec("gjc", 1.3, 0.7, spec)
-            dual = ModelSpec("gajc", 1.3, 0.7, negated(spec))
+            dual = ModelSpec("gajc", 1.3, 0.7, spec.negated())
             assert assemble_model(gjc, grid).max_abs_diff(assemble_model(dual, grid)) <= 1e-14
 
     def test_zero_coupling_decouples(self, morse_spec):
@@ -97,7 +96,7 @@ class TestSpinFlip:
         ms = ModelSpec(kind, omega_coupling, delta, interaction)
         flipped = spin_flip(ms)
         assert flipped.kind != ms.kind
-        assert flipped.interaction == negated(interaction)
+        assert flipped.interaction == interaction.negated()
         assert spin_flip(flipped) == ms
 
     def test_flip_assembles_identically(self, morse_spec):
@@ -109,7 +108,7 @@ class TestSpinFlip:
 
     def test_flipped_morse_coupling_form(self, morse_spec):
         # -f for the exponential family: -D + (A + iB) exp(-alpha x)
-        flipped = negated(morse_spec)
+        flipped = morse_spec.negated()
         x = 0.8
         expected = -morse_spec.D + (morse_spec.A + 1j * morse_spec.B) * math.exp(-x)
         assert eval_f(flipped, x) == pytest.approx(expected)
@@ -164,7 +163,7 @@ class TestGroundState:
             assert report.residual <= 2e-4
 
     def test_flipped_parameters_rejected(self, morse_spec, morse_grid):
-        ms = ModelSpec("gjc", 1.0, 1.0, negated(morse_spec))
+        ms = ModelSpec("gjc", 1.0, 1.0, morse_spec.negated())
         with pytest.raises(ParameterError):
             ground_state_structure(ms, morse_grid)
 

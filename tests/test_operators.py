@@ -19,7 +19,6 @@ from gdo import (
     closed_form_potentials,
     effective_potentials,
     factorization_check,
-    hermitian_equivalent_interaction,
     momentum_operator,
     symtridiag_eigenvalues,
 )
@@ -117,10 +116,8 @@ class TestEffectivePotentials:
         assert np.max(np.abs(generic.v_plus - closed.v_plus) / scale) <= 1e-12
 
     def test_hermitian_equivalent_potentials_real(self, morse_spec):
-        from gdo import hermitian_equivalent_interaction
-
         grid = Grid(-4.0, 10.0, 201)
-        sample = effective_potentials(hermitian_equivalent_interaction(morse_spec), grid)
+        sample = effective_potentials(morse_spec.hermitian_equivalent(), grid)
         assert np.max(np.abs(sample.v_minus.imag)) <= 1e-12
         assert np.max(np.abs(sample.v_plus.imag)) <= 1e-12
 
@@ -218,21 +215,21 @@ class TestSchrodinger:
 class TestHermitianEquivalentAssembly:
     def test_exactly_hermitian(self, morse_spec, cot_spec):
         for spec, grid in ((morse_spec, Grid(-4.0, 10.0, 201)), (cot_spec, Grid(0.3, 2.8, 201))):
-            h = assemble_dirac(hermitian_equivalent_interaction(spec), grid)
+            h = assemble_dirac(spec.hermitian_equivalent(), grid)
             assert hermiticity_defect(h) <= 1e-14
 
     def test_equals_assembly_of_rotated_coupling(self):
         spec = MorseInteraction(D=2.5, A=3.0, B=4.0, alpha=1.0)
         rotated = MorseInteraction(D=2.5, A=5.0, B=0.0, alpha=1.0)
         grid = Grid(-2.0, 6.0, 101)
-        assert assemble_dirac(hermitian_equivalent_interaction(spec), grid).max_abs_diff(
+        assert assemble_dirac(spec.hermitian_equivalent(), grid).max_abs_diff(
             assemble_dirac(rotated, grid)
         ) <= 1e-12
 
     def test_linear_already_hermitian(self):
         spec = LinearInteraction(omega=1.0)
         grid = Grid(-3.0, 3.0, 101)
-        assert assemble_dirac(hermitian_equivalent_interaction(spec), grid).max_abs_diff(
+        assert assemble_dirac(spec.hermitian_equivalent(), grid).max_abs_diff(
             assemble_dirac(spec, grid)
         ) == 0.0
 

@@ -25,7 +25,7 @@ from gdo import (
     load_config,
     spinor_coefficients,
 )
-from gdo.spectra import _ladder_constant, _partner_functions, singlet_layout
+from gdo.spectra import _partner_functions, singlet_layout
 from oracles import analytic_phi, phi_raw, rayleigh_quotient
 
 
@@ -65,10 +65,8 @@ class TestLevels:
             epsilon_plus(morse_spec, 1)
 
     def test_negated_morse_rejected(self, morse_spec):
-        from gdo import negated
-
         with pytest.raises(ParameterError):
-            epsilon_minus(negated(morse_spec), 0)
+            epsilon_minus(morse_spec.negated(), 0)
 
     def test_cot_without_closed_form_levels_rejected(self):
         # A <= 0 has no closed-form levels: epsilon_minus would read -1 here,
@@ -353,7 +351,7 @@ def test_shared_pair_matches_the_per_partner_route(spec, consts, grid):
         for got, want in zip(_partner_functions(spec, level, x, consts), (lower, upper)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         energy = math.sqrt(mc2 * mc2 + consts.c**2 * epsilon_minus(spec, level, consts))
-        coupled = consts.c * _ladder_constant(spec, level - 1, consts) * upper
+        coupled = consts.c * spec.ladder_constant(level - 1, consts) * upper
         for model, pair in (("GDO", (lower, coupled / (energy + mc2))), ("GJC", (coupled / (energy - mc2), lower))):
             norm = math.sqrt(float(np.sum(np.abs(pair[0]) ** 2 + np.abs(pair[1]) ** 2)) * h)
             sample = analytic_spinor(spec, level, grid, consts, model=model)

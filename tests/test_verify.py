@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gdo.eigensolve
-import gdo.interactions
 import gdo.models
 import gdo.operators
 import gdo.verify
@@ -24,7 +23,10 @@ from gdo import (
     PhysicalConstants,
     ResolutionError,
     assemble_schrodinger,
+    check_pseudo_hermiticity_condition,
+    default_condition_grid,
     effective_potentials,
+    eval_f,
     factorization_check,
     load_config,
     numeric_epsilons,
@@ -445,6 +447,31 @@ SHIPPED = ["morse.json", "cot.json", "linear.json"]
 UNIT_SCALES = (0.125, 0.5, 2.0, 16.0)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [load_config(CONFIGS / name).interaction for name in SHIPPED]
+    + [MorseInteraction(D=4.4, A=0.7, B=-1.1, alpha=1.3)],
+    ids=SHIPPED + ["morse-negative-B"],
+)
+def test_family_facts_scale_with_the_unit_of_length(spec):
+    # theta and the condition window are lengths, f and the condition's
+    # deviation inverse lengths, and a power-of-two rescale scales each exactly
+    consts = PhysicalConstants()
+    theta = spec.theta(consts)
+    grid = default_condition_grid(spec, consts)
+    f = eval_f(spec, grid.points, consts)
+    deviation = check_pseudo_hermiticity_condition(spec, theta, grid, consts).max_deviation
+    for lam in UNIT_SCALES:
+        rescaled = _rescaled(spec, lam)
+        rescaled_theta = rescaled.theta(consts)
+        rescaled_grid = default_condition_grid(rescaled, consts)
+        assert rescaled_theta == lam * theta
+        assert (rescaled_grid.x_min, rescaled_grid.x_max) == (lam * grid.x_min, lam * grid.x_max)
+        assert np.array_equal(eval_f(rescaled, rescaled_grid.points, consts), f / lam)
+        report = check_pseudo_hermiticity_condition(rescaled, rescaled_theta, rescaled_grid, consts)
+        assert report.max_deviation == deviation / lam
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_ladder_gate_does_not_depend_on_the_unit_of_length(name):
     # a power-of-two rescale scales every grid point, f and hbar/h exactly,
@@ -496,8 +523,9 @@ def _wrong_partner(spec, consts):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shape_invariance_fails_on_a_wrong_partner(monkeypatch, name):
-    monkeypatch.setattr(gdo.verify, "upper_partner", _wrong_partner)
-    verdicts = {c.name: c for c in verify_all(load_config(CONFIGS / name)).checks}
+    config = load_config(CONFIGS / name)
+    monkeypatch.setattr(type(config.interaction), "upper_partner", _wrong_partner)
+    verdicts = {c.name: c for c in verify_all(config).checks}
     assert not verdicts["shape_invariance"].passed
     assert verdicts["shape_invariance"].measured > 1e-3
 
@@ -523,7 +551,7 @@ def test_partner_function_error_propagates(monkeypatch, tmp_path, capsys):
     def unavailable(*args, **kwargs):
         raise ParameterError("partner function unavailable")
 
-    monkeypatch.setattr(gdo.verify, "upper_partner", unavailable)
+    monkeypatch.setattr(MorseInteraction, "upper_partner", unavailable)
     with pytest.raises(ParameterError, match="partner function unavailable"):
         verify_all(load_config(CONFIGS / "morse.json"))
     out = tmp_path / "verify.json"
@@ -552,13 +580,15 @@ def test_verify_samples_each_singlet_once(monkeypatch):
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_verify_samples_each_coupling_and_ladder_once_per_grid(monkeypatch, name):
-    # every coupling sample goes through gdo.interactions._coupling and every
+    # every coupling sample goes through the family's coupling method and every
     # ladder pair through ladder_pair, under gdo.operators' or gdo.verify's name
     samples, ladders = [], []
-    coupling = gdo.interactions._coupling
+    config = load_config(CONFIGS / name)
+    family = type(config.interaction)
+    coupling = family.coupling
     monkeypatch.setattr(
-        gdo.interactions,
-        "_coupling",
+        family,
+        "coupling",
         lambda spec, zz, consts, derivative: (
             samples.append((spec.kind, zz.size, derivative)) or coupling(spec, zz, consts, derivative)
         ),
@@ -570,7 +600,6 @@ def test_verify_samples_each_coupling_and_ladder_once_per_grid(monkeypatch, name
             "ladder_pair",
             lambda f, grid, *args, real=real: ladders.append(grid.n_points) or real(f, grid, *args),
         )
-    config = load_config(CONFIGS / name)
     verify_all(config)
     n = config.grid.n_points
     # factorization's algebra grid, then the config grid's coupling and its negation
