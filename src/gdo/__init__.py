@@ -55,10 +55,8 @@ from .spectra import (
     SpinorSample,
     UNBOUNDED,
     analytic_spinor,
-    bound_state_count,
     dirac_spectrum,
     epsilon_minus,
-    epsilon_plus,
     spinor_coefficients,
 )
 from .models import (

@@ -29,9 +29,8 @@ all its levels once, after the last one.  Its solve is planned once
 (_plan): every level's buffers and views are made before the first solve,
 and a refresh's factorization takes them over (_replan), so a solve is only
 the arithmetic, written in place, and each level's solution lands where the
-finer level reads it.  T multiplies the whole stack as three 1-d
-products over the flat layout, with its bands tiled once per call and zero
-across block edges, and the norms are sums of squares over the float view
+finer level reads it.  T multiplies the n rows of every block at once
+through band_matvec, and the norms are sums of squares over the float view
 of the iterate.  Every shift starts from the same vector, a Weyl sequence: a
 smooth start is nearly orthogonal to the odd levels of a symmetric well,
 which then take 2 to 3 more iterations.
@@ -46,7 +45,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, DomainError, SingularPivotError
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, band_matvec
 
 _EPS = float(np.finfo(np.float64).eps)
 _SAFMIN = float(np.finfo(np.float64).tiny)
@@ -394,9 +393,9 @@ def stacked_inverse_iteration(
     shift, and the iterate stays in the solve's layout: row k of its
     (K, 2^m) view is shift k's block.  Every block starts from
     _start_vector.  Norms, Rayleigh values and residuals are one row-wise
-    reduction each over that view, and T multiplies the flat stack through
-    its bands tiled once per call, zero across block edges and on pad rows,
-    so each block meets the arithmetic it would meet alone.
+    reduction each over that view, and T multiplies the n rows of each block
+    through band_matvec, so each block meets the arithmetic it would meet
+    alone.
 
     Each shift is fixed, with at most one refresh: after an iteration, a
     block whose refresh has not been tried and that _refresh_pays moves its
@@ -429,18 +428,13 @@ def stacked_inverse_iteration(
     n, count = diag.size, shifts.size
     width = 1 << n.bit_length()
     stacked = count * width
-    dtype = np.result_type(sub, diag, sup)
-    # T's bands tiled over the stack, zero across block edges and on pad
-    # rows: row i of the flat layout couples to row i - 1 through lower[i - 1]
-    # and to row i + 1 through upper[i]
-    lower, middle, upper = (np.zeros((count, width), dtype) for _ in range(3))
-    lower[:, : n - 1], middle[:, :n], upper[:, : n - 1] = sub, diag, sup
-    lower, middle, upper = lower.reshape(-1)[:-1], middle.reshape(-1), upper.reshape(-1)[:-1]
     # the iterate lives in the plan's right-hand side, in the solve's layout
     plan.rhs[:stacked].reshape(count, width)[:, :n] = _start_vector(n)
     solve_dtype = plan.rhs.dtype
     real = np.finfo(solve_dtype).dtype
-    scratch = np.empty(stacked, dtype=solve_dtype)
+    scratch = np.empty((count, width), dtype=solve_dtype)
+    # T times every block; its pad columns stay zero
+    mv = np.zeros((count, width), dtype=solve_dtype)
     live = np.ones((count, 1), dtype=bool)
     results: List[Optional[EigenResult]] = [None] * count
     # the blocks whose refresh is still to be tried, and every block's
@@ -479,8 +473,7 @@ def stacked_inverse_iteration(
     # an overflow shows as a non-finite norm, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, ITERATION_MAX + 1):
-            flat = plan.rhs[:stacked]
-            blocks = flat.reshape(count, width)
+            blocks = plan.rhs[:stacked].reshape(count, width)
             solution = _cyclic_reduction_solve(plan)[:stacked].reshape(count, width)
             norms = row_norms(solution)
             # a converged block solved for zero: scaling it by one keeps it zero
@@ -491,15 +484,10 @@ def stacked_inverse_iteration(
             # reciprocal, on the real and imaginary parts, which is what
             # numpy's complex division by a real norm computes, minus its cost
             np.multiply(solution.view(real), 1.0 / norms, out=blocks.view(real))
-            # T times every block: three products over the flat layout, in
-            # the order of band_matvec
-            mv = middle * flat
-            mv[:-1] += np.multiply(upper, flat[1:], out=scratch[:-1])
-            mv[1:] += np.multiply(lower, flat[:-1], out=scratch[:-1])
-            mv = mv.reshape(count, width)
+            mv[:, :n] = band_matvec(bands, blocks[:, :n])
             eigenvalues = _row_vdots(blocks, mv)
             # the residual T v - rho v, formed in mv
-            mv -= np.multiply(eigenvalues, blocks, out=scratch.reshape(count, width))
+            mv -= np.multiply(eigenvalues, blocks, out=scratch)
             residuals = row_norms(mv)
             done = live & (residuals <= tol)
             if done.any():

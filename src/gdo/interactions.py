@@ -18,7 +18,9 @@ Every fact that depends on the family is a method of its class:
   (1995) 267); negated(), the coupling -f in the family's own parameters;
 * closed_form_potentials(x, consts), the wells f^2 -/+ hbar f' expanded;
 * level_count(consts), the number of bound lower-partner levels, after the
-  check that the parameters lie in the regime with closed-form levels;
+  check that the parameters lie in the regime with closed-form levels:
+  floor(s) for Morse, UNBOUNDED for linear and cot; the upper partner has
+  one fewer, since its level n is lower level n + 1;
 * epsilon(n, consts), the level eps_n^-, and ladder_constant(n, consts), the
   kappa with (p - i f) phi-_{n+1} = kappa phi+_n in the raw closed forms;
 * real_problem(grid), the real coupling and grid numeric_epsilons

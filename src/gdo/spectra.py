@@ -16,6 +16,13 @@ cot sin^(s+k) w and P^(-s-k,-s-k)(i cot w), because s' + (k-1) = s + k.  Each
 level samples its argument and prefactor once and evaluates the polynomial
 at degrees k and k - 1; linear shares only its Gaussian.
 
+Prefactors are sampled by one rule for every family: each family's factor
+function returns log p, that is (s-k) log z - z/2 for Morse, (s+k) log sin w
+for cot and -xi^2/2 for linear, and the level takes p = exp(log p - max Re
+log p).  The constant cancels in the normalization of the sample, and a
+window far into a wall or a tail, where p itself would over- or underflow,
+samples like any other.
+
 Eigenfunction phases are pinned by the exact first-order ladder relations
 (see each family's ladder_constant), which makes every sampled spinor an
 eigenvector of the assembled two-component matrix up to discretization error.
@@ -78,20 +85,10 @@ class SpinorSample:
     model: str
 
 
-def bound_state_count(spec: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Number of bound lower-partner levels: floor(D/(hbar alpha)) for Morse, else UNBOUNDED.
-
-    The upper partner has one fewer, since its level n is lower level n + 1.
-    ParameterError outside the regime with closed-form levels: linear needs
-    omega > 0, Morse D, A > 0 and cot A > 0 (the family's level_count).
-    """
-    return spec.level_count(consts)
-
-
 def _check_level(spec, n, consts):
     if n < 0:
         raise LevelOutOfRangeError(f"level index must be >= 0, got {n}")
-    count = bound_state_count(spec, consts)
+    count = spec.level_count(consts)
     if n >= count:
         raise LevelOutOfRangeError(f"level {n} out of range: only {count} bound levels")
 
@@ -102,14 +99,6 @@ def epsilon_minus(
     """Decoupled eigenvalue of the lower-partner problem at level n."""
     _check_level(spec, n, consts)
     return spec.epsilon(n, consts)
-
-
-def epsilon_plus(
-    spec: InteractionSpec, n: int, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
-    """Decoupled eigenvalue of the upper-partner problem at level n: epsilon_minus at n + 1."""
-    _check_level(spec, n, consts)
-    return epsilon_minus(spec, n + 1, consts)
 
 
 def dirac_spectrum(
@@ -127,10 +116,10 @@ def dirac_spectrum(
     mc2 = consts.mass * consts.c**2
     lines = [SpectralLine(n=-1, epsilon=0.0, energy_plus=-mc2, energy_minus=-mc2)]
     # pair n holds upper level n, that is lower level n + 1
-    pair_count = bound_state_count(spec, consts) - 1
+    pair_count = spec.level_count(consts) - 1
     n = 0
     while len(lines) < max_levels and n < pair_count:
-        eps = epsilon_plus(spec, n, consts)
+        eps = spec.epsilon(n + 1, consts)
         energy = math.sqrt(mc2 * mc2 + consts.c**2 * eps)
         lines.append(SpectralLine(n=n, epsilon=eps, energy_plus=energy, energy_minus=-energy))
         n += 1
@@ -151,37 +140,24 @@ def spinor_coefficients(
 
 def _morse_factors(spec: MorseInteraction, level: int, x, consts):
     s = spec.s(consts)
-    w = spec.A + 1j * spec.B
-    z = (2.0 * w / (consts.hbar * spec.alpha)) * np.exp(-spec.alpha * x)
-    # arg(z) is constant in x, so the principal power never crosses a cut
-    prefactor = z ** (s - level) * np.exp(-z / 2.0)
-    bad = ~np.isfinite(prefactor)
-    if bad.any():
-        # far left z^(s-k) overflows while e^(-z/2) underflows (inf * 0); their
-        # product is taken in log space at those points only, so no finite
-        # sample moves
-        zb = z[bad]
-        prefactor[bad] = np.exp((s - level) * np.log(zb) - zb / 2.0)
-        if not np.isfinite(prefactor).all():
-            # beyond the float range even so (a deep well): the whole
-            # prefactor is taken relative to its largest modulus, a constant
-            # factor that the normalization removes
-            log_p = (s - level) * np.log(z) - z / 2.0
-            prefactor = np.exp(log_p - log_p.real.max())
+    scale = 2.0 * (spec.A + 1j * spec.B) / (consts.hbar * spec.alpha)
+    z = scale * np.exp(-spec.alpha * x)
+    # arg z = arg scale at every x, so log z = log scale - alpha x on the principal branch
+    log_prefactor = (s - level) * (np.log(scale) - spec.alpha * x) - z / 2.0
     if level == 0:
-        return prefactor, []
-    return prefactor, [laguerre(n, 2 * s - 2 * level, z) for n in (level, level - 1)]
+        return log_prefactor, []
+    return log_prefactor, [laguerre(n, 2 * s - 2 * level, z) for n in (level, level - 1)]
 
 
 def _cot_factors(spec: CotInteraction, level: int, x, consts):
     s = spec.s(consts)
     w, sw = spec.sine(x, "cot eigenfunction sampled at a pole")
-    # (sin w)^(s+k) stays on one branch while Re(sin w) > 0, i.e. inside one period
-    prefactor = sw ** (s + level)
+    # log sin w stays on one branch while Re(sin w) > 0, i.e. inside one period
+    log_prefactor = (s + level) * np.log(sw)
     if level == 0:
-        return prefactor, []
+        return log_prefactor, []
     y = 1j * np.cos(w) / sw
-    return prefactor, [jacobi_any(n, -s - level, -s - level, y) for n in (level, level - 1)]
+    return log_prefactor, [jacobi_any(n, -s - level, -s - level, y) for n in (level, level - 1)]
 
 
 def _linear_factors(spec: LinearInteraction, level: int, x, consts):
@@ -195,11 +171,11 @@ def _linear_factors(spec: LinearInteraction, level: int, x, consts):
         k, odd = divmod(n, 2)
         h_n = (-4.0) ** k * math.factorial(k) * laguerre(k, odd - 0.5, xi2)
         hermite.append(2.0 * xi * h_n if odd else h_n)
-    return np.exp(-0.5 * xi2), hermite
+    return -0.5 * xi2, hermite
 
 
-# the closed-form level functions by family kind; their polynomials go
-# through this module's laguerre and jacobi_any
+# the closed-form level functions by family kind: (log prefactor,
+# polynomials); the polynomials go through this module's laguerre and jacobi_any
 _FACTORS = {"morse": _morse_factors, "cot": _cot_factors, "linear": _linear_factors}
 
 
@@ -207,15 +183,16 @@ def _partner_functions(spec: InteractionSpec, level: int, x, consts) -> list:
     """[lower-partner function at level, upper-partner function at level - 1], unnormalized.
 
     Both are one prefactor times a polynomial of degree level and level - 1
-    (see the module docstring).  At level 0, the singlet, the list holds the
-    lower function alone.  Overflow is left to the caller's np.errstate.
+    (see the module docstring); the prefactor is taken relative to its
+    largest modulus on x.  At level 0, the singlet, the list holds the lower
+    function alone.  Overflow is left to the caller's np.errstate.
     """
     _check_level(spec, level, consts)
-    prefactor, polynomials = _FACTORS[spec.kind](spec, level, x, consts)
+    log_prefactor, polynomials = _FACTORS[spec.kind](spec, level, x, consts)
+    prefactor = np.exp(log_prefactor - log_prefactor.real.max())
     if not polynomials:
         # the degree-0 polynomial is 1; the complex product with 1 + 0j keeps
-        # the signs of zero parts, and the nan of an infinite point, that a
-        # product with its array of ones gives
+        # the signs of zero parts that a product with its array of ones gives
         return [prefactor * (1 + 0j)]
     return [prefactor * polynomial for polynomial in polynomials]
 
@@ -252,8 +229,8 @@ def analytic_spinor(
     mc2 = consts.mass * consts.c**2
     if level != -1 and level < 1:
         raise LevelOutOfRangeError(f"spinor levels are -1 (singlet) or >= 1, got {level}")
-    # a sample beyond the float range overflows on its way to the norm, which
-    # _checked_norm then refuses as inf or nan: the overflow itself is no news
+    # where z or a polynomial overflows, far into a Morse wall, the sample
+    # reads nan, which _checked_norm refuses: the overflow itself is no news
     with np.errstate(over="ignore", invalid="ignore"):
         if level == -1:
             (phi0,) = _partner_functions(spec, 0, x, consts)

@@ -405,13 +405,11 @@ def test_wavefunction_x_column_keeps_the_sign_of_a_zero_endpoint(tmp_path):
     assert last == ["0", "-0", "0"]
 
 
-def test_wide_left_morse_window_writes_finite_normalized_levels(tmp_path, capsys):
-    # at D = 40 and x_min = -40, z^(s-n) overflows where e^(-z/2) underflows
-    path = _write(tmp_path, {
-        "interaction": {"kind": "morse", "D": 40.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
-        "grid": {"x_min": -40.0, "x_max": 20.0, "n_points": 4000},
-    })
-    for level in (-1, 1):
+def _assert_levels_sample(tmp_path, capsys, config, levels):
+    # each level exits 0 with warnings raised as errors, and writes finite
+    # samples of grid norm 1; nothing reaches stderr
+    path = _write(tmp_path, config)
+    for level in levels:
         out = tmp_path / f"wavefunction_{level}.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -421,43 +419,56 @@ def test_wide_left_morse_window_writes_finite_normalized_levels(tmp_path, capsys
         h = (table[-1, 0] - table[0, 0]) / (len(table) - 1)
         assert h * np.sum(table[:, 1:] ** 2) == pytest.approx(1.0, abs=1e-12)
     assert capsys.readouterr().err == ""
+
+
+def test_wide_left_morse_window_writes_finite_normalized_levels(tmp_path, capsys):
+    # at D = 40 and x_min = -40, z^(s-n) overflows where e^(-z/2) underflows
+    _assert_levels_sample(tmp_path, capsys, {
+        "interaction": {"kind": "morse", "D": 40.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
+        "grid": {"x_min": -40.0, "x_max": 20.0, "n_points": 4000},
+    }, (-1, 1))
 
 
 def test_deep_morse_well_is_sampled_relative_to_its_largest_value(tmp_path, capsys):
     # at s = 400 the unnormalized prefactor z^(s-k) e^(-z/2) peaks near e^2318
-    # (x = -5.99), so even its log-space product overflows; taken relative to
-    # its largest value it normalizes like any other level
-    path = _write(tmp_path, {
+    # (x = -5.99), beyond the float range; taken relative to its largest
+    # value it normalizes like any other level
+    _assert_levels_sample(tmp_path, capsys, {
         "interaction": {"kind": "morse", "D": 400.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
         "grid": {"x_min": -6.0, "x_max": 20.0, "n_points": 4000},
-    })
-    for level in (-1, 3):
-        out = tmp_path / f"wavefunction_{level}.csv"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["wavefunction", "--config", str(path), "--out", str(out), "--level", str(level)]) == EXIT_OK
-        table = np.loadtxt(out, delimiter=",", skiprows=1)
-        assert np.isfinite(table).all()
-        h = (table[-1, 0] - table[0, 0]) / (len(table) - 1)
-        assert h * np.sum(table[:, 1:] ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert capsys.readouterr().err == ""
+    }, (-1, 3))
+
+
+@pytest.mark.parametrize(
+    "interaction, window, levels",
+    [
+        # s = 400 on [600, 700]: z is about e^-600, so z^(s-k) alone is 0 at every point
+        ({"kind": "morse", "D": 400.0, "A": 1.0, "B": 0.5, "alpha": 1.0}, (600.0, 700.0), (-1, 3)),
+        # the shipped Morse coupling, far right of its well
+        (_morse()["interaction"], (800.0, 900.0), (-1, 1)),
+        # exp(-xi^2/2) alone is 0 at every point beyond xi = 38.6
+        ({"kind": "linear", "omega": 1.0}, (40.0, 60.0), (-1, 3)),
+    ],
+    ids=["deep-morse-right", "morse-right", "linear-far"],
+)
+def test_far_window_is_sampled_relative_to_its_largest_value(tmp_path, capsys, interaction, window, levels):
+    # the tail's prefactor underflows everywhere on the window, its logarithm does not
+    grid = {"x_min": window[0], "x_max": window[1], "n_points": 4000}
+    _assert_levels_sample(tmp_path, capsys, {"interaction": interaction, "grid": grid}, levels)
 
 
 def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
-    # at s = 400 on [600, 700], z is about e^-600 and z^(s-k) underflows to 0
-    # at every point, so no scale can recover the state; the one line on
-    # stderr is the ParameterError, with no numpy warning before it
-    path = _write(tmp_path, {
-        "interaction": {"kind": "morse", "D": 400.0, "A": 1.0, "B": 0.5, "alpha": 1.0},
-        "grid": {"x_min": 600.0, "x_max": 700.0, "n_points": 4000},
-    })
+    # at x_min = -800, exp(-alpha x) and so z itself overflow, and no scale
+    # can recover the state; the one line on stderr is the ParameterError,
+    # with no numpy warning before it
+    path = _write(tmp_path, dict(_morse(), grid={"x_min": -800.0, "x_max": 20.0, "n_points": 4000}))
     out = tmp_path / "wavefunction.csv"
-    for level in (-1, 3):
+    for level in (-1, 1):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["wavefunction", "--config", str(path), "--out", str(out), "--level", str(level)])
         assert code == EXIT_FAILED
-        assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm 0.0 on this grid"]
+        assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm nan on this grid"]
         assert not out.exists()
 
 

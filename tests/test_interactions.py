@@ -14,7 +14,6 @@ from gdo import (
     ParameterError,
     PhysicalConstants,
     PoleError,
-    bound_state_count,
     check_pseudo_hermiticity_condition,
     default_condition_grid,
     epsilon_minus,
@@ -277,7 +276,7 @@ class TestValidation:
         assert spec == LinearInteraction(omega=2.0).negated()
         assert eval_f(spec, 1.5) == pytest.approx(-3.0)
         with pytest.raises(ParameterError, match="linear levels need omega > 0"):
-            bound_state_count(spec)
+            spec.level_count(DEFAULT_CONSTANTS)
         with pytest.raises(ParameterError, match="linear levels need omega > 0"):
             epsilon_minus(spec, 0)
         with pytest.raises(ParameterError, match="'omega' must be finite"):

@@ -1,10 +1,14 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdo import (
+    DEFAULT_CONSTANTS,
     BranchError,
     CotInteraction,
     Grid,
@@ -17,11 +21,9 @@ from gdo import (
     analytic_spinor,
     assemble_dirac,
     assemble_schrodinger,
-    bound_state_count,
     closed_form_potentials,
     dirac_spectrum,
     epsilon_minus,
-    epsilon_plus,
     load_config,
     spinor_coefficients,
 )
@@ -40,12 +42,14 @@ class TestLevels:
         assert [epsilon_minus(cot_spec, n) for n in range(4)] == [0.0, 3.0, 8.0, 15.0]
 
     def test_plus_equals_shifted_minus(self, morse_spec, cot_spec):
-        assert epsilon_plus(morse_spec, 0) == epsilon_minus(morse_spec, 1)
-        for n in range(6):
-            assert epsilon_plus(cot_spec, n) == epsilon_minus(cot_spec, n + 1)
+        # spectrum pair n holds the upper-partner level n, which is lower level n + 1
+        def plus_levels(spec, count):
+            return [line.epsilon for line in dirac_spectrum(spec, max_levels=count + 1)[1:]]
+
+        assert plus_levels(morse_spec, 1) == [epsilon_minus(morse_spec, 1)]
+        assert plus_levels(cot_spec, 6) == [epsilon_minus(cot_spec, n + 1) for n in range(6)]
         lin = LinearInteraction(omega=1.3)
-        for n in range(6):
-            assert epsilon_plus(lin, n) == epsilon_minus(lin, n + 1)
+        assert plus_levels(lin, 6) == [epsilon_minus(lin, n + 1) for n in range(6)]
 
     def test_linear_levels(self):
         lin = LinearInteraction(omega=2.0)
@@ -54,15 +58,16 @@ class TestLevels:
 
     def test_bound_counts(self, morse_spec, cot_spec):
         # lower-partner levels only: floor(D/(hbar alpha)) = floor(2.5) for Morse
-        assert bound_state_count(morse_spec) == 2
-        assert bound_state_count(cot_spec) is UNBOUNDED
-        assert bound_state_count(LinearInteraction(omega=1.0)) is UNBOUNDED
+        assert morse_spec.level_count(DEFAULT_CONSTANTS) == 2
+        assert cot_spec.level_count(DEFAULT_CONSTANTS) is UNBOUNDED
+        assert LinearInteraction(omega=1.0).level_count(DEFAULT_CONSTANTS) is UNBOUNDED
 
     def test_morse_level_range_enforced(self, morse_spec):
         with pytest.raises(LevelOutOfRangeError):
             epsilon_minus(morse_spec, 2)
         with pytest.raises(LevelOutOfRangeError):
-            epsilon_plus(morse_spec, 1)
+            # the upper partner's level 1 is the second component of spinor level 2
+            _partner_functions(morse_spec, 2, np.zeros(3), DEFAULT_CONSTANTS)
 
     def test_negated_morse_rejected(self, morse_spec):
         with pytest.raises(ParameterError):
@@ -73,7 +78,7 @@ class TestLevels:
         # and the singlet sin^{-1}(w) would blow up at the poles
         spec = CotInteraction(A=-1.0, alpha=1.0, b=0.3)
         for call in (
-            lambda: bound_state_count(spec),
+            lambda: spec.level_count(DEFAULT_CONSTANTS),
             lambda: epsilon_minus(spec, 1),
             lambda: analytic_spinor(spec, -1, Grid(0.5, 2.5, 11)),
         ):
@@ -218,7 +223,7 @@ class TestAnalyticPhi:
         op = assemble_schrodinger(v, grid)
         phi = analytic_phi(spec, branch, n, grid)
         rq = rayleigh_quotient(op, phi)
-        expected = epsilon_minus(spec, n) if branch == "minus" else epsilon_plus(spec, n)
+        expected = epsilon_minus(spec, n if branch == "minus" else n + 1)
         assert rq.real == pytest.approx(expected, abs=5e-3)
         assert abs(rq.imag) <= 1e-9
 
@@ -342,13 +347,17 @@ _SHARED_PAIR_CASES = [
 )
 def test_shared_pair_matches_the_per_partner_route(spec, consts, grid):
     # a level's two components share one prefactor; the oracle samples the
-    # upper one as the lower-partner function of upper_partner(spec)
+    # upper one as the lower-partner function of upper_partner(spec).  The
+    # shared prefactor is taken relative to its largest value, so the pair
+    # matches the oracle's up to one constant, fitted on the lower component
     x, h = grid.points, grid.spacing
     mc2 = consts.mass * consts.c**2
     for level in range(1, 5):
         lower = phi_raw(spec, "minus", level, x, consts)
         upper = phi_raw(spec, "plus", level - 1, x, consts)
-        for got, want in zip(_partner_functions(spec, level, x, consts), (lower, upper)):
+        pair = _partner_functions(spec, level, x, consts)
+        scale = np.vdot(lower, pair[0]) / np.vdot(lower, lower)
+        for got, want in zip(pair, (scale * lower, scale * upper)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         energy = math.sqrt(mc2 * mc2 + consts.c**2 * epsilon_minus(spec, level, consts))
         coupled = consts.c * spec.ladder_constant(level - 1, consts) * upper
@@ -357,3 +366,49 @@ def test_shared_pair_matches_the_per_partner_route(spec, consts, grid):
             sample = analytic_spinor(spec, level, grid, consts, model=model)
             for got, want in zip((sample.psi1, sample.psi2), pair):
                 assert np.max(np.abs(got - want / norm)) <= 1e-13 * np.max(np.abs(want / norm))
+
+
+@st.composite
+def _far_windows(draw):
+    # a coupling and a window shifted away from its well: the Morse right
+    # tail, the far side of the linear well, or anywhere inside one cot period
+    def unit(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    kind = draw(st.sampled_from(["morse", "linear", "cot"]))
+    if kind == "morse":
+        spec = MorseInteraction(D=unit(0.5, 400.0), A=unit(0.1, 3.0), B=unit(-3.0, 3.0), alpha=unit(0.3, 3.0))
+        # starting up to 1200 decay lengths right of the well
+        start = unit(0.0, 1200.0) / spec.alpha
+        return spec, Grid(start, start + unit(2.0, 100.0) / spec.alpha, 201)
+    if kind == "linear":
+        spec = LinearInteraction(omega=unit(0.2, 5.0))
+        # 5 to 100 oscillator lengths from the origin, on either side
+        length = 1.0 / math.sqrt(spec.omega)
+        near, far = unit(5.0, 100.0) * length, unit(2.0, 50.0) * length
+        if draw(st.booleans()):
+            return spec, Grid(near, near + far, 201)
+        return spec, Grid(-near - far, -near, 201)
+    spec = CotInteraction(A=unit(0.3, 6.0), alpha=unit(0.3, 3.0), a=unit(-1.0, 1.0), b=unit(0.0, 1.5))
+    # a sub-window of the period (a/alpha, (a + pi)/alpha), clear of its poles
+    start = unit(1e-3, 0.9)
+    stop = start + unit(0.05, 1.0) * (0.999 - start)
+    return spec, Grid((spec.a + math.pi * start) / spec.alpha, (spec.a + math.pi * stop) / spec.alpha, 201)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(window=_far_windows(), level=st.sampled_from([-1, 1, 2, 3]), model=st.sampled_from(["GDO", "GJC"]))
+def test_far_windows_sample_finite_levels_or_raise_a_named_error(window, level, model):
+    # every drawn level is representable on its window once its prefactor is
+    # taken relative to its largest value, so the one named error is a level
+    # the closed form does not have
+    spec, grid = window
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sample = analytic_spinor(spec, level, grid, model=model)
+        except LevelOutOfRangeError:
+            return
+    assert np.isfinite(sample.psi1).all() and np.isfinite(sample.psi2).all()
+    total = np.sum(np.abs(sample.psi1) ** 2 + np.abs(sample.psi2) ** 2) * grid.spacing
+    assert total == pytest.approx(1.0, abs=1e-12)
