@@ -5,8 +5,12 @@ failed, 2 the input could not be understood or the artifact could not be
 written.  GDO_LOG in {quiet, info, debug} sets the level of the gdo logger,
 whose diagnostics go to stderr, on every call of main; unset, the logger
 keeps the level it has (WARNING in a fresh process).  Artifact bytes are
-deterministic for a given configuration.  Every float in a wavefunction CSV
-is the exact text of "%.17g" % v, which round-trips each float64 bit for bit.
+deterministic for a given configuration on one numpy version and one CPU
+dispatch level: numpy chooses its SIMD loops (exp, log, sin, the reductions)
+from the CPU features it finds, and two such paths can differ in the last
+bit of a value, so identical bytes across hosts need the same numpy and the
+same enabled features.  Every float in a wavefunction CSV is the exact text
+of "%.17g" % v, which round-trips each float64 bit for bit.
 """
 
 from __future__ import annotations

@@ -100,8 +100,8 @@ class Grid:
 class InteractionSpec:
     """Base of the coupling families, each a frozen dataclass of float parameters.
 
-    Every parameter must be finite, and alpha, where the family has one,
-    positive.  Each family defines the methods listed in the module
+    Every parameter must be real and finite, and alpha, where the family
+    has one, positive.  Each family defines the methods listed in the module
     docstring.  The base is no dataclass, since gdo.config builds any
     dataclass hint from its fields and this one stands for three families.
     """
@@ -110,7 +110,11 @@ class InteractionSpec:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            if not np.isfinite(getattr(self, field.name)):
+            value = getattr(self, field.name)
+            # no family's closed forms take a complex parameter
+            if isinstance(value, (complex, np.complexfloating)):
+                raise ParameterError(f"{self.kind} parameter {field.name!r} must be real, got {value}")
+            if not math.isfinite(value):
                 raise ParameterError(f"{self.kind} parameter {field.name!r} must be finite")
         if getattr(self, "alpha", 1.0) <= 0:
             raise ParameterError(f"{self.kind} coupling needs alpha > 0, got {self.alpha}")

@@ -21,7 +21,9 @@ function returns log p, that is (s-k) log z - z/2 for Morse, (s+k) log sin w
 for cot and -xi^2/2 for linear, and the level takes p = exp(log p - max Re
 log p).  The constant cancels in the normalization of the sample, and a
 window far into a wall or a tail, where p itself would over- or underflow,
-samples like any other.
+samples like any other; where p underflows to 0 the level is 0, even if its
+polynomial overflows there.  A Morse window so far into the wall that z
+itself overflows is refused by name.
 
 Eigenfunction phases are pinned by the exact first-order ladder relations
 (see each family's ladder_constant), which makes every sampled spinor an
@@ -142,6 +144,12 @@ def _morse_factors(spec: MorseInteraction, level: int, x, consts):
     s = spec.s(consts)
     scale = 2.0 * (spec.A + 1j * spec.B) / (consts.hbar * spec.alpha)
     z = scale * np.exp(-spec.alpha * x)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ParameterError(
+            f"morse z = 2(A + iB) e^(-alpha x)/(hbar alpha) overflows on this window "
+            f"for x <= {np.max(x[~finite]):.6g}; narrow the grid window"
+        )
     # arg z = arg scale at every x, so log z = log scale - alpha x on the principal branch
     log_prefactor = (s - level) * (np.log(scale) - spec.alpha * x) - z / 2.0
     if level == 0:
@@ -194,7 +202,14 @@ def _partner_functions(spec: InteractionSpec, level: int, x, consts) -> list:
         # the degree-0 polynomial is 1; the complex product with 1 + 0j keeps
         # the signs of zero parts that a product with its array of ones gives
         return [prefactor * (1 + 0j)]
-    return [prefactor * polynomial for polynomial in polynomials]
+    parts = [prefactor * polynomial for polynomial in polynomials]
+    # far into a wall a polynomial can overflow where the prefactor is 0,
+    # and 0 * inf = nan there stands for a function that is 0
+    zero = prefactor == 0
+    if zero.any():
+        for part in parts:
+            part[zero & np.isnan(part)] = 0
+    return parts
 
 
 def _checked_norm(norm: float) -> float:
@@ -229,8 +244,9 @@ def analytic_spinor(
     mc2 = consts.mass * consts.c**2
     if level != -1 and level < 1:
         raise LevelOutOfRangeError(f"spinor levels are -1 (singlet) or >= 1, got {level}")
-    # where z or a polynomial overflows, far into a Morse wall, the sample
-    # reads nan, which _checked_norm refuses: the overflow itself is no news
+    # exp(-alpha x) overflows far into a Morse wall, where _morse_factors
+    # refuses the window by name; any other overflow reads nan in the
+    # sample, which _checked_norm refuses, so the warning is no news
     with np.errstate(over="ignore", invalid="ignore"):
         if level == -1:
             (phi0,) = _partner_functions(spec, 0, x, consts)

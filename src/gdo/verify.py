@@ -10,12 +10,14 @@ s > 1/2.  For s < 1/2 the Dirichlet lattice converges to the Friedrichs
 extension, whose levels are the closed form with s replaced by 1 - s, so the
 deviation does not fall with h (Reed & Simon II, sec. X.1).  The lowest
 levels are found by inverse iteration seeded at the closed-form levels, all
-of them in one stacked real solve, and each one is certified by a residual
-bound and a Sturm count that does not use the seed; if that solve breaks
-down, or any level stalls or fails its certificate, all of them come from
-Sturm bisection instead.  real_line_probe probes the real-line complex
-matrix by inverse iteration, one shift per call, and gates nothing, since
-its boundary conditions are a modeling choice.
+of them in one stacked real solve that stops once Temple's bound can certify
+each value to about eps ||T||, and they are certified together by Sturm
+counts at boundaries between their Rayleigh values, which do not use the
+seeds; if that solve breaks down, or any level stalls or fails its
+certificate, all of them come from Sturm bisection instead.
+real_line_probe probes the real-line complex matrix by inverse iteration,
+one shift per call, and gates nothing, since its boundary conditions are a
+modeling choice.
 
 Shape invariance is checked on the wells built from f and f': V+ of the
 coupling minus V- of its upper_partner, the map the closed forms take
@@ -50,9 +52,10 @@ from .config import RunConfig
 from .eigensolve import (
     ITERATION_TOL,
     bisection_tolerance,
+    certify_levels,
     inverse_iteration,
+    level_boundaries,
     stacked_inverse_iteration,
-    sturm_window_counts,
     symtridiag_eigenvalues,
 )
 from .errors import DimensionError, GdoError, LevelOutOfRangeError, ResolutionError
@@ -166,19 +169,24 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     """Lowest len(seeds) eigenvalues of a real symmetric tridiagonal T, ascending.
 
     Level k starts inverse iteration at seeds[k], which gives a Rayleigh
-    value lam_k and the residual r_k = ||T v - lam_k v|| of its unit vector
-    v; every level comes from one stacked_inverse_iteration call, in float64.
-    Some eigenvalue lies within r_k of lam_k (Kahan's bound; Parlett, The
-    Symmetric Eigenvalue Problem, ch. 4), and one Sturm pass certifies it as
-    the k-th: exactly k eigenvalues lie at or below lam_k - rho_k and k + 1
-    at or below lam_k + rho_k, with rho_k = max(r_k, 4 atol) as in
-    sturm_window_counts.  The certificate does not use the seeds, so a wrong
-    seed costs time, never a wrong level.  If the stacked factorization
-    breaks down, a level stalls above the tolerance or any level fails its
-    certificate, every level comes from symtridiag_eigenvalues, so the values
-    are never a mix of the two routes.  Each level's route goes to the log at
-    INFO level, with the shift its factorization ended at (the seed, or the
-    Rayleigh value of a refresh) and the failure that sent a level to
+    value rho_k and the residual r_k = ||T v - rho_k v|| of its unit vector
+    v; every level comes from one stacked_inverse_iteration call, in
+    float64, and certify_levels certifies them from one Sturm pass at K + 1
+    boundaries.  Temple's bound makes the radius of a level r_k^2 / delta_k
+    for an interval of half-width delta_k, so the iteration stops at the
+    residual tau of stopping_residual, max(ITERATION_TOL, sqrt(atol delta /
+    2)), where atol is the bisection tolerance eps ||T|| and delta the
+    smallest distance from a seed to the boundaries the seeds imply: once
+    the values sit where the seeds do, a residual of tau bounds each value's
+    error by about atol / 2, below the radius floor of 4 atol.  One level
+    keeps ITERATION_TOL and its window rho -+ max(r, 4 atol).  The
+    certificate does not use the seeds, so a wrong seed costs time, never a
+    wrong level.  If the stacked factorization breaks down, a level stalls
+    above tau or any level fails its certificate, every level comes from
+    symtridiag_eigenvalues, so the values are never a mix of the two routes.
+    Each level's route goes to the log at INFO level, with the shift its
+    factorization ended at (the seed, or the Rayleigh value of a refresh),
+    the radius of a certified level and the failure that sent a level to
     bisection.
     """
     d = np.asarray(diag, dtype=np.float64)
@@ -186,8 +194,9 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     count = len(seeds)
     if count > d.size:
         raise DimensionError(f"requested {count} eigenvalues of a {d.size}x{d.size} matrix")
-    results = stacked_inverse_iteration((e, d, e), np.asarray(seeds, dtype=np.float64))
-    radius = []
+    shifts = np.asarray(seeds, dtype=np.float64)
+    results = stacked_inverse_iteration((e, d, e), shifts, stopping_residual(d, e, shifts))
+    radius = None
     if results is None:
         results, failures = [], dict.fromkeys(range(count), "stacked factorization broke down")
     else:
@@ -197,13 +206,9 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
             if not r.converged
         }
     if results and not failures:
-        rho, lower, upper = sturm_window_counts(
+        radius, failures = certify_levels(
             d, e, [r.eigenvalue.real for r in results], [r.residual_norm for r in results]
         )
-        radius = rho.tolist()
-        for level, (lo, hi) in enumerate(zip(lower.tolist(), upper.tolist())):
-            if (lo, hi) != (level, level + 1):
-                failures[level] = f"Sturm counts {lo} and {hi}, expected {level} and {level + 1}"
     if failures:
         values = symtridiag_eigenvalues(d, e, count=count)
     else:
@@ -217,12 +222,25 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
                 level, d.size, seed,
                 f"{results[level].shift.real:.10g}" if level < len(results) else "-",
                 value,
-                f"{radius[level]:.2e}" if level < len(radius) else "-",
+                f"{radius[level]:.2e}" if radius and not failures else "-",
                 results[level].iterations if level < len(results) else "-",
                 route,
                 f" ({failures[level]})" if level in failures else "",
             )
     return values
+
+
+def stopping_residual(diag, offdiag, seeds) -> float:
+    """The residual at which seeded_eigenvalues stops: max(ITERATION_TOL, sqrt(atol delta / 2)).
+
+    atol is the bisection tolerance of T and delta the smallest distance
+    from a seed to the boundaries the seeds imply (level_boundaries); one
+    seed keeps ITERATION_TOL.
+    """
+    if len(seeds) < 2:
+        return ITERATION_TOL
+    nearest = float(np.min(level_boundaries(seeds)[1]))
+    return max(ITERATION_TOL, math.sqrt(bisection_tolerance(diag, offdiag) * max(nearest, 0.0) / 2.0))
 
 
 def real_line_probe(

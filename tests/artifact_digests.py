@@ -12,6 +12,10 @@ Each line reads "<config> <command> exit=<code> sha256=<digest>", with "-"
 for the digest when the command wrote no artifact.  The artifacts go to a
 temporary directory that is removed afterwards; the gdo sources used are the
 ones of the checkout the script sits in.
+
+The bytes are identical for one numpy version on one CPU dispatch level
+(see tests/host.py), so a header line names both before the 280 lines:
+compare two lists only when their headers match.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import config_cycles  # noqa: E402  (puts ROOT/src on sys.path)
 
 import gdo.cli  # noqa: E402
+from host import dispatch_header  # noqa: E402
 
 SEED = 7
 CYCLES = 4
@@ -59,6 +64,7 @@ def configs(work_dir: Path):
 
 
 def main() -> int:
+    print(dispatch_header())
     with tempfile.TemporaryDirectory() as tmp:
         work_dir = Path(tmp)
         for name, path in configs(work_dir):

@@ -14,6 +14,15 @@ alone.  Run it on two checkouts to compare them:
 
     python tests/check_times.py --seed 7 --cycles 8 --rounds 5
 
+A third table gives the two eigenvalue kernels of each verify, timed by
+wrappers around gdo.verify.stacked_inverse_iteration and
+gdo.eigensolve._sturm_counts and summed per verify.  With --json PATH the
+medians of all three tables go to PATH as well, with the host they were
+measured on (tests/host.py: CPU model, nproc, numpy version, the CPU
+features numpy enabled, git commit):
+
+    python tests/check_times.py --seed 7 --cycles 8 --rounds 3 --json times.json
+
 It is a script, not a test; its numbers depend on the host.  The gdo
 sources used are the ones of the checkout the script sits in.
 """
@@ -30,6 +39,7 @@ import sys
 import tempfile
 from collections import defaultdict
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -41,16 +51,29 @@ from perfbench.workloads import (  # noqa: E402  (puts ROOT/src on sys.path)
 )
 
 import gdo.cli  # noqa: E402
+import gdo.eigensolve  # noqa: E402
+import gdo.verify  # noqa: E402
+from host import host_facts  # noqa: E402
 
 FAMILIES = ("morse", "cot")
+# (module, name) of each timed kernel; the Sturm counts are looked up in
+# gdo.eigensolve by the certificate and by bisection alike
+KERNELS = {
+    "stacked_inverse_iteration": (gdo.verify, "stacked_inverse_iteration"),
+    "sturm_counts": (gdo.eigensolve, "_sturm_counts"),
+}
 
 
 class _Times(logging.Handler):
-    """Keeps (name, ms) of every per-check line of verify_all and (stage, ms) of every wavefunction line."""
+    """Keeps (name, ms) of every per-check line of verify_all and (stage, ms) of every wavefunction line.
+
+    The timed kernels add their (name, ms) through timed().
+    """
 
     def __init__(self):
         super().__init__(logging.INFO)
         self.times = []
+        self.kernels = []
 
     def emit(self, record):
         if record.msg.startswith("check "):
@@ -60,11 +83,21 @@ class _Times(logging.Handler):
             # level, model, n, sample ms, format ms, write ms
             self.times += [("sample", record.args[3]), ("format", record.args[4]), ("write", record.args[5])]
 
+    def timed(self, name, function):
+        def wrapper(*args, **kwargs):
+            start = perf_counter()
+            result = function(*args, **kwargs)
+            self.kernels.append((name, 1e3 * (perf_counter() - start)))
+            return result
+
+        return wrapper
+
 
 def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
     """{(family, name): [ms, ...]} over ROUNDS runs of commands(config) for each config.
 
-    "total" holds the logged times summed per command.
+    "total" holds the logged times summed per command, and each kernel its
+    calls' times summed per command.
     """
     handler = _Times()
     logger = logging.getLogger("gdo")
@@ -73,6 +106,9 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
     # the handler drops all but the timed lines
     logger.propagate = False
     os.environ["GDO_LOG"] = "info"
+    originals = {name: getattr(module, attr) for name, (module, attr) in KERNELS.items()}
+    for name, (module, attr) in KERNELS.items():
+        setattr(module, attr, handler.timed(name, originals[name]))
     samples = defaultdict(list)
     configs = list(itertools.chain.from_iterable(
         itertools.islice(config_cycles(workload, seed), cycles)
@@ -89,10 +125,17 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
                 family = config["interaction"]["kind"]
                 for argv in commands(config):
                     handler.times.clear()
+                    handler.kernels.clear()
                     gdo.cli.main(argv + ["--config", str(path), "--out", out])
                     for name, ms in handler.times:
                         samples[family, name].append(ms)
                     samples[family, "total"].append(sum(ms for _, ms in handler.times))
+                    for kernel in KERNELS:
+                        samples[family, kernel].append(
+                            sum(ms for name, ms in handler.kernels if name == kernel)
+                        )
+    for name, (module, attr) in KERNELS.items():
+        setattr(module, attr, originals[name])
     logger.removeHandler(handler)
     return samples
 
@@ -110,24 +153,49 @@ def wavefunction_times(seed: int, cycles: int, rounds: int):
     )
 
 
-def _table(samples, label, names):
-    print(f"{label:<24}{'all':>9}" + "".join(f"{family:>9}" for family in FAMILIES))
+def _medians(samples, names):
+    """{name: {"all": ms, "morse": ms, "cot": ms}}, the medians over every config and per family."""
+    table = {}
     for name in names:
-        cells = [samples[family, name] for family in FAMILIES]
-        medians = [statistics.median(values) for values in [sum(cells, [])] + cells]
-        print(f"{name:<24}" + "".join(f"{ms:9.3f}" for ms in medians))
+        cells = {family: samples[family, name] for family in FAMILIES}
+        table[name] = {"all": statistics.median(sum(cells.values(), []))}
+        table[name].update({family: statistics.median(values) for family, values in cells.items()})
+    return table
 
 
-def main() -> int:
+def _print_table(table, label):
+    print(f"{label:<26}{'all':>9}" + "".join(f"{family:>9}" for family in FAMILIES))
+    for name, medians in table.items():
+        print(f"{name:<26}" + "".join(f"{medians[column]:9.3f}" for column in ("all",) + FAMILIES))
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--cycles", type=int, default=8, help="sweep and artifacts cycles, four configs each")
     parser.add_argument("--rounds", type=int, default=5, help="verify and wavefunction runs per config")
-    args = parser.parse_args()
-    print(f"median ms per check, sweep seed={args.seed} cycles={args.cycles} rounds={args.rounds}")
-    _table(check_times(args.seed, args.cycles, args.rounds), "check", VERIFY_CHECKS + ("total",))
-    print(f"median ms per wavefunction CSV, artifacts seed={args.seed} cycles={args.cycles} rounds={args.rounds}")
-    _table(wavefunction_times(args.seed, args.cycles, args.rounds), "stage", ("sample", "format", "write"))
+    parser.add_argument("--json", type=Path, help="also write the medians and the host to this file")
+    args = parser.parse_args(argv)
+    verify = check_times(args.seed, args.cycles, args.rounds)
+    wavefunction = wavefunction_times(args.seed, args.cycles, args.rounds)
+    tables = {
+        "checks": _medians(verify, VERIFY_CHECKS + ("total",)),
+        "kernels": _medians(verify, tuple(KERNELS)),
+        "wavefunction_stages": _medians(wavefunction, ("sample", "format", "write")),
+    }
+    runs = f"seed={args.seed} cycles={args.cycles} rounds={args.rounds}"
+    print(f"median ms per check, sweep {runs}")
+    _print_table(tables["checks"], "check")
+    print(f"median ms per verify in each eigenvalue kernel, sweep {runs}")
+    _print_table(tables["kernels"], "kernel")
+    print(f"median ms per wavefunction CSV, artifacts {runs}")
+    _print_table(tables["wavefunction_stages"], "stage")
+    if args.json is not None:
+        record = {
+            "host": host_facts(), "seed": args.seed, "cycles": args.cycles, "rounds": args.rounds,
+            "unit": "ms", **tables,
+        }
+        args.json.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
 
 

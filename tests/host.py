@@ -1,0 +1,70 @@
+"""The facts about a host that timings and artifact bytes depend on.
+
+Artifact bytes are identical for one numpy version on one CPU dispatch
+level: numpy picks its SIMD loops for exp, log, sin and the reductions from
+the CPU features it finds enabled, and two paths can differ in the last
+bit.  tests/artifact_digests.py prints these facts in a header line and
+tests/check_times.py writes them into its JSON file, so that two lists are
+compared only when they come from the same numpy and dispatch level.
+"""
+
+from __future__ import annotations
+
+import os
+import platform
+import subprocess
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def cpu_features():
+    """The CPU features numpy enabled at import, sorted: its dispatch level."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return sorted(name for name, enabled in __cpu_features__.items() if enabled)
+
+
+def dispatch_header() -> str:
+    """One line naming the numpy version and its CPU dispatch level."""
+    return f"# numpy {np.__version__} cpu_features {','.join(cpu_features())}"
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _git_commit() -> str:
+    try:
+        result = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT, capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return result.stdout.strip()
+
+
+def host_facts() -> dict:
+    """CPU model, usable CPUs, numpy version and dispatch level, and the checkout's git commit.
+
+    The commit carries a "-dirty" suffix when tracked files differ from it.
+    """
+    return {
+        "cpu_model": _cpu_model(),
+        "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "numpy": np.__version__,
+        "cpu_features": cpu_features(),
+        "git_commit": _git_commit(),
+    }

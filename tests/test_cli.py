@@ -459,8 +459,8 @@ def test_far_window_is_sampled_relative_to_its_largest_value(tmp_path, capsys, i
 
 def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
     # at x_min = -800, exp(-alpha x) and so z itself overflow, and no scale
-    # can recover the state; the one line on stderr is the ParameterError,
-    # with no numpy warning before it
+    # can recover the state; the one line on stderr is the ParameterError
+    # that names the overflow, with no numpy warning before it
     path = _write(tmp_path, dict(_morse(), grid={"x_min": -800.0, "x_max": 20.0, "n_points": 4000}))
     out = tmp_path / "wavefunction.csv"
     for level in (-1, 1):
@@ -468,7 +468,10 @@ def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
             warnings.simplefilter("error")
             code = main(["wavefunction", "--config", str(path), "--out", str(out), "--level", str(level)])
         assert code == EXIT_FAILED
-        assert capsys.readouterr().err.splitlines() == ["gdo: cannot normalize a sample of norm nan on this grid"]
+        assert capsys.readouterr().err.splitlines() == [
+            "gdo: morse z = 2(A + iB) e^(-alpha x)/(hbar alpha) overflows on this window "
+            "for x <= -709.162; narrow the grid window"
+        ]
         assert not out.exists()
 
 

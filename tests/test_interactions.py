@@ -281,3 +281,18 @@ class TestValidation:
             epsilon_minus(spec, 0)
         with pytest.raises(ParameterError, match="'omega' must be finite"):
             LinearInteraction(omega=math.inf)
+
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            # outside the paper's class: no real theta conjugates f, and the
+            # first level question used to raise a bare TypeError
+            (lambda: MorseInteraction(D=2.5 + 0.3j, A=1.0, B=0.5, alpha=1.0), "D"),
+            (lambda: LinearInteraction(omega=1.0 + 0.2j), "omega"),
+            (lambda: CotInteraction(A=1.0, alpha=1.0, b=np.complex128(0.3)), "b"),
+        ],
+        ids=["morse-complex-D", "linear-complex-omega", "cot-numpy-complex"],
+    )
+    def test_complex_parameter_is_refused_by_name(self, make, field):
+        with pytest.raises(ParameterError, match=rf"parameter '{field}' must be real, got "):
+            make()

@@ -412,3 +412,23 @@ def test_far_windows_sample_finite_levels_or_raise_a_named_error(window, level, 
     assert np.isfinite(sample.psi1).all() and np.isfinite(sample.psi2).all()
     total = np.sum(np.abs(sample.psi1) ** 2 + np.abs(sample.psi2) ** 2) * grid.spacing
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x_min", [-250.0, -300.0])
+def test_deep_morse_level_whose_polynomial_overflows_in_the_wall(x_min):
+    # D = 400: far into the wall z reaches 1e108 or more, so L_3(z) ~ z^3
+    # overflows where the prefactor is exactly 0, and 0 * inf = nan made the
+    # sample's norm nan.  The level is 0 there, so it is the level sampled on
+    # the part of the window right of x = -20, where nothing overflows
+    spec = MorseInteraction(D=400.0, A=1.0, B=0.5, alpha=1.0)
+    grid = Grid(x_min, 20.0, 4000)
+    cut = int(np.searchsorted(grid.points, -20.0))
+    inner = Grid(float(grid.points[cut]), 20.0, grid.n_points - cut)
+    np.testing.assert_allclose(inner.points, grid.points[cut:], rtol=0, atol=1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample = analytic_spinor(spec, 3, grid)
+        reference = analytic_spinor(spec, 3, inner)
+    for full, part in ((sample.psi1, reference.psi1), (sample.psi2, reference.psi2)):
+        assert not np.any(full[:cut])
+        np.testing.assert_allclose(full[cut:], part, rtol=1e-9, atol=1e-12)

@@ -36,8 +36,9 @@ from gdo import (
 )
 from gdo.eigensolve import (
     _sturm_counts,
+    bisection_tolerance,
+    certify_levels,
     stacked_inverse_iteration,
-    sturm_window_counts,
     symtridiag_eigenvalues,
 )
 from gdo.cli import EXIT_FAILED, main
@@ -47,6 +48,7 @@ from gdo.verify import (
     _shape_invariance_check,
     eigen_deviation,
     seeded_eigenvalues,
+    stopping_residual,
 )
 from oracles import dense
 
@@ -164,10 +166,14 @@ def test_seeded_levels_match_dense_eigenvalues(n, matrix_seed, scale, fractions)
         assert len(spy.calls) == 1
     gaps = np.diff(exact[: count + 1])
     nearest_gap = np.minimum(gaps, np.append(np.inf, gaps[:-1]))
-    if np.all(own <= 0.25 * nearest_gap) and gaps.min() > 1e-6 * norm:
+    # with two levels or more, the top boundary lies a quarter of the
+    # smallest gap between them above the last: the next level must lie beyond
+    top_clear = count == 1 or gaps[-1] > 0.25 * gaps[:-1].min() + 1e-6 * norm
+    if np.all(own <= 0.25 * nearest_gap) and gaps.min() > 1e-6 * norm and top_clear:
         # near seeds are certified unless the stacked factorization breaks
         # down, as it can on a seed at an eigenvalue when a pivot rounds to 0
-        assert len(spy.calls) == (stacked_inverse_iteration((e, d, e), seeds) is None)
+        broke_down = stacked_inverse_iteration((e, d, e), seeds, stopping_residual(d, e, seeds)) is None
+        assert len(spy.calls) == broke_down
 
 
 def _morse_levels(monkeypatch, seed_levels):
@@ -207,10 +213,27 @@ def test_wrong_seed_falls_back_to_bisection(monkeypatch, bisection, caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
     assert len(lines) == 2
     assert all("route=bisection" in line for line in lines)
-    # the log names the failing level and the index its window really held
+    # both levels find level 1, so the three boundaries coincide there and
+    # the log names the count each level's interval really held
     assert lines[0].startswith("level 0 n=4000 seed=4 ")
-    assert lines[0].endswith("(Sturm counts 1 and 2, expected 0 and 1)")
-    assert "Sturm counts" not in lines[1]
+    assert lines[0].endswith("(Sturm counts 1 and 1, expected 0 and 1)")
+    assert lines[1].endswith("(Sturm counts 1 and 1, expected 1 and 2)")
+
+
+def test_unseeded_level_inside_the_top_boundary_falls_back(bisection, caplog):
+    # levels near 0, 1, 1.1 and 5: the seeds find the first two, whose gap
+    # puts the top boundary a quarter of it above level 1, beyond the
+    # unseeded level near 1.1, so the top count is 3 and level 1 fails
+    caplog.set_level(logging.INFO, logger="gdo")
+    d, e = np.array([0.0, 1.0, 1.1, 5.0]), np.full(3, 0.01)
+    values = seeded_eigenvalues(d, e, [0.02, 0.98])
+    assert len(bisection.calls) == 1
+    assert np.array_equal(values, symtridiag_eigenvalues(d, e, count=2))
+    np.testing.assert_allclose(values, _dense(d, e)[:2], rtol=0, atol=1e-14)
+    lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
+    assert len(lines) == 2
+    assert "radius=-" in lines[0] and lines[0].endswith("route=bisection")
+    assert lines[1].endswith("route=bisection (Sturm counts 1 and 3, expected 1 and 2)")
 
 
 def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
@@ -222,11 +245,14 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
     pivmin = float(np.finfo(float).tiny)
     assert _sturm_counts(d, e2, pivmin, np.array([1.0, 3.0])).tolist() == [1, 2]
 
-    rho, lower, upper = sturm_window_counts(d, e, [1.0, 3.0], [0.0, 0.0])
-    assert np.all(rho > 0)
-    assert lower.tolist() == [0, 1] and upper.tolist() == [1, 2]
+    # one level keeps a window of 4 atol; two levels are certified at the
+    # boundaries 0.5, 2 and 3.5, with the rounding floor 4 atol as radius
+    floor = 4.0 * bisection_tolerance(d, e)
+    assert certify_levels(d, e, [1.0], [0.0]) == ([floor], {})
+    assert certify_levels(d, e, [3.0], [0.0]) == ([floor], {0: "Sturm counts 1 and 2, expected 0 and 1"})
+    assert certify_levels(d, e, [1.0, 3.0], [0.0, 0.0]) == ([floor, floor], {})
 
-    def exact_pairs(bands, shifts):
+    def exact_pairs(bands, shifts, tol):
         results = []
         for shift in shifts:
             value = 1.0 if shift < 2.0 else 3.0
@@ -301,8 +327,8 @@ def test_inverse_iteration_error_falls_back(monkeypatch, bisection, caplog):
     caplog.set_level(logging.INFO, logger="gdo")
     real = gdo.verify.stacked_inverse_iteration
 
-    def stalls_on_level_1(bands, shifts):
-        results = real(bands, shifts)
+    def stalls_on_level_1(bands, shifts, tol):
+        results = real(bands, shifts, tol)
         results[1] = dataclasses.replace(
             results[1], residual_norm=2.5e-3, iterations=100, converged=False
         )
@@ -665,7 +691,7 @@ _PINNED_REPORTS = {
         ("potential_closed_form", 0.0, 1e-12, True),
         ("factorization", 0.40894568690095845, 1.0, True),
         ("shape_invariance", 1.0931426704001542e-16, 1e-08, True),
-        ("eigenvalues_numeric", 0.00010417614805927992, 0.001, True),
+        ("eigenvalues_numeric", 0.00010417614806046416, 0.001, True),
         ("spinor_coefficients", 2.220446049250313e-16, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
@@ -676,7 +702,7 @@ _PINNED_REPORTS = {
         ("potential_closed_form", 8.354490551925467e-16, 1e-12, True),
         ("factorization", 0.40061447759306895, 1.0, True),
         ("shape_invariance", 1.6428987882231732e-16, 1e-08, True),
-        ("eigenvalues_numeric", 0.00031019112188549077, 0.001, True),
+        ("eigenvalues_numeric", 0.00031019112186608994, 0.001, True),
         ("spinor_coefficients", 0.0, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
@@ -698,7 +724,7 @@ _PINNED_REPORTS = {
         ("potential_closed_form", 9.906076369394386e-16, 1e-12, True),
         ("factorization", 0.3927924668781066, 1.0, True),
         ("shape_invariance", 1.851419228512405e-16, 1e-08, True),
-        ("eigenvalues_numeric", 0.0009023510930533768, 0.001, True),
+        ("eigenvalues_numeric", 0.0009023510930704159, 0.001, True),
         ("spinor_coefficients", 2.220446049250313e-16, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
@@ -709,7 +735,7 @@ _PINNED_REPORTS = {
         ("potential_closed_form", 1.3697481007220793e-15, 1e-12, True),
         ("factorization", 0.39156797580109787, 1.0, True),
         ("shape_invariance", 9.75677048647413e-16, 1e-08, True),
-        ("eigenvalues_numeric", 1.7385403568711436e-05, 0.001, True),
+        ("eigenvalues_numeric", 1.738540359089685e-05, 0.001, True),
         ("spinor_coefficients", 1.1102230246251565e-16, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
