@@ -4,9 +4,10 @@ These are deliberately self-contained so every closed-form level in the
 package can be cross-checked against an independent numerical route.  The
 lowest levels of a symmetric tridiagonal matrix found some other way
 (inverse-iteration Rayleigh values with their residuals) are certified by
-certify_levels, from Sturm counts at the boundaries of level_boundaries and
-Temple's bound; the lowest levels of a matrix with no such estimate come
-from the bisection of symtridiag_eigenvalues.  Both count eigenvalues with
+certify_levels, from Kahan's residual bound, one Sturm count at the top
+boundary of level_boundaries and Temple's bound; the lowest levels of a
+matrix with no such estimate come from the bisection of
+symtridiag_eigenvalues.  Both count eigenvalues with
 the one stebz loop of _sturm_counts, which stops a shift early in a tail of
 strictly diagonally dominant rows, where no later pivot can turn negative,
 and so counts what a pass over every row counts.
@@ -87,24 +88,36 @@ def _sturm_counts(d, e2, pivmin, shifts):
     that of a full pass, bit for bit.  In a finite-difference Schrodinger
     matrix the slack is the potential, so the tail is the end of the window
     where V exceeds the shift, as in a Morse well or a repulsive cot pole.
+    When the slack of the row before the last is no more than the least
+    shift, no tail holds more than the last row, which a stop would not
+    save, so the slacks are not formed and every shift walks every row: so
+    it is in a cot well with s < 1, whose attractive pole wells end the
+    lattice.
     """
-    # a[i] = |e_i|, the coupling of row i to row i - 1
-    a = np.sqrt(e2)
-    slack = d - a
-    slack[:-1] -= a[1:]
-    row_sums = np.abs(d) + a
-    row_sums[:-1] += a[1:]
-    # non-decreasing: the least slack of rows i, i + 1, ..., n - 1
-    tail_min = np.minimum.accumulate(slack[::-1])[::-1]
-    margin = 8.0 * _EPS * (float(row_sums.max()) + np.abs(shifts)) + 2.0 * pivmin
-    # a NaN threshold sorts last: no tail
-    starts = np.searchsorted(tail_min, shifts + margin, side="right").tolist()
     diagonal, squares = d.tolist(), e2.tolist()
+    n = len(diagonal)
+    if n > 1 and shifts.size and (
+        diagonal[-2] - math.sqrt(squares[-2]) - math.sqrt(squares[-1]) > shifts.min()
+    ):
+        # a[i] = |e_i|, the coupling of row i to row i - 1
+        a = np.sqrt(e2)
+        slack = d - a
+        slack[:-1] -= a[1:]
+        row_sums = np.abs(d) + a
+        row_sums[:-1] += a[1:]
+        # non-decreasing: the least slack of rows i, i + 1, ..., n - 1
+        tail_min = np.minimum.accumulate(slack[::-1])[::-1]
+        margin = 8.0 * _EPS * (float(row_sums.max()) + np.abs(shifts)) + 2.0 * pivmin
+        # a NaN threshold sorts last: no tail
+        starts = np.searchsorted(tail_min, shifts + margin, side="right").tolist()
+        # the stop after row i needs rows i + 1, ... dominant, so shift k
+        # walks heads[k] rows without a stop
+        heads = [max(start - 1, 0) for start in starts]
+    else:
+        heads = [n] * shifts.size
     following = squares[1:]
     following.append(0.0)
-    # the stop after row i needs rows i + 1, ... dominant, so shift k walks
-    # heads[k] rows without a stop; a list of row tuples is the fastest walk
-    heads = [max(start - 1, 0) for start in starts]
+    # a list of row tuples is the fastest walk
     rows = list(zip(diagonal[: max(heads, default=0)], squares))
     floor = -pivmin
     below = []
@@ -118,7 +131,7 @@ def _sturm_counts(d, e2, pivmin, shifts):
                 if pivot > floor:
                     pivot = floor
         # a positive pivot is >= a_{i+1} when its square is >= e2_{i+1}
-        for i in range(head, len(diagonal)):
+        for i in range(head, n):
             pivot = diagonal[i] - (squares[i] / pivot + x)
             if pivot <= pivmin:
                 count += 1
@@ -296,11 +309,6 @@ def _stebz_bounds(d, e):
     return e2, pivmin, gl, gu, atol
 
 
-def bisection_tolerance(diag, offdiag) -> float:
-    """atol of symtridiag_eigenvalues: eps times the Gershgorin bound on ||T||, at least pivmin."""
-    return _stebz_bounds(np.asarray(diag, dtype=np.float64), np.asarray(offdiag, dtype=np.float64))[-1]
-
-
 def level_boundaries(values):
     """The K + 1 boundaries that K >= 2 ascending values imply, and each value's distance to them.
 
@@ -316,24 +324,35 @@ def level_boundaries(values):
     return boundaries, np.minimum(v - boundaries[:-1], boundaries[1:] - v)
 
 
-def certify_levels(diag, offdiag, values, residuals):
+def certify_levels(diag, offdiag, values, residuals, bounds=None):
     """Certify K Rayleigh values, with their residuals, as the K lowest eigenvalues of T.
 
     Value rho_k has some eigenvalue within r_k of it (Kahan's bound;
-    Parlett, The Symmetric Eigenvalue Problem, ch. 4).  With K >= 2, one
-    Sturm pass counts the eigenvalues at or below each of the K + 1
-    boundaries of level_boundaries(values), and level k is certified when
-    the counts at its two boundaries are k and k + 1 and its window rho_k
-    -+ (r_k + COUNT_MARGIN atol) lies inside its interval; atol, eps times
-    the Gershgorin bound on ||T||, is the absolute tolerance of
-    symtridiag_eigenvalues.  The interval then holds the k-th eigenvalue
-    (from 0) and no other, and Temple's inequality (Temple 1928; Kato 1949)
-    bounds |lambda_k - rho_k| by r_k^2 / delta_k, where delta_k is the
-    distance from rho_k to the interval's ends less the margin.  The radius
-    of level k is min(r_k, r_k^2 / delta_k), at least COUNT_MARGIN atol,
-    the rounding level of a count and of a Rayleigh value.  With K = 1 the
-    window is rho -+ max(r, COUNT_MARGIN atol), certified by the counts 0
-    and 1, and its half-width is the radius.
+    Parlett, The Symmetric Eigenvalue Problem, ch. 4).  With K >= 2, level
+    k's interval runs between boundaries k and k + 1 of
+    level_boundaries(values), and its window rho_k -+ (r_k + COUNT_MARGIN
+    atol) must lie inside it; atol, eps times the Gershgorin bound on ||T||,
+    is the absolute tolerance of symtridiag_eigenvalues, and the margin
+    covers the rounding of r_k and of a count.  The windows are then
+    disjoint, each inside its own interval, and each holds at least one
+    eigenvalue, so one Sturm count of K at the top boundary b_K puts exactly
+    one eigenvalue in each window and none elsewhere below b_K: window k
+    holds the k-th eigenvalue lambda_k (from 0) alone, and so does its
+    interval.  Temple's inequality (Temple 1928; Kato 1949) then bounds
+    |lambda_k - rho_k| by r_k^2 / delta_k, where delta_k is the distance
+    from rho_k to the interval's ends less the margin.  The radius of level
+    k is min(r_k, r_k^2 / delta_k), at least COUNT_MARGIN atol, the rounding
+    level of a count and of a Rayleigh value.  With K = 1 the window is
+    rho -+ (r + COUNT_MARGIN atol), one count of 1 at its top certifies the
+    level, and the radius is max(r, COUNT_MARGIN atol).
+
+    Only when that one count is not K, or a window leaves its interval, are
+    the K + 1 boundaries counted in one Sturm pass, for the failures: level
+    k fails unless the counts at its two boundaries are k and k + 1 and its
+    window lies inside its interval (with K = 1, unless the counts are 0
+    and 1 at rho -+ max(r, COUNT_MARGIN atol), which certify it too).  So
+    the levels certified are those the K + 1 counts certify, up to the
+    rounding the margin covers.
 
     The computed counts are exact for T with its entries moved by a few
     ulps (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3 (1995) 116), so an
@@ -349,25 +368,32 @@ def certify_levels(diag, offdiag, values, residuals):
     of the smallest gap above the last value, inside the top boundary; such
     a call costs a bisection, never a wrong level.
 
+    bounds is the _stebz_bounds of T, computed here when not given.
     Returns (radius, failures): the radius of every level, or None unless
     every window lies inside its interval, and {level: reason} for each
     level that is not certified.
     """
     d = np.asarray(diag, dtype=np.float64)
-    e2, pivmin, _, _, atol = _stebz_bounds(d, np.asarray(offdiag, dtype=np.float64))
+    if bounds is None:
+        bounds = _stebz_bounds(d, np.asarray(offdiag, dtype=np.float64))
+    e2, pivmin, _, _, atol = bounds
     rho = np.asarray(values, dtype=np.float64)
     r = np.asarray(residuals, dtype=np.float64)
     margin = COUNT_MARGIN * atol
     if rho.size == 1:
         half = max(float(r[0]), margin)
         boundaries = np.array([rho[0] - half, rho[0] + half])
+        top = rho[0] + r[0] + margin
         inside = [True]
         radius = [half]
     else:
         boundaries, distance = level_boundaries(rho)
+        top = boundaries[-1]
         delta = distance - margin
         inside = (r < delta).tolist()
         radius = np.maximum(np.minimum(r, r * r / delta), margin).tolist() if all(inside) else None
+    if all(inside) and _sturm_counts(d, e2, pivmin, np.array([top]))[0] == rho.size:
+        return radius, {}
     counts = _sturm_counts(d, e2, pivmin, boundaries).tolist()
     failures = {}
     for level, (lo, hi) in enumerate(zip(counts, counts[1:])):

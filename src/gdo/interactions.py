@@ -8,8 +8,14 @@ own adjoint, so the whole verification story starts here.
 
 Every fact that depends on the family is a method of its class:
 
-* coupling(zz, consts, derivative): f on complex points, and f' when asked
-  (else None), from one evaluation of exp(-alpha z) or sin w;
+* coupling(x, y, consts, derivative): f at the points x + i y, and f' when
+  asked (else None), with x a real array and y real (one value, or an array
+  like x).  Every sample is taken this way, since the paper's shift x -> x +
+  i hbar theta keeps the points on a horizontal line, so f and f' come from
+  real transcendentals: Morse from one real exp(-alpha x) times the constant
+  (A + iB) e^(-i alpha y), which refuses by name a window where it
+  overflows; cot from sin and cos of u = alpha x - a and cosh and sinh of v
+  = alpha y - b, which give sin w and cos w;
 * theta(consts), the metric shift, and condition_window(consts), the scale k
   and centre x0 of the conjugation-shift window;
 * hermitian_equivalent(), the real coupling f(x + i hbar theta/2);
@@ -25,8 +31,9 @@ Every fact that depends on the family is a method of its class:
   kappa with (p - i f) phi-_{n+1} = kappa phi+_n in the raw closed forms;
 * real_problem(grid), the real coupling and grid numeric_epsilons
   solves (for cot, the real well on the pole-to-pole lattice);
-* Morse and cot also give s(consts) = D/(hbar alpha) or A/(hbar alpha), and
-  cot its argument w and sin w, with the pole check, through sine.
+* Morse and cot also give s(consts) = D/(hbar alpha) or A/(hbar alpha);
+  Morse gives its real exp(-alpha x) through decay, and cot sin w and cos w,
+  with the pole check, through sine.
 
 The closed-form level functions live in gdo.spectra, one per family kind.
 """
@@ -36,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -45,6 +53,8 @@ from .errors import DomainError, ParameterError, PoleError
 
 # Complex cotangent evaluations closer than this to a zero of sin are refused.
 SIN_POLE_CUTOFF = 1e-12
+# the largest argument whose exp is finite
+_EXP_LIMIT = math.log(sys.float_info.max)
 # level count of the families whose well binds infinitely many levels
 UNBOUNDED = math.inf
 
@@ -132,9 +142,10 @@ class LinearInteraction(InteractionSpec):
     omega: float
     kind: ClassVar[str] = "linear"
 
-    def coupling(self, zz, consts: PhysicalConstants, derivative: bool):
+    def coupling(self, x, y, consts: PhysicalConstants, derivative: bool):
         mw = consts.mass * self.omega
-        return mw * zz, np.full(zz.shape, mw, dtype=complex) if derivative else None
+        f = mw * (x + 1j * y)
+        return f, np.full(f.shape, mw, dtype=complex) if derivative else None
 
     def theta(self, consts: PhysicalConstants) -> float:
         return 0.0
@@ -186,10 +197,21 @@ class MorseInteraction(InteractionSpec):
     alpha: float
     kind: ClassVar[str] = "morse"
 
-    def coupling(self, zz, consts: PhysicalConstants, derivative: bool):
-        w = self.A + 1j * self.B
-        e = np.exp(-self.alpha * zz)
-        return self.D - w * e, self.alpha * w * e if derivative else None
+    def decay(self, x):
+        """exp(-alpha x) at real points; ParameterError naming the window where it overflows."""
+        t = -self.alpha * x
+        if t.max() > _EXP_LIMIT:
+            raise ParameterError(
+                f"morse e^(-alpha x) overflows on this window for x <= "
+                f"{np.max(x[t > _EXP_LIMIT]):.6g}; narrow the grid window"
+            )
+        return np.exp(t)
+
+    def coupling(self, x, y, consts: PhysicalConstants, derivative: bool):
+        # f(x + iy) = D - c e^(-alpha x), with c = (A + iB) e^(-i alpha y)
+        c = (self.A + 1j * self.B) * np.exp(-1j * self.alpha * y)
+        e = self.decay(x)
+        return self.D - c * e, self.alpha * c * e if derivative else None
 
     def theta(self, consts: PhysicalConstants) -> float:
         # atan2 keeps theta defined for either sign of A; it agrees with
@@ -213,7 +235,7 @@ class MorseInteraction(InteractionSpec):
     def closed_form_potentials(self, x, consts: PhysicalConstants):
         hb = consts.hbar
         w = self.A + 1j * self.B
-        e1 = np.exp(-self.alpha * x)
+        e1 = self.decay(x)
         base = self.D**2 + w * w * e1 * e1
         v_minus = base - (2.0 * self.D + hb * self.alpha) * w * e1
         return v_minus, base - (2.0 * self.D - hb * self.alpha) * w * e1
@@ -246,17 +268,41 @@ class CotInteraction(InteractionSpec):
     b: float = 0.0
     kind: ClassVar[str] = "cot"
 
-    def sine(self, x, pole_message: str):
-        """(w, sin w) with w = alpha x - a - i b; PoleError(pole_message) at a pole of cot w."""
-        w = self.alpha * x - self.a - 1j * self.b
-        s = np.sin(w)
-        if np.any(np.abs(s) < SIN_POLE_CUTOFF):
-            raise PoleError(pole_message)
-        return w, s
+    def sine(self, x, y, pole_message: str):
+        """(sin w, cos w) at w = alpha (x + i y) - a - i b; PoleError(pole_message) at a pole of cot w.
 
-    def coupling(self, zz, consts: PhysicalConstants, derivative: bool):
-        w, s = self.sine(zz, "cot coupling evaluated within 1e-12 of a pole of cosec")
-        return -self.A * np.cos(w) / s, self.A * self.alpha / (s * s) if derivative else None
+        With u = alpha x - a and v = alpha y - b, sin w = sin u cosh v + i
+        cos u sinh v and cos w = cos u cosh v - i sin u sinh v, the products
+        C99's csin and ccos form, so only the real sin and cos of the array u
+        are taken.  One y takes the C library's cosh and sinh through math,
+        as csin does, where numpy's own loops can differ in the last bit.  A
+        pole of cot w is where |sin w|^2 = sin^2 u + sinh^2 v falls below
+        SIN_POLE_CUTOFF^2, which needs |sinh v| below the cutoff.
+        """
+        u = self.alpha * x - self.a
+        v = self.alpha * y - self.b
+        if isinstance(v, np.ndarray):
+            ch, sh = np.cosh(v), np.sinh(v)
+            near = (np.abs(sh) < SIN_POLE_CUTOFF).any()
+        else:
+            ch, sh = math.cosh(v), math.sinh(v)
+            near = abs(sh) < SIN_POLE_CUTOFF
+        su = np.sin(u)
+        if near and (su * su + sh * sh < SIN_POLE_CUTOFF**2).any():
+            raise PoleError(pole_message)
+        cu = np.cos(u)
+        shape = np.broadcast(u, v).shape
+        sw = np.empty(shape, dtype=complex)
+        cw = np.empty(shape, dtype=complex)
+        np.multiply(su, ch, out=sw.real)
+        np.multiply(cu, sh, out=sw.imag)
+        np.multiply(cu, ch, out=cw.real)
+        np.negative(np.multiply(su, sh, out=cw.imag), out=cw.imag)
+        return sw, cw
+
+    def coupling(self, x, y, consts: PhysicalConstants, derivative: bool):
+        s, c = self.sine(x, y, "cot coupling evaluated within 1e-12 of a pole of cosec")
+        return -self.A * c / s, self.A * self.alpha / (s * s) if derivative else None
 
     def theta(self, consts: PhysicalConstants) -> float:
         return 2.0 * self.b / (consts.hbar * self.alpha)
@@ -277,7 +323,7 @@ class CotInteraction(InteractionSpec):
 
     def closed_form_potentials(self, x, consts: PhysicalConstants):
         hb = consts.hbar
-        _, s = self.sine(x, "closed-form cot potential evaluated at a pole")
+        s, _ = self.sine(x, 0.0, "closed-form cot potential evaluated at a pole")
         cosec2 = 1.0 / (s * s)
         v_minus = self.A * (self.A - hb * self.alpha) * cosec2 - self.A**2
         return v_minus, self.A * (self.A + hb * self.alpha) * cosec2 - self.A**2
@@ -314,11 +360,19 @@ class ConditionReport:
 
 
 def eval_f(spec: InteractionSpec, z, consts: PhysicalConstants = DEFAULT_CONSTANTS):
-    """Evaluate f at a real or complex point (or array of points)."""
-    zz = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(zz)):
+    """Evaluate f at a real or complex point (or array of points).
+
+    A complex argument is split into its real and imaginary parts, the x and
+    y of the family's coupling; a real one is taken at y = 0.
+    """
+    zz = np.asarray(z)
+    if np.iscomplexobj(zz):
+        x, y = zz.real, zz.imag
+    else:
+        x, y = zz.astype(float, copy=False), 0.0
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise DomainError("evaluation point must be finite")
-    f = spec.coupling(zz, consts, False)[0]
+    f = spec.coupling(x, y, consts, False)[0]
     return complex(f) if np.ndim(z) == 0 else f
 
 
@@ -326,7 +380,7 @@ def sample_coupling(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ):
     """(f, f') on the grid points from one evaluation of the coupling."""
-    return spec.coupling(grid.points.astype(complex), consts, True)
+    return spec.coupling(grid.points, 0.0, consts, True)
 
 
 def default_condition_grid(
@@ -352,8 +406,8 @@ def check_pseudo_hermiticity_condition(
 ) -> ConditionReport:
     """Measure max |f(x + i hbar theta) - conj f(x)| over the grid."""
     x = grid.points
-    shifted = eval_f(spec, x + 1j * consts.hbar * theta, consts)
-    straight = eval_f(spec, x.astype(complex), consts)
+    shifted = spec.coupling(x, consts.hbar * theta, consts, False)[0]
+    straight = spec.coupling(x, 0.0, consts, False)[0]
     deviation = np.abs(shifted - np.conj(straight))
     worst = int(np.argmax(deviation))
     max_dev = float(deviation[worst])

@@ -168,7 +168,7 @@ def assemble_ladder(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ):
     """Lowering/raising pair (p - i f, p + i f) as tridiagonal matrices."""
-    return ladder_pair(eval_f(spec, grid.points.astype(complex), consts), grid, consts)
+    return ladder_pair(eval_f(spec, grid.points, consts), grid, consts)
 
 
 def dirac_matrix(ladder, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> OperatorMatrix:

@@ -159,12 +159,12 @@ def _morse_factors(spec: MorseInteraction, level: int, x, consts):
 
 def _cot_factors(spec: CotInteraction, level: int, x, consts):
     s = spec.s(consts)
-    w, sw = spec.sine(x, "cot eigenfunction sampled at a pole")
+    sw, cw = spec.sine(x, 0.0, "cot eigenfunction sampled at a pole")
     # log sin w stays on one branch while Re(sin w) > 0, i.e. inside one period
     log_prefactor = (s + level) * np.log(sw)
     if level == 0:
         return log_prefactor, []
-    y = 1j * np.cos(w) / sw
+    y = 1j * cw / sw
     return log_prefactor, [jacobi_any(n, -s - level, -s - level, y) for n in (level, level - 1)]
 
 

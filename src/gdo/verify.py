@@ -11,10 +11,10 @@ extension, whose levels are the closed form with s replaced by 1 - s, so the
 deviation does not fall with h (Reed & Simon II, sec. X.1).  The lowest
 levels are found by inverse iteration seeded at the closed-form levels, all
 of them in one stacked real solve that stops once Temple's bound can certify
-each value to about eps ||T||, and they are certified together by Sturm
-counts at boundaries between their Rayleigh values, which do not use the
-seeds; if that solve breaks down, or any level stalls or fails its
-certificate, all of them come from Sturm bisection instead.
+each value to about eps ||T||.  They are certified together, without the
+seeds, by Kahan's residual bound and one Sturm count at the boundary above
+the last Rayleigh value; if that solve breaks down, or any level stalls or
+fails its certificate, all of them come from Sturm bisection instead.
 real_line_probe probes the real-line complex matrix by inverse iteration,
 one shift per call, and gates nothing, since its boundary conditions are a
 modeling choice.
@@ -23,8 +23,10 @@ Shape invariance is checked on the wells built from f and f': V+ of the
 coupling minus V- of its upper_partner, the map the closed forms take
 their upper branch from, must be constant on the config grid.
 
-verify_all makes each grid sample once.  f and f' on the config grid come
-from one evaluation of the coupling: check 2 reads the partner potentials
+verify_all makes each grid sample once, on the real points x + i y of a
+horizontal line, as the family's coupling takes them (gdo.interactions):
+check 1 samples y = hbar theta and y = 0, every other sample y = 0.  f and
+f' on the config grid come from one evaluation of the coupling: check 2 reads the partner potentials
 built from them, check 4 their V+, and checks 7-9 one ladder pair built from
 f.  factorization_check takes its ladder, its band products and its coarse
 commutator from one sample on its own 201-point grid.  The singlet is
@@ -51,7 +53,7 @@ import numpy as np
 from .config import RunConfig
 from .eigensolve import (
     ITERATION_TOL,
-    bisection_tolerance,
+    _stebz_bounds,
     certify_levels,
     inverse_iteration,
     level_boundaries,
@@ -144,7 +146,9 @@ def numeric_epsilons(
     Two levels that come out no further apart than eps ||T||, the bisection
     tolerance, raise ResolutionError: the levels are simple, so the solve
     could not tell them apart, as on a Morse window reaching far into the
-    wall, where V grows like e^(-2 alpha x).
+    wall, where V grows like e^(-2 alpha x).  The stebz set-up of T, whose
+    last entry is that tolerance, is computed once and serves the stopping
+    residual, the certificate and this check.
     """
     real_spec, solve_grid = spec.real_problem(grid)
     sample = closed_form_potentials(real_spec, solve_grid, consts)
@@ -154,9 +158,10 @@ def numeric_epsilons(
         seeds = [epsilon_minus(real_spec, level, consts) for level in range(count)]
     except LevelOutOfRangeError:
         return symtridiag_eigenvalues(diag, off, count=count)
-    values = seeded_eigenvalues(diag, off, seeds)
+    bounds = _stebz_bounds(diag, off)
+    values = seeded_eigenvalues(diag, off, seeds, bounds)
     gap = min(np.diff(values), default=math.inf)
-    tolerance = bisection_tolerance(diag, off)
+    tolerance = bounds[-1]
     if gap <= tolerance:
         raise ResolutionError(
             f"the bisection tolerance eps*||T|| = {tolerance:.3e} cannot resolve the seeded levels "
@@ -165,26 +170,30 @@ def numeric_epsilons(
     return values
 
 
-def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
+def seeded_eigenvalues(diag, offdiag, seeds, bounds=None) -> np.ndarray:
     """Lowest len(seeds) eigenvalues of a real symmetric tridiagonal T, ascending.
 
     Level k starts inverse iteration at seeds[k], which gives a Rayleigh
     value rho_k and the residual r_k = ||T v - rho_k v|| of its unit vector
     v; every level comes from one stacked_inverse_iteration call, in
-    float64, and certify_levels certifies them from one Sturm pass at K + 1
-    boundaries.  Temple's bound makes the radius of a level r_k^2 / delta_k
-    for an interval of half-width delta_k, so the iteration stops at the
-    residual tau of stopping_residual, max(ITERATION_TOL, sqrt(atol delta /
-    2)), where atol is the bisection tolerance eps ||T|| and delta the
-    smallest distance from a seed to the boundaries the seeds imply: once
-    the values sit where the seeds do, a residual of tau bounds each value's
-    error by about atol / 2, below the radius floor of 4 atol.  One level
-    keeps ITERATION_TOL and its window rho -+ max(r, 4 atol).  The
-    certificate does not use the seeds, so a wrong seed costs time, never a
-    wrong level.  If the stacked factorization breaks down, a level stalls
-    above tau or any level fails its certificate, every level comes from
+    float64, and certify_levels certifies them all from one Sturm count at
+    the top boundary b_K the K values imply: the K windows rho_k -+ (r_k +
+    4 atol) lie inside their intervals and each holds an eigenvalue, so a
+    count of K at b_K leaves each window one eigenvalue, its own level.
+    Temple's bound makes the radius of a level r_k^2 / delta_k for an
+    interval of half-width delta_k, so the iteration stops at the residual
+    tau of stopping_residual, max(ITERATION_TOL, sqrt(atol delta / 2)),
+    where atol is the bisection tolerance eps ||T|| and delta the smallest
+    distance from a seed to the boundaries the seeds imply: once the values
+    sit where the seeds do, a residual of tau bounds each value's error by
+    about atol / 2, below the radius floor of 4 atol.  One level keeps
+    ITERATION_TOL and its window rho -+ max(r, 4 atol).  The certificate
+    does not use the seeds, so a wrong seed costs time, never a wrong level.
+    If the stacked factorization breaks down, a level stalls above tau or
+    any level fails its certificate, every level comes from
     symtridiag_eigenvalues, so the values are never a mix of the two routes.
-    Each level's route goes to the log at INFO level, with the shift its
+    bounds is the _stebz_bounds of T, computed here when not given.  Each
+    level's route goes to the log at INFO level, with the shift its
     factorization ended at (the seed, or the Rayleigh value of a refresh),
     the radius of a certified level and the failure that sent a level to
     bisection.
@@ -194,8 +203,10 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     count = len(seeds)
     if count > d.size:
         raise DimensionError(f"requested {count} eigenvalues of a {d.size}x{d.size} matrix")
+    if bounds is None:
+        bounds = _stebz_bounds(d, e)
     shifts = np.asarray(seeds, dtype=np.float64)
-    results = stacked_inverse_iteration((e, d, e), shifts, stopping_residual(d, e, shifts))
+    results = stacked_inverse_iteration((e, d, e), shifts, stopping_residual(shifts, bounds[-1]))
     radius = None
     if results is None:
         results, failures = [], dict.fromkeys(range(count), "stacked factorization broke down")
@@ -207,7 +218,7 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
         }
     if results and not failures:
         radius, failures = certify_levels(
-            d, e, [r.eigenvalue.real for r in results], [r.residual_norm for r in results]
+            d, e, [r.eigenvalue.real for r in results], [r.residual_norm for r in results], bounds
         )
     if failures:
         values = symtridiag_eigenvalues(d, e, count=count)
@@ -230,7 +241,7 @@ def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     return values
 
 
-def stopping_residual(diag, offdiag, seeds) -> float:
+def stopping_residual(seeds, atol: float) -> float:
     """The residual at which seeded_eigenvalues stops: max(ITERATION_TOL, sqrt(atol delta / 2)).
 
     atol is the bisection tolerance of T and delta the smallest distance
@@ -240,7 +251,7 @@ def stopping_residual(diag, offdiag, seeds) -> float:
     if len(seeds) < 2:
         return ITERATION_TOL
     nearest = float(np.min(level_boundaries(seeds)[1]))
-    return max(ITERATION_TOL, math.sqrt(bisection_tolerance(diag, offdiag) * max(nearest, 0.0) / 2.0))
+    return max(ITERATION_TOL, math.sqrt(atol * max(nearest, 0.0) / 2.0))
 
 
 def real_line_probe(

@@ -20,13 +20,34 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _umath():
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    return _multiarray_umath
+
+
 def cpu_features():
     """The CPU features numpy enabled at import, sorted: its dispatch level."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_features__
-    return sorted(name for name, enabled in __cpu_features__.items() if enabled)
+    return sorted(name for name, enabled in _umath().__cpu_features__.items() if enabled)
+
+
+def avx512_dispatch():
+    """The enabled features through which numpy dispatches its AVX-512 loops, sorted.
+
+    These are the dispatch targets of numpy's build (X86_V4, AVX512_ICL,
+    AVX512_SPR, ...) that cpu_features reports; NPY_DISABLE_CPU_FEATURES set
+    to them, space-separated, makes one process run numpy's AVX2 loops or
+    older.  Empty on a host, or a numpy build, without them.
+    """
+    umath = _umath()
+    enabled = set(cpu_features())
+    return sorted(
+        name
+        for name in getattr(umath, "__cpu_dispatch__", ())
+        if name in enabled and (name.startswith("AVX512") or name == "X86_V4")
+    )
 
 
 def dispatch_header() -> str:

@@ -475,6 +475,27 @@ def test_morse_sample_beyond_float_range_exits_1(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["spectrum", "--numeric"], ["models"]],
+    ids=["verify", "spectrum-numeric", "models"],
+)
+def test_morse_coupling_beyond_float_range_exits_1(tmp_path, capsys, command):
+    # at x_min = -800 the coupling's real exp(-alpha x) overflows; the one
+    # line on stderr names the overflow and the window, with no numpy
+    # warning before it and no symptom such as non-finite matrix entries
+    path = _write(tmp_path, dict(_morse(), grid={"x_min": -800.0, "x_max": 20.0, "n_points": 4000}))
+    out = tmp_path / "artifact.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(command + ["--config", str(path), "--out", str(out)])
+    assert code == EXIT_FAILED
+    assert capsys.readouterr().err.splitlines() == [
+        "gdo: morse e^(-alpha x) overflows on this window for x <= -709.982; narrow the grid window"
+    ]
+    assert not out.exists()
+
+
 def _lone_call(tmp_path, argv, name):
     # a fresh parser, as in a process that makes no other call
     cli._parser.cache_clear()

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 import gdo.eigensolve
 from gdo import (
     ConvergenceError,
+    CotInteraction,
     DimensionError,
     DomainError,
     Grid,
+    MorseInteraction,
     OperatorMatrix,
     SingularPivotError,
     UnsupportedError,
     assemble_dirac,
     assemble_schrodinger,
+    closed_form_potentials,
     inverse_iteration,
     symtridiag_eigenvalues,
 )
@@ -173,6 +176,41 @@ class TestSturmCounts:
         tiny = float(np.finfo(float).tiny)
         assert full_sturm_counts(d, e2, tiny, shift).tolist() == [1]
         np.testing.assert_array_equal(_counts(d, e, shift), [1])
+
+    @pytest.mark.parametrize(
+        "spec, grid, tail",
+        [
+            # s = 0.87 < 1: attractive pole wells end the lattice, so the row
+            # before the last has a negative slack and no shift has a tail
+            (CotInteraction(A=0.87574, alpha=1.00745, a=0.05072, b=0.15153), Grid(0.0, 1.0, 201), False),
+            # the plateau V -> D^2 ends the Morse window: a tail below it
+            (MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=1.0), Grid(-6.0, 20.0, 201), True),
+        ],
+        ids=["cot-weak-no-tail", "morse-tail"],
+    )
+    def test_tail_set_up_only_where_a_shift_has_one(self, monkeypatch, spec, grid, tail):
+        # the lattice numeric_epsilons solves; shifts on and within 8 atol
+        # of its lowest levels, where the certificate and bisection count
+        real_spec, solve_grid = spec.real_problem(grid)
+        v = closed_form_potentials(real_spec, solve_grid).v_minus
+        off, d, _ = assemble_schrodinger(v, solve_grid).bands
+        d, e = d.real.copy(), off.real.copy()
+        e2 = np.append(0.0, e * e)
+        pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(e2)))
+        atol = float(np.finfo(float).eps) * _norm_bound(d, e)
+        values = _dense_eigenvalues(d, e)[:6]
+        shifts = (values[None, :] + atol * np.arange(-8, 9)[:, None]).ravel()
+        searches = []
+        search = np.searchsorted
+        monkeypatch.setattr(
+            gdo.eigensolve.np,
+            "searchsorted",
+            lambda *args, **kwargs: searches.append(args) or search(*args, **kwargs),
+        )
+        counts = _sturm_counts(d, e2, pivmin, shifts)
+        monkeypatch.undo()
+        assert len(searches) == tail
+        np.testing.assert_array_equal(counts, full_sturm_counts(d, e2, pivmin, shifts))
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

@@ -23,7 +23,7 @@ from gdo import (
 
 def f_prime(spec, z, consts=DEFAULT_CONSTANTS):
     """f'(z) at a real point, as the family's coupling method gives it."""
-    return complex(spec.coupling(np.asarray(z, dtype=complex), consts, True)[1])
+    return complex(spec.coupling(np.asarray(z, dtype=float), 0.0, consts, True)[1])
 
 
 class TestEvalF:
@@ -127,7 +127,7 @@ class TestConditionCheck:
         assert report.passed
         assert report.max_deviation <= 1e-12
 
-    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("factor", [0.5, 2.0, -1.0])
     @pytest.mark.parametrize(
         "spec",
         [

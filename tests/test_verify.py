@@ -35,9 +35,11 @@ from gdo import (
     verify_all,
 )
 from gdo.eigensolve import (
+    COUNT_MARGIN,
+    _stebz_bounds,
     _sturm_counts,
-    bisection_tolerance,
     certify_levels,
+    level_boundaries,
     stacked_inverse_iteration,
     symtridiag_eigenvalues,
 )
@@ -50,7 +52,7 @@ from gdo.verify import (
     seeded_eigenvalues,
     stopping_residual,
 )
-from oracles import dense
+from oracles import dense, full_sturm_counts
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -172,7 +174,9 @@ def test_seeded_levels_match_dense_eigenvalues(n, matrix_seed, scale, fractions)
     if np.all(own <= 0.25 * nearest_gap) and gaps.min() > 1e-6 * norm and top_clear:
         # near seeds are certified unless the stacked factorization breaks
         # down, as it can on a seed at an eigenvalue when a pivot rounds to 0
-        broke_down = stacked_inverse_iteration((e, d, e), seeds, stopping_residual(d, e, seeds)) is None
+        broke_down = stacked_inverse_iteration(
+            (e, d, e), seeds, stopping_residual(seeds, _stebz_bounds(d, e)[-1])
+        ) is None
         assert len(spy.calls) == broke_down
 
 
@@ -247,7 +251,7 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
 
     # one level keeps a window of 4 atol; two levels are certified at the
     # boundaries 0.5, 2 and 3.5, with the rounding floor 4 atol as radius
-    floor = 4.0 * bisection_tolerance(d, e)
+    floor = 4.0 * _stebz_bounds(d, e)[-1]
     assert certify_levels(d, e, [1.0], [0.0]) == ([floor], {})
     assert certify_levels(d, e, [3.0], [0.0]) == ([floor], {0: "Sturm counts 1 and 2, expected 0 and 1"})
     assert certify_levels(d, e, [1.0, 3.0], [0.0, 0.0]) == ([floor, floor], {})
@@ -264,6 +268,87 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
     values = seeded_eigenvalues(d, e, [1.1, 2.9])
     assert not bisection.calls
     assert values.tolist() == [1.0, 3.0]
+
+
+def _every_count_rule(d, e, values, residuals):
+    """The certificate from the counts at all K + 1 boundaries: (radius, levels certified).
+
+    Level k is certified when the counts at the ends of its interval are k
+    and k + 1 and its window rho_k -+ (r_k + 4 atol) lies inside it; with
+    K = 1 the interval is rho -+ max(r, 4 atol).  The counts come from the
+    stebz pass over every row.
+    """
+    e2, pivmin, _, _, atol = _stebz_bounds(d, e)
+    rho, r = np.asarray(values), np.asarray(residuals)
+    margin = COUNT_MARGIN * atol
+    if rho.size == 1:
+        half = max(float(r[0]), margin)
+        boundaries, inside, radius = np.array([rho[0] - half, rho[0] + half]), [True], [half]
+    else:
+        boundaries, distance = level_boundaries(rho)
+        delta = distance - margin
+        inside = (r < delta).tolist()
+        radius = np.maximum(np.minimum(r, r * r / delta), margin).tolist() if all(inside) else None
+    counts = full_sturm_counts(d, e2, pivmin, boundaries).tolist()
+    return radius, [
+        counts[k] == k and counts[k + 1] == k + 1 and inside[k] for k in range(rho.size)
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 40),
+    matrix_seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 10.0, 1e3]),
+    count=st.integers(1, 5),
+    noise=st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1e-3]),
+    control=st.sampled_from(["near", "near", "near", "on-level-1", "doubled", "skipped"]),
+)
+def test_one_count_certifies_exactly_when_every_count_does(
+    n, matrix_seed, scale, count, noise, control
+):
+    # Rayleigh values and residuals of unit vectors near the eigenvectors of
+    # the lowest levels, or, as negative controls, of one value on level 1,
+    # two values on level 0, and the values of levels 0 and 2 with level 1
+    # unseeded below the top boundary; none of the controls may be certified
+    rng = np.random.default_rng(matrix_seed)
+    d = scale * rng.normal(size=n)
+    e = rng.normal(size=n - 1)
+    matrix = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    vectors = np.linalg.eigh(matrix)[1]
+    levels = {
+        "near": list(range(min(count, n))),
+        "on-level-1": [1],
+        "doubled": [0, 0],
+        "skipped": [0, 2] if n > 2 else [1, 1],
+    }[control]
+    values, residuals = [], []
+    for level in levels:
+        v = vectors[:, level] + noise * rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        tv = matrix @ v
+        values.append(float(v @ tv))
+        residuals.append(float(np.linalg.norm(tv - values[-1] * v)))
+
+    radius, failures = certify_levels(d, e, values, residuals)
+    rule_radius, certified = _every_count_rule(d, e, values, residuals)
+    assert set(failures) == {k for k, ok in enumerate(certified) if not ok}
+    assert radius == rule_radius
+    if control != "near":
+        assert failures
+    if not failures:
+        # eigvalsh's own error reaches 4.2 and 8.9 atol (n = 29, matrix_seed
+        # = 0 and n = 31, matrix_seed = 31, scale = 1e3, against 40 digits),
+        # past the radius floor of 4 atol, so each level is the long-double
+        # Rayleigh quotient of eigh's vector, within 1e-3 atol of 40 digits
+        # there; eigvalsh confirms only that it is the right level
+        norm = float(np.max(np.abs(np.linalg.eigvalsh(matrix))))
+        wide = matrix.astype(np.longdouble)
+        for value, level_radius, level in zip(values, radius, levels):
+            v = vectors[:, level].astype(np.longdouble)
+            exact = float(v @ (wide @ v) / (v @ v))
+            assert abs(exact - np.linalg.eigvalsh(matrix)[level]) <= 1e-12 * norm
+            assert abs(value - exact) <= level_radius
 
 
 def test_weak_coupling_cot_stream_config_is_certified(bisection):
@@ -284,7 +369,9 @@ def test_bisection_matches_dense_on_weak_coupling_cot_lattice(monkeypatch):
     # term next to each pole
     matrices = []
     monkeypatch.setattr(
-        gdo.verify, "seeded_eigenvalues", lambda d, e, seeds: matrices.append((d, e)) or seeds
+        gdo.verify,
+        "seeded_eigenvalues",
+        lambda d, e, seeds, bounds: matrices.append((d, e)) or seeds,
     )
     spec = CotInteraction(A=0.87574, alpha=1.00745, a=0.05072, b=0.15153)
     numeric_epsilons(spec, Grid(0.0, 1.0, 1001), load_config(CONFIGS / "cot.json").constants, 4)
@@ -615,8 +702,9 @@ def test_verify_samples_each_coupling_and_ladder_once_per_grid(monkeypatch, name
     monkeypatch.setattr(
         family,
         "coupling",
-        lambda spec, zz, consts, derivative: (
-            samples.append((spec.kind, zz.size, derivative)) or coupling(spec, zz, consts, derivative)
+        lambda spec, x, y, consts, derivative: (
+            samples.append((spec.kind, x.size, y, derivative))
+            or coupling(spec, x, y, consts, derivative)
         ),
     )
     for module in (gdo.operators, gdo.verify):
@@ -631,14 +719,16 @@ def test_verify_samples_each_coupling_and_ladder_once_per_grid(monkeypatch, name
     # factorization's algebra grid, then the config grid's coupling and its negation
     assert ladders == [201, n, n]
     kind = config.interaction.kind
+    # every sample is taken on real points x + i y, y one real number
+    shift = config.constants.hbar * config.interaction.theta(config.constants)
     assert samples == [
-        (kind, 401, False),  # condition_shift: f shifted by i hbar theta
-        (kind, 401, False),  # and f on the real window
-        (kind, n, True),  # f and f' on the config grid: checks 2, 4 and 7-9
-        (kind, 201, True),  # factorization: ladder, band product and coarse commutator
-        (kind, 401, True),  # factorization: commutator on the refined grid
-        (kind, n, True),  # shape_invariance: V- of the upper partner
-        (kind, n, False),  # model_duality: the negated coupling's ladder
+        (kind, 401, shift, False),  # condition_shift: f shifted by i hbar theta
+        (kind, 401, 0.0, False),  # and f on the real window
+        (kind, n, 0.0, True),  # f and f' on the config grid: checks 2, 4 and 7-9
+        (kind, 201, 0.0, True),  # factorization: ladder, band product and coarse commutator
+        (kind, 401, 0.0, True),  # factorization: commutator on the refined grid
+        (kind, n, 0.0, True),  # shape_invariance: V- of the upper partner
+        (kind, n, 0.0, False),  # model_duality: the negated coupling's ladder
     ]
 
 
@@ -665,15 +755,15 @@ _SWEEP_GRIDS = [
 # move by one bit when a change only reorganizes how the checks are computed
 _PINNED_REPORTS = {
     "morse.json": [
-        ("condition_shift", 1.2560739669470201e-15, 1e-10, True),
-        ("potential_closed_form", 6.20082089333322e-16, 1e-12, True),
+        ("condition_shift", 8.881784197001252e-16, 1e-10, True),
+        ("potential_closed_form", 6.254122406089371e-16, 1e-12, True),
         ("factorization", 0.40353846374023816, 1.0, True),
         ("shape_invariance", 1.612170902345601e-16, 1e-08, True),
         ("eigenvalues_numeric", 1.8713957813376127e-05, 0.001, True),
         ("spinor_coefficients", 2.220446049250313e-16, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
-        ("singlet_structure", 0.00015807944552191538, 0.001, True),
+        ("singlet_structure", 0.00015807944552191405, 0.001, True),
     ],
     "cot.json": [
         ("condition_shift", 0.0, 1e-10, True),
@@ -698,15 +788,15 @@ _PINNED_REPORTS = {
         ("singlet_structure", 9.128070315885783e-05, 0.001, True),
     ],
     "sweep0": [
-        ("condition_shift", 1.831026719408895e-15, 1e-10, True),
-        ("potential_closed_form", 8.354490551925467e-16, 1e-12, True),
+        ("condition_shift", 0.0, 1e-10, True),
+        ("potential_closed_form", 7.442841912123594e-16, 1e-12, True),
         ("factorization", 0.40061447759306895, 1.0, True),
         ("shape_invariance", 1.6428987882231732e-16, 1e-08, True),
         ("eigenvalues_numeric", 0.00031019112186608994, 0.001, True),
         ("spinor_coefficients", 0.0, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
-        ("singlet_structure", 0.0024894643531312055, 0.001, False),
+        ("singlet_structure", 0.0024894643531311895, 0.001, False),
     ],
     "sweep1": [
         ("condition_shift", 1.2560739669470201e-15, 1e-10, True),
@@ -720,7 +810,7 @@ _PINNED_REPORTS = {
         ("singlet_structure", 3.4057207492921536e-06, 0.001, True),
     ],
     "sweep2": [
-        ("condition_shift", 1.9860273225978185e-15, 1e-10, True),
+        ("condition_shift", 0.0, 1e-10, True),
         ("potential_closed_form", 9.906076369394386e-16, 1e-12, True),
         ("factorization", 0.3927924668781066, 1.0, True),
         ("shape_invariance", 1.851419228512405e-16, 1e-08, True),
@@ -728,7 +818,7 @@ _PINNED_REPORTS = {
         ("spinor_coefficients", 2.220446049250313e-16, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
-        ("singlet_structure", 0.010029548705620029, 0.001, False),
+        ("singlet_structure", 0.010029548705620025, 0.001, False),
     ],
     "sweep3": [
         ("condition_shift", 0.0, 1e-10, True),
@@ -762,6 +852,21 @@ def test_reports_are_pinned_bit_for_bit(name):
     report = verify_all(_pinned_config(name))
     observed = [(c.name, c.measured, c.threshold, c.passed) for c in report.checks]
     assert observed == _PINNED_REPORTS[name]
+
+
+@pytest.mark.parametrize("factor", [0.5, -1.0])
+@pytest.mark.parametrize("name", ["morse.json", "cot.json", "sweep0", "sweep1"])
+def test_wrong_theta_fails_condition_shift(monkeypatch, name, factor):
+    # both samples of condition_shift share one real exp(-alpha x) (Morse)
+    # or one real sin u and cos u (cot), so the right theta reads exactly 0
+    # on sweep0 and sweep2; half the shift and the opposite one must fail
+    config = _pinned_config(name)
+    family = type(config.interaction)
+    theta = family.theta
+    monkeypatch.setattr(family, "theta", lambda spec, consts: factor * theta(spec, consts))
+    check = verify_all(config).checks[0]
+    assert check.name == "condition_shift"
+    assert not check.passed and check.measured > 1e-3
 
 
 def _nan_singlet(monkeypatch):
