@@ -2,7 +2,8 @@
 
 "%.17g" % v prints the 17 significant digits of v, correctly rounded (Gay,
 "Correctly rounded binary-decimal and decimal-binary conversions", 1990),
-laid out by the %g rules.  csv_text computes the same bytes with numpy:
+laid out by the %g rules.  csv_text computes the same bytes with numpy and
+returns them as ASCII bytes, ready to write:
 
 * Digits.  For 1e-279 <= |v| < 1e16 with decimal exponent e =
   floor(log10|v|) and k = 16 - e, the digits are D = round(|v| 10^k).
@@ -205,16 +206,16 @@ def _slots(v: np.ndarray, separators: np.ndarray):
 
 
 def csv_text(header: str, table: np.ndarray) -> tuple:
-    """CSV text: the header, then a line per row of a float64 table, each value as "%.17g" % v.
+    """CSV bytes: the header, then a line per row of a float64 table, each value as "%.17g" % v.
 
-    Returns the text and the count of values "%.17g" % v wrote itself.
+    Returns the ASCII bytes and the count of values "%.17g" % v wrote itself.
     """
     table = np.asarray(table, dtype=np.float64)
     rows, columns = table.shape
     # the separator after each value, in the last byte of its slot
     separators = np.array([ord(",")] * (columns - 1) + [ord("\n")], np.uint64) << np.uint64(56)
     separators = np.tile(separators, min(rows, _ROWS))
-    parts, fallbacks = [header], 0
+    parts, fallbacks = [header.encode("ascii")], 0
     for start in range(0, rows, _ROWS):
         values = table[start:start + _ROWS]
         slots, slow = _slots(values.ravel(), separators[:values.size])
@@ -224,5 +225,5 @@ def csv_text(header: str, table: np.ndarray) -> tuple:
             text[i, :-1] = 0
             text[i, :len(reference)] = np.frombuffer(reference, np.uint8)
         fallbacks += slow.size
-        parts.append(text.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(parts), fallbacks
+        parts.append(text.tobytes().translate(None, b"\0"))
+    return b"".join(parts), fallbacks

@@ -11,6 +11,16 @@ from the CPU features it finds, and two such paths can differ in the last
 bit of a value, so identical bytes across hosts need the same numpy and the
 same enabled features.  Every float in a wavefunction CSV is the exact text
 of "%.17g" % v, which round-trips each float64 bit for bit.
+
+An artifact is written as bytes.  --out is overwritten in place: opened
+without truncation, written from its start, then, if it is a regular file,
+cut to the length written.  A re-run onto its own --out therefore skips the
+truncate-to-zero that makes some filesystems (ext4 with auto_da_alloc) start
+writeback when the file is closed.  A write that fails cuts the file to
+length 0, and the run exits 2.  A process killed inside the write can leave
+the new bytes followed by the tail of the old file, where a truncating open
+would leave a short file; either way its exit status is not 0.  A device,
+FIFO or pipe as --out is written as a stream, never cut.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import functools
 import logging
 import math
 import os
+import stat
 import sys
 from time import perf_counter
 
@@ -64,15 +75,44 @@ def _setup_logging():
     log.setLevel(levels[level_name])
 
 
-def _emit(text: str, out_path):
-    if out_path:
+# os.open as open(path, "wb") would call it, but without O_TRUNC
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _emit(data: bytes, out_path):
+    """Write an artifact over out_path in place (see the module docstring), or to stdout without one."""
+    if not out_path:
+        sys.stdout.flush()
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:
+            # a text stream without a byte layer, such as io.StringIO
+            sys.stdout.write(data.decode())
+        else:
+            buffer.write(data)
+        return
+    try:
+        fd = os.open(out_path, _OUT_FLAGS, 0o666)
         try:
-            with open(out_path, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write artifact {out_path!r}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                if regular:
+                    os.ftruncate(fd, len(data))
+            except OSError:
+                # never leave new bytes followed by the old file's tail
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifact {out_path!r}: {exc}") from exc
+
+
+def _json_bytes(payload) -> bytes:
+    return (dumps_canonical(payload) + "\n").encode()
 
 
 def cmd_check(config: RunConfig, args) -> int:
@@ -83,13 +123,13 @@ def cmd_check(config: RunConfig, args) -> int:
         config.constants,
         tol=config.tolerances.condition,
     )
-    _emit(dumps_canonical(dataclasses.asdict(report)) + "\n", args.out)
+    _emit(_json_bytes(dataclasses.asdict(report)), args.out)
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
 def cmd_spectrum(config: RunConfig, args) -> int:
     rows = spectrum_rows(config, numeric=args.numeric)
-    _emit(dumps_canonical(rows) + "\n", args.out)
+    _emit(_json_bytes(rows), args.out)
     if args.numeric:
         worst = eigen_deviation(rows)
         if worst > config.tolerances.eigen_rel:
@@ -104,12 +144,12 @@ def cmd_wavefunction(config: RunConfig, args) -> int:
     t0 = perf_counter()
     sample = analytic_spinor(config.interaction, args.level, grid, config.constants, model=layout)
     t1 = perf_counter()
-    text, fallbacks = csv_text(
+    data, fallbacks = csv_text(
         "x,re_psi1,im_psi1,re_psi2,im_psi2\n",
         np.stack([grid.points, sample.psi1.real, sample.psi1.imag, sample.psi2.real, sample.psi2.imag], axis=1),
     )
     t2 = perf_counter()
-    _emit(text, args.out)
+    _emit(data, args.out)
     t3 = perf_counter()
     log.info(
         "wavefunction level %d model %s n %d: sample took %.1f ms, format took %.1f ms, write took %.1f ms, "
@@ -131,8 +171,10 @@ def cmd_verify(config: RunConfig, args) -> int:
         "checks": [dataclasses.asdict(c) for c in report.checks],
         "overall": report.overall,
     }
-    _emit(dumps_canonical(payload) + "\n", args.out)
-    log.info("verify took %d ms", int(runtime * 1000))
+    data = _json_bytes(payload)
+    t1 = perf_counter()
+    _emit(data, args.out)
+    log.info("verify took %d ms, write took %.2f ms", int(runtime * 1000), (perf_counter() - t1) * 1000)
     return EXIT_OK if report.overall else EXIT_FAILED
 
 
@@ -160,7 +202,7 @@ def cmd_models(config: RunConfig, args) -> int:
         )
         ok = ok and abs(abs(report.rayleigh_quotient) - ms.delta) <= config.tolerances.eigen_rel
     payload["passed"] = ok
-    _emit(dumps_canonical(payload) + "\n", args.out)
+    _emit(_json_bytes(payload), args.out)
     return EXIT_OK if ok else EXIT_FAILED
 
 

@@ -14,8 +14,9 @@ Every fact that depends on the family is a method of its class:
   i hbar theta keeps the points on a horizontal line, so f and f' come from
   real transcendentals: Morse from one real exp(-alpha x) times the constant
   (A + iB) e^(-i alpha y), which refuses by name a window where it
-  overflows; cot from sin and cos of u = alpha x - a and cosh and sinh of v
-  = alpha y - b, which give sin w and cos w;
+  overflows (one where only f^2 overflows is refused where f^2 is formed,
+  by refuse_overflow); cot from sin and cos of u = alpha x - a and cosh
+  and sinh of v = alpha y - b, which give sin w and cos w;
 * theta(consts), the metric shift, and condition_window(consts), the scale k
   and centre x0 of the conjugation-shift window;
 * hermitian_equivalent(), the real coupling f(x + i hbar theta/2);
@@ -57,6 +58,24 @@ SIN_POLE_CUTOFF = 1e-12
 _EXP_LIMIT = math.log(sys.float_info.max)
 # level count of the families whose well binds infinitely many levels
 UNBOUNDED = math.inf
+
+
+def refuse_overflow(what: str, x, compute):
+    """compute(), an array over the real points x, or a ParameterError naming where it overflows.
+
+    numpy's overflow flag raises while compute() runs, so no warning reaches
+    stderr; the points are then found by computing it again with the flag
+    ignored.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return compute()
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = x[~np.isfinite(compute())]
+    raise ParameterError(
+        f"{what} overflows on this window for x in [{bad.min():.6g}, {bad.max():.6g}]; narrow the grid window"
+    )
 
 
 @dataclass(frozen=True)
@@ -236,7 +255,7 @@ class MorseInteraction(InteractionSpec):
         hb = consts.hbar
         w = self.A + 1j * self.B
         e1 = self.decay(x)
-        base = self.D**2 + w * w * e1 * e1
+        base = self.D**2 + refuse_overflow("f^2", x, lambda: w * w * e1 * e1)
         v_minus = base - (2.0 * self.D + hb * self.alpha) * w * e1
         return v_minus, base - (2.0 * self.D - hb * self.alpha) * w * e1
 

@@ -26,6 +26,7 @@ from .interactions import (
     InteractionSpec,
     PhysicalConstants,
     eval_f,
+    refuse_overflow,
     sample_coupling,
 )
 
@@ -132,17 +133,21 @@ def momentum_operator(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS)
 
 
 def partner_potentials(
-    f, fp, consts: PhysicalConstants = DEFAULT_CONSTANTS
+    f, fp, x, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> EffectivePotentialSample:
-    """Partner potentials f^2 -/+ hbar f' from samples of f and f'."""
-    return EffectivePotentialSample(f * f - consts.hbar * fp, f * f + consts.hbar * fp)
+    """Partner potentials f^2 -/+ hbar f' from samples of f and f' at the points x.
+
+    A window where f^2 overflows is refused by a ParameterError that names it.
+    """
+    square = refuse_overflow("f^2", x, lambda: f * f)
+    return EffectivePotentialSample(square - consts.hbar * fp, square + consts.hbar * fp)
 
 
 def effective_potentials(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> EffectivePotentialSample:
     """Partner potentials from f and f', evaluated pointwise on the grid."""
-    return partner_potentials(*sample_coupling(spec, grid, consts), consts)
+    return partner_potentials(*sample_coupling(spec, grid, consts), grid.points, consts)
 
 
 def closed_form_potentials(

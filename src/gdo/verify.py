@@ -60,7 +60,7 @@ from .eigensolve import (
     stacked_inverse_iteration,
     symtridiag_eigenvalues,
 )
-from .errors import DimensionError, GdoError, LevelOutOfRangeError, ResolutionError
+from .errors import DimensionError, GdoError, LevelOutOfRangeError, ResolutionError, UnsupportedError
 from .interactions import (
     DEFAULT_CONSTANTS,
     Grid,
@@ -129,9 +129,11 @@ def numeric_epsilons(
 ) -> np.ndarray:
     """Lowest decoupled eigenvalues by the assertable numeric route.
 
-    The family's real_problem gives the real coupling and grid.  Morse and
-    linear: lower-partner potential of the metric-rotated real coupling on
-    the given grid.  Cot: real cosec^2 well at the points j h, j = 1..n,
+    The family's real_problem gives the real coupling and grid; a well
+    whose imaginary part exceeds 4 ulps of max|V| raises UnsupportedError
+    instead of losing that part to the real solve.  Morse and linear:
+    lower-partner potential of the metric-rotated real coupling on the
+    given grid.  Cot: real cosec^2 well at the points j h, j = 1..n,
     with h = pi/(alpha (n + 1)) and n the given grid's point count (only
     that count is used), so that the Dirichlet ghosts j = 0 and n + 1 sit on
     the poles.  The cosec^2 coefficient is hbar^2 alpha^2 s(s - 1) >= -1/4
@@ -152,6 +154,12 @@ def numeric_epsilons(
     """
     real_spec, solve_grid = spec.real_problem(grid)
     sample = closed_form_potentials(real_spec, solve_grid, consts)
+    well = np.abs(sample.v_minus.imag).max()
+    if well > 4 * np.finfo(float).eps * np.abs(sample.v_minus).max():
+        raise UnsupportedError(
+            f"the real problem of this {spec.kind} coupling has a complex well (max |Im V| = {well:.3e}); "
+            "numeric_epsilons solves real wells only"
+        )
     off, diag, _ = assemble_schrodinger(sample.v_minus, solve_grid, consts).bands
     diag, off = diag.real, off.real
     try:
@@ -374,7 +382,7 @@ def verify_all(config: RunConfig) -> VerificationReport:
     # 2. generic vs expanded closed-form potentials, pointwise; f is shared with
     # the ladder of checks 7-9 and V+ with check 4
     f, fp = sample_coupling(spec, config.grid, consts)
-    generic = partner_potentials(f, fp, consts)
+    generic = partner_potentials(f, fp, config.grid.points, consts)
     closed = closed_form_potentials(spec, config.grid, consts)
     scale = np.maximum(
         1.0, np.maximum(np.abs(generic.v_minus), np.abs(generic.v_plus))

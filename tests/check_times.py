@@ -4,13 +4,17 @@ The first table: the configs are the first CYCLES cycles of the sweep stream
 of perfbench/workloads.py at the given seed (n = 1001), each run through
 `gdo verify` in this process ROUNDS times, with GDO_LOG=info.  The times are
 the ones verify_all logs on its per-check lines ("check <name> ... took
-<ms> ms"), so they are the program's own measurements; the last line gives
-the median of the nine summed per verify.  The second table: the first
-CYCLES cycles of the artifacts stream (n = 4000), each level the benchmark
-writes run through `gdo wavefunction` ROUNDS times, with the sample, format
-and write times of its log line ("wavefunction ... sample took <ms> ms,
-format took <ms> ms, write took <ms> ms").  Columns: every config, then the Morse and the cot configs
-alone.  Run it on two checkouts to compare them:
+<ms> ms"), so they are the program's own measurements; the "total" line
+gives the median of the nine summed per verify, and the "artifact_write"
+line, outside that total, the write of the verify artifact over its
+--out, from verify's own line ("verify took <ms> ms, write took <ms>
+ms").  The second table: the first CYCLES cycles of the artifacts stream
+(n = 4000), each level the benchmark writes run through `gdo wavefunction`
+ROUNDS times, with the sample, format and write times of its log line
+("wavefunction ... sample took <ms> ms, format took <ms> ms, write took
+<ms> ms").  Every command of a table writes over one --out path, as a
+benchmark job does.  Columns: every config, then the Morse and the cot
+configs alone.  Run it on two checkouts to compare them:
 
     python tests/check_times.py --seed 7 --cycles 8 --rounds 5
 
@@ -65,7 +69,8 @@ KERNELS = {
 
 
 class _Times(logging.Handler):
-    """Keeps (name, ms) of every per-check line of verify_all and (stage, ms) of every wavefunction line.
+    """Keeps (name, ms) of every per-check line of verify_all, the write time of verify's
+    own line, and (stage, ms) of every wavefunction line.
 
     The timed kernels add their (name, ms) through timed().
     """
@@ -79,6 +84,9 @@ class _Times(logging.Handler):
         if record.msg.startswith("check "):
             # name, measured, threshold, verdict, ms
             self.times.append((record.args[0], record.args[4]))
+        elif record.msg.startswith("verify took"):
+            # verify ms, write ms
+            self.times.append(("artifact_write", record.args[1]))
         elif record.msg.startswith("wavefunction "):
             # level, model, n, sample ms, format ms, write ms
             self.times += [("sample", record.args[3]), ("format", record.args[4]), ("write", record.args[5])]
@@ -96,8 +104,8 @@ class _Times(logging.Handler):
 def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
     """{(family, name): [ms, ...]} over ROUNDS runs of commands(config) for each config.
 
-    "total" holds the logged times summed per command, and each kernel its
-    calls' times summed per command.
+    "total" holds the logged times but the artifact write summed per
+    command, and each kernel its calls' times summed per command.
     """
     handler = _Times()
     logger = logging.getLogger("gdo")
@@ -129,7 +137,9 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
                     gdo.cli.main(argv + ["--config", str(path), "--out", out])
                     for name, ms in handler.times:
                         samples[family, name].append(ms)
-                    samples[family, "total"].append(sum(ms for _, ms in handler.times))
+                    samples[family, "total"].append(
+                        sum(ms for name, ms in handler.times if name != "artifact_write")
+                    )
                     for kernel in KERNELS:
                         samples[family, kernel].append(
                             sum(ms for name, ms in handler.kernels if name == kernel)
@@ -141,7 +151,7 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
 
 
 def check_times(seed: int, cycles: int, rounds: int):
-    """{(family, check): [ms, ...]}, with "total" for the nine summed per verify."""
+    """{(family, check): [ms, ...]}, with "total" for the nine summed per verify and "artifact_write"."""
     return _timed_runs("sweep", seed, cycles, rounds, lambda config: [["verify"]])
 
 
@@ -179,7 +189,7 @@ def main(argv=None) -> int:
     verify = check_times(args.seed, args.cycles, args.rounds)
     wavefunction = wavefunction_times(args.seed, args.cycles, args.rounds)
     tables = {
-        "checks": _medians(verify, VERIFY_CHECKS + ("total",)),
+        "checks": _medians(verify, VERIFY_CHECKS + ("total", "artifact_write")),
         "kernels": _medians(verify, tuple(KERNELS)),
         "wavefunction_stages": _medians(wavefunction, ("sample", "format", "write")),
     }

@@ -11,6 +11,9 @@ cyclic_reduction_solve is the per-level solve that gdo.eigensolve plans once
 per factorization; the planned solve must match it bit for bit.
 full_sturm_counts is the stebz recurrence over every row, which the tail-stopped
 counts must match.
+ComplexDepthMorse and ComplexOmegaLinear are negative controls: couplings
+one parameter outside the paper's class, which every check must be able to
+tell apart from it.
 """
 
 from __future__ import annotations
@@ -19,9 +22,34 @@ import math
 
 import numpy as np
 
-from gdo import DEFAULT_CONSTANTS, CotInteraction, MorseInteraction
+from gdo import DEFAULT_CONSTANTS, CotInteraction, LinearInteraction, MorseInteraction
 from gdo.polynomials import jacobi, laguerre
 from gdo.spectra import _check_level, _grid_normalize
+
+
+class ComplexDepthMorse(MorseInteraction):
+    """Morse with a complex depth D: f = D - (A + iB) e^(-alpha x).
+
+    Its levels D^2 - (D - n hbar alpha)^2 are complex, and no real theta
+    meets f(x + i hbar theta) = conj f(x): at the family's theta the two
+    differ by 2i Im D everywhere.  __post_init__ skips the parameter checks,
+    which refuse a complex D.
+    """
+
+    def __post_init__(self):
+        pass
+
+
+class ComplexOmegaLinear(LinearInteraction):
+    """The complex harmonic oscillator f = m omega x with complex omega, levels 2 n hbar m omega.
+
+    Davies, Proc. R. Soc. Lond. A 455 (1999) 585.  At the family's theta = 0
+    the condition reads 2 m |Im omega| |x|.  __post_init__ skips the
+    parameter checks, which refuse a complex omega.
+    """
+
+    def __post_init__(self):
+        pass
 
 
 def binomial_general(w, m: int):

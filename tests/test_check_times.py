@@ -23,7 +23,7 @@ def test_check_times_writes_medians_and_host_to_json(tmp_path):
     assert set(record["host"]) == {"cpu_model", "nproc", "numpy", "cpu_features", "git_commit"}
     assert record["host"]["nproc"] >= 1 and record["host"]["cpu_features"]
     tables = {
-        "checks": set(check_times.VERIFY_CHECKS) | {"total"},
+        "checks": set(check_times.VERIFY_CHECKS) | {"total", "artifact_write"},
         "kernels": set(check_times.KERNELS),
         "wavefunction_stages": {"sample", "format", "write"},
     }

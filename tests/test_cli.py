@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import re
@@ -602,3 +604,131 @@ def test_models_samples_one_ladder_and_one_singlet(tmp_path, monkeypatch):
     kinds = [(m["kind"], m["dual_kind"]) for m in json.loads(out.read_text())["models"]]
     assert kinds == [("gajc", "gjc"), ("gjc", "gajc")]
 
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["verify"], EXIT_FAILED),
+        (["spectrum", "--numeric"], EXIT_FAILED),
+        (["models"], EXIT_OK),
+        (["check"], EXIT_OK),
+        (["wavefunction"], EXIT_OK),
+    ],
+    ids=["verify", "spectrum-numeric", "models", "check", "wavefunction"],
+)
+def test_morse_square_beyond_float_range_is_refused_where_it_is_formed(tmp_path, capsys, command, code):
+    # at x_min = -400 e^(-alpha x) is finite but f^2 overflows: the commands
+    # that form f^2 exit 1 with the one line that names the window, and no
+    # numpy warning; the others never square f and write their artifact
+    path = _write(tmp_path, dict(_morse(), grid={"x_min": -400.0, "x_max": 20.0, "n_points": 4000}))
+    out = tmp_path / "artifact"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(command + ["--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == EXIT_OK:
+        assert err == "" and out.stat().st_size > 0
+        return
+    assert re.fullmatch(
+        r"gdo: f\^2 overflows on this window for x in \[-400, -354\.\d+\]; narrow the grid window\n", err
+    )
+    assert not out.exists()
+
+
+_LONG = ["wavefunction", "--config", str(CONFIGS / "cot.json"), "--level", "2"]
+_SHORT = ["check", "--config", str(CONFIGS / "cot.json")]
+
+
+@pytest.mark.parametrize("first, second", [(_LONG, _SHORT), (_SHORT, _LONG)], ids=["long-short", "short-long"])
+def test_rewrite_leaves_the_bytes_of_a_fresh_write(tmp_path, first, second):
+    # the artifact is written over the old one in place, then cut to its length
+    out, fresh = tmp_path / "artifact", tmp_path / "fresh"
+    assert main(first + ["--out", str(out)]) == EXIT_OK
+    assert main(second + ["--out", str(out)]) == EXIT_OK
+    assert main(second + ["--out", str(fresh)]) == EXIT_OK
+    assert out.read_bytes() == fresh.read_bytes()
+    assert (out.stat().st_size > 5000) == (second is _LONG)
+
+
+def test_rewrite_keeps_the_inode_and_mode(tmp_path):
+    # as open(path, "w") does: an existing file keeps its inode and its mode,
+    # and a new file gets the mode open gives it
+    out, reference = tmp_path / "artifact", tmp_path / "reference"
+    out.write_bytes(b"x" * 100000)
+    out.chmod(0o640)
+    before = out.stat()
+    assert main(_SHORT + ["--out", str(out)]) == EXIT_OK
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    new = tmp_path / "new"
+    assert main(_SHORT + ["--out", str(new)]) == EXIT_OK
+    with open(reference, "w"):
+        pass
+    assert new.stat().st_mode == reference.stat().st_mode
+
+
+@pytest.mark.skipif(not Path("/dev/null").exists(), reason="needs /dev/null")
+@pytest.mark.parametrize("command", [_SHORT, _LONG], ids=["check", "wavefunction"])
+def test_character_device_is_written_as_a_stream(capsys, command):
+    # a device is not cut to length: /dev/null takes the artifact and exits 0
+    assert main(command + ["--out", "/dev/null"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_device_exits_2(capsys):
+    assert main(_SHORT + ["--out", "/dev/full"]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("gdo: cannot write artifact '/dev/full': ") and err.count("\n") == 1
+
+
+def test_directory_target_exits_2(tmp_path, capsys):
+    # a missing directory is test_malformed_input_exits_2[out_dir_missing]
+    out = tmp_path / "."
+    assert main(_SHORT + ["--out", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"gdo: cannot write artifact {str(out)!r}: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_an_empty_file(tmp_path, capsys, monkeypatch):
+    # a write that fails half way must not leave new bytes before the old tail
+    out = tmp_path / "artifact"
+    out.write_bytes(b"old artifact\n" * 10000)
+    real_write = cli.os.write
+
+    def half_then_full(fd, data):
+        if len(data) > 100:
+            return real_write(fd, data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "write", half_then_full)
+    assert main(_LONG + ["--out", str(out)]) == EXIT_BAD_INPUT
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert err.startswith(f"gdo: cannot write artifact {str(out)!r}: ") and err.count("\n") == 1
+    assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", [_LONG, _SHORT], ids=["wavefunction", "check"])
+def test_stdout_gets_the_bytes_of_out(tmp_path, capsysbinary, command):
+    out = tmp_path / "artifact"
+    assert main(command + ["--out", str(out)]) == EXIT_OK
+    assert main(command) == EXIT_OK
+    assert capsysbinary.readouterr().out == out.read_bytes()
+
+
+def test_text_stdout_without_a_byte_layer_gets_the_text_of_out(tmp_path):
+    out = tmp_path / "artifact"
+    assert main(_SHORT + ["--out", str(out)]) == EXIT_OK
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(_SHORT) == EXIT_OK
+    assert stdout.getvalue().encode() == out.read_bytes()
+
+
+def test_verify_logs_its_write_time(tmp_path, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="gdo")
+    _, lines = _verify_log(tmp_path, monkeypatch, caplog, "info")
+    (line,) = [line for line in lines if "verify took" in line]
+    assert re.fullmatch(r"verify took \d+ ms, write took \d+\.\d\d ms", line)

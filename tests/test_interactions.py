@@ -19,6 +19,7 @@ from gdo import (
     epsilon_minus,
     eval_f,
 )
+from oracles import ComplexDepthMorse, ComplexOmegaLinear
 
 
 def f_prime(spec, z, consts=DEFAULT_CONSTANTS):
@@ -296,3 +297,25 @@ class TestValidation:
     def test_complex_parameter_is_refused_by_name(self, make, field):
         with pytest.raises(ParameterError, match=rf"parameter '{field}' must be real, got "):
             make()
+
+
+@pytest.mark.parametrize(
+    "spec, deviation",
+    [
+        # f(x + i hbar theta) - conj f(x) = 2i Im D at every point
+        (ComplexDepthMorse(D=2.5 + 0.3j, A=1.0, B=0.5, alpha=1.0), 0.6),
+        (ComplexDepthMorse(D=2.5 + 0.01j, A=1.0, B=0.5, alpha=1.0), 0.02),
+        # 2 m |Im omega| |x| at the window's ends x = -+2/k, k = sqrt(m |omega| / hbar)
+        (ComplexOmegaLinear(omega=1.0 + 0.2j), 0.8 / abs(1.0 + 0.2j) ** 0.5),
+    ],
+    ids=["morse-D-0.3i", "morse-D-0.01i", "linear-omega-0.2i"],
+)
+def test_negative_control_fails_the_condition(spec, deviation):
+    # a coupling one parameter outside the paper's class fails the
+    # conjugation-shift check at its family's theta
+    consts = DEFAULT_CONSTANTS
+    report = check_pseudo_hermiticity_condition(
+        spec, spec.theta(consts), default_condition_grid(spec, consts), consts
+    )
+    assert not report.passed
+    assert report.max_deviation == pytest.approx(deviation, rel=1e-12)

@@ -22,6 +22,7 @@ from gdo import (
     ParameterError,
     PhysicalConstants,
     ResolutionError,
+    UnsupportedError,
     assemble_schrodinger,
     check_pseudo_hermiticity_condition,
     default_condition_grid,
@@ -52,7 +53,7 @@ from gdo.verify import (
     seeded_eigenvalues,
     stopping_residual,
 )
-from oracles import dense, full_sturm_counts
+from oracles import ComplexDepthMorse, ComplexOmegaLinear, dense, full_sturm_counts
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -480,6 +481,20 @@ def test_coupling_without_closed_form_levels_raises(bisection, spec, message):
     # only a level beyond the bound ones goes to bisection; a coupling with
     # no closed-form levels has nothing to check its box levels against
     with pytest.raises(ParameterError, match=message):
+        numeric_epsilons(spec, Grid(-6.0, 6.0, 201), PhysicalConstants(), 2)
+    assert not bisection.calls
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ComplexDepthMorse(D=2.5 + 0.3j, A=1.0, B=0.5, alpha=1.0), ComplexOmegaLinear(omega=1.0 + 0.2j)],
+    ids=["morse-complex-D", "linear-complex-omega"],
+)
+def test_complex_well_of_the_real_problem_is_refused(bisection, spec):
+    # the real problem of either negative control keeps its complex
+    # parameter, so its well is complex; its imaginary part must not be
+    # dropped on the way to the real solve
+    with pytest.raises(UnsupportedError, match=rf"real problem of this {spec.kind} coupling has a complex well"):
         numeric_epsilons(spec, Grid(-6.0, 6.0, 201), PhysicalConstants(), 2)
     assert not bisection.calls
 
