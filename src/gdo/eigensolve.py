@@ -18,26 +18,24 @@ diagonal of one tridiagonal matrix with exactly zero couplings between them.
 One cyclic-reduction factorization serves every shift, and the iterate keeps
 that flat padded layout from one solve to the next.  The solve runs in the
 dtype of the bands and shifts, so a real symmetric T with real shifts is
-solved in float64.  Each shift is fixed, except that a block converging
-slowly may move its shift once to its Rayleigh value, at the cost of one
-factorization of the stack (_refresh_pays has the rule).  A refresh whose
-factorization breaks down is dropped and the block keeps its shift.
-stacked_inverse_iteration reports a breakdown of the shifts it was given, or
-a stall, and leaves the remedy to its caller: inverse_iteration raises
-SingularPivotError or ConvergenceError for its one shift, and the seeded
-levels of verify fall back to bisection.  A breakdown never perturbs a shift.
+solved in float64.  Each block keeps its shift from the first solve to the
+last (Parlett, The Symmetric Eigenvalue Problem, ch. 4; Ipsen, SIAM Rev. 39
+(1997) 254).  stacked_inverse_iteration reports a breakdown of the shifts it
+was given, or a stall, and leaves the remedy to its caller:
+inverse_iteration raises SingularPivotError or ConvergenceError for its one
+shift, and the seeded levels of verify fall back to bisection.  A breakdown
+never perturbs a shift.
 
 Each iteration costs one solve plus a few passes over the iterate, so the
 passes are kept few and copy-free.  The factorization checks the pivots of
 all its levels once, after the last one.  Its solve is planned once
 (_plan): every level's buffers and views are made before the first solve,
-and a refresh's factorization takes them over (_replan), so a solve is only
-the arithmetic, written in place, and each level's solution lands where the
-finer level reads it.  T multiplies the n rows of every block at once
-through band_matvec, and the norms are sums of squares over the float view
-of the iterate.  Every shift starts from the same vector, a Weyl sequence: a
-smooth start is nearly orthogonal to the odd levels of a symmetric well,
-which then take 2 to 3 more iterations.
+so a solve is only the arithmetic, written in place, and each level's
+solution lands where the finer level reads it.  T multiplies the n rows of
+every block at once through band_matvec, and the norms are sums of squares
+over the float view of the iterate.  Every shift starts from the same
+vector, a Weyl sequence: a smooth start is nearly orthogonal to the odd
+levels of a symmetric well, which then take 2 to 3 more iterations.
 """
 
 from __future__ import annotations
@@ -59,9 +57,6 @@ ITERATION_TOL = 1e-8
 ITERATION_MAX = 100
 # the rounding margin of a Sturm count, in units of atol; see certify_levels
 COUNT_MARGIN = 4.0
-# when a block's shift moves to its Rayleigh value; see _refresh_pays
-REFRESH_GAP = 0.1
-REFRESH_ITERATIONS = 2
 
 
 def _sturm_counts(d, e2, pivmin, shifts):
@@ -249,26 +244,6 @@ def _plan(levels) -> _Plan:
     return _Plan(rhs, padded[1:], reduce, substitute)
 
 
-def _replan(plan: _Plan, levels) -> _Plan:
-    """The plan for levels of plan's stack and dtype, on plan's buffers.
-
-    The new plan takes over the buffers and views with what they hold, the
-    right-hand side included, and swaps in the new factors; plan must not
-    be solved with again.
-    """
-    reduce = [
-        (alpha, lo, mid, gamma, hi, g, tmp)
-        for (_, lo, mid, _, hi, g, tmp), (_, _, _, alpha, gamma) in zip(plan.reduce, levels)
-    ]
-    substitute = [
-        (inv, f, rows, left, lo, right, hi, tmp)
-        for (_, f, rows, _, lo, _, hi, tmp), (inv, left, right, _, _) in zip(
-            plan.substitute, reversed(levels)
-        )
-    ]
-    return _Plan(plan.rhs, plan.solution, reduce, substitute)
-
-
 def _cyclic_reduction_solve(plan: _Plan) -> np.ndarray:
     """Solve for plan.rhs; the solution is plan.solution, overwritten by the next solve.
 
@@ -409,18 +384,13 @@ def certify_levels(diag, offdiag, values, residuals, bounds=None):
 
 @dataclass(frozen=True)
 class EigenResult:
-    """An inverse-iteration eigenpair and its residual; converged says whether it reached tol.
-
-    shift is the shift of the factorization that produced the pair: the one
-    asked for, or the Rayleigh value it was refreshed to.
-    """
+    """An inverse-iteration eigenpair and its residual; converged says whether it reached tol."""
 
     eigenvalue: complex
     eigenvector: np.ndarray
     residual_norm: float
     iterations: int
     converged: bool
-    shift: complex
 
 
 def symtridiag_eigenvalues(diag, offdiag, count=None) -> np.ndarray:
@@ -490,28 +460,6 @@ def _row_vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x.conj()[:, None, :] @ y[:, :, None])[:, 0]
 
 
-def _refresh_pays(residual, previous, value, shift, tol) -> bool:
-    """Whether moving a block's shift to its Rayleigh value should save iterations.
-
-    A fixed shift s converges linearly, at the ratio |lam - s| / |lam' - s|
-    of its distances to the nearest eigenvalue and the next one, which the
-    observed ratio q of two successive residuals estimates.  The Rayleigh
-    value rho is far closer to lam than s once the residual r is small next
-    to |rho - s|, and a shift at rho converges in an iteration or two
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 4; Ipsen, SIAM Rev. 39
-    (1997) 254).  The refresh costs a factorization, about two iterations,
-    so it is made when r < REFRESH_GAP |rho - s| and, with 0 < q < 1, the
-    fixed shift still needs more than REFRESH_ITERATIONS iterations, that is
-    log(tol / r) / log(q) > REFRESH_ITERATIONS.
-    """
-    ratio = residual / previous
-    return (
-        residual < REFRESH_GAP * abs(value - shift)
-        and 0.0 < ratio < 1.0
-        and math.log(tol / residual) / math.log(ratio) > REFRESH_ITERATIONS
-    )
-
-
 def stacked_inverse_iteration(
     bands, shifts, tol: float = ITERATION_TOL
 ) -> Optional[List[EigenResult]]:
@@ -528,25 +476,17 @@ def stacked_inverse_iteration(
     through band_matvec, so each block meets the arithmetic it would meet
     alone.
 
-    Each shift is fixed, with at most one refresh: after an iteration, a
-    block whose refresh has not been tried and that _refresh_pays moves its
-    shift to its Rayleigh value rho, real in a real solve, and the stack is
-    factored again with the other shifts as they were.  A refresh
-    whose factorization breaks down is dropped, not retried, and the block
-    iterates on with its old factorization; when blocks refreshing together
-    break down, each is tried alone, so a block refreshes exactly when it
-    would alone.  The reported value stays v^H T v and the residual stays
-    ||T v - rho v||, computed directly.
-
-    A block whose residual drops to tol keeps that iteration's values and is
-    zeroed, so it solves for zero from then on.  Returns, in shift order, one
-    EigenResult per shift, converged False for a shift still above tol after
-    ITERATION_MAX iterations; [] for no shifts; or None when the first
-    factorization breaks down or the norm of a live block is not finite and
-    positive: the iterate or its squared norm overflowed, 0 * inf at a block
-    boundary made a NaN, or the squared norm underflowed to 0.  The caller
-    chooses the remedy for a breakdown or a stall; no breakdown perturbs a
-    shift.
+    Every block iterates at its given shift from the first solve to the
+    last; the reported value is the Rayleigh value rho = v^H T v and the
+    residual ||T v - rho v||, computed directly.  A block whose residual
+    drops to tol keeps that iteration's values and is zeroed, so it solves
+    for zero from then on.  Returns, in shift order, one EigenResult per
+    shift, converged False for a shift still above tol after ITERATION_MAX
+    iterations; [] for no shifts; or None when the factorization breaks down
+    or the norm of a live block is not finite and positive: the iterate or
+    its squared norm overflowed, 0 * inf at a block boundary made a NaN, or
+    the squared norm underflowed to 0.  The caller chooses the remedy for a
+    breakdown or a stall; no breakdown perturbs a shift.
     """
     shifts = np.asarray(shifts).reshape(-1)
     if shifts.size == 0:
@@ -559,8 +499,6 @@ def stacked_inverse_iteration(
     n, count = diag.size, shifts.size
     width = 1 << n.bit_length()
     stacked = count * width
-    # the iterate lives in the plan's right-hand side, in the solve's layout
-    plan.rhs[:stacked].reshape(count, width)[:, :n] = _start_vector(n)
     solve_dtype = plan.rhs.dtype
     real = np.finfo(solve_dtype).dtype
     scratch = np.empty((count, width), dtype=solve_dtype)
@@ -568,10 +506,6 @@ def stacked_inverse_iteration(
     mv = np.zeros((count, width), dtype=solve_dtype)
     live = np.ones((count, 1), dtype=bool)
     results: List[Optional[EigenResult]] = [None] * count
-    # the blocks whose refresh is still to be tried, and every block's
-    # residual at the iteration before
-    untried = list(range(count))
-    previous = [math.inf] * count
 
     def row_norms(rows):
         # one row-times-column product per row of the real view: no copies
@@ -583,28 +517,14 @@ def stacked_inverse_iteration(
         for k in np.flatnonzero(rows).tolist():
             vector = blocks[k, :n].copy()
             value, residual = complex(eigenvalues[k, 0]), float(residuals[k, 0])
-            results[k] = EigenResult(
-                value, vector, residual, iterations, converged, complex(shifts[k])
-            )
+            results[k] = EigenResult(value, vector, residual, iterations, converged)
 
-    def refactor(moves):
-        # factor again with each (block, value) of moves as that block's
-        # shift; on a breakdown keep the old factorization and return False
-        nonlocal plan, shifts
-        trial = shifts.astype(solve_dtype)
-        for k, value in moves:
-            trial[k] = value
-        levels = _cyclic_reduction_factor(sub, diag, sup, trial)
-        if levels is None:
-            return False
-        # the unit iterate in plan.rhs is the next right-hand side
-        plan, shifts = _replan(plan, levels), trial
-        return True
-
+    # the iterate lives in the plan's right-hand side, in the solve's layout
+    blocks = plan.rhs[:stacked].reshape(count, width)
+    blocks[:, :n] = _start_vector(n)
     # an overflow shows as a non-finite norm, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, ITERATION_MAX + 1):
-            blocks = plan.rhs[:stacked].reshape(count, width)
             solution = _cyclic_reduction_solve(plan)[:stacked].reshape(count, width)
             norms = row_norms(solution)
             # a converged block solved for zero: scaling it by one keeps it zero
@@ -627,25 +547,6 @@ def stacked_inverse_iteration(
                 if not live.any():
                     return results
                 blocks[done[:, 0]] = 0.0
-            if untried:
-                untried = [k for k in untried if live[k, 0]]
-                current = residuals[:, 0].tolist()
-                values, now = eigenvalues[:, 0].tolist(), shifts.tolist()
-                pays = [
-                    k
-                    for k in untried
-                    if _refresh_pays(current[k], previous[k], values[k], now[k], tol)
-                ]
-                previous = current
-                if pays:
-                    # each block tries its refresh once; a joint breakdown
-                    # tries each block alone, so a block's refresh is kept
-                    # exactly when it would be kept alone
-                    untried = [k for k in untried if k not in pays]
-                    moves = [(k, values[k]) for k in pays]
-                    if not refactor(moves) and len(moves) > 1:
-                        for move in moves:
-                            refactor([move])
     record(live, ITERATION_MAX, False)
     return results
 
@@ -655,19 +556,15 @@ def inverse_iteration(
 ) -> EigenResult:
     """Converge to the eigenpair of a complex tridiagonal matrix nearest the shift.
 
-    Fixed-shift iteration, refreshed at most once to the Rayleigh value,
-    with a Rayleigh-quotient eigenvalue readout; convergence means the
-    absolute residual ||M v - lambda v|| (unit v) drops below tol.  This is
-    one stacked_inverse_iteration call with one block, in complex arithmetic
-    since OperatorMatrix stores complex bands: T - s I, padded with identity
-    rows to 2^m rows, is factored by odd-even cyclic reduction and every
-    iteration reuses the factorization, until a slowly converging shift moves
-    to its Rayleigh value and T is factored once more there; the result's
-    shift says which factorization produced it.  A shift landing on an
-    eigenvalue can make a pivot vanish or a factor, an iterate or its norm
-    overflow; that breakdown raises SingularPivotError naming the shift,
-    which is never perturbed and retried.  A refresh that breaks down is
-    dropped and the iteration goes on at the given shift.  A shift still
+    Fixed-shift iteration with a Rayleigh-quotient eigenvalue readout;
+    convergence means the absolute residual ||M v - lambda v|| (unit v)
+    drops below tol.  This is one stacked_inverse_iteration call with one
+    block, in complex arithmetic since OperatorMatrix stores complex bands:
+    T - s I, padded with identity rows to 2^m rows, is factored once by
+    odd-even cyclic reduction and every iteration reuses the factorization.
+    A shift landing on an eigenvalue can make a pivot vanish or a factor, an
+    iterate or its norm overflow; that breakdown raises SingularPivotError
+    naming the shift, which is never perturbed and retried.  A shift still
     above tol after ITERATION_MAX iterations raises ConvergenceError.
 
     The reduction is unpivoted, like plain tridiagonal elimination, which is
@@ -687,4 +584,4 @@ def inverse_iteration(
     # the residual certificate of the matrix the caller holds, not of its padded bands
     v, value = result.eigenvector, result.eigenvalue
     residual = float(np.linalg.norm(matrix.matvec(v) - value * v))
-    return EigenResult(value, v, residual, result.iterations, result.converged, result.shift)
+    return EigenResult(value, v, residual, result.iterations, result.converged)

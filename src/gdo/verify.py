@@ -201,8 +201,7 @@ def seeded_eigenvalues(diag, offdiag, seeds, bounds=None) -> np.ndarray:
     any level fails its certificate, every level comes from
     symtridiag_eigenvalues, so the values are never a mix of the two routes.
     bounds is the _stebz_bounds of T, computed here when not given.  Each
-    level's route goes to the log at INFO level, with the shift its
-    factorization ended at (the seed, or the Rayleigh value of a refresh),
+    level's route goes to the log at INFO level, with its iteration count,
     the radius of a certified level and the failure that sent a level to
     bisection.
     """
@@ -236,11 +235,8 @@ def seeded_eigenvalues(diag, offdiag, seeds, bounds=None) -> np.ndarray:
         route = "bisection" if failures else "certified"
         for level, (seed, value) in enumerate(zip(seeds, values.tolist())):
             log.info(
-                "level %d n=%d seed=%.10g shift=%s numeric=%.10g radius=%s iterations=%s "
-                "route=%s%s",
-                level, d.size, seed,
-                f"{results[level].shift.real:.10g}" if level < len(results) else "-",
-                value,
+                "level %d n=%d seed=%.10g numeric=%.10g radius=%s iterations=%s route=%s%s",
+                level, d.size, seed, value,
                 f"{radius[level]:.2e}" if radius and not failures else "-",
                 results[level].iterations if level < len(results) else "-",
                 route,

@@ -18,12 +18,13 @@ configs alone.  Run it on two checkouts to compare them:
 
     python tests/check_times.py --seed 7 --cycles 8 --rounds 5
 
-A third table gives the two eigenvalue kernels of each verify, timed by
-wrappers around gdo.verify.stacked_inverse_iteration and
-gdo.eigensolve._sturm_counts and summed per verify.  With --json PATH the
-medians of all three tables go to PATH as well, with the host they were
-measured on (tests/host.py: CPU model, nproc, numpy version, the CPU
-features numpy enabled, git commit):
+A third table gives five kernels of each verify, timed by wrappers around
+the names KERNELS lists and summed per verify: the two eigenvalue kernels,
+stacked_inverse_iteration and the Sturm counts, and the coupling sample,
+the ladder pair and the Schrodinger matrix that the checks build.  With
+--json PATH the medians of all three tables go to PATH as well, with the
+host they were measured on (tests/host.py: CPU model, nproc, numpy
+version, the CPU features numpy enabled, git commit):
 
     python tests/check_times.py --seed 7 --cycles 8 --rounds 3 --json times.json
 
@@ -56,15 +57,21 @@ from perfbench.workloads import (  # noqa: E402  (puts ROOT/src on sys.path)
 
 import gdo.cli  # noqa: E402
 import gdo.eigensolve  # noqa: E402
+import gdo.operators  # noqa: E402
 import gdo.verify  # noqa: E402
 from host import host_facts  # noqa: E402
 
 FAMILIES = ("morse", "cot")
-# (module, name) of each timed kernel; the Sturm counts are looked up in
-# gdo.eigensolve by the certificate and by bisection alike
+# (modules, name) of each timed kernel, wrapped in every module that looks
+# it up: the Sturm counts in gdo.eigensolve, by the certificate and by
+# bisection alike, and the coupling sample in gdo.verify, by the checks, and
+# in gdo.operators, by effective_potentials.  No kernel calls another
 KERNELS = {
-    "stacked_inverse_iteration": (gdo.verify, "stacked_inverse_iteration"),
-    "sturm_counts": (gdo.eigensolve, "_sturm_counts"),
+    "stacked_inverse_iteration": ((gdo.verify,), "stacked_inverse_iteration"),
+    "sturm_counts": ((gdo.eigensolve,), "_sturm_counts"),
+    "sample_coupling": ((gdo.verify, gdo.operators), "sample_coupling"),
+    "ladder_pair": ((gdo.verify,), "ladder_pair"),
+    "assemble_schrodinger": ((gdo.verify,), "assemble_schrodinger"),
 }
 
 
@@ -114,9 +121,10 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
     # the handler drops all but the timed lines
     logger.propagate = False
     os.environ["GDO_LOG"] = "info"
-    originals = {name: getattr(module, attr) for name, (module, attr) in KERNELS.items()}
-    for name, (module, attr) in KERNELS.items():
-        setattr(module, attr, handler.timed(name, originals[name]))
+    originals = {name: getattr(modules[0], attr) for name, (modules, attr) in KERNELS.items()}
+    for name, (modules, attr) in KERNELS.items():
+        for module in modules:
+            setattr(module, attr, handler.timed(name, originals[name]))
     samples = defaultdict(list)
     configs = list(itertools.chain.from_iterable(
         itertools.islice(config_cycles(workload, seed), cycles)
@@ -144,8 +152,9 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
                         samples[family, kernel].append(
                             sum(ms for name, ms in handler.kernels if name == kernel)
                         )
-    for name, (module, attr) in KERNELS.items():
-        setattr(module, attr, originals[name])
+    for name, (modules, attr) in KERNELS.items():
+        for module in modules:
+            setattr(module, attr, originals[name])
     logger.removeHandler(handler)
     return samples
 
@@ -196,7 +205,7 @@ def main(argv=None) -> int:
     runs = f"seed={args.seed} cycles={args.cycles} rounds={args.rounds}"
     print(f"median ms per check, sweep {runs}")
     _print_table(tables["checks"], "check")
-    print(f"median ms per verify in each eigenvalue kernel, sweep {runs}")
+    print(f"median ms per verify in each kernel, sweep {runs}")
     _print_table(tables["kernels"], "kernel")
     print(f"median ms per wavefunction CSV, artifacts {runs}")
     _print_table(tables["wavefunction_stages"], "stage")

@@ -33,6 +33,28 @@ def cpu_features():
     return sorted(name for name, enabled in _umath().__cpu_features__.items() if enabled)
 
 
+def dispatch_targets():
+    """The dispatch targets of numpy's build that are enabled here, in the build's order.
+
+    Each dispatched loop runs its version for the highest of these targets
+    it was built for, or its baseline version; so these targets fix which
+    SIMD loops run.  NPY_DISABLE_CPU_FEATURES, a space-separated list
+    of targets, narrows them for one process.
+    """
+    enabled = set(cpu_features())
+    return [name for name in getattr(_umath(), "__cpu_dispatch__", ()) if name in enabled]
+
+
+def dispatch_level() -> str:
+    """The enabled dispatch targets joined by "+", or "baseline" when none is enabled.
+
+    On numpy 2.4.6's x86-64 build, "X86_V3+X86_V4+AVX512_ICL+AVX512_SPR"
+    runs its AVX-512 loops, "X86_V3" its AVX2 loops and "baseline" its
+    X86_V2 loops.
+    """
+    return "+".join(dispatch_targets()) or "baseline"
+
+
 def avx512_dispatch():
     """The enabled features through which numpy dispatches its AVX-512 loops, sorted.
 
@@ -41,12 +63,8 @@ def avx512_dispatch():
     to them, space-separated, makes one process run numpy's AVX2 loops or
     older.  Empty on a host, or a numpy build, without them.
     """
-    umath = _umath()
-    enabled = set(cpu_features())
     return sorted(
-        name
-        for name in getattr(umath, "__cpu_dispatch__", ())
-        if name in enabled and (name.startswith("AVX512") or name == "X86_V4")
+        name for name in dispatch_targets() if name.startswith("AVX512") or name == "X86_V4"
     )
 
 

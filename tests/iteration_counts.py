@@ -6,13 +6,12 @@ count of every seeded eigenvalues_numeric level, in level order, and the
 route the levels took: certified, or bisection when the seeded solve did
 not certify them all, or "-" when no level was seeded.  For each probe
 config it gives, per seed, the iteration count of the real-line probe,
-marked with a trailing "*" when its shift was refreshed to a Rayleigh value
-and "!" when its converged flag is False, or "error" when the probe raised.
-The last two lines give the totals.  The sweep total counts the slowest
-level of each stacked call, since the stack iterates until its last level
-converges; the probe total counts every probe, and next to it the
-cyclic-reduction factorizations the probes made, one per probe plus one per
-refresh.  The output is deterministic, so two checkouts can be diffed:
+marked with a trailing "!" when its converged flag is False, or "error"
+when the probe raised.  The last two lines give the totals.  The sweep
+total counts the slowest level of each stacked call, since the stack
+iterates until its last level converges; the probe total counts every
+probe, each of which factors its matrix once.  The output is deterministic,
+so two checkouts can be diffed:
 
     python tests/iteration_counts.py > after.txt
 
@@ -33,8 +32,6 @@ sys.path.insert(0, str(ROOT))
 from perfbench.workloads import config_cycles  # noqa: E402  (puts ROOT/src on sys.path)
 
 import gdo  # noqa: E402
-import gdo.eigensolve  # noqa: E402
-import gdo.verify  # noqa: E402
 from gdo.config import config_from_dict  # noqa: E402
 
 SEEDS = (7, 2027)
@@ -49,10 +46,10 @@ class _SeededLevels(logging.Handler):
         self.levels = []
 
     def emit(self, record):
-        # the args of seeded_eigenvalues' line: level, n, seed, shift,
-        # numeric, radius, iterations, route, failure
+        # the args of seeded_eigenvalues' line: level, n, seed, numeric,
+        # radius, iterations, route, failure
         if record.msg.startswith("level "):
-            self.levels.append(record.args[6:9])
+            self.levels.append(record.args[5:8])
 
 
 def _configs(workload: str, seed: int):
@@ -84,41 +81,16 @@ def sweep_lines(handler: _SeededLevels):
     )
 
 
-class _Probes:
-    """Counts the factorizations, and keeps whether each probe's shift was refreshed."""
-
-    def __init__(self):
-        self.factorizations = 0
-        self.refreshed = []
-        self._factor = gdo.eigensolve._cyclic_reduction_factor
-        self._probe = gdo.verify.inverse_iteration
-
-    def factor(self, *args):
-        self.factorizations += 1
-        return self._factor(*args)
-
-    def probe(self, matrix, shift, **kwargs):
-        result = self._probe(matrix, shift, **kwargs)
-        self.refreshed.append(result.shift != shift)
-        return result
-
-
 def probe_lines():
     """One line per probe config; every probe adds to the totals."""
     total = errors = stalls = 0
-    spy = _Probes()
-    gdo.eigensolve._cyclic_reduction_factor = spy.factor
-    gdo.verify.inverse_iteration = spy.probe
     for seed in SEEDS:
         for index, config in enumerate(_configs("probe", seed)):
             cfg = config_from_dict(config)
             seeds = [row["epsilon"] for row in gdo.spectrum_rows(cfg)]
-            spy.refreshed.clear()
             probes = gdo.real_line_probe(
                 cfg.interaction, cfg.grid, cfg.constants, seeds, tol=cfg.tolerances.residual
             )
-            # a probe that raised returned no result to the spy
-            refreshed = iter(spy.refreshed)
             cells = []
             for probe in probes:
                 if "error" in probe:
@@ -127,13 +99,9 @@ def probe_lines():
                     continue
                 total += probe["iterations"]
                 stalls += not probe["converged"]
-                marks = ("*" if next(refreshed) else "") + ("" if probe["converged"] else "!")
-                cells.append(f"{probe['iterations']}{marks}")
+                cells.append(f"{probe['iterations']}{'' if probe['converged'] else '!'}")
             yield f"probe seed={seed} job={index:02d} iterations=({', '.join(cells)})"
-    yield (
-        f"probe total iterations={total} factorizations={spy.factorizations} errors={errors} "
-        f"unconverged={stalls}"
-    )
+    yield f"probe total iterations={total} errors={errors} unconverged={stalls}"
 
 
 def main() -> int:

@@ -32,5 +32,10 @@ def test_check_times_writes_medians_and_host_to_json(tmp_path):
         for medians in record[table].values():
             assert set(medians) == {"all", "morse", "cot"}
             assert all(math.isfinite(ms) and ms >= 0 for ms in medians.values())
-    # every verify seeds its levels, so both kernels ran
+    # every verify samples its coupling, builds a ladder and seeds its
+    # levels in a Schrodinger matrix, so every kernel ran
+    assert tables["kernels"] == {
+        "stacked_inverse_iteration", "sturm_counts", "sample_coupling", "ladder_pair",
+        "assemble_schrodinger",
+    }
     assert all(record["kernels"][kernel]["all"] > 0 for kernel in tables["kernels"])
