@@ -1,16 +1,14 @@
-"""In-repo eigenvalue oracles: Sturm counts and bisection, and inverse iteration.
+"""In-repo eigenvalue kernels: Sturm counts and bisection, and inverse iteration.
 
 These are deliberately self-contained so every closed-form level in the
 package can be cross-checked against an independent numerical route.  The
-lowest levels of a symmetric tridiagonal matrix found some other way
-(inverse-iteration Rayleigh values with their residuals) are certified by
-certify_levels, from Kahan's residual bound, one Sturm count at the top
-boundary of level_boundaries and Temple's bound; the lowest levels of a
-matrix with no such estimate come from the bisection of
-symtridiag_eigenvalues.  Both count eigenvalues with
-the one stebz loop of _sturm_counts, which stops a shift early in a tail of
-strictly diagonally dominant rows, where no later pivot can turn negative,
-and so counts what a pass over every row counts.
+kernels are the Sturm count of _sturm_counts, the stebz set-up of
+_stebz_bounds, cyclic reduction, inverse iteration and the bisection of
+symtridiag_eigenvalues; the certificate that turns inverse-iteration values
+into eigenvalues is gdo.verify.seeded_eigenvalues.  Every count runs the one
+stebz loop of _sturm_counts, which stops a shift early in a tail of strictly
+diagonally dominant rows, where no later pivot can turn negative, and so
+counts what a pass over every row counts.
 
 Inverse iteration runs in one layout for one shift or many: the blocks
 T - s_k I, each padded with identity rows to 2^m rows, are stacked along the
@@ -55,8 +53,6 @@ TINY_PIVOT = 1e-300
 # the default tolerance and the iteration cap of both inverse iterations
 ITERATION_TOL = 1e-8
 ITERATION_MAX = 100
-# the rounding margin of a Sturm count, in units of atol; see certify_levels
-COUNT_MARGIN = 4.0
 
 
 def _sturm_counts(d, e2, pivmin, shifts):
@@ -282,104 +278,6 @@ def _stebz_bounds(d, e):
     gu = float((d + radius).max())
     atol = max(_EPS * max(abs(gl), abs(gu)), pivmin)
     return e2, pivmin, gl, gu, atol
-
-
-def level_boundaries(values):
-    """The K + 1 boundaries that K >= 2 ascending values imply, and each value's distance to them.
-
-    Boundary k, for 0 < k < K, is the midpoint of values k - 1 and k; the
-    outer two lie a quarter of the smallest gap below the first value and
-    above the last.  Returns (boundaries, distances), where distance k is
-    that of value k to the nearer end of its interval [b_k, b_{k+1}]; it is
-    <= 0 where the values are not ascending.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    quarter = 0.25 * float(np.min(np.diff(v)))
-    boundaries = np.concatenate(([v[0] - quarter], 0.5 * (v[:-1] + v[1:]), [v[-1] + quarter]))
-    return boundaries, np.minimum(v - boundaries[:-1], boundaries[1:] - v)
-
-
-def certify_levels(diag, offdiag, values, residuals, bounds=None):
-    """Certify K Rayleigh values, with their residuals, as the K lowest eigenvalues of T.
-
-    Value rho_k has some eigenvalue within r_k of it (Kahan's bound;
-    Parlett, The Symmetric Eigenvalue Problem, ch. 4).  With K >= 2, level
-    k's interval runs between boundaries k and k + 1 of
-    level_boundaries(values), and its window rho_k -+ (r_k + COUNT_MARGIN
-    atol) must lie inside it; atol, eps times the Gershgorin bound on ||T||,
-    is the absolute tolerance of symtridiag_eigenvalues, and the margin
-    covers the rounding of r_k and of a count.  The windows are then
-    disjoint, each inside its own interval, and each holds at least one
-    eigenvalue, so one Sturm count of K at the top boundary b_K puts exactly
-    one eigenvalue in each window and none elsewhere below b_K: window k
-    holds the k-th eigenvalue lambda_k (from 0) alone, and so does its
-    interval.  Temple's inequality (Temple 1928; Kato 1949) then bounds
-    |lambda_k - rho_k| by r_k^2 / delta_k, where delta_k is the distance
-    from rho_k to the interval's ends less the margin.  The radius of level
-    k is min(r_k, r_k^2 / delta_k), at least COUNT_MARGIN atol, the rounding
-    level of a count and of a Rayleigh value.  With K = 1 the window is
-    rho -+ (r + COUNT_MARGIN atol), one count of 1 at its top certifies the
-    level, and the radius is max(r, COUNT_MARGIN atol).
-
-    Only when that one count is not K, or a window leaves its interval, are
-    the K + 1 boundaries counted in one Sturm pass, for the failures: level
-    k fails unless the counts at its two boundaries are k and k + 1 and its
-    window lies inside its interval (with K = 1, unless the counts are 0
-    and 1 at rho -+ max(r, COUNT_MARGIN atol), which certify it too).  So
-    the levels certified are those the K + 1 counts certify, up to the
-    rounding the margin covers.
-
-    The computed counts are exact for T with its entries moved by a few
-    ulps (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3 (1995) 116), so an
-    eigenvalue within a few atol of a boundary can count on either side.
-    Seeded exactly at the lowest one to five eigenvalues of each of 3000
-    random matrices (n <= 40; 726 calls with K = 1), a K = 1 window of
-    half-width atol miscounted in 22 calls, 2 atol in 2 and 4 atol in none;
-    no K >= 2 boundary miscounted, since each sits half a gap, or a quarter
-    of the smallest, from the values.  In the calls certified, every
-    Rayleigh value lay within 2.9 atol of the eigenvalue computed to 34
-    digits, the value's own rounding included, and so within its radius.
-    Each of the 367 calls not certified had its next level within a quarter
-    of the smallest gap above the last value, inside the top boundary; such
-    a call costs a bisection, never a wrong level.
-
-    bounds is the _stebz_bounds of T, computed here when not given.
-    Returns (radius, failures): the radius of every level, or None unless
-    every window lies inside its interval, and {level: reason} for each
-    level that is not certified.
-    """
-    d = np.asarray(diag, dtype=np.float64)
-    if bounds is None:
-        bounds = _stebz_bounds(d, np.asarray(offdiag, dtype=np.float64))
-    e2, pivmin, _, _, atol = bounds
-    rho = np.asarray(values, dtype=np.float64)
-    r = np.asarray(residuals, dtype=np.float64)
-    margin = COUNT_MARGIN * atol
-    if rho.size == 1:
-        half = max(float(r[0]), margin)
-        boundaries = np.array([rho[0] - half, rho[0] + half])
-        top = rho[0] + r[0] + margin
-        inside = [True]
-        radius = [half]
-    else:
-        boundaries, distance = level_boundaries(rho)
-        top = boundaries[-1]
-        delta = distance - margin
-        inside = (r < delta).tolist()
-        radius = np.maximum(np.minimum(r, r * r / delta), margin).tolist() if all(inside) else None
-    if all(inside) and _sturm_counts(d, e2, pivmin, np.array([top]))[0] == rho.size:
-        return radius, {}
-    counts = _sturm_counts(d, e2, pivmin, boundaries).tolist()
-    failures = {}
-    for level, (lo, hi) in enumerate(zip(counts, counts[1:])):
-        if (lo, hi) != (level, level + 1):
-            failures[level] = f"Sturm counts {lo} and {hi}, expected {level} and {level + 1}"
-        elif not inside[level]:
-            failures[level] = (
-                f"window {rho[level]:.10g} -+ {r[level] + margin:.2e} leaves "
-                f"[{boundaries[level]:.10g}, {boundaries[level + 1]:.10g}]"
-            )
-    return radius, failures
 
 
 @dataclass(frozen=True)

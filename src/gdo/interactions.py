@@ -139,14 +139,18 @@ class InteractionSpec:
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            # no family's closed forms take a complex parameter
-            if isinstance(value, (complex, np.complexfloating)):
-                raise ParameterError(f"{self.kind} parameter {field.name!r} must be real, got {value}")
-            if not math.isfinite(value):
+            if not math.isfinite(self._real(field.name)):
                 raise ParameterError(f"{self.kind} parameter {field.name!r} must be finite")
         if getattr(self, "alpha", 1.0) <= 0:
             raise ParameterError(f"{self.kind} coupling needs alpha > 0, got {self.alpha}")
+
+    def _real(self, name: str):
+        # no family's closed forms take a complex parameter; level_count asks
+        # again, for a subclass whose __post_init__ skips the checks
+        value = getattr(self, name)
+        if isinstance(value, (complex, np.complexfloating)):
+            raise ParameterError(f"{self.kind} parameter {name!r} must be real, got {value}")
+        return value
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,7 @@ class LinearInteraction(InteractionSpec):
         return sq - consts.hbar * mw, sq + consts.hbar * mw
 
     def level_count(self, consts: PhysicalConstants):
-        if self.omega <= 0:
+        if self._real("omega") <= 0:
             raise ParameterError("linear levels need omega > 0")
         return UNBOUNDED
 
@@ -263,7 +267,7 @@ class MorseInteraction(InteractionSpec):
         return self.D / (consts.hbar * self.alpha)
 
     def level_count(self, consts: PhysicalConstants):
-        if self.D <= 0 or self.A <= 0:
+        if self._real("D") <= 0 or self._real("A") <= 0:
             raise ParameterError("morse levels need D > 0 and A > 0")
         return math.floor(self.s(consts))
 
@@ -351,7 +355,7 @@ class CotInteraction(InteractionSpec):
         return self.A / (consts.hbar * self.alpha)
 
     def level_count(self, consts: PhysicalConstants):
-        if self.A <= 0:
+        if self._real("A") <= 0:
             raise ParameterError("cot levels need A > 0")
         return UNBOUNDED
 

@@ -9,12 +9,10 @@ With s = A/(hbar alpha) the cot levels converge at order min(2, 2s - 1) for
 s > 1/2.  For s < 1/2 the Dirichlet lattice converges to the Friedrichs
 extension, whose levels are the closed form with s replaced by 1 - s, so the
 deviation does not fall with h (Reed & Simon II, sec. X.1).  The lowest
-levels are found by inverse iteration seeded at the closed-form levels, all
-of them in one stacked real solve that stops once Temple's bound can certify
-each value to about eps ||T||.  They are certified together, without the
-seeds, by Kahan's residual bound and one Sturm count at the boundary above
-the last Rayleigh value; if that solve breaks down, or any level stalls or
-fails its certificate, all of them come from Sturm bisection instead.
+levels come from seeded_eigenvalues, the one owner of their certificate:
+one stacked real inverse iteration seeded at the closed-form levels, Kahan's
+residual bound, Temple's bound and one Sturm count, with Sturm bisection for
+every level when any part of that fails.
 real_line_probe probes the real-line complex matrix by inverse iteration,
 one shift per call, and gates nothing, since its boundary conditions are a
 modeling choice.
@@ -54,13 +52,12 @@ from .config import RunConfig
 from .eigensolve import (
     ITERATION_TOL,
     _stebz_bounds,
-    certify_levels,
+    _sturm_counts,
     inverse_iteration,
-    level_boundaries,
     stacked_inverse_iteration,
     symtridiag_eigenvalues,
 )
-from .errors import DimensionError, GdoError, LevelOutOfRangeError, ResolutionError, UnsupportedError
+from .errors import DimensionError, GdoError, ResolutionError, UnsupportedError
 from .interactions import (
     DEFAULT_CONSTANTS,
     Grid,
@@ -98,6 +95,9 @@ from .spectra import (  # analytic_spinor: perfbench/tracer.py patches gdo.verif
 )
 
 log = logging.getLogger(__name__)
+
+# the rounding margin of a Sturm count, in units of atol; see seeded_eigenvalues
+COUNT_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,10 @@ def numeric_epsilons(
     that count is used), so that the Dirichlet ghosts j = 0 and n + 1 sit on
     the poles.  The cosec^2 coefficient is hbar^2 alpha^2 s(s - 1) >= -1/4
     hbar^2 alpha^2, which the discrete Hardy inequality bounds, so no pole
-    well holds a spurious level.  The levels are those of
-    seeded_eigenvalues, seeded at the closed-form levels of that real
-    coupling: certified inverse-iteration values, or Sturm bisection for
-    every level when the seeded solve does not certify them all.  A count
-    with no closed-form level to seed from, such as one beyond the bound
-    Morse levels, goes to bisection directly; a coupling outside the regime
-    with closed-form levels raises the ParameterError of epsilon_minus.
-    Two levels that come out no further apart than eps ||T||, the bisection
-    tolerance, raise ResolutionError: the levels are simple, so the solve
-    could not tell them apart, as on a Morse window reaching far into the
-    wall, where V grows like e^(-2 alpha x).  The stebz set-up of T, whose
-    last entry is that tolerance, is computed once and serves the stopping
-    residual, the certificate and this check.
+    well holds a spurious level.  The levels are seeded_eigenvalues', seeded
+    at the closed-form levels of that real coupling: a count beyond them
+    raises the LevelOutOfRangeError of epsilon_minus, and a coupling with no
+    closed-form levels its ParameterError.
     """
     real_spec, solve_grid = spec.real_problem(grid)
     sample = closed_form_potentials(real_spec, solve_grid, consts)
@@ -161,101 +152,117 @@ def numeric_epsilons(
             "numeric_epsilons solves real wells only"
         )
     off, diag, _ = assemble_schrodinger(sample.v_minus, solve_grid, consts).bands
-    diag, off = diag.real, off.real
-    try:
-        seeds = [epsilon_minus(real_spec, level, consts) for level in range(count)]
-    except LevelOutOfRangeError:
-        return symtridiag_eigenvalues(diag, off, count=count)
-    bounds = _stebz_bounds(diag, off)
-    values = seeded_eigenvalues(diag, off, seeds, bounds)
-    gap = min(np.diff(values), default=math.inf)
-    tolerance = bounds[-1]
-    if gap <= tolerance:
-        raise ResolutionError(
-            f"the bisection tolerance eps*||T|| = {tolerance:.3e} cannot resolve the seeded levels "
-            f"on this window: two of them came out {gap:.3e} apart; narrow the grid window"
-        )
-    return values
+    seeds = [epsilon_minus(real_spec, level, consts) for level in range(count)]
+    return seeded_eigenvalues(diag.real, off.real, seeds)
 
 
-def seeded_eigenvalues(diag, offdiag, seeds, bounds=None) -> np.ndarray:
+def _boundaries(values):
+    """The K + 1 boundaries that K >= 2 ascending values imply, and each value's distance to them.
+
+    Boundary k, for 0 < k < K, is the midpoint of values k - 1 and k; the
+    outer two lie a quarter of the smallest gap below the first value and
+    above the last.  Returns (boundaries, distances), where distance k is
+    that of value k to the nearer end of its interval [b_k, b_{k+1}]; it is
+    <= 0 where the values are not ascending.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    quarter = 0.25 * float(np.min(np.diff(v)))
+    boundaries = np.concatenate(([v[0] - quarter], 0.5 * (v[:-1] + v[1:]), [v[-1] + quarter]))
+    return boundaries, np.minimum(v - boundaries[:-1], boundaries[1:] - v)
+
+
+def seeded_eigenvalues(diag, offdiag, seeds) -> np.ndarray:
     """Lowest len(seeds) eigenvalues of a real symmetric tridiagonal T, ascending.
 
-    Level k starts inverse iteration at seeds[k], which gives a Rayleigh
-    value rho_k and the residual r_k = ||T v - rho_k v|| of its unit vector
-    v; every level comes from one stacked_inverse_iteration call, in
-    float64, and certify_levels certifies them all from one Sturm count at
-    the top boundary b_K the K values imply: the K windows rho_k -+ (r_k +
-    4 atol) lie inside their intervals and each holds an eigenvalue, so a
-    count of K at b_K leaves each window one eigenvalue, its own level.
-    Temple's bound makes the radius of a level r_k^2 / delta_k for an
-    interval of half-width delta_k, so the iteration stops at the residual
-    tau of stopping_residual, max(ITERATION_TOL, sqrt(atol delta / 2)),
-    where atol is the bisection tolerance eps ||T|| and delta the smallest
-    distance from a seed to the boundaries the seeds imply: once the values
-    sit where the seeds do, a residual of tau bounds each value's error by
-    about atol / 2, below the radius floor of 4 atol.  One level keeps
-    ITERATION_TOL and its window rho -+ max(r, 4 atol).  The certificate
-    does not use the seeds, so a wrong seed costs time, never a wrong level.
-    If the stacked factorization breaks down, a level stalls above tau or
-    any level fails its certificate, every level comes from
-    symtridiag_eigenvalues, so the values are never a mix of the two routes.
-    bounds is the _stebz_bounds of T, computed here when not given.  Each
+    One stacked_inverse_iteration call, in float64, starts level k at
+    seeds[k] and gives a Rayleigh value rho_k with the residual r_k of its
+    unit vector, so an eigenvalue lies within r_k of rho_k (Kahan's bound;
+    Parlett, The Symmetric Eigenvalue Problem, ch. 4).  With K >= 2 values,
+    window k, rho_k -+ (r_k + COUNT_MARGIN atol), must lie inside the
+    interval between boundaries k and k + 1 of _boundaries; atol is eps
+    times the Gershgorin bound on ||T||, the tolerance of
+    symtridiag_eigenvalues, and the margin covers the rounding of r_k and
+    of a count (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3 (1995) 116).  The
+    windows are then disjoint and each holds an eigenvalue, so one Sturm
+    count of K at the top boundary leaves each window its own level alone.
+    Temple's inequality (Temple 1928; Kato 1949) then gives level k the
+    radius min(r_k, r_k^2 / delta_k), at least COUNT_MARGIN atol, with
+    delta_k the distance from rho_k to its interval's ends less the margin.
+    One value has the window rho -+ (r + COUNT_MARGIN atol), certified by a
+    count of 1 at its top, and the radius max(r, COUNT_MARGIN atol).
+    tests/test_verify.py audits the certified windows in exact arithmetic.
+
+    The iteration stops at the residual max(ITERATION_TOL, sqrt(atol delta
+    / 2)), delta the smallest distance from a seed to the boundaries the
+    seeds imply, which bounds a value's error by about atol / 2 once the
+    values sit where the seeds do.  The certificate does not use the seeds,
+    so a wrong seed costs time, never a wrong level.  If the factorization
+    breaks down, a level stalls, a window leaves its interval or the count
+    is not K, every level comes from symtridiag_eigenvalues, never a mix of
+    the two routes.  Two levels no further apart than atol raise
+    ResolutionError: the levels are simple, so the solve could not tell
+    them apart, as on a Morse window reaching far into the wall.  Each
     level's route goes to the log at INFO level, with its iteration count,
-    the radius of a certified level and the failure that sent a level to
-    bisection.
+    the radius of a certified level, or the one reason of a fallback.
     """
     d = np.asarray(diag, dtype=np.float64)
     e = np.asarray(offdiag, dtype=np.float64)
     count = len(seeds)
     if count > d.size:
         raise DimensionError(f"requested {count} eigenvalues of a {d.size}x{d.size} matrix")
-    if bounds is None:
-        bounds = _stebz_bounds(d, e)
+    e2, pivmin, _, _, atol = _stebz_bounds(d, e)
+    margin = COUNT_MARGIN * atol
     shifts = np.asarray(seeds, dtype=np.float64)
-    results = stacked_inverse_iteration((e, d, e), shifts, stopping_residual(shifts, bounds[-1]))
+    # one level keeps ITERATION_TOL
+    nearest = float(np.min(_boundaries(shifts)[1])) if count > 1 else 0.0
+    results = stacked_inverse_iteration(
+        (e, d, e), shifts, max(ITERATION_TOL, math.sqrt(atol * max(nearest, 0.0) / 2.0))
+    )
     radius = None
     if results is None:
-        results, failures = [], dict.fromkeys(range(count), "stacked factorization broke down")
+        results, reason = [], "stacked factorization broke down"
     else:
-        failures = {
-            level: f"stalled: residual {r.residual_norm:.3e} after {r.iterations} iterations"
-            for level, r in enumerate(results)
-            if not r.converged
-        }
-    if results and not failures:
-        radius, failures = certify_levels(
-            d, e, [r.eigenvalue.real for r in results], [r.residual_norm for r in results], bounds
-        )
-    if failures:
-        values = symtridiag_eigenvalues(d, e, count=count)
-    else:
-        values = np.array([r.eigenvalue.real for r in results])
+        reason = next((
+            f"level {k} stalled: residual {res.residual_norm:.3e} after {res.iterations} iterations"
+            for k, res in enumerate(results) if not res.converged
+        ), None)
+    rho = np.array([res.eigenvalue.real for res in results])
+    r = np.array([res.residual_norm for res in results])
+    if reason is None and count == 1:
+        radius, top = [max(float(r[0]), margin)], rho[0] + r[0] + margin
+    elif reason is None and count:
+        boundaries, distance = _boundaries(rho)
+        top, delta = boundaries[-1], distance - margin
+        # a NaN is outside too
+        outside = np.flatnonzero(~(r < delta)).tolist()
+        if outside:
+            k = outside[0]
+            reason = (
+                f"level {k} window {rho[k]:.10g} -+ {r[k] + margin:.2e} leaves "
+                f"[{boundaries[k]:.10g}, {boundaries[k + 1]:.10g}]"
+            )
+        else:
+            radius = np.maximum(np.minimum(r, r * r / delta), margin).tolist()
+    if radius is not None and (below := int(_sturm_counts(d, e2, pivmin, np.array([top]))[0])) != count:
+        reason = f"Sturm count {below} at {top:.10g}, expected {count}"
+    values = symtridiag_eigenvalues(d, e, count=count) if reason else rho
     if log.isEnabledFor(logging.INFO):
-        route = "bisection" if failures else "certified"
+        route, cause = ("bisection", f" ({reason})") if reason else ("certified", "")
         for level, (seed, value) in enumerate(zip(seeds, values.tolist())):
             log.info(
                 "level %d n=%d seed=%.10g numeric=%.10g radius=%s iterations=%s route=%s%s",
                 level, d.size, seed, value,
-                f"{radius[level]:.2e}" if radius and not failures else "-",
+                "-" if reason else f"{radius[level]:.2e}",
                 results[level].iterations if level < len(results) else "-",
-                route,
-                f" ({failures[level]})" if level in failures else "",
+                route, cause,
             )
+    gap = min(np.diff(values), default=math.inf)
+    if gap <= atol:
+        raise ResolutionError(
+            f"the bisection tolerance eps*||T|| = {atol:.3e} cannot resolve the seeded levels "
+            f"on this window: two of them came out {gap:.3e} apart; narrow the grid window"
+        )
     return values
-
-
-def stopping_residual(seeds, atol: float) -> float:
-    """The residual at which seeded_eigenvalues stops: max(ITERATION_TOL, sqrt(atol delta / 2)).
-
-    atol is the bisection tolerance of T and delta the smallest distance
-    from a seed to the boundaries the seeds imply (level_boundaries); one
-    seed keeps ITERATION_TOL.
-    """
-    if len(seeds) < 2:
-        return ITERATION_TOL
-    nearest = float(np.min(level_boundaries(seeds)[1]))
-    return max(ITERATION_TOL, math.sqrt(atol * max(nearest, 0.0) / 2.0))
 
 
 def real_line_probe(

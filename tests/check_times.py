@@ -63,12 +63,13 @@ from host import host_facts  # noqa: E402
 
 FAMILIES = ("morse", "cot")
 # (modules, name) of each timed kernel, wrapped in every module that looks
-# it up: the Sturm counts in gdo.eigensolve, by the certificate and by
-# bisection alike, and the coupling sample in gdo.verify, by the checks, and
-# in gdo.operators, by effective_potentials.  No kernel calls another
+# it up: the Sturm counts in gdo.verify, by the certificate, and in
+# gdo.eigensolve, by bisection, and the coupling sample in gdo.verify, by the
+# checks, and in gdo.operators, by effective_potentials.  No kernel calls
+# another
 KERNELS = {
     "stacked_inverse_iteration": ((gdo.verify,), "stacked_inverse_iteration"),
-    "sturm_counts": ((gdo.eigensolve,), "_sturm_counts"),
+    "sturm_counts": ((gdo.verify, gdo.eigensolve), "_sturm_counts"),
     "sample_coupling": ((gdo.verify, gdo.operators), "sample_coupling"),
     "ladder_pair": ((gdo.verify,), "ladder_pair"),
     "assemble_schrodinger": ((gdo.verify,), "assemble_schrodinger"),

@@ -10,7 +10,8 @@ by column from its matvec.
 cyclic_reduction_solve is the per-level solve that gdo.eigensolve plans once
 per factorization; the planned solve must match it bit for bit.
 full_sturm_counts is the stebz recurrence over every row, which the tail-stopped
-counts must match.
+counts must match, and exact_count the same count in exact rational
+arithmetic, which the certified windows of gdo.verify must match.
 ComplexDepthMorse and ComplexOmegaLinear are negative controls: couplings
 one parameter outside the paper's class, which every check must be able to
 tell apart from it.
@@ -19,6 +20,7 @@ tell apart from it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -206,3 +208,25 @@ def full_sturm_counts(d, e2, pivmin, shifts):
                 pivot = min(pivot, -pivmin)
         below.append(count)
     return np.array(below, dtype=np.int64)
+
+
+def exact_count(d, e, x):
+    """Eigenvalues <= x of the tridiagonal (e, d, e), exactly: the inertia of T - x I = L D L^T.
+
+    Every float64 is a rational, so the pivots q_i = d_i - x - e_{i-1}^2 /
+    q_{i-1} are kept as Fractions, with no rounding and no pivmin.  A zero
+    pivot stands for T - (x + 0) I, whose pivot there is a negative
+    infinitesimal: it counts, and the next pivot is +infinity, unless its
+    coupling is zero.
+    """
+    x = Fraction(x)
+    count, pivot = 0, None
+    for i, d_i in enumerate(np.asarray(d).tolist()):
+        square = Fraction(float(e[i - 1])) ** 2 if i else 0
+        if pivot == 0 and square:
+            # the pivot after a negative infinitesimal one: +infinity
+            pivot = None
+            continue
+        pivot = Fraction(d_i) - x - (square / pivot if pivot else 0)
+        count += pivot <= 0
+    return count

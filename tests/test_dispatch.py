@@ -36,10 +36,8 @@ print(json.dumps({"cpu_features": host.cpu_features(), "reports": reports}))
 """
 
 
-def test_verdicts_do_not_depend_on_avx512_dispatch():
-    features = host.avx512_dispatch()
-    if not features:
-        pytest.skip("numpy dispatches no AVX-512 loops on this host")
+def _assert_verdicts_hold_without(features):
+    """The verdicts of a child process with these dispatch targets off match this process's."""
     names = sorted(path.name for path in CONFIGS.glob("*.json"))
     # the setting holds for the child process only
     path = os.pathsep.join(filter(None, [str(host.ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -58,3 +56,18 @@ def test_verdicts_do_not_depend_on_avx512_dispatch():
         for check, (_, measured, _) in zip(native, narrow["reports"][name]):
             if check.name in ("eigenvalues_numeric", "singlet_structure"):
                 assert measured == pytest.approx(check.measured, rel=1e-9, abs=0)
+
+
+def test_verdicts_do_not_depend_on_avx512_dispatch():
+    features = host.avx512_dispatch()
+    if not features:
+        pytest.skip("numpy dispatches no AVX-512 loops on this host")
+    _assert_verdicts_hold_without(features)
+
+
+def test_verdicts_do_not_depend_on_baseline_dispatch():
+    # every dispatch target off, X86_V3 (AVX2) included: numpy's baseline loops
+    features = host.dispatch_targets()
+    if not features:
+        pytest.skip("numpy dispatches no loops above its baseline on this host")
+    _assert_verdicts_hold_without(features)

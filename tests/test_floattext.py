@@ -83,6 +83,23 @@ def _near_ties():
     return sorted(values)
 
 
+def test_near_ties_inside_the_margin_fall_back():
+    # a remainder less than 1e-9 from one half after the 17th digit may
+    # round either way in the computed r, so "%.17g" % v writes it; the
+    # others, 1.05e-9 or more from one half here, take the vector path.  The
+    # bytes match either way, so only the path shows the margin
+    values = _near_ties()
+    _, _, vector = _floattext._digits(np.array(values))
+    inside, outside = [], []
+    for v, vectorized in zip(values, vector.tolist()):
+        # no value of the set lies next to a power of ten, where log10 rounds
+        scaled = Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))
+        distance = abs(scaled - math.floor(scaled) - Fraction(1, 2))
+        (inside if distance < Fraction(1, 10**9) else outside).append(vectorized)
+    assert inside and not any(inside)
+    assert outside and all(outside)
+
+
 @pytest.mark.parametrize(
     "values",
     [

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from gdo import (
     DimensionError,
     EigenResult,
     Grid,
+    LevelOutOfRangeError,
     LinearInteraction,
     MorseInteraction,
     ParameterError,
@@ -35,26 +37,19 @@ from gdo import (
     spectrum_rows,
     verify_all,
 )
-from gdo.eigensolve import (
-    COUNT_MARGIN,
-    _stebz_bounds,
-    _sturm_counts,
-    certify_levels,
-    level_boundaries,
-    stacked_inverse_iteration,
-    symtridiag_eigenvalues,
-)
+from gdo.eigensolve import _stebz_bounds, _sturm_counts, symtridiag_eigenvalues
 from gdo.cli import EXIT_FAILED, main
 from gdo.config import config_from_dict
 from gdo.verify import (
+    COUNT_MARGIN,
     _algebra_grid,
+    _boundaries,
     _shape_invariance_check,
     eigen_deviation,
     seeded_eigenvalues,
-    stopping_residual,
 )
 import host
-from oracles import ComplexDepthMorse, ComplexOmegaLinear, dense, full_sturm_counts
+from oracles import ComplexDepthMorse, ComplexOmegaLinear, dense, exact_count, full_sturm_counts
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -155,8 +150,15 @@ def test_seeded_levels_match_dense_eigenvalues(n, matrix_seed, scale, fractions)
         gap = exact[k + 1] - exact[k] if fraction >= 0 or k == 0 else exact[k] - exact[k - 1]
         seeds.append(exact[k] + fraction * gap)
     spy = BisectionSpy()
+    stacked = []
+    iterate = gdo.verify.stacked_inverse_iteration
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gdo.verify, "symtridiag_eigenvalues", spy)
+        mp.setattr(
+            gdo.verify,
+            "stacked_inverse_iteration",
+            lambda *args: stacked.append(iterate(*args)) or stacked[-1],
+        )
         values = seeded_eigenvalues(d, e, seeds)
 
     norm = float(np.max(np.abs(exact)))
@@ -181,10 +183,8 @@ def test_seeded_levels_match_dense_eigenvalues(n, matrix_seed, scale, fractions)
     if np.all(own <= 0.25 * nearest_gap) and gaps.min() > 1e-6 * norm and top_clear:
         # near seeds are certified unless the stacked factorization breaks
         # down, as it can on a seed at an eigenvalue when a pivot rounds to 0
-        broke_down = stacked_inverse_iteration(
-            (e, d, e), seeds, stopping_residual(seeds, _stebz_bounds(d, e)[-1])
-        ) is None
-        assert len(spy.calls) == broke_down
+        [results] = stacked
+        assert len(spy.calls) == (results is None)
 
 
 def _morse_levels(monkeypatch, seed_levels):
@@ -250,18 +250,19 @@ def test_wrong_seed_falls_back_to_bisection(monkeypatch, bisection, caplog):
     assert np.array_equal(values, symtridiag_eigenvalues(*args, count=2))
     lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
     assert len(lines) == 2
-    assert all("route=bisection" in line for line in lines)
-    # both levels find level 1, so the three boundaries coincide there and
-    # the log names the count each level's interval really held
     assert lines[0].startswith("level 0 n=4000 seed=4 ")
-    assert lines[0].endswith("(Sturm counts 1 and 1, expected 0 and 1)")
-    assert lines[1].endswith("(Sturm counts 1 and 1, expected 1 and 2)")
+    # both levels find level 1, so the three boundaries coincide there and
+    # level 0's window leaves its empty interval; each line names that one
+    # reason
+    reason = lines[0].split("route=bisection (")[1]
+    assert re.fullmatch(r"level 0 window (3\.9999\d+) -\+ \S+ leaves \[\1, \1\]\)", reason)
+    assert lines[1].endswith(f"route=bisection ({reason}")
 
 
 def test_unseeded_level_inside_the_top_boundary_falls_back(bisection, caplog):
     # levels near 0, 1, 1.1 and 5: the seeds find the first two, whose gap
     # puts the top boundary a quarter of it above level 1, beyond the
-    # unseeded level near 1.1, so the top count is 3 and level 1 fails
+    # unseeded level near 1.1, so the top count is 3, not 2
     caplog.set_level(logging.INFO, logger="gdo")
     d, e = np.array([0.0, 1.0, 1.1, 5.0]), np.full(3, 0.01)
     values = seeded_eigenvalues(d, e, [0.02, 0.98])
@@ -270,14 +271,26 @@ def test_unseeded_level_inside_the_top_boundary_falls_back(bisection, caplog):
     np.testing.assert_allclose(values, _dense(d, e)[:2], rtol=0, atol=1e-14)
     lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
     assert len(lines) == 2
-    assert "radius=-" in lines[0] and lines[0].endswith("route=bisection")
-    assert lines[1].endswith("route=bisection (Sturm counts 1 and 3, expected 1 and 2)")
+    for line in lines:
+        assert "radius=-" in line
+        assert re.search(r"route=bisection \(Sturm count 3 at 1\.24\d+, expected 2\)$", line)
 
 
-def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
+def _exact_pairs(bands, shifts, tol):
+    """The exact eigenpairs of [[2, 1], [1, 2]] nearest the shifts, with residual 0."""
+    results = []
+    for shift in shifts:
+        value = 1.0 if shift < 2.0 else 3.0
+        vector = np.array([1.0, -1.0 if value == 1.0 else 1.0]) / np.sqrt(2.0)
+        results.append(EigenResult(complex(value), vector, 0.0, 1, True))
+    return results
+
+
+def test_residual_below_rounding_still_certifies(monkeypatch, bisection, caplog):
     # [[2, 1], [1, 2]] has the exact eigenvalues 1 and 3; a converged vector
     # reporting residual 0 gives a zero-width window whose ends sit on the
     # eigenvalue, where the count includes it
+    caplog.set_level(logging.INFO, logger="gdo")
     d, e = np.array([2.0, 2.0]), np.array([1.0])
     e2 = np.array([0.0, 1.0])
     pivmin = float(np.finfo(float).tiny)
@@ -285,23 +298,17 @@ def test_residual_below_rounding_still_certifies(monkeypatch, bisection):
 
     # one level keeps a window of 4 atol; two levels are certified at the
     # boundaries 0.5, 2 and 3.5, with the rounding floor 4 atol as radius
-    floor = 4.0 * _stebz_bounds(d, e)[-1]
-    assert certify_levels(d, e, [1.0], [0.0]) == ([floor], {})
-    assert certify_levels(d, e, [3.0], [0.0]) == ([floor], {0: "Sturm counts 1 and 2, expected 0 and 1"})
-    assert certify_levels(d, e, [1.0, 3.0], [0.0, 0.0]) == ([floor, floor], {})
-
-    def exact_pairs(bands, shifts, tol):
-        results = []
-        for shift in shifts:
-            value = 1.0 if shift < 2.0 else 3.0
-            vector = np.array([1.0, -1.0 if value == 1.0 else 1.0]) / np.sqrt(2.0)
-            results.append(EigenResult(complex(value), vector, 0.0, 1, True))
-        return results
-
-    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", exact_pairs)
-    values = seeded_eigenvalues(d, e, [1.1, 2.9])
+    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", _exact_pairs)
+    assert seeded_eigenvalues(d, e, [1.1]).tolist() == [1.0]
+    assert seeded_eigenvalues(d, e, [1.1, 2.9]).tolist() == [1.0, 3.0]
     assert not bisection.calls
-    assert values.tolist() == [1.0, 3.0]
+    floor = f"radius={4.0 * _stebz_bounds(d, e)[-1]:.2e} "
+    lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
+    assert len(lines) == 3 and all(floor in line for line in lines)
+    # alone, level 1's value is not the lowest eigenvalue
+    seeded_eigenvalues(d, e, [2.9])
+    assert len(bisection.calls) == 1
+    assert caplog.records[-1].getMessage().endswith("(Sturm count 2 at 3, expected 1)")
 
 
 def _every_count_rule(d, e, values, residuals):
@@ -319,7 +326,7 @@ def _every_count_rule(d, e, values, residuals):
         half = max(float(r[0]), margin)
         boundaries, inside, radius = np.array([rho[0] - half, rho[0] + half]), [True], [half]
     else:
-        boundaries, distance = level_boundaries(rho)
+        boundaries, distance = _boundaries(rho)
         delta = distance - margin
         inside = (r < delta).tolist()
         radius = np.maximum(np.minimum(r, r * r / delta), margin).tolist() if all(inside) else None
@@ -364,13 +371,28 @@ def test_one_count_certifies_exactly_when_every_count_does(
         values.append(float(v @ tv))
         residuals.append(float(np.linalg.norm(tv - values[-1] * v)))
 
-    radius, failures = certify_levels(d, e, values, residuals)
-    rule_radius, certified = _every_count_rule(d, e, values, residuals)
-    assert set(failures) == {k for k, ok in enumerate(certified) if not ok}
-    assert radius == rule_radius
+    bisection = BisectionSpy()
+    lines = _LevelLines()
+    pairs = [EigenResult(complex(v), np.zeros(n), r, 1, True) for v, r in zip(values, residuals)]
+    with pytest.MonkeyPatch.context() as mp, lines:
+        mp.setattr(gdo.verify, "symtridiag_eigenvalues", bisection)
+        mp.setattr(gdo.verify, "stacked_inverse_iteration", lambda bands, shifts, tol: pairs)
+        got = seeded_eigenvalues(d, e, values)
+    radius, certified = _every_count_rule(d, e, values, residuals)
+    if len(levels) > 1:
+        # the one count at the top boundary certifies exactly when every
+        # count does
+        assert (not bisection.calls) == all(certified)
+    else:
+        # one count at the top of the window, and no count at its foot
+        assert bisection.calls or certified[0]
     if control != "near":
-        assert failures
-    if not failures:
+        assert bisection.calls
+    if not bisection.calls:
+        assert got.tolist() == values
+        assert [line.split("radius=")[1].split()[0] for line in lines.messages] == [
+            f"{level_radius:.2e}" for level_radius in radius
+        ]
         # eigvalsh's own error reaches 4.2 and 8.9 atol (n = 29, matrix_seed
         # = 0 and n = 31, matrix_seed = 31, scale = 1e3, against 40 digits),
         # past the radius floor of 4 atol, so each level is the long-double
@@ -383,6 +405,30 @@ def test_one_count_certifies_exactly_when_every_count_does(
             exact = float(v @ (wide @ v) / (v @ v))
             assert abs(exact - np.linalg.eigvalsh(matrix)[level]) <= 1e-12 * norm
             assert abs(value - exact) <= level_radius
+
+
+class _LevelLines(logging.Handler):
+    """The messages of gdo.verify's level lines while in a with block, at INFO level."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.messages = []
+
+    def emit(self, record):
+        if record.msg.startswith("level "):
+            self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logger = logging.getLogger("gdo.verify")
+        self.saved = logger.level
+        logger.addHandler(self)
+        logger.setLevel(logging.INFO)
+        return self
+
+    def __exit__(self, *exc):
+        logger = logging.getLogger("gdo.verify")
+        logger.removeHandler(self)
+        logger.setLevel(self.saved)
 
 
 def test_weak_coupling_cot_stream_config_is_certified(bisection):
@@ -405,7 +451,7 @@ def test_bisection_matches_dense_on_weak_coupling_cot_lattice(monkeypatch):
     monkeypatch.setattr(
         gdo.verify,
         "seeded_eigenvalues",
-        lambda d, e, seeds, bounds: matrices.append((d, e)) or seeds,
+        lambda d, e, seeds: matrices.append((d, e)) or seeds,
     )
     spec = CotInteraction(A=0.87574, alpha=1.00745, a=0.05072, b=0.15153)
     numeric_epsilons(spec, Grid(0.0, 1.0, 1001), load_config(CONFIGS / "cot.json").constants, 4)
@@ -460,8 +506,8 @@ def test_inverse_iteration_error_falls_back(monkeypatch, bisection, caplog):
     assert len(bisection.calls) == 1
     assert np.array_equal(values, bisection.calls[0][2])
     lines = [r.getMessage() for r in caplog.records if r.name == "gdo.verify"]
-    assert lines[0].endswith("route=bisection")
-    assert lines[1].endswith("route=bisection (stalled: residual 2.500e-03 after 100 iterations)")
+    for line in lines:
+        assert line.endswith("route=bisection (level 1 stalled: residual 2.500e-03 after 100 iterations)")
 
 
 def test_stacked_breakdown_goes_straight_to_bisection(monkeypatch, bisection, caplog):
@@ -489,17 +535,18 @@ def test_stacked_breakdown_goes_straight_to_bisection(monkeypatch, bisection, ca
         assert line.endswith("route=bisection (stacked factorization broke down)")
 
 
-def test_levels_beyond_the_closed_form_go_to_bisection(monkeypatch, bisection):
+def test_levels_beyond_the_closed_form_raise_by_name(monkeypatch, bisection):
     def never(*args, **kwargs):
         raise AssertionError("inverse iteration ran")
 
     monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", never)
-    # morse D=2.5 has two bound levels, so level 2 has no seed
+    # morse D=2.5 has two bound levels, so level 2 has no seed; spectrum_rows
+    # never asks for more than the closed form has
     config = load_config(CONFIGS / "morse.json")
     grid = dataclasses.replace(config.grid, n_points=1001)
-    values = numeric_epsilons(config.interaction, grid, config.constants, 3)
-    assert len(bisection.calls) == 1
-    assert np.array_equal(values, bisection.calls[0][2])
+    with pytest.raises(LevelOutOfRangeError, match="level 2 out of range: only 2 bound levels"):
+        numeric_epsilons(config.interaction, grid, config.constants, 3)
+    assert not bisection.calls
 
 
 @pytest.mark.parametrize(
@@ -530,6 +577,22 @@ def test_complex_well_of_the_real_problem_is_refused(bisection, spec):
     with pytest.raises(UnsupportedError, match=rf"real problem of this {spec.kind} coupling has a complex well"):
         numeric_epsilons(spec, Grid(-6.0, 6.0, 201), PhysicalConstants(), 2)
     assert not bisection.calls
+
+
+@pytest.mark.parametrize(
+    "name, spec, field",
+    [
+        ("morse.json", ComplexDepthMorse(D=2.5 + 0.3j, A=1.0, B=0.5, alpha=1.0), "D"),
+        ("linear.json", ComplexOmegaLinear(omega=1.0 + 0.2j), "omega"),
+    ],
+    ids=["morse-complex-D", "linear-complex-omega"],
+)
+def test_verify_refuses_a_complex_control_by_name(name, spec, field):
+    # the level count of either negative control compared a complex
+    # parameter with 0, a bare TypeError; verify names the field instead
+    config = dataclasses.replace(load_config(CONFIGS / name), interaction=spec)
+    with pytest.raises(ParameterError, match=rf"{spec.kind} parameter '{field}' must be real, got "):
+        verify_all(config)
 
 
 def _never(*args, **kwargs):
@@ -1028,3 +1091,29 @@ def test_wide_morse_window_raises_instead_of_one_value_for_every_level(tmp_path,
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("gdo: the bisection tolerance eps*||T|| = 1.538e+19 cannot resolve")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORTS))
+def test_certified_windows_hold_their_levels_in_exact_arithmetic(monkeypatch, bisection, name):
+    # every float64 is a rational, so exact_count counts the eigenvalues of
+    # the very matrix verify certifies, with no rounding: each window
+    # rho_k -+ (r_k + COUNT_MARGIN atol) must hold the k-th eigenvalue alone.
+    # The shipped configs and the first sweep cycle of seed 7, at n = 401
+    config = _pinned_config(name)
+    config = dataclasses.replace(config, grid=dataclasses.replace(config.grid, n_points=401))
+    iterate = gdo.verify.stacked_inverse_iteration
+    solves = []
+
+    def recording(bands, shifts, tol):
+        solves.append((bands, iterate(bands, shifts, tol)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(gdo.verify, "stacked_inverse_iteration", recording)
+    rows = spectrum_rows(config, numeric=True)
+    assert not bisection.calls
+    [((e, d, _), results)] = solves
+    assert len(results) == len(rows)
+    margin = COUNT_MARGIN * _stebz_bounds(d, e)[-1]
+    for k, result in enumerate(results):
+        rho, half = result.eigenvalue.real, result.residual_norm + margin
+        assert (exact_count(d, e, rho - half), exact_count(d, e, rho + half)) == (k, k + 1)
