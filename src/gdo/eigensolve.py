@@ -5,10 +5,9 @@ package can be cross-checked against an independent numerical route.  The
 kernels are the Sturm count of _sturm_counts, the stebz set-up of
 _stebz_bounds, cyclic reduction, inverse iteration and the bisection of
 symtridiag_eigenvalues; the certificate that turns inverse-iteration values
-into eigenvalues is gdo.verify.seeded_eigenvalues.  Every count runs the one
-stebz loop of _sturm_counts, which stops a shift early in a tail of strictly
-diagonally dominant rows, where no later pivot can turn negative, and so
-counts what a pass over every row counts.
+into eigenvalues is gdo.verify.seeded_eigenvalues.  Every count, of the
+certificate and of bisection, is the one stebz walk of _sturm_counts over
+every row.
 
 Inverse iteration runs in one layout for one shift or many: the blocks
 T - s_k I, each padded with identity rows to 2^m rows, are stacked along the
@@ -64,72 +63,20 @@ def _sturm_counts(d, e2, pivmin, shifts):
     (-pivmin, pivmin] counts as negative and becomes -pivmin, so no pivot is
     ever zero, no division overflows and Python's float division never
     raises.  Plain Python floats, shifts outside and rows inside, so each
-    shift costs at most n steps with no numpy call per row.
-
-    A shift stops early in the tail of rows strictly dominant for it.  With
-    a_i = sqrt(e2_i) and G the Gershgorin bound, row i is dominant for x when
-    its slack d_i - a_i - a_{i+1} exceeds x by the margin 8 eps (G + |x|) +
-    2 pivmin, and the tail starts where the suffix minimum of the slacks
-    first exceeds that, which one searchsorted finds for every shift.  Once
-    a positive pivot has q_i^2 >= e2_{i+1}, that is q_i >= a_{i+1}, with
-    every later row dominant, q_{i+1} >= d_{i+1} - x - a_{i+1} > a_{i+2} in
-    exact arithmetic, and the margin covers the rounding of the recurrence,
-    of the square and of the slacks, about 4 eps (G + |x|); so every later
-    pivot is positive and above pivmin, counts nothing, and the count is
-    that of a full pass, bit for bit.  In a finite-difference Schrodinger
-    matrix the slack is the potential, so the tail is the end of the window
-    where V exceeds the shift, as in a Morse well or a repulsive cot pole.
-    When the slack of the row before the last is no more than the least
-    shift, no tail holds more than the last row, which a stop would not
-    save, so the slacks are not formed and every shift walks every row: so
-    it is in a cot well with s < 1, whose attractive pole wells end the
-    lattice.
+    shift costs n steps with no numpy call per row.
     """
     diagonal, squares = d.tolist(), e2.tolist()
-    n = len(diagonal)
-    if n > 1 and shifts.size and (
-        diagonal[-2] - math.sqrt(squares[-2]) - math.sqrt(squares[-1]) > shifts.min()
-    ):
-        # a[i] = |e_i|, the coupling of row i to row i - 1
-        a = np.sqrt(e2)
-        slack = d - a
-        slack[:-1] -= a[1:]
-        row_sums = np.abs(d) + a
-        row_sums[:-1] += a[1:]
-        # non-decreasing: the least slack of rows i, i + 1, ..., n - 1
-        tail_min = np.minimum.accumulate(slack[::-1])[::-1]
-        margin = 8.0 * _EPS * (float(row_sums.max()) + np.abs(shifts)) + 2.0 * pivmin
-        # a NaN threshold sorts last: no tail
-        starts = np.searchsorted(tail_min, shifts + margin, side="right").tolist()
-        # the stop after row i needs rows i + 1, ... dominant, so shift k
-        # walks heads[k] rows without a stop
-        heads = [max(start - 1, 0) for start in starts]
-    else:
-        heads = [n] * shifts.size
-    following = squares[1:]
-    following.append(0.0)
-    # a list of row tuples is the fastest walk
-    rows = list(zip(diagonal[: max(heads, default=0)], squares))
     floor = -pivmin
     below = []
-    for x, head in zip(shifts.tolist(), heads):
+    for x in shifts.tolist():
         pivot = math.inf
         count = 0
-        for d_i, e2_i in rows[:head]:
+        for d_i, e2_i in zip(diagonal, squares):
             pivot = d_i - (e2_i / pivot + x)
             if pivot <= pivmin:
                 count += 1
                 if pivot > floor:
                     pivot = floor
-        # a positive pivot is >= a_{i+1} when its square is >= e2_{i+1}
-        for i in range(head, n):
-            pivot = diagonal[i] - (squares[i] / pivot + x)
-            if pivot <= pivmin:
-                count += 1
-                if pivot > floor:
-                    pivot = floor
-            elif pivot * pivot >= following[i]:
-                break
         below.append(count)
     return np.array(below, dtype=np.int64)
 

@@ -13,10 +13,14 @@ ms").  The second table: the first CYCLES cycles of the artifacts stream
 ROUNDS times, with the sample, format and write times of its log line
 ("wavefunction ... sample took <ms> ms, format took <ms> ms, write took
 <ms> ms").  Every command of a table writes over one --out path, as a
-benchmark job does.  Columns: every config, then the Morse and the cot
-configs alone.  Run it on two checkouts to compare them:
+benchmark job does.  Columns: the medians over every config, then over the
+Morse and the cot configs alone, and min: the median over the commands
+of every config of each one's least time over the rounds.  A slow spell
+of the host does not move min once each config's rounds outlast it; the
+defaults, 4 cycles and 20 rounds, take about 7 s a run on a 2-vCPU host.
+Run it on two checkouts, alternately, to compare them:
 
-    python tests/check_times.py --seed 7 --cycles 8 --rounds 5
+    python tests/check_times.py --seed 7 --cycles 4 --rounds 20
 
 A third table gives five kernels of each verify, timed by wrappers around
 the names KERNELS lists and summed per verify: the two eigenvalue kernels,
@@ -24,9 +28,10 @@ stacked_inverse_iteration and the Sturm counts, and the coupling sample,
 the ladder pair and the Schrodinger matrix that the checks build.  With
 --json PATH the medians of all three tables go to PATH as well, with the
 host they were measured on (tests/host.py: CPU model, nproc, numpy
-version, the CPU features numpy enabled, git commit):
+version, the CPU features numpy enabled, git commit, and a SHA-256 of the
+gdo sources, which names the code on an export without git metadata too):
 
-    python tests/check_times.py --seed 7 --cycles 8 --rounds 3 --json times.json
+    python tests/check_times.py --seed 7 --json times.json
 
 It is a script, not a test; its numbers depend on the host.  The gdo
 sources used are the ones of the checkout the script sits in.
@@ -62,6 +67,7 @@ import gdo.verify  # noqa: E402
 from host import host_facts  # noqa: E402
 
 FAMILIES = ("morse", "cot")
+COLUMNS = ("all",) + FAMILIES + ("min",)
 # (modules, name) of each timed kernel, wrapped in every module that looks
 # it up: the Sturm counts in gdo.verify, by the certificate, and in
 # gdo.eigensolve, by bisection, and the coupling sample in gdo.verify, by the
@@ -110,10 +116,11 @@ class _Times(logging.Handler):
 
 
 def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
-    """{(family, name): [ms, ...]} over ROUNDS runs of commands(config) for each config.
+    """{(run, family, name): [ms, ...]}, one ms per round, for each command of commands(config).
 
-    "total" holds the logged times but the artifact write summed per
-    command, and each kernel its calls' times summed per command.
+    run is (config index, command index).  "total" holds the logged times
+    but the artifact write summed per command, and each kernel its calls'
+    times summed per command.
     """
     handler = _Times()
     logger = logging.getLogger("gdo")
@@ -138,19 +145,20 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
             paths.append((config, path))
         out = str(Path(tmp) / "artifact")
         for _ in range(rounds):
-            for config, path in paths:
+            for index, (config, path) in enumerate(paths):
                 family = config["interaction"]["kind"]
-                for argv in commands(config):
+                for command, argv in enumerate(commands(config)):
+                    run = (index, command)
                     handler.times.clear()
                     handler.kernels.clear()
                     gdo.cli.main(argv + ["--config", str(path), "--out", out])
                     for name, ms in handler.times:
-                        samples[family, name].append(ms)
-                    samples[family, "total"].append(
+                        samples[run, family, name].append(ms)
+                    samples[run, family, "total"].append(
                         sum(ms for name, ms in handler.times if name != "artifact_write")
                     )
                     for kernel in KERNELS:
-                        samples[family, kernel].append(
+                        samples[run, family, kernel].append(
                             sum(ms for name, ms in handler.kernels if name == kernel)
                         )
     for name, (modules, attr) in KERNELS.items():
@@ -161,12 +169,12 @@ def _timed_runs(workload: str, seed: int, cycles: int, rounds: int, commands):
 
 
 def check_times(seed: int, cycles: int, rounds: int):
-    """{(family, check): [ms, ...]}, with "total" for the nine summed per verify and "artifact_write"."""
+    """{(run, family, check): [ms, ...]}, with "total" for the nine summed per verify and "artifact_write"."""
     return _timed_runs("sweep", seed, cycles, rounds, lambda config: [["verify"]])
 
 
 def wavefunction_times(seed: int, cycles: int, rounds: int):
-    """{(family, "sample", "format" or "write"): [ms, ...]} of every level an artifacts job writes."""
+    """{(run, family, "sample", "format" or "write"): [ms, ...]} of every level an artifacts job writes."""
     return _timed_runs(
         "artifacts", seed, cycles, rounds,
         lambda config: [["wavefunction", "--level", str(level)] for level in wavefunction_levels(config)],
@@ -174,26 +182,33 @@ def wavefunction_times(seed: int, cycles: int, rounds: int):
 
 
 def _medians(samples, names):
-    """{name: {"all": ms, "morse": ms, "cot": ms}}, the medians over every config and per family."""
+    """{name: {"all": ms, "morse": ms, "cot": ms, "min": ms}}.
+
+    all, morse and cot are the medians over every round of every command
+    and of the commands of each family; min is the median over the commands
+    of each one's least time over the rounds.
+    """
     table = {}
     for name in names:
-        cells = {family: samples[family, name] for family in FAMILIES}
-        table[name] = {"all": statistics.median(sum(cells.values(), []))}
-        table[name].update({family: statistics.median(values) for family, values in cells.items()})
+        runs = [(family, times) for (_, family, key), times in samples.items() if key == name]
+        table[name] = {"all": statistics.median([ms for _, times in runs for ms in times])}
+        for family in FAMILIES:
+            table[name][family] = statistics.median([ms for f, times in runs if f == family for ms in times])
+        table[name]["min"] = statistics.median([min(times) for _, times in runs])
     return table
 
 
 def _print_table(table, label):
-    print(f"{label:<26}{'all':>9}" + "".join(f"{family:>9}" for family in FAMILIES))
+    print(f"{label:<26}" + "".join(f"{column:>9}" for column in COLUMNS))
     for name, medians in table.items():
-        print(f"{name:<26}" + "".join(f"{medians[column]:9.3f}" for column in ("all",) + FAMILIES))
+        print(f"{name:<26}" + "".join(f"{medians[column]:9.3f}" for column in COLUMNS))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--cycles", type=int, default=8, help="sweep and artifacts cycles, four configs each")
-    parser.add_argument("--rounds", type=int, default=5, help="verify and wavefunction runs per config")
+    parser.add_argument("--cycles", type=int, default=4, help="sweep and artifacts cycles, four configs each")
+    parser.add_argument("--rounds", type=int, default=20, help="verify and wavefunction runs per config")
     parser.add_argument("--json", type=Path, help="also write the medians and the host to this file")
     args = parser.parse_args(argv)
     verify = check_times(args.seed, args.cycles, args.rounds)

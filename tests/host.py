@@ -5,11 +5,14 @@ level: numpy picks its SIMD loops for exp, log, sin and the reductions from
 the CPU features it finds enabled, and two paths can differ in the last
 bit.  tests/artifact_digests.py prints these facts in a header line and
 tests/check_times.py writes them into its JSON file, so that two lists are
-compared only when they come from the same numpy and dispatch level.
+compared only when they come from the same numpy and dispatch level.  The
+JSON file also names the code it timed: its git commit and a SHA-256 of
+the gdo sources.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import platform
 import subprocess
@@ -95,10 +98,22 @@ def _git_commit() -> str:
     return result.stdout.strip()
 
 
-def host_facts() -> dict:
-    """CPU model, usable CPUs, numpy version and dispatch level, and the checkout's git commit.
+def _source_sha256() -> str:
+    """SHA-256 of src/gdo/*.py in name order, each file's name and size before its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "gdo").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(b"%s %d\n" % (path.name.encode(), len(data)))
+        digest.update(data)
+    return digest.hexdigest()
 
-    The commit carries a "-dirty" suffix when tracked files differ from it.
+
+def host_facts() -> dict:
+    """CPU model, usable CPUs, numpy version and dispatch level, and the code that was timed.
+
+    git_commit carries a "-dirty" suffix when tracked files differ from it,
+    and reads "unknown" outside a git checkout; source_sha256 names the gdo
+    sources in either case.
     """
     return {
         "cpu_model": _cpu_model(),
@@ -106,4 +121,5 @@ def host_facts() -> dict:
         "numpy": np.__version__,
         "cpu_features": cpu_features(),
         "git_commit": _git_commit(),
+        "source_sha256": _source_sha256(),
     }

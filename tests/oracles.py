@@ -9,9 +9,9 @@ measures how well a vector solves a matrix, and dense builds a matrix column
 by column from its matvec.
 cyclic_reduction_solve is the per-level solve that gdo.eigensolve plans once
 per factorization; the planned solve must match it bit for bit.
-full_sturm_counts is the stebz recurrence over every row, which the tail-stopped
-counts must match, and exact_count the same count in exact rational
-arithmetic, which the certified windows of gdo.verify must match.
+exact_count is the Sturm count in exact rational arithmetic, which the
+float counts of gdo.eigensolve and the certified windows of gdo.verify must
+match.
 ComplexDepthMorse and ComplexOmegaLinear are negative controls: couplings
 one parameter outside the paper's class, which every check must be able to
 tell apart from it.
@@ -194,20 +194,6 @@ def cyclic_reduction_solve(levels, f):
         x = padded[1 : m + 1]
     # the zero end padded[m + 1] is the spare entry again
     return padded[1:]
-
-
-def full_sturm_counts(d, e2, pivmin, shifts):
-    """The counts of gdo.eigensolve._sturm_counts from the stebz recurrence over every row, with no early stop."""
-    below = []
-    for x in np.asarray(shifts, dtype=float).tolist():
-        pivot, count = math.inf, 0
-        for d_i, e2_i in zip(np.asarray(d).tolist(), np.asarray(e2).tolist()):
-            pivot = d_i - (e2_i / pivot + x)
-            if pivot <= pivmin:
-                count += 1
-                pivot = min(pivot, -pivmin)
-        below.append(count)
-    return np.array(below, dtype=np.int64)
 
 
 def exact_count(d, e, x):

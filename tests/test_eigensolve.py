@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 import gdo.eigensolve
 from gdo import (
     ConvergenceError,
-    CotInteraction,
     DimensionError,
     DomainError,
     Grid,
-    MorseInteraction,
     OperatorMatrix,
     SingularPivotError,
     UnsupportedError,
     assemble_dirac,
     assemble_schrodinger,
-    closed_form_potentials,
     inverse_iteration,
     symtridiag_eigenvalues,
 )
@@ -31,7 +28,7 @@ from gdo.eigensolve import (
     _sturm_counts,
     stacked_inverse_iteration,
 )
-from oracles import cyclic_reduction_solve, dense, full_sturm_counts, rayleigh_quotient
+from oracles import cyclic_reduction_solve, dense, rayleigh_quotient
 
 
 def _dense_eigenvalues(d, e):
@@ -160,94 +157,6 @@ class TestSturmCounts:
         shifts = candidates[gaps > clearance]
         expected = np.searchsorted(values, shifts, side="right")
         np.testing.assert_array_equal(_counts(d, e, shifts), expected)
-
-    def test_tail_margin_covers_the_rounding_of_the_last_pivot(self):
-        # the slack of row 1, d_1 - |e_1|, exceeds the shift by one ulp and
-        # the pivot of row 0 is |e_1| to rounding, so a tail without the
-        # margin would stop after row 0; the pivot of row 1 rounds to 0 and
-        # counts, so a stop there would lose that count
-        d = np.array([0.9563395438460718, 0.9563395438460719])
-        e = np.array([0.8276976499486952])
-        shift = [0.12864189389737657]
-        e2 = np.append(0.0, e * e)
-        tiny = float(np.finfo(float).tiny)
-        assert full_sturm_counts(d, e2, tiny, shift).tolist() == [1]
-        np.testing.assert_array_equal(_counts(d, e, shift), [1])
-
-    @pytest.mark.parametrize(
-        "spec, grid, tail",
-        [
-            # s = 0.87 < 1: attractive pole wells end the lattice, so the row
-            # before the last has a negative slack and no shift has a tail
-            (CotInteraction(A=0.87574, alpha=1.00745, a=0.05072, b=0.15153), Grid(0.0, 1.0, 201), False),
-            # the plateau V -> D^2 ends the Morse window: a tail below it
-            (MorseInteraction(D=2.5, A=1.0, B=0.5, alpha=1.0), Grid(-6.0, 20.0, 201), True),
-        ],
-        ids=["cot-weak-no-tail", "morse-tail"],
-    )
-    def test_tail_set_up_only_where_a_shift_has_one(self, monkeypatch, spec, grid, tail):
-        # the lattice numeric_epsilons solves; shifts on and within 8 atol
-        # of its lowest levels, where the certificate and bisection count
-        real_spec, solve_grid = spec.real_problem(grid)
-        v = closed_form_potentials(real_spec, solve_grid).v_minus
-        off, d, _ = assemble_schrodinger(v, solve_grid).bands
-        d, e = d.real.copy(), off.real.copy()
-        e2 = np.append(0.0, e * e)
-        pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(e2)))
-        atol = float(np.finfo(float).eps) * _norm_bound(d, e)
-        values = _dense_eigenvalues(d, e)[:6]
-        shifts = (values[None, :] + atol * np.arange(-8, 9)[:, None]).ravel()
-        searches = []
-        search = np.searchsorted
-        monkeypatch.setattr(
-            gdo.eigensolve.np,
-            "searchsorted",
-            lambda *args, **kwargs: searches.append(args) or search(*args, **kwargs),
-        )
-        counts = _sturm_counts(d, e2, pivmin, shifts)
-        monkeypatch.undo()
-        assert len(searches) == tail
-        np.testing.assert_array_equal(counts, full_sturm_counts(d, e2, pivmin, shifts))
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(2, 80),
-        log_scale=st.floats(-6.0, 6.0),
-        wall=st.floats(0.0, 40.0),
-        split=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_tail_stop_matches_full_pass_property(self, n, log_scale, wall, split, seed):
-        # rows past a random cut climb a wall, so their tail is strictly
-        # diagonally dominant for every shift below it; the shifts sit on
-        # the eigenvalues, within a few atol of them, on the diagonal and on
-        # the slacks d_i - |e_i| - |e_{i+1}| where a tail starts, and the
-        # tail-stopped counts must equal the stebz pass over every row
-        rng = np.random.default_rng(seed)
-        scale = 10.0**log_scale
-        d = scale * rng.normal(size=n)
-        e = scale * rng.normal(size=n - 1)
-        cut = int(rng.integers(0, n))
-        d[cut:] += scale * wall * np.linspace(0.0, 1.0, n - cut) ** rng.uniform(0.3, 3.0)
-        if split:
-            e[rng.random(n - 1) < 0.2] = 0.0
-        e2 = np.append(0.0, e * e)
-        pivmin = float(np.finfo(float).tiny) * max(1.0, float(np.max(e2)))
-        atol = float(np.finfo(float).eps) * _norm_bound(d, e)
-        values = _dense_eigenvalues(d, e)
-        a = np.abs(np.append(0.0, e))
-        slack = d - a - np.append(a[1:], 0.0)
-        shifts = np.concatenate([
-            values,
-            values + atol * rng.uniform(-4.0, 4.0, size=n),
-            values + atol * rng.integers(-8, 9, size=n),
-            d,
-            slack,
-            np.nextafter(slack, -np.inf),
-            slack * (1.0 - 1e-15),
-        ])
-        expected = full_sturm_counts(d, e2, pivmin, shifts)
-        np.testing.assert_array_equal(_sturm_counts(d, e2, pivmin, shifts), expected)
 
 
 class TestSymtridiag:

@@ -49,7 +49,7 @@ from gdo.verify import (
     seeded_eigenvalues,
 )
 import host
-from oracles import ComplexDepthMorse, ComplexOmegaLinear, dense, exact_count, full_sturm_counts
+from oracles import ComplexDepthMorse, ComplexOmegaLinear, dense, exact_count
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -316,8 +316,8 @@ def _every_count_rule(d, e, values, residuals):
 
     Level k is certified when the counts at the ends of its interval are k
     and k + 1 and its window rho_k -+ (r_k + 4 atol) lies inside it; with
-    K = 1 the interval is rho -+ max(r, 4 atol).  The counts come from the
-    stebz pass over every row.
+    K = 1 the interval is rho -+ max(r, 4 atol).  The counts come from
+    gdo.eigensolve._sturm_counts.
     """
     e2, pivmin, _, _, atol = _stebz_bounds(d, e)
     rho, r = np.asarray(values), np.asarray(residuals)
@@ -330,7 +330,7 @@ def _every_count_rule(d, e, values, residuals):
         delta = distance - margin
         inside = (r < delta).tolist()
         radius = np.maximum(np.minimum(r, r * r / delta), margin).tolist() if all(inside) else None
-    counts = full_sturm_counts(d, e2, pivmin, boundaries).tolist()
+    counts = _sturm_counts(d, e2, pivmin, boundaries).tolist()
     return radius, [
         counts[k] == k and counts[k + 1] == k + 1 and inside[k] for k in range(rho.size)
     ]
@@ -1117,3 +1117,85 @@ def test_certified_windows_hold_their_levels_in_exact_arithmetic(monkeypatch, bi
     for k, result in enumerate(results):
         rho, half = result.eigenvalue.real, result.residual_norm + margin
         assert (exact_count(d, e, rho - half), exact_count(d, e, rho + half)) == (k, k + 1)
+
+
+def _graded_wall(rows, decades, log_scale, offset, split, seed):
+    """Two copies of a Morse-like block of `rows` rows with no coupling between them.
+
+    The block's diagonal climbs a wall of `decades` orders of magnitude over
+    its first rows and ends on a plateau below 1, and its couplings are
+    about -1, as in a finite-difference Morse matrix; with split, some
+    couplings are zero.  The second copy's diagonal is raised by offset atol
+    of the block, so each of its levels sits within about |offset| atol of
+    the same level of the first copy.
+    """
+    rng = np.random.default_rng(seed)
+    wall = int(rng.integers(1, rows))
+    ramp = np.linspace(1.0, 0.0, wall, endpoint=False) ** rng.uniform(0.5, 3.0)
+    d = np.concatenate([10.0**(decades * ramp), rng.uniform(0.1, 1.0, rows - wall)])
+    e = -rng.uniform(0.5, 1.5, rows - 1)
+    if split:
+        e[rng.random(rows - 1) < 0.3] = 0.0
+    scale = 10.0**log_scale
+    d, e = scale * d, scale * e
+    raised = d + offset * _stebz_bounds(d, e)[-1]
+    return np.concatenate([d, raised]), np.concatenate([e, [0.0], e])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(2, 20),
+    decades=st.floats(10.0, 15.0),
+    log_scale=st.floats(-3.0, 3.0),
+    offset=st.floats(-16.0, 16.0),
+    split=st.booleans(),
+    count=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counts_and_windows_hold_in_exact_arithmetic_on_graded_walls(
+    rows, decades, log_scale, offset, split, count, seed
+):
+    # graded walls spanning 10 to 15 orders of magnitude, levels in pairs
+    # within 16 atol (clusters where offset is a few atol) and zero
+    # couplings.  (i) On shifts atol apart across the lowest pair, where
+    # exact_count gives one count at x -+ COUNT_MARGIN atol no eigenvalue
+    # lies within the margin of x, and the float count must be that count.
+    # (ii) Every window seeded_eigenvalues certifies, seeded at the dense
+    # values and at seeds moved by up to 8 atol, holds its own level alone
+    d, e = _graded_wall(rows, decades, log_scale, offset, split, seed)
+    e2, pivmin, _, _, atol = _stebz_bounds(d, e)
+    values = _dense(d, e)
+    # shift j -+ reach is shift j -+ COUNT_MARGIN atol
+    reach = int(COUNT_MARGIN)
+    shifts = values[0] + (COUNT_MARGIN * atol / reach) * np.arange(-3 * reach, 3 * reach + 1)
+    exact = [exact_count(d, e, x) for x in shifts]
+    counts = _sturm_counts(d, e2, pivmin, shifts).tolist()
+    for j in range(reach, shifts.size - reach):
+        if exact[j - reach] == exact[j + reach]:
+            assert counts[j] == exact[j], j - 3 * reach
+
+    rng = np.random.default_rng(seed)
+    exact_seeds = values[: min(count, d.size)]
+    margin = COUNT_MARGIN * atol
+    iterate = gdo.verify.stacked_inverse_iteration
+    for seeds in (exact_seeds, exact_seeds + atol * rng.uniform(-8.0, 8.0, exact_seeds.size)):
+        solves, bisection = [], BisectionSpy()
+
+        def recording(bands, shifts, tol):
+            solves.append(iterate(bands, shifts, tol))
+            return solves[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gdo.verify, "stacked_inverse_iteration", recording)
+            mp.setattr(gdo.verify, "symtridiag_eigenvalues", bisection)
+            try:
+                seeded_eigenvalues(d, e, seeds)
+            except ResolutionError:
+                # certified windows are disjoint and at least 8 atol wide,
+                # so only bisection's values come out within atol
+                assert bisection.calls
+        if bisection.calls:
+            continue
+        for k, result in enumerate(solves[0]):
+            rho, half = result.eigenvalue.real, result.residual_norm + margin
+            assert (exact_count(d, e, rho - half), exact_count(d, e, rho + half)) == (k, k + 1)
