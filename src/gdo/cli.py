@@ -26,7 +26,6 @@ FIFO or pipe as --out is written as a stream, never cut.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import logging
 import math
@@ -123,7 +122,8 @@ def cmd_check(config: RunConfig, args) -> int:
         config.constants,
         tol=config.tolerances.condition,
     )
-    _emit(_json_bytes(dataclasses.asdict(report)), args.out)
+    # the report's own field dict: dataclasses.asdict would deep-copy it
+    _emit(_json_bytes(vars(report)), args.out)
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
@@ -168,7 +168,8 @@ def cmd_verify(config: RunConfig, args) -> int:
         if not math.isfinite(check.measured):
             raise NonFiniteError(f"check {check.name} measured {check.measured}, not a finite number")
     payload = {
-        "checks": [dataclasses.asdict(c) for c in report.checks],
+        # each check's own field dict: dataclasses.asdict would deep-copy it
+        "checks": [vars(c) for c in report.checks],
         "overall": report.overall,
     }
     data = _json_bytes(payload)

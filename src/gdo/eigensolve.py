@@ -25,10 +25,10 @@ never perturbs a shift.
 
 Each iteration costs one solve plus a few passes over the iterate, so the
 passes are kept few and copy-free.  The factorization checks the pivots of
-all its levels once, after the last one.  Its solve is planned once
-(_plan): every level's buffers and views are made before the first solve,
-so a solve is only the arithmetic, written in place, and each level's
-solution lands where the finer level reads it.  T multiplies the n rows of
+all its levels once, after the last one.  The solve slices its levels and
+makes its temporaries afresh on each call: verify solves two or three times
+per factorization, and views made once per factorization saved about 0.03
+ms a solve at n = 1001, about 1% of a verify.  T multiplies the n rows of
 every block at once through band_matvec, and the norms are sums of squares
 over the float view of the iterate.  Every shift starts from the same
 vector, a Weyl sequence: a smooth start is nearly orthogonal to the odd
@@ -139,71 +139,39 @@ def _cyclic_reduction_factor(sub, diag, sup, shifts):
     return levels
 
 
-class _Plan:
-    """The solve with one factorization's levels, planned once.
+def _cyclic_reduction_solve(levels, f) -> np.ndarray:
+    """Solve the stack whose levels _cyclic_reduction_factor returned, for f.
 
-    The solve reads rhs and returns solution, flat arrays of 2^k entries, one
-    more than the stack's rows: with K shifts, rhs[: K 2^m].reshape(K, 2^m)
-    views block k as row k.  Pad rows and the entries past the last block are
-    zero in rhs and solve to zero.  reduce and substitute hold, step by step,
-    the factors and the views of the plan's buffers that the solve reads and
-    writes, so a solve makes no array and no slice.  A plain class, since a
-    NamedTuple adds about 0.3 ms to the import.
+    f and the solution are flat arrays of 2^k entries, one more than the
+    stack's rows; with K shifts, f[: K 2^m].reshape(K, 2^m) views block k as
+    row k.  Pad rows and the entries past the last block are zero in f and
+    solve to zero.  f is only read; each call slices every level afresh.
     """
-
-    __slots__ = ("rhs", "solution", "reduce", "substitute")
-
-    def __init__(self, rhs, solution, reduce, substitute):
-        self.rhs = rhs
-        self.solution = solution
-        self.reduce = reduce
-        self.substitute = substitute
-
-
-def _plan(levels) -> _Plan:
-    """Every buffer and view of the solve with these levels, made once."""
-    dtype = levels[0][0].dtype
-    # 2^k - 1 rows, twice the first level's pivots less one
-    size = 2 * levels[0][0].size - 1
-    rhs = np.zeros(size + 1, dtype=dtype)
-    # one scratch buffer holds every level's products in turn
-    scratch = np.empty(size // 2 + 1, dtype=dtype)
-    # padded[1 : size + 1] is the solution, and padded[:: 2^l] is level l's
-    # solution between two zero ends, which stand for the missing neighbours:
-    # a level's odd rows are the next level's solution, in place
-    padded = np.zeros(size + 2, dtype=dtype)
-    # the spare last entry of rhs is not a row of the stack
-    f, p = rhs[:-1], padded
-    reduce, substitute = [], []
-    for inv, left, right, alpha, gamma in levels:
-        g = np.empty(alpha.size, dtype=dtype)
-        reduce.append((alpha, f[:-1:2], f[1::2], gamma, f[2::2], g, scratch[: g.size]))
+    # the spare last entry is not a row of the stack
+    f = f[:-1]
+    reduced = []
+    for _, _, _, alpha, gamma in levels:
+        reduced.append(f)
+        # in the order alpha f[:-1:2] + f[1::2] + gamma f[2::2] spells out, factors
+        # too: numpy's complex multiply can round a * b and b * a differently
+        g = alpha * f[:-1:2]
+        g += f[1::2]
+        g += gamma * f[2::2]
+        f = g
+    x = f
+    for (inv, left, right, _, _), f in zip(reversed(levels), reversed(reduced)):
+        # padded[1 : m + 1] is this level's solution: the coarser level fills
+        # its odd rows, and the zero ends stand for the missing neighbours
         m = f.size
-        rows = p[1 : m + 1 : 2]
-        substitute.append((inv, f[::2], rows, left, p[:m:2], right, p[2::2], scratch[: rows.size]))
-        f, p = g, p[::2]
-    substitute.reverse()
-    # the zero end padded[size + 1] is the spare entry of the solution
-    return _Plan(rhs, padded[1:], reduce, substitute)
-
-
-def _cyclic_reduction_solve(plan: _Plan) -> np.ndarray:
-    """Solve for plan.rhs; the solution is plan.solution, overwritten by the next solve.
-
-    Each level sums in place and writes its other products into scratch, in
-    the order f[1::2] + alpha f[:-1:2] + gamma f[2::2] spells out.  The
-    factors keep their order and no product overwrites its own operand:
-    numpy's complex multiply can round a * b and b * a differently.
-    """
-    for alpha, lo, mid, gamma, hi, g, tmp in plan.reduce:
-        np.multiply(alpha, lo, out=g)
-        g += mid
-        g += np.multiply(gamma, hi, out=tmp)
-    for inv, f, rows, left, lo, right, hi, tmp in plan.substitute:
-        np.multiply(inv, f, out=rows)
-        rows -= np.multiply(left, lo, out=tmp)
-        rows -= np.multiply(right, hi, out=tmp)
-    return plan.solution
+        padded = np.zeros(m + 2, dtype=x.dtype)
+        padded[2:m:2] = x
+        rows = padded[1 : m + 1 : 2]
+        np.multiply(inv, f[::2], out=rows)
+        rows -= left * padded[:m:2]
+        rows -= right * padded[2::2]
+        x = padded[1 : m + 1]
+    # the zero end padded[m + 1] is the spare entry again
+    return padded[1:]
 
 
 def _stebz_bounds(d, e):
@@ -340,15 +308,15 @@ def stacked_inverse_iteration(
     levels = _cyclic_reduction_factor(sub, diag, sup, shifts)
     if levels is None:
         return None
-    plan = _plan(levels)
     n, count = diag.size, shifts.size
     width = 1 << n.bit_length()
     stacked = count * width
-    solve_dtype = plan.rhs.dtype
-    real = np.finfo(solve_dtype).dtype
-    scratch = np.empty((count, width), dtype=solve_dtype)
+    # the flat 2^k right-hand side, twice the first level's pivots
+    rhs = np.zeros(2 * levels[0][0].size, dtype=levels[0][0].dtype)
+    real = np.finfo(rhs.dtype).dtype
+    scratch = np.empty((count, width), dtype=rhs.dtype)
     # T times every block; its pad columns stay zero
-    mv = np.zeros((count, width), dtype=solve_dtype)
+    mv = np.zeros((count, width), dtype=rhs.dtype)
     live = np.ones((count, 1), dtype=bool)
     results: List[Optional[EigenResult]] = [None] * count
 
@@ -364,13 +332,13 @@ def stacked_inverse_iteration(
             value, residual = complex(eigenvalues[k, 0]), float(residuals[k, 0])
             results[k] = EigenResult(value, vector, residual, iterations, converged)
 
-    # the iterate lives in the plan's right-hand side, in the solve's layout
-    blocks = plan.rhs[:stacked].reshape(count, width)
+    # the iterate lives in the right-hand side, in the solve's layout
+    blocks = rhs[:stacked].reshape(count, width)
     blocks[:, :n] = _start_vector(n)
     # an overflow shows as a non-finite norm, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, ITERATION_MAX + 1):
-            solution = _cyclic_reduction_solve(plan)[:stacked].reshape(count, width)
+            solution = _cyclic_reduction_solve(levels, rhs)[:stacked].reshape(count, width)
             norms = row_norms(solution)
             # a converged block solved for zero: scaling it by one keeps it zero
             norms[~live] = 1.0
