@@ -37,6 +37,7 @@ from .interactions import (
 from .operators import (
     EffectivePotentialSample,
     OperatorMatrix,
+    TwoLevel,
     assemble_dirac,
     assemble_ladder,
     assemble_schrodinger,

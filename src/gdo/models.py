@@ -22,7 +22,7 @@ from .interactions import (
     InteractionSpec,
     PhysicalConstants,
 )
-from .operators import OperatorMatrix, assemble_ladder
+from .operators import TwoLevel, assemble_ladder
 from .spectra import SpinorSample, analytic_spinor, singlet_layout
 
 _MODEL_KINDS = ("gajc", "gjc")
@@ -85,7 +85,7 @@ def oscillator_models(
     return preset, dataclasses.replace(preset, kind="gjc")
 
 
-def model_matrix(ms: ModelSpec, ladder) -> OperatorMatrix:
+def model_matrix(ms: ModelSpec, ladder) -> TwoLevel:
     """[[delta, W A#], [W A, -delta]] for GAJC from the ladder pair (A, A#) of ms's coupling.
 
     The GJC layout swaps the ladder blocks.
@@ -93,13 +93,13 @@ def model_matrix(ms: ModelSpec, ladder) -> OperatorMatrix:
     lower, raise_ = ladder
     w = ms.omega_coupling
     if ms.kind == "gajc":
-        return OperatorMatrix.two_level(ms.delta, raise_.scaled(w), lower.scaled(w))
-    return OperatorMatrix.two_level(ms.delta, lower.scaled(w), raise_.scaled(w))
+        return TwoLevel(ms.delta, raise_.scaled(w), lower.scaled(w))
+    return TwoLevel(ms.delta, lower.scaled(w), raise_.scaled(w))
 
 
 def assemble_model(
     ms: ModelSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> OperatorMatrix:
+) -> TwoLevel:
     """[[delta, W A#], [W A, -delta]] for GAJC; ladder blocks swapped for GJC."""
     return model_matrix(ms, assemble_ladder(ms.interaction, grid, consts))
 
@@ -136,7 +136,7 @@ def ground_state_structure(
 
 
 def singlet_report(
-    ms: ModelSpec, matrix: OperatorMatrix, singlet: SpinorSample
+    ms: ModelSpec, matrix: TwoLevel, singlet: SpinorSample
 ) -> GroundStateReport:
     """ground_state_structure of ms from its assembled matrix and the GDO-layout singlet."""
     sample = singlet_layout(singlet, "GDO" if ms.kind == "gajc" else "GJC")

@@ -8,9 +8,11 @@ Conventions fixed here and relied on everywhere else:
 * the second-derivative operator is the three-point Laplacian with implicit
   zeros one step outside the grid (all grid points are active unknowns);
   assemble_schrodinger owns this stencil;
-* two-component matrices act on the stacked vector (psi1 stacked over psi2)
-  and are stored as [[delta I, U], [L, -delta I]] with tridiagonal U and L,
-  the one shape of the oscillator Hamiltonian and of both two-level models.
+* one-component operators are OperatorMatrix, stored as their three bands;
+* two-component matrices are TwoLevel: they act on the stacked vector (psi1
+  stacked over psi2) and are stored as [[delta I, U], [L, -delta I]] with
+  OperatorMatrix blocks U and L, the one shape of the oscillator Hamiltonian
+  and of both two-level models.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedError
+from .errors import DimensionError
 from .interactions import (
     DEFAULT_CONSTANTS,
     Grid,
@@ -45,72 +47,73 @@ def band_matvec(bands, w: np.ndarray) -> np.ndarray:
 
 
 class OperatorMatrix:
-    """Complex square matrix in one of two storage kinds: tridiagonal or two-level.
+    """Complex tridiagonal matrix, stored as its bands (sub, diag, sup)."""
 
-    Tridiagonal storage keeps the bands (sub, diag, sup).  Two-level storage
-    keeps (delta, upper, lower) for [[delta I, upper], [lower, -delta I]] on
-    the stacked two-component vector, upper and lower being tridiagonal
-    OperatorMatrix instances of equal size.
-    """
+    __slots__ = ("dim", "bands")
 
-    __slots__ = ("dim", "_bands", "_two_level")
-
-    def __init__(self):
-        raise TypeError("use OperatorMatrix.tridiagonal / .two_level")
-
-    @classmethod
-    def tridiagonal(cls, sub, diag, sup) -> "OperatorMatrix":
+    def __init__(self, sub, diag, sup):
         d = np.asarray(diag, dtype=complex)
         lo = np.asarray(sub, dtype=complex)
         hi = np.asarray(sup, dtype=complex)
         if lo.shape != (d.size - 1,) or hi.shape != (d.size - 1,):
             raise DimensionError("off-diagonals must have length dim - 1")
-        self = object.__new__(cls)
         self.dim = d.size
-        self._bands = (lo, d, hi)
-        self._two_level = None
-        return self
-
-    @classmethod
-    def two_level(cls, delta, upper, lower) -> "OperatorMatrix":
-        if upper._bands is None or lower._bands is None or upper.dim != lower.dim:
-            raise DimensionError("two-level storage needs two tridiagonal blocks of equal size")
-        self = object.__new__(cls)
-        self.dim = 2 * upper.dim
-        self._bands = None
-        self._two_level = (complex(delta), upper, lower)
-        return self
-
-    @property
-    def bands(self):
-        if self._bands is None:
-            raise UnsupportedError("a two-level matrix is not tridiagonal")
-        return self._bands
+        self.bands = (lo, d, hi)
 
     def scaled(self, factor) -> "OperatorMatrix":
         sub, diag, sup = self.bands
-        return OperatorMatrix.tridiagonal(factor * sub, factor * diag, factor * sup)
+        return OperatorMatrix(factor * sub, factor * diag, factor * sup)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         w = np.asarray(v, dtype=complex)
         if w.shape != (self.dim,):
             raise DimensionError(f"vector length {w.shape} does not match dim {self.dim}")
-        if self._bands is not None:
-            return band_matvec(self._bands, w)
-        delta, upper, lower = self._two_level
-        n = upper.dim
-        v1, v2 = w[:n], w[n:]
-        return np.concatenate([delta * v1 + upper.matvec(v2), lower.matvec(v1) - delta * v2])
+        return band_matvec(self.bands, w)
 
     def max_abs_diff(self, other: "OperatorMatrix") -> float:
-        """Max-norm of the difference, structure-aware so 2N x 2N never densifies."""
-        if self.dim != other.dim or (self._bands is None) != (other._bands is None):
-            raise DimensionError("matrices differ in dimension or storage kind")
-        if self._bands is not None:
-            pairs = zip(self._bands, other._bands)
-            return max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in pairs)
-        (d1, u1, l1), (d2, u2, l2) = self._two_level, other._two_level
-        return max(abs(d1 - d2), u1.max_abs_diff(u2), l1.max_abs_diff(l2))
+        """Max-norm of the difference, band by band."""
+        if self.dim != other.dim:
+            raise DimensionError("matrices differ in dimension")
+        pairs = zip(self.bands, other.bands)
+        return max(float(np.max(np.abs(a - b), initial=0.0)) for a, b in pairs)
+
+
+class TwoLevel:
+    """[[delta I, upper], [lower, -delta I]] on the stacked two-component vector.
+
+    upper and lower are OperatorMatrix blocks of equal size, so the 2N x 2N
+    matrix is never densified.
+    """
+
+    __slots__ = ("dim", "delta", "upper", "lower")
+
+    def __init__(self, delta, upper: OperatorMatrix, lower: OperatorMatrix):
+        if upper.dim != lower.dim:
+            raise DimensionError("a two-level matrix needs two blocks of equal size")
+        self.dim = 2 * upper.dim
+        self.delta = complex(delta)
+        self.upper = upper
+        self.lower = lower
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        w = np.asarray(v, dtype=complex)
+        if w.shape != (self.dim,):
+            raise DimensionError(f"vector length {w.shape} does not match dim {self.dim}")
+        n = self.upper.dim
+        v1, v2 = w[:n], w[n:]
+        return np.concatenate(
+            [self.delta * v1 + self.upper.matvec(v2), self.lower.matvec(v1) - self.delta * v2]
+        )
+
+    def max_abs_diff(self, other: "TwoLevel") -> float:
+        """Max-norm of the difference, block by block."""
+        if self.dim != other.dim:
+            raise DimensionError("matrices differ in dimension")
+        return max(
+            abs(self.delta - other.delta),
+            self.upper.max_abs_diff(other.upper),
+            self.lower.max_abs_diff(other.lower),
+        )
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def momentum_operator(grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS)
     """-i hbar d/dx as the central first difference; exactly Hermitian."""
     n = grid.n_points
     coef = consts.hbar / (2.0 * grid.spacing)
-    return OperatorMatrix.tridiagonal(
+    return OperatorMatrix(
         np.full(n - 1, 1j * coef),
         np.zeros(n, dtype=complex),
         np.full(n - 1, -1j * coef),
@@ -165,8 +168,8 @@ def closed_form_potentials(
 def ladder_pair(f, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS):
     """Lowering/raising pair (p - i f, p + i f) from f sampled on the grid."""
     sub, _, sup = momentum_operator(grid, consts).bands
-    lower = OperatorMatrix.tridiagonal(sub, -1j * f, sup)
-    return lower, OperatorMatrix.tridiagonal(sub, 1j * f, sup)
+    lower = OperatorMatrix(sub, -1j * f, sup)
+    return lower, OperatorMatrix(sub, 1j * f, sup)
 
 
 def assemble_ladder(
@@ -176,17 +179,15 @@ def assemble_ladder(
     return ladder_pair(eval_f(spec, grid.points, consts), grid, consts)
 
 
-def dirac_matrix(ladder, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> OperatorMatrix:
+def dirac_matrix(ladder, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> TwoLevel:
     """Two-component Hamiltonian [[mc^2, c(p + i f)], [c(p - i f), -mc^2]] from a ladder pair."""
     lower, raise_ = ladder
-    return OperatorMatrix.two_level(
-        consts.mass * consts.c**2, raise_.scaled(consts.c), lower.scaled(consts.c)
-    )
+    return TwoLevel(consts.mass * consts.c**2, raise_.scaled(consts.c), lower.scaled(consts.c))
 
 
 def assemble_dirac(
     spec: InteractionSpec, grid: Grid, consts: PhysicalConstants = DEFAULT_CONSTANTS
-) -> OperatorMatrix:
+) -> TwoLevel:
     """Two-component Hamiltonian [[mc^2, c(p + i f)], [c(p - i f), -mc^2]]."""
     return dirac_matrix(assemble_ladder(spec, grid, consts), consts)
 
@@ -203,4 +204,4 @@ def assemble_schrodinger(
     h = grid.spacing
     k = consts.hbar**2 / (h * h)
     off = np.full(grid.n_points - 1, -k, dtype=complex)
-    return OperatorMatrix.tridiagonal(off, 2.0 * k + vv, off)
+    return OperatorMatrix(off, 2.0 * k + vv, off)

@@ -142,13 +142,13 @@ def analytic_phi(spec, branch: str, n: int, grid, consts=DEFAULT_CONSTANTS) -> n
 
 
 def rayleigh_quotient(matrix, v) -> complex:
-    """(v* M v) / (v* v) for any storage kind of gdo.OperatorMatrix."""
+    """(v* M v) / (v* v) for a gdo.OperatorMatrix or a gdo.TwoLevel."""
     w = np.asarray(v, dtype=complex)
     return complex(np.vdot(w, matrix.matvec(w)) / np.vdot(w, w))
 
 
 def dense(matrix) -> np.ndarray:
-    """The matrix as a dense array, one matvec per unit vector; for modest dimensions."""
+    """A gdo.OperatorMatrix or gdo.TwoLevel as a dense array, one matvec per unit vector; for modest dimensions."""
     return np.column_stack([matrix.matvec(unit) for unit in np.eye(matrix.dim)])
 
 

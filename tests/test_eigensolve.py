@@ -14,8 +14,6 @@ from gdo import (
     Grid,
     OperatorMatrix,
     SingularPivotError,
-    UnsupportedError,
-    assemble_dirac,
     assemble_schrodinger,
     inverse_iteration,
     symtridiag_eigenvalues,
@@ -328,7 +326,7 @@ class TestCyclicReduction:
         rng = np.random.default_rng(seed)
         d = rng.normal(size=n)
         e = rng.normal(size=n - 1)
-        m = OperatorMatrix.tridiagonal(e.astype(complex), d.astype(complex), e.astype(complex))
+        m = OperatorMatrix(e.astype(complex), d.astype(complex), e.astype(complex))
         sigma = complex(shift_re, -shift_im if flip else shift_im)
         rhs = _complex_normal(rng, n)
         sub, diag, sup = m.bands
@@ -344,7 +342,7 @@ class TestCyclicReduction:
         e = np.ones(6, dtype=complex)
         assert _cyclic_reduction_factor(e, d, e, np.array([0.0])) is None
         assert len(_cyclic_reduction_factor(e, d, e, np.array([1e-12]))) == 3
-        m = OperatorMatrix.tridiagonal(e, d, e)
+        m = OperatorMatrix(e, d, e)
         assert abs(np.linalg.det(dense(m))) < 1e-12
         calls = _record_stacked_calls(monkeypatch)
         with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
@@ -386,12 +384,8 @@ class TestCyclicReduction:
 
 
 class TestInverseIteration:
-    def test_two_component_matrix_rejected(self, morse_spec):
-        with pytest.raises(UnsupportedError):
-            inverse_iteration(assemble_dirac(morse_spec, Grid(-2.0, 2.0, 21)), 1.0)
-
     def test_diagonal_complex_matrix(self):
-        m = OperatorMatrix.tridiagonal(
+        m = OperatorMatrix(
             np.zeros(2, complex), np.array([1 + 1j, 2.0, 3.0]), np.zeros(2, complex)
         )
         result = inverse_iteration(m, 2.1, tol=1e-12)
@@ -405,7 +399,7 @@ class TestInverseIteration:
         d = rng.normal(size=40)
         e = rng.normal(size=39)
         targets = symtridiag_eigenvalues(d, e)
-        m = OperatorMatrix.tridiagonal(e.astype(complex), d.astype(complex), e.astype(complex))
+        m = OperatorMatrix(e.astype(complex), d.astype(complex), e.astype(complex))
         scale = max(1.0, float(np.max(np.abs(targets))))
         for target in targets:
             # seeded exactly at the eigenvalue: no pivot of these matrices
@@ -418,7 +412,7 @@ class TestInverseIteration:
         rng = np.random.default_rng(21)
         d = rng.normal(size=30)
         e = rng.normal(size=29)
-        m = OperatorMatrix.tridiagonal(e.astype(complex), d.astype(complex), e.astype(complex))
+        m = OperatorMatrix(e.astype(complex), d.astype(complex), e.astype(complex))
         result = inverse_iteration(m, 0.1 + 0j, tol=1e-9)
         v = result.eigenvector
         direct = float(np.linalg.norm(m.matvec(v) - result.eigenvalue * v))
@@ -426,7 +420,7 @@ class TestInverseIteration:
         assert result.residual_norm <= 1e-9
 
     def test_unconverged_raises(self):
-        m = OperatorMatrix.tridiagonal(
+        m = OperatorMatrix(
             np.full(9, 0.5 + 0j), np.zeros(10, complex), np.full(9, -0.5 + 0j)
         )
         stall = f"after {gdo.eigensolve.ITERATION_MAX} iterations"
@@ -436,7 +430,7 @@ class TestInverseIteration:
     def test_breakdown_raises_after_one_stacked_call(self, monkeypatch):
         # the pivot 0 stops the factorization at shift 0; the shift is
         # reported as given, never perturbed and solved again
-        m = OperatorMatrix.tridiagonal(np.array([1.0]), np.array([0.0, 1.0]), np.array([1e300]))
+        m = OperatorMatrix(np.array([1.0]), np.array([0.0, 1.0]), np.array([1e300]))
         calls = _record_stacked_calls(monkeypatch)
         with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
             inverse_iteration(m, 0.0)
@@ -448,7 +442,7 @@ class TestInverseIteration:
         # be divided by
         bands = (np.zeros(1), np.array([1e170, 2e170]), np.zeros(1))
         assert stacked_inverse_iteration(bands, np.array([0.0])) is None
-        m = OperatorMatrix.tridiagonal(*bands)
+        m = OperatorMatrix(*bands)
         calls = _record_stacked_calls(monkeypatch)
         with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
             inverse_iteration(m, 0.0)
@@ -458,7 +452,7 @@ class TestInverseIteration:
         # shift below the diagonal range keeps the shifted elimination
         # diagonally dominant, the regime the unpivoted solver is built for
         d = np.linspace(2, 8, 25)
-        m = OperatorMatrix.tridiagonal(
+        m = OperatorMatrix(
             np.full(24, 0.3 + 0.1j), d.astype(complex), np.full(24, 0.3 + 0.1j)
         )
         r1 = inverse_iteration(m, 0.5, tol=1e-10)
@@ -528,7 +522,7 @@ class TestStackedInverseIteration:
         if stacked is None:
             return
 
-        matrix = OperatorMatrix.tridiagonal(e, d, e)
+        matrix = OperatorMatrix(e, d, e)
         norm = _norm_bound(np.abs(d), np.abs(e))
         assert len(stacked) == shifts.size
         for shift, result in zip(shifts.tolist(), stacked):
@@ -555,7 +549,7 @@ class TestStackedInverseIteration:
         sub, diag, sup = np.array([1.0, 1e9]), np.array([2.0, 1.0, 1e-300]), np.array([1.0, 0.0])
         assert _cyclic_reduction_factor(sub, diag, sup, np.array([0.0])) is None
         assert stacked_inverse_iteration((sub, diag, sup), [0.0, 2.5]) is None
-        matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
+        matrix = OperatorMatrix(sub, diag, sup)
         [alone] = stacked_inverse_iteration(matrix.bands, [2.5])
         calls = _record_stacked_calls(monkeypatch)
         with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
@@ -575,7 +569,7 @@ class TestStackedInverseIteration:
         sub, diag, sup = np.zeros(1), np.array([1e-300, 5.0]), np.zeros(1)
         assert _cyclic_reduction_factor(sub, diag, sup, np.array([0.0, 4.9])) is not None
         assert stacked_inverse_iteration((sub, diag, sup), [0.0, 4.9]) is None
-        matrix = OperatorMatrix.tridiagonal(sub, diag, sup)
+        matrix = OperatorMatrix(sub, diag, sup)
         calls = _record_stacked_calls(monkeypatch)
         with pytest.raises(SingularPivotError, match=r"broke down at shift 0\.0$"):
             inverse_iteration(matrix, 0.0)
@@ -598,7 +592,7 @@ class TestRayleighQuotient:
     @staticmethod
     def _diagonal(values):
         zeros = np.zeros(len(values) - 1)
-        return OperatorMatrix.tridiagonal(zeros, values, zeros)
+        return OperatorMatrix(zeros, values, zeros)
 
     def test_identity(self):
         m = self._diagonal(np.ones(4))

