@@ -252,12 +252,7 @@ def main(argv=None) -> int:
     _setup_logging()
     args = _parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"gdo: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        return _HANDLERS[args.command](config, args)
+        return _HANDLERS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"gdo: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -54,8 +54,6 @@ class GroundStateReport:
     ground_energy carries the stated convention (-delta for GAJC, +delta for
     GJC); rayleigh_quotient and residual record what the assembled matrix
     actually does on the sampled singlet, whose magnitude matches delta.
-    empty_component_zero says whether the sampled singlet's other component
-    is exactly zero at every grid point.
     """
 
     model_kind: str
@@ -64,7 +62,6 @@ class GroundStateReport:
     occupied_component: str
     rayleigh_quotient: complex
     residual: float
-    empty_component_zero: bool
 
 
 def oscillator_preset(interaction: InteractionSpec, consts: PhysicalConstants = DEFAULT_CONSTANTS) -> ModelSpec:
@@ -151,13 +148,9 @@ def singlet_report(
     keep[[0, n - 1, n, 2 * n - 1]] = False
     residual = float(np.linalg.norm(mismatch[keep]) / np.linalg.norm(vector))
     if ms.kind == "gajc":
-        reported = -ms.delta
-        spin, component = "up", "upper"
-        empty = sample.psi2
+        reported, spin, component = -ms.delta, "up", "upper"
     else:
-        reported = ms.delta
-        spin, component = "down", "lower"
-        empty = sample.psi1
+        reported, spin, component = ms.delta, "down", "lower"
     return GroundStateReport(
         model_kind=ms.kind,
         ground_energy=reported,
@@ -165,5 +158,4 @@ def singlet_report(
         occupied_component=component,
         rayleigh_quotient=quotient,
         residual=residual,
-        empty_component_zero=float(np.max(np.abs(empty))) == 0.0,
     )

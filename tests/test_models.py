@@ -126,7 +126,6 @@ class TestGroundState:
         assert report.singlet_spin == "up"
         assert report.occupied_component == "upper"
         assert report.rayleigh_quotient == pytest.approx(1.0, abs=1e-12)
-        assert report.empty_component_zero
 
     def test_rotating_report(self, morse_spec, morse_grid):
         report = ground_state_structure(ModelSpec("gjc", 1.0, 1.0, morse_spec), morse_grid)
@@ -134,7 +133,6 @@ class TestGroundState:
         assert report.singlet_spin == "down"
         assert report.occupied_component == "lower"
         assert report.rayleigh_quotient == pytest.approx(-1.0, abs=1e-12)
-        assert report.empty_component_zero
 
     def test_quotient_magnitude_matches_detuning(self, cot_spec, cot_grid):
         report = ground_state_structure(ModelSpec("gajc", 1.0, 2.5, cot_spec), cot_grid)
@@ -158,7 +156,6 @@ class TestGroundState:
             report = ground_state_structure(ms, grid)
             assert report.ground_energy == -quotient
             assert report.rayleigh_quotient == pytest.approx(quotient, abs=1e-12)
-            assert report.empty_component_zero
             # the O(h^2) eigen-residual reads 9.1e-5 at h = 0.02
             assert report.residual <= 2e-4
 

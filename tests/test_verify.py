@@ -797,9 +797,38 @@ def test_verify_samples_each_singlet_once(monkeypatch):
             ),
         )
     report = verify_all(load_config(CONFIGS / "morse.json"))
-    # one sample serves both models, laid out for GJC by swapping its components
+    # one sample, in the GDO layout, serves the GAJC singlet report
     assert sampled == [-1]
     assert {c.name: c.passed for c in report.checks}["singlet_structure"]
+
+
+def _verdicts_with_model_matrix(monkeypatch, name, defective):
+    real = gdo.verify.model_matrix
+    monkeypatch.setattr(gdo.verify, "model_matrix", lambda ms, ladder: defective(real, ms, ladder))
+    return {c.name: c for c in verify_all(load_config(CONFIGS / name)).checks}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_swapped_gajc_blocks_fail_model_identification(monkeypatch, name):
+    # GAJC with its ladder blocks swapped is the GJC layout, not the oscillator
+    def swapped(real, ms, ladder):
+        return real(dataclasses.replace(ms, kind="gjc") if ms.kind == "gajc" else ms, ladder)
+
+    checks = _verdicts_with_model_matrix(monkeypatch, name, swapped)
+    assert not checks["model_identification"].passed
+    assert checks["model_identification"].measured > 1.0
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_gjc_in_the_gajc_layout_fails_model_duality(monkeypatch, name):
+    # check 9 reads the GAJC report only, so check 8 alone catches this defect
+    def gajc_layout(real, ms, ladder):
+        return real(dataclasses.replace(ms, kind="gajc"), ladder)
+
+    checks = _verdicts_with_model_matrix(monkeypatch, name, gajc_layout)
+    assert not checks["model_duality"].passed
+    assert checks["model_duality"].measured > 1.0
+    assert [c.name for c in checks.values() if not c.passed] == ["model_duality"]
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -918,7 +947,7 @@ _PINNED_REPORTS = {
         ("spinor_coefficients", 0.0, 1e-12, True),
         ("model_identification", 0.0, 1e-14, True),
         ("model_duality", 0.0, 1e-14, True),
-        ("singlet_structure", 3.4057207492921536e-06, 0.001, True),
+        ("singlet_structure", 3.405720749292153e-06, 0.001, True),
     ],
     "sweep2": [
         ("condition_shift", 0.0, 1e-10, True),
@@ -949,15 +978,17 @@ _PINNED_REPORTS = {
 # at each dispatch level of numpy 2.4.6 (tests/host.py dispatch_level).
 # _PINNED_REPORTS holds the AVX-512 level; the AVX2 set was measured in a
 # process with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4", the
-# baseline set with X86_V3 also in that list.  No verdict differs
+# baseline set with X86_V3 also in that list.  No verdict differs.  A
+# mismatch prints that config's entries for the running level, so one run per
+# level gives its pin set
 _PINNED_AT_LEVEL = {
     "X86_V3+X86_V4+AVX512_ICL+AVX512_SPR": {},
     'X86_V3': {
         ('linear.json', 'singlet_structure'): 9.128070315884671e-05,
         ('morse.json', 'potential_closed_form'): 5.79026862265361e-16,
-        ('morse.json', 'singlet_structure'): 0.0001580794455218968,
+        ('morse.json', 'singlet_structure'): 0.00015807944552189673,
         ('sweep0', 'singlet_structure'): 0.0024894643531311266,
-        ('sweep2', 'singlet_structure'): 0.010029548705619932,
+        ('sweep2', 'singlet_structure'): 0.010029548705619928,
     },
     'baseline': {
         ('cot.json', 'potential_closed_form'): 4.675801353464622e-16,
@@ -965,12 +996,12 @@ _PINNED_AT_LEVEL = {
         ('linear.json', 'singlet_structure'): 9.128070315884671e-05,
         ('morse.json', 'potential_closed_form'): 5.79026862265361e-16,
         ('morse.json', 'shape_invariance'): 2.039240364857033e-16,
-        ('morse.json', 'singlet_structure'): 0.0001580794455218521,
+        ('morse.json', 'singlet_structure'): 0.00015807944552185207,
         ('sweep0', 'singlet_structure'): 0.0024894643531312064,
         ('sweep1', 'potential_closed_form'): 4.441063619360115e-16,
-        ('sweep1', 'singlet_structure'): 3.4057207492747568e-06,
+        ('sweep1', 'singlet_structure'): 3.4057207492747564e-06,
         ('sweep2', 'potential_closed_form'): 8.121358513595368e-16,
-        ('sweep2', 'singlet_structure'): 0.010029548705619855,
+        ('sweep2', 'singlet_structure'): 0.010029548705619853,
         ('sweep3', 'potential_closed_form'): 1.3731482861771029e-15,
         ('sweep3', 'shape_invariance'): 9.756770486474128e-16,
         ('sweep3', 'singlet_structure'): 1.8123564325879733e-05,
@@ -1006,6 +1037,13 @@ def test_reports_are_pinned_bit_for_bit(name):
     ]
     report = verify_all(_pinned_config(name))
     observed = [(c.name, c.measured, c.threshold, c.passed) for c in report.checks]
+    if observed != expected:
+        # this config's entries of the running level's pin set, as measured
+        base = {check: measured for check, measured, _, _ in _PINNED_REPORTS[name]}
+        print(f"_PINNED_AT_LEVEL[{level!r}] entries for {name}:")
+        for c in report.checks:
+            if c.measured != base[c.name]:
+                print(f"    {(name, c.name)!r}: {c.measured!r},")
     assert observed == expected
 
 
